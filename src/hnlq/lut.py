@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -86,6 +87,11 @@ class InnerProductLUT:
     def nbytes(self) -> int:
         return self.values.nbytes
 
+    @cached_property
+    def max_abs(self) -> int | float:
+        """Largest entry magnitude; bounds every weighted sum of reads."""
+        return np.abs(self.values).max().item()
+
     def _fetch(self, i: int, j: int):
         self.query_count += 1
         return self.values[i * self.side + j]
@@ -132,6 +138,17 @@ def _layer_indices(tbl, enc: HierarchicalEncoding) -> np.ndarray:
     return digits_to_index(digits, tbl.q)
 
 
+def _weighted_reads(lut: InnerProductLUT, ix: np.ndarray, iy: np.ndarray):
+    """Sum of q^(i+j) table[ix[i], iy[j]] with each read as an exact Python scalar."""
+    if ix.shape != iy.shape:
+        raise ValueError("encodings have different depths")
+    return sum(
+        lut.q ** (i + j) * lut._fetch(int(a), int(b)).item()
+        for i, a in enumerate(ix)
+        for j, b in enumerate(iy)
+    )
+
+
 def lut_ip(
     lut: InnerProductLUT,
     enc_x: HierarchicalEncoding,
@@ -143,15 +160,7 @@ def lut_ip(
     digit range and shape are validated against the table.  Returns a
     Python int for integral-Gram lattices, else a float.
     """
-    ix = _layer_indices(lut, enc_x)
-    iy = _layer_indices(lut, enc_y)
-    if ix.shape != iy.shape:
-        raise ValueError("encodings have different depths")
-    q = lut.q
-    total = 0
-    for i in range(ix.size):
-        for j in range(iy.size):
-            total += q ** (i + j) * lut._fetch(int(ix[i]), int(iy[j]))
+    total = _weighted_reads(lut, _layer_indices(lut, enc_x), _layer_indices(lut, enc_y))
     return int(total) if lut.values.dtype.kind == "i" else float(total)
 
 
@@ -172,13 +181,7 @@ def lut_ip_dithered(
     q = lut.q
     ix = np.concatenate([[digits_to_index(np.asarray(dither_x), q)], _layer_indices(lut, enc_x)])
     iy = np.concatenate([[digits_to_index(np.asarray(dither_y), q)], _layer_indices(lut, enc_y)])
-    if ix.shape != iy.shape:
-        raise ValueError("encodings have different depths")
-    total = 0
-    for i in range(ix.size):
-        for j in range(iy.size):
-            total += q ** (i + j) * lut._fetch(int(ix[i]), int(iy[j]))
-    return float(total) / q**2
+    return float(_weighted_reads(lut, ix, iy)) / q**2
 
 
 def build_one_sided(params: HierarchicalParams, y: np.ndarray) -> OneSidedLUT:

@@ -10,9 +10,11 @@ from hnlq import (
     ScalingConfig,
     UnencodableError,
     build_lut,
+    h_decode,
     ip_approx,
     load_quantized_matrix,
     lut_ip,
+    lut_ip_dithered,
     make_lattice,
     matmul_approx,
     quantize_matrix,
@@ -21,14 +23,23 @@ from hnlq import (
     reconstruct_chunks,
     save_quantized_matrix,
 )
+from hnlq import pipeline
 from hnlq.lut import digits_to_index
 
 
-def pipe(n=16, q=4, M=2, beta0=0.35, **kw):
-    params = HierarchicalParams(make_lattice("d4"), q, M)
+def pipe(n=16, q=4, M=2, beta0=0.35, lat=None, alpha=1.0 / 3.0, **kw):
+    params = HierarchicalParams(lat or make_lattice("d4"), q, M)
     return PipelineConfig(
-        params=params, scaling=ScalingConfig(beta0=beta0), n=n, **kw
+        params=params, scaling=ScalingConfig(beta0=beta0, alpha=alpha), n=n, **kw
     )
+
+
+def cols_spanning_blocks(cfg, cols_b):
+    """Columns of A that fill two row blocks of the table combine and part of a third."""
+    L = cfg.params.M + (cfg.dither_mode != "none")
+    rows = pipeline._COMBINE_BLOCK // (L * L * cols_b * cfg.chunks)
+    assert rows >= 2
+    return 2 * rows + 1
 
 
 def direct_ip(cfg, qx, qy):
@@ -234,34 +245,53 @@ def test_fixed_dither_id_shared_across_chunks():
     assert np.array_equal(qv.dither_ids, np.tile(ids, (4, 1)))
 
 
+KERNEL_CASES = {
+    "plain": {},
+    "fixed": {"dither_mode": "fixed", "dither_ids": np.array([1, 0, 3, 2])},
+    "random": {"dither_mode": "random", "dither_seed": 5},
+    "rotate": {"rotate": True, "rotation_seed": 2},
+}
+
+
 def test_matmul_matches_oracle_and_columns():
+    rng = np.random.default_rng(14)
+    for kw in KERNEL_CASES.values():
+        cfg = pipe(n=256, **kw)
+        lut = build_lut(cfg.params)
+        cols_a, cols_b = cols_spanning_blocks(cfg, 8), 8
+        QA = quantize_matrix(cfg, rng.standard_normal((256, cols_a)))
+        QB = quantize_matrix(cfg, rng.standard_normal((256, cols_b)))
+        out = matmul_approx(cfg, lut, QA, QB)
+        assert out.shape == (cols_a, cols_b)
+        ca = [QA.column(i) for i in range(cols_a)]
+        cb = [QB.column(j) for j in range(cols_b)]
+        for i in range(cols_a):
+            for j in range(cols_b):
+                via_cols = ip_approx(cfg, lut, ca[i], cb[j])
+                assert out[i, j] == via_cols
+                want = direct_ip(cfg, ca[i], cb[j])
+                assert abs(out[i, j] - want) <= 1e-6 * max(1.0, abs(want))
     cfg = pipe(n=8)
     lut = build_lut(cfg.params)
-    rng = np.random.default_rng(14)
-    A = rng.standard_normal((8, 2))
-    B = rng.standard_normal((8, 3))
-    QA = quantize_matrix(cfg, A)
-    QB = quantize_matrix(cfg, B)
-    out = matmul_approx(cfg, lut, QA, QB)
-    assert out.shape == (2, 3)
-    for i in range(2):
-        for j in range(3):
-            via_cols = ip_approx(cfg, lut, QA.column(i), QB.column(j))
-            assert out[i, j] == via_cols
-            want = direct_ip(cfg, QA.column(i), QB.column(j))
-            assert abs(out[i, j] - want) <= 1e-6 * max(1.0, abs(want))
+    QA = quantize_matrix(cfg, rng.standard_normal((8, 2)))
     Z = quantize_matrix(cfg, np.zeros((8, 2)))
     assert not matmul_approx(cfg, lut, QA, Z).any()
+    empty = quantize_matrix(cfg, np.zeros((8, 0)))
+    assert matmul_approx(cfg, lut, QA, empty).shape == (2, 0)
+    assert matmul_approx(cfg, lut, empty, QA).shape == (0, 2)
 
 
 def test_matmul_counts_queries():
-    cfg = pipe(n=8)  # K=2, M=2
-    lut = build_lut(cfg.params)
     rng = np.random.default_rng(15)
-    QA = quantize_matrix(cfg, rng.standard_normal((8, 2)))
-    QB = quantize_matrix(cfg, rng.standard_normal((8, 3)))
-    matmul_approx(cfg, lut, QA, QB)
-    assert lut.query_count == 2 * 3 * 2 * 4  # cols_a * cols_b * K * M^2
+    for kw, L in ((KERNEL_CASES["plain"], 2), (KERNEL_CASES["fixed"], 3)):  # M=2, + dither
+        for n, cols_b in ((8, 3), (256, 8)):
+            cfg = pipe(n=n, **kw)
+            lut = build_lut(cfg.params)
+            cols_a = 2 if n == 8 else cols_spanning_blocks(cfg, cols_b)
+            QA = quantize_matrix(cfg, rng.standard_normal((n, cols_a)))
+            QB = quantize_matrix(cfg, rng.standard_normal((n, cols_b)))
+            matmul_approx(cfg, lut, QA, QB)
+            assert lut.query_count == cols_a * cols_b * cfg.chunks * L * L
 
 
 def test_matmul_validates_config():
@@ -273,6 +303,61 @@ def test_matmul_validates_config():
     QB = quantize_matrix(other, rng.standard_normal((16, 2)))
     with pytest.raises(ValueError):
         matmul_approx(cfg, lut, QA, QB)
+
+
+FIXED = {"dither_mode": "fixed", "dither_ids": np.array([1, 1, 1, 1])}
+RANDOM = {"dither_mode": "random", "dither_seed": 0}
+CONFIG_FIELDS = {
+    "lattice": ({}, {"lat": make_lattice("z4")}),
+    "lattice scale": ({}, {"lat": make_lattice("d4", scale=2.0)}),
+    "q": ({}, {"q": 3}),
+    "M": ({}, {"M": 3}),
+    "beta0": ({}, {"beta0": 0.3}),
+    "alpha": ({}, {"alpha": 0.5}),
+    "rotate": ({}, {"rotate": True}),
+    "rotation_seed": ({"rotate": True}, {"rotate": True, "rotation_seed": 1}),
+    "dither_mode": ({}, FIXED),
+    "dither_ids": (FIXED, {**FIXED, "dither_ids": np.array([1, 1, 1, 0])}),
+    "dither_seed": (RANDOM, {**RANDOM, "dither_seed": 1}),
+}
+
+
+@pytest.mark.parametrize("base, other", CONFIG_FIELDS.values(), ids=CONFIG_FIELDS.keys())
+def test_matmul_rejects_other_config(base, other):
+    # Fields are compared by value (n is covered by test_matmul_validates_config).
+    cfg, alt = pipe(n=8, **base), pipe(n=8, **other)
+    lut = build_lut(cfg.params)
+    rng = np.random.default_rng(16)
+    QA = quantize_matrix(cfg, rng.standard_normal((8, 2)))
+    QB = quantize_matrix(alt, rng.standard_normal((8, 2)))
+    same = quantize_matrix(pipe(n=8, **base), rng.standard_normal((8, 2)))
+    assert matmul_approx(cfg, lut, QA, same).shape == (2, 2)
+    with pytest.raises(ValueError):
+        matmul_approx(cfg, lut, QA, QB)
+    with pytest.raises(ValueError):
+        matmul_approx(cfg, lut, QB, QA)
+
+
+def test_products_exact_beyond_int64():
+    # d4, q=8, M=11 with the top layer in use: a chunk's weighted table sum
+    # passes 2^63, so the combine must leave int64 and lut_ip stay in Python ints.
+    cfg = pipe(n=8, q=8, M=11, beta0=1e-10)
+    lut = build_lut(cfg.params)
+    rng = np.random.default_rng(20)
+    QA = quantize_matrix(cfg, rng.standard_normal((8, 3)))
+    top = np.argwhere(QA.digits[:, :, -1].any(axis=-1))  # (column, chunk) pairs
+    assert len(top)
+    G = matmul_approx(cfg, lut, QA, QA)
+    X = np.stack([reconstruct_chunks(cfg, QA.column(j)).ravel() for j in range(3)])
+    want = X @ X.T
+    assert np.linalg.norm(G - want) <= 1e-9 * np.linalg.norm(want)
+    assert G[0, 1] == ip_approx(cfg, lut, QA.column(0), QA.column(1))
+    enc = HierarchicalEncoding(digits=QA.digits[tuple(top[0])], overload=False)
+    x = h_decode(cfg.params, enc)
+    raw = lut_ip(lut, enc, enc)
+    assert abs(raw - x @ x) <= 1e-12 * (x @ x)
+    zero = np.zeros(4, dtype=np.int64)
+    assert lut_ip_dithered(lut, enc, enc, zero, zero) == float(raw)
 
 
 def test_matrix_column_quantization_matches_vector():
