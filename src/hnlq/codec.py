@@ -198,12 +198,7 @@ def layer_codebook_coords(params: HierarchicalParams) -> np.ndarray:
     Row i is the representative of the digit vector whose base-q value is
     i (first coordinate most significant), matching the LUT index layout.
     """
-    return _layer_coords_from_digits(params, digit_grid(params.q, params.lat.d))
-
-
-def _layer_coords_from_digits(params: HierarchicalParams, B: np.ndarray) -> np.ndarray:
-    vc = VoronoiCodeParams(params.lat, params.q)
-    return vc_decode_many(vc, B)
+    return _layer_coords(params, digit_grid(params.q, params.lat.d))
 
 
 def _iter_codebook_coords(params: HierarchicalParams, per_chunk_layers: int = 1):

@@ -53,14 +53,19 @@ def digits_to_index(b: np.ndarray, q: int) -> int | np.ndarray:
     return int(idx) if idx.ndim == 0 else idx
 
 
-def index_to_digits(idx: int, q: int, d: int) -> np.ndarray:
-    """Inverse of digits_to_index for a single index."""
-    if not 0 <= idx < q**d:
+def index_to_digits(idx, q: int, d: int) -> np.ndarray:
+    """Inverse of digits_to_index: indices (...) to int64 digit vectors (..., d).
+
+    Unpacks in uint64, so every index in [0, min(q^d, 2^64)) is accepted.
+    """
+    idx = np.asarray(idx)
+    if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= min(q**d, 2**64)):
         raise ValueError("index out of range")
-    out = np.empty(d, dtype=np.int64)
+    v = idx.astype(np.uint64)
+    out = np.empty(idx.shape + (d,), dtype=np.int64)
     for i in range(d - 1, -1, -1):
-        out[i] = idx % q
-        idx //= q
+        out[..., i] = v % q
+        v //= q
     return out
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .codec import HierarchicalParams
 from .lattices import FAMILY_IDS, make_lattice
-from .lut import InnerProductLUT, digits_to_index
+from .lut import InnerProductLUT, digits_to_index, index_to_digits
 from .scaling import ScalingConfig, decode_scaled_many, encode_scaled_many
 
 __all__ = [
@@ -89,16 +89,12 @@ class QuantizedVector:
     """One quantized column: per-chunk digits, retry counts and dither ids.
 
     ``norm`` is recorded only when the pipeline rotates and normalizes.
-    ``layer_idx`` caches the base-q index of each digit layer for table
-    lookups; ``dither_idx`` likewise for the dither ids.
     """
 
     digits: np.ndarray  # (K, M, d)
     T: np.ndarray  # (K,)
     norm: float | None
     dither_ids: np.ndarray | None  # (K, d) or None
-    layer_idx: np.ndarray  # (K, M)
-    dither_idx: np.ndarray | None  # (K,) or None
 
 
 @dataclass(eq=False)
@@ -120,15 +116,11 @@ class QuantizedMatrix:
         return (self.cfg.n, self.cols)
 
     def column(self, j: int) -> QuantizedVector:
-        q, d = self.cfg.params.q, self.cfg.params.lat.d
-        ids = None if self.dither_ids is None else self.dither_ids[j]
         return QuantizedVector(
             digits=self.digits[j],
             T=self.T[j],
             norm=None if self.norms is None else float(self.norms[j]),
-            dither_ids=ids,
-            layer_idx=digits_to_index(self.digits[j], q),
-            dither_idx=None if ids is None else digits_to_index(ids, q),
+            dither_ids=None if self.dither_ids is None else self.dither_ids[j],
         )
 
 
@@ -151,20 +143,29 @@ def _dither_digit_ids(cfg: PipelineConfig, col: int, K: int) -> np.ndarray | Non
         return None
     if cfg.dither_mode == "fixed":
         return np.broadcast_to(cfg.dither_ids, (K, d)).copy()
-    ids = np.empty((K, d), dtype=np.int64)
-    for k in range(K):
-        h = hashlib.blake2b(
-            struct.pack("<qqq", cfg.dither_seed, col, k), digest_size=8
-        ).digest()
-        v = int.from_bytes(h, "little")
-        for i in range(d - 1, -1, -1):
-            ids[k, i] = v % q
-            v //= q
-    return ids
+    # Each chunk's id is the low d base-q digits of a 64-bit keyed hash.
+    hashes = [
+        hashlib.blake2b(struct.pack("<qqq", cfg.dither_seed, col, k), digest_size=8).digest()
+        for k in range(K)
+    ]
+    vals = np.array([int.from_bytes(h, "little") % q**d for h in hashes], dtype=np.uint64)
+    return index_to_digits(vals, q, d)
 
 
-def _encode_columns(cfg: PipelineConfig, A: np.ndarray):
-    """Rotate/normalize columns of A (n, cols) and encode all chunks."""
+def _column_dither_ids(cfg: PipelineConfig, first_col: int, cols: int) -> np.ndarray | None:
+    """Dither ids (cols, K, d) of columns first_col, first_col + 1, ..., or None."""
+    if cfg.dither_mode == "none":
+        return None
+    K, d = cfg.chunks, cfg.params.lat.d
+    ids = [_dither_digit_ids(cfg, first_col + j, K) for j in range(cols)]
+    return np.array(ids, dtype=np.int64).reshape(cols, K, d)
+
+
+def _encode_columns(cfg: PipelineConfig, A: np.ndarray, first_col: int = 0) -> QuantizedMatrix:
+    """Rotate/normalize columns of A (n, cols) and encode all chunks.
+
+    Column j takes the dither ids of column first_col + j.
+    """
     n, cols = A.shape
     d, K = cfg.params.lat.d, cfg.chunks
     if n != cfg.n:
@@ -177,21 +178,11 @@ def _encode_columns(cfg: PipelineConfig, A: np.ndarray):
         Y = S @ A
         safe = np.where(norms > 0, norms, 1.0)
         Y = Y / safe
-    chunks = Y.T.reshape(cols, K, d)
-    if cfg.dither_mode == "none":
-        ids = None
-    else:
-        ids = np.stack([_dither_digit_ids(cfg, j, K) for j in range(cols)])
+    ids = _column_dither_ids(cfg, first_col, cols)
     digits, T = encode_scaled_many(
-        cfg.params, cfg.scaling, chunks.reshape(-1, d),
-        dither_ids=None if ids is None else ids.reshape(-1, d),
+        cfg.params, cfg.scaling, Y.T.reshape(cols, K, d), dither_ids=ids
     )
-    return (
-        digits.reshape(cols, K, cfg.params.M, d),
-        T.reshape(cols, K),
-        norms,
-        ids,
-    )
+    return QuantizedMatrix(cfg=cfg, digits=digits, T=T, norms=norms, dither_ids=ids)
 
 
 def quantize_matrix(cfg: PipelineConfig, A: np.ndarray) -> QuantizedMatrix:
@@ -199,41 +190,19 @@ def quantize_matrix(cfg: PipelineConfig, A: np.ndarray) -> QuantizedMatrix:
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise ValueError("expected a 2-d array")
-    digits, T, norms, ids = _encode_columns(cfg, A)
-    return QuantizedMatrix(cfg=cfg, digits=digits, T=T, norms=norms, dither_ids=ids)
+    return _encode_columns(cfg, A)
 
 
 def quantize_vector(cfg: PipelineConfig, x: np.ndarray, col: int = 0) -> QuantizedVector:
-    """Quantize a single length-n vector.
+    """Quantize a single length-n vector as column ``col`` of a matrix.
 
-    ``col`` selects the column index used to derive per-chunk dither ids in
-    the "random" mode, so a vector quantized standalone matches the same
-    column quantized as part of a matrix.
+    The result is what ``quantize_matrix(cfg, A).column(col)`` gives when
+    column ``col`` of A is x: ``col`` selects the "random" mode's dither ids.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (cfg.n,):
         raise ValueError(f"expected shape ({cfg.n},), got {x.shape}")
-    K, d, q = cfg.chunks, cfg.params.lat.d, cfg.params.q
-    norm = None
-    y = x
-    if cfg.rotate:
-        S = random_rotation(cfg.n, cfg.rotation_seed)
-        norm = float(np.linalg.norm(x))
-        y = S @ x
-        if norm > 0:
-            y = y / norm
-    ids = _dither_digit_ids(cfg, col, K)
-    digits, T = encode_scaled_many(
-        cfg.params, cfg.scaling, y.reshape(K, d), dither_ids=ids
-    )
-    return QuantizedVector(
-        digits=digits,
-        T=T,
-        norm=norm,
-        dither_ids=ids,
-        layer_idx=digits_to_index(digits, q),
-        dither_idx=None if ids is None else digits_to_index(ids, q),
-    )
+    return _encode_columns(cfg, x[:, None], first_col=col).column(0)
 
 
 def reconstruct_chunks(cfg: PipelineConfig, qv: QuantizedVector) -> np.ndarray:
@@ -261,11 +230,12 @@ def _code_key(cfg: PipelineConfig) -> tuple:
             cfg.dither_mode, ids, cfg.dither_seed)
 
 
-def _layers(layer_idx: np.ndarray, dither_idx: np.ndarray | None) -> np.ndarray:
-    """Layer indices (..., M), with the dither index prepended as layer 0."""
-    if dither_idx is None:
-        return layer_idx
-    return np.concatenate([dither_idx[..., None], layer_idx], axis=-1)
+def _layers(q: int, digits: np.ndarray, dither_ids: np.ndarray | None) -> np.ndarray:
+    """Table indices (..., L) of digits (..., M, d); dither ids (..., d) become layer 0."""
+    idx = digits_to_index(digits, q)
+    if dither_ids is None:
+        return idx
+    return np.concatenate([digits_to_index(dither_ids, q)[..., None], idx], axis=-1)
 
 
 def _combine(cfg, lut, ia, ib, Ta, Tb, dithered: bool) -> np.ndarray:
@@ -307,12 +277,12 @@ def ip_approx(
     """
     if qx.digits.shape != qy.digits.shape or qx.digits.shape[0] != cfg.chunks:
         raise ValueError("quantized columns do not match the pipeline shape")
-    dithered = qx.dither_idx is not None
-    if dithered != (qy.dither_idx is not None):
+    dithered = qx.dither_ids is not None
+    if dithered != (qy.dither_ids is not None):
         raise ValueError("cannot mix dithered and undithered columns")
     if cfg.rotate and (qx.norm is None or qy.norm is None):
         raise ValueError("rotating pipeline needs columns with recorded norms")
-    ix, iy = (_layers(v.layer_idx, v.dither_idx)[None] for v in (qx, qy))
+    ix, iy = (_layers(cfg.params.q, v.digits, v.dither_ids)[None] for v in (qx, qy))
     total = float(_combine(cfg, lut, ix, iy, qx.T[None], qy.T[None], dithered)[0, 0])
     if cfg.rotate:
         total *= qx.norm * qy.norm
@@ -331,8 +301,7 @@ def matmul_approx(
     """
     if _code_key(QA.cfg) != _code_key(cfg) or _code_key(QB.cfg) != _code_key(cfg):
         raise ValueError("quantized matrix does not match the pipeline config")
-    ia, ib = (_layers(digits_to_index(Q.digits, cfg.params.q), None if Q.dither_ids is None
-                      else digits_to_index(Q.dither_ids, cfg.params.q)) for Q in (QA, QB))
+    ia, ib = (_layers(cfg.params.q, Q.digits, Q.dither_ids) for Q in (QA, QB))
     out = _combine(cfg, lut, ia, ib, QA.T, QB.T, QA.dither_ids is not None)
     if cfg.rotate:
         out *= QA.norms[:, None] * QB.norms
@@ -345,6 +314,9 @@ _DITHER_CODE = {"none": 0, "fixed": 1, "random": 2}
 
 
 def _digit_record_bytes(q: int, d: int) -> int:
+    """Bytes per packed digit vector; records hold at most 64 bits."""
+    if q**d > 2**64:
+        raise ValueError(f"q^d = {q}^{d} digit vectors do not fit 64-bit records")
     return ((q**d - 1).bit_length() + 7) // 8
 
 
@@ -441,12 +413,7 @@ def load_quantized_matrix(path, *, max_retries: int = 60) -> QuantizedMatrix:
     vals = (payload.reshape(cols, K, M, nrec).astype(np.uint64) << shifts).sum(
         axis=-1, dtype=np.uint64
     )
-    # Unpack base-q values back into digit vectors, most significant first.
-    digits = np.empty((cols, K, M, d), dtype=np.int64)
-    v = vals.astype(np.int64)
-    for i in range(d - 1, -1, -1):
-        digits[..., i] = v % q
-        v //= q
+    digits = index_to_digits(vals, q, d)
     T = np.frombuffer(raw, dtype=np.uint8, count=cols * K, offset=off).astype(np.int64)
     off += cols * K
     T = T.reshape(cols, K)
@@ -456,7 +423,5 @@ def load_quantized_matrix(path, *, max_retries: int = 60) -> QuantizedMatrix:
         off += cols * 8
     if off != len(raw):
         raise ValueError("trailing bytes in quantized-matrix file")
-    ids = None
-    if mode != "none":
-        ids = np.stack([_dither_digit_ids(cfg, j, K) for j in range(cols)])
+    ids = _column_dither_ids(cfg, 0, cols)
     return QuantizedMatrix(cfg=cfg, digits=digits, T=T, norms=norms, dither_ids=ids)

@@ -92,11 +92,14 @@ def encode_scaled_many(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Encode rows of X (N, d) with per-row retry counts.
 
-    Returns (digits (N, M, d), T (N,)).  Raises UnencodableError when some
-    row still overloads at T = max_retries.
+    Returns (digits (N, M, d), T (N,)).  Raises ValueError on non-finite
+    input and UnencodableError when some row still overloads at
+    T = max_retries.
     """
     X = np.asarray(X, dtype=np.float64)
     flatX = X.reshape(-1, params.lat.d)
+    if not np.isfinite(flatX).all():
+        raise ValueError("cannot encode non-finite values")
     _, Z = _resolve_dither(params, X.shape, dither_ids)
     flatZ = None if Z is None else Z.reshape(-1, params.lat.d)
 

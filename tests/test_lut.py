@@ -43,6 +43,13 @@ def test_digit_indexing():
         digits_to_index(np.array([3, 0]), 3)
     with pytest.raises(ValueError):
         index_to_digits(27, 3, 3)
+    assert np.array_equal(index_to_digits(np.array([[5, 6]]), 3, 2), [[[1, 2], [2, 0]]])
+    assert index_to_digits(np.array([], dtype=np.uint64), 3, 2).shape == (0, 2)
+    top = index_to_digits(np.array([2**64 - 1], dtype=np.uint64), 16, 16)
+    assert np.array_equal(top, np.full((1, 16), 15))
+    for bad in ([-1, 0], [0, 9]):
+        with pytest.raises(ValueError):
+            index_to_digits(np.array(bad), 3, 2)
 
 
 def test_build_scalar_table(z1):

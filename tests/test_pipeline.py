@@ -24,7 +24,7 @@ from hnlq import (
     save_quantized_matrix,
 )
 from hnlq import pipeline
-from hnlq.lut import digits_to_index
+from hnlq.scaling import encode_scaled_many
 
 
 def pipe(n=16, q=4, M=2, beta0=0.35, lat=None, alpha=1.0 / 3.0, **kw):
@@ -101,7 +101,6 @@ def test_quantize_vector_shapes():
     assert qv.digits.shape == (4, 2, 4)
     assert qv.T.shape == (4,)
     assert qv.norm is None and qv.dither_ids is None
-    assert np.array_equal(qv.layer_idx, digits_to_index(qv.digits, 4))
     with pytest.raises(ValueError):
         quantize_vector(cfg, rng.standard_normal(15))
 
@@ -213,6 +212,20 @@ def test_query_counter_scales_with_chunks():
     assert dlut.query_count == 2 * 9  # K * (M+1)^2
 
 
+@pytest.mark.filterwarnings("error")
+def test_non_finite_input_is_rejected():
+    cfg = pipe(n=8)
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.ones(8)
+        x[5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            quantize_vector(cfg, x)
+        with pytest.raises(ValueError, match="non-finite"):
+            quantize_matrix(cfg, np.stack([np.ones(8), x], axis=1))
+        with pytest.raises(ValueError, match="non-finite"):
+            encode_scaled_many(cfg.params, cfg.scaling, x.reshape(2, 4))
+
+
 def test_unencodable_propagates():
     cfg = pipe(n=8, beta0=1e-4)
     bad = PipelineConfig(
@@ -235,6 +248,20 @@ def test_random_dither_ids_are_reproducible():
     c = quantize_vector(cfg, x, col=6)
     assert not np.array_equal(a.dither_ids, c.dither_ids)
     assert a.dither_ids.min() >= 0 and a.dither_ids.max() < 4
+
+
+def test_random_dither_ids_are_pinned():
+    # Files store only the seed, so these ids are part of the NLQM format.
+    pinned = [
+        ("a2", 8, 7, 3, [[2, 0], [4, 5]]),
+        ("d4", 4, 5, 2, [[1, 3, 3, 0], [3, 2, 1, 1]]),
+        ("z16", 16, 1, 0, [[5, 6, 7, 7, 8, 6, 15, 10, 9, 8, 9, 15, 12, 15, 9, 1],
+                           [9, 2, 4, 1, 2, 1, 6, 14, 7, 13, 1, 14, 10, 2, 0, 2]]),  # q^d = 2^64
+    ]
+    for name, q, seed, col, want in pinned:
+        lat = make_lattice(name)
+        cfg = pipe(n=2 * lat.d, q=q, lat=lat, dither_mode="random", dither_seed=seed)
+        assert pipeline._dither_digit_ids(cfg, col, 2).tolist() == want
 
 
 def test_fixed_dither_id_shared_across_chunks():
@@ -362,28 +389,41 @@ def test_products_exact_beyond_int64():
 
 def test_matrix_column_quantization_matches_vector():
     # a column quantized inside a matrix equals the standalone vector path
-    cfg = pipe(n=16, dither_mode="random", dither_seed=33)
     rng = np.random.default_rng(17)
-    A = rng.standard_normal((16, 3))
-    QA = quantize_matrix(cfg, A)
-    for j in range(3):
-        qv = quantize_vector(cfg, A[:, j], col=j)
-        col = QA.column(j)
-        assert np.array_equal(qv.digits, col.digits)
-        assert np.array_equal(qv.T, col.T)
-        assert np.array_equal(qv.dither_ids, col.dither_ids)
+    for kw in KERNEL_CASES.values():
+        cfg = pipe(n=16, **kw)
+        A = rng.standard_normal((16, 3))
+        QA = quantize_matrix(cfg, A)
+        for j in range(3):
+            qv = quantize_vector(cfg, A[:, j], col=j)
+            col = QA.column(j)
+            assert np.array_equal(qv.digits, col.digits)
+            assert np.array_equal(qv.T, col.T)
+            if col.dither_ids is None:
+                assert qv.dither_ids is None
+            else:
+                assert np.array_equal(qv.dither_ids, col.dither_ids)
+            if col.norm is None:
+                assert qv.norm is None
+            else:
+                # the norm's reduction order depends on the column count
+                assert abs(qv.norm - col.norm) <= 1e-12 * col.norm
 
 
 def test_save_load_roundtrip(tmp_path):
     rng = np.random.default_rng(18)
+    fixed = pipe(n=8, dither_mode="fixed", dither_ids=np.array([2, 0, 1, 3]))
+    rand = pipe(n=8, dither_mode="random", dither_seed=4)
     configs = [
-        pipe(n=8),
-        pipe(n=8, rotate=True, rotation_seed=9),
-        pipe(n=8, dither_mode="fixed", dither_ids=np.array([2, 0, 1, 3])),
-        pipe(n=8, dither_mode="random", dither_seed=4),
+        (pipe(n=8), 3),
+        (pipe(n=8, rotate=True, rotation_seed=9), 3),
+        (fixed, 3),
+        (rand, 3),
+        (fixed, 0),
+        (rand, 0),
     ]
-    for idx, cfg in enumerate(configs):
-        A = rng.standard_normal((8, 3)) * 1.5
+    for idx, (cfg, cols) in enumerate(configs):
+        A = rng.standard_normal((8, cols)) * 1.5
         qm = quantize_matrix(cfg, A)
         path = tmp_path / f"m{idx}.qm"
         save_quantized_matrix(qm, path)
@@ -402,6 +442,8 @@ def test_save_load_roundtrip(tmp_path):
             assert np.array_equal(back.dither_ids, qm.dither_ids)
         save_quantized_matrix(back, path)
         assert path.read_bytes() == first  # byte-identical re-save
+        if cols == 0:
+            continue
         # identical products through the reloaded matrix
         lut = build_lut(cfg.params)
         a = ip_approx(cfg, lut, qm.column(0), qm.column(1))
@@ -442,3 +484,27 @@ def test_load_validates_file(tmp_path):
     qm.T[0, 0] = 300  # would not fit the one-byte T records
     with pytest.raises(ValueError):
         save_quantized_matrix(qm, path)
+
+    # z2, q=3: one-byte records hold the values 0..8, so 200 is corrupt
+    small = quantize_matrix(pipe(n=2, q=3, lat=make_lattice("z2")), np.zeros((2, 1)))
+    save_quantized_matrix(small, path)
+    corrupt = bytearray(path.read_bytes())
+    assert corrupt[-3:-1] == b"\x00\x00"  # the two layer records, then one T byte
+    corrupt[-2] = 200
+    bad.write_bytes(corrupt)
+    with pytest.raises(ValueError, match="out of range"):
+        load_quantized_matrix(bad)
+
+    # q^d beyond 2^64 does not fit the 64-bit records
+    for name, q in (("z41", 3), ("z28", 5)):
+        lat = make_lattice(name)
+        big = quantize_matrix(pipe(n=lat.d, q=q, lat=lat), np.zeros((lat.d, 1)))
+        with pytest.raises(ValueError, match="64-bit"):
+            save_quantized_matrix(big, path)
+
+    # q^d = 2^64 exactly fills the records and still round-trips
+    top = quantize_matrix(pipe(n=16, q=16, lat=make_lattice("z16")), np.zeros((16, 2)))
+    top.digits = np.full_like(top.digits, 15)
+    top.digits[1, 0, 0, 0] = 7
+    save_quantized_matrix(top, path)
+    assert np.array_equal(load_quantized_matrix(path).digits, top.digits)
