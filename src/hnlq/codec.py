@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .lattices import Lattice, LatticePoint, in_scaled_voronoi_many
-from .voronoi import VoronoiCodeParams, digit_grid, vc_decode_many
+from .voronoi import VoronoiCodeParams, _check_digits, digit_grid, vc_decode_many
 
 __all__ = [
     "HierarchicalParams",
@@ -38,6 +39,12 @@ __all__ = [
 ]
 
 ENUMERATION_GUARD = 2**24
+# Largest inner-product table, q^(2d) entries; lut.build_lut's default guard.
+LUT_GUARD = 2**28
+# Layer codebooks up to the side of the largest table are cached per params
+# and decoded by gathering rows; larger ones (e.g. Z^16, q = 16) run the
+# quantizer per row.
+LAYER_CODEBOOK_MAX = math.isqrt(LUT_GUARD)
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,6 +71,15 @@ class HierarchicalParams:
     @property
     def codebook_size(self) -> int:
         return self.q ** (self.lat.d * self.M)
+
+    @cached_property
+    def _layer_codebook(self) -> np.ndarray | None:
+        """Read-only (q^d, d) layer codebook, or None when q^d > LAYER_CODEBOOK_MAX."""
+        if self.q**self.lat.d > LAYER_CODEBOOK_MAX:
+            return None
+        cb = vc_decode_many(VoronoiCodeParams(self.lat, self.q), digit_grid(self.q, self.lat.d))
+        cb.setflags(write=False)
+        return cb
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,23 +123,18 @@ def h_encode(params: HierarchicalParams, x: np.ndarray) -> HierarchicalEncoding:
     return HierarchicalEncoding(digits=digits, overload=bool(overload))
 
 
-def _check_layer_digits(params: HierarchicalParams, digits: np.ndarray) -> np.ndarray:
-    digits = np.asarray(digits)
-    if digits.shape[-2:] != (params.M, params.lat.d):
-        raise ValueError(
-            f"digits must have trailing shape ({params.M}, {params.lat.d}), got {digits.shape}"
-        )
-    if not np.issubdtype(digits.dtype, np.integer):
-        raise ValueError("digits must be integers")
-    if digits.min(initial=0) < 0 or digits.max(initial=0) >= params.q:
-        raise ValueError(f"digits out of range [0, {params.q})")
-    return digits.astype(np.int64)
-
-
 def _layer_coords(params: HierarchicalParams, digits: np.ndarray) -> np.ndarray:
-    """Coset representative coordinates per layer, same shape as digits."""
-    vc = VoronoiCodeParams(params.lat, params.q)
-    return vc_decode_many(vc, digits)
+    """Coset representative coordinates of digit rows (..., d), exact int64.
+
+    Validates the digits, then gathers rows of the cached layer codebook by
+    base-q index; without a cached codebook it runs the quantizer per row.
+    """
+    q, d = params.q, params.lat.d
+    digits = _check_digits(digits, q, d)
+    cb = params._layer_codebook
+    if cb is None:
+        return vc_decode_many(VoronoiCodeParams(params.lat, q), digits)
+    return np.take(cb, digits @ q ** np.arange(d - 1, -1, -1), axis=0)
 
 
 def decode_coords_many(
@@ -133,7 +144,11 @@ def decode_coords_many(
 
     ``layers`` restricts the sum to a slice of layer indices; default all.
     """
-    digits = _check_layer_digits(params, digits)
+    digits = np.asarray(digits)
+    if digits.shape[-2:] != (params.M, params.lat.d):
+        raise ValueError(
+            f"digits must have trailing shape ({params.M}, {params.lat.d}), got {digits.shape}"
+        )
     reps = _layer_coords(params, digits)
     rng = range(params.M)[layers] if layers is not None else range(params.M)
     acc = np.zeros(digits.shape[:-2] + (params.lat.d,), dtype=np.int64)
@@ -197,8 +212,10 @@ def layer_codebook_coords(params: HierarchicalParams) -> np.ndarray:
 
     Row i is the representative of the digit vector whose base-q value is
     i (first coordinate most significant), matching the LUT index layout.
+    Up to LAYER_CODEBOOK_MAX rows this is the params' cached, read-only array.
     """
-    return _layer_coords(params, digit_grid(params.q, params.lat.d))
+    cb = params._layer_codebook
+    return cb if cb is not None else _layer_coords(params, digit_grid(params.q, params.lat.d))
 
 
 def _iter_codebook_coords(params: HierarchicalParams, per_chunk_layers: int = 1):

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .codec import HierarchicalEncoding, HierarchicalParams, layer_codebook_coords
+from .codec import LUT_GUARD, HierarchicalEncoding, HierarchicalParams, layer_codebook_coords
 from .lattices import FAMILY_IDS, Lattice
 
 __all__ = [
@@ -31,8 +31,6 @@ __all__ = [
     "save_lut",
     "load_lut",
 ]
-
-LUT_GUARD = 2**28
 
 _MAGIC = int.from_bytes(b"NLL1", "little")
 _HEADER = struct.Struct("<8I")  # magic, version, family, d, q, value type, two reserved

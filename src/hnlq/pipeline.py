@@ -136,6 +136,9 @@ def random_rotation(n: int, seed: int) -> np.ndarray:
     return Q * np.sign(np.diag(R))
 
 
+_DITHER_KEY = struct.Struct("<qqq")  # seed, column, chunk
+
+
 def _dither_digit_ids(cfg: PipelineConfig, col: int, K: int) -> np.ndarray | None:
     """Per-chunk dither ids for one column, or None."""
     d, q = cfg.params.lat.d, cfg.params.q
@@ -144,11 +147,13 @@ def _dither_digit_ids(cfg: PipelineConfig, col: int, K: int) -> np.ndarray | Non
     if cfg.dither_mode == "fixed":
         return np.broadcast_to(cfg.dither_ids, (K, d)).copy()
     # Each chunk's id is the low d base-q digits of a 64-bit keyed hash.
-    hashes = [
-        hashlib.blake2b(struct.pack("<qqq", cfg.dither_seed, col, k), digest_size=8).digest()
+    digests = b"".join(
+        hashlib.blake2b(_DITHER_KEY.pack(cfg.dither_seed, col, k), digest_size=8).digest()
         for k in range(K)
-    ]
-    vals = np.array([int.from_bytes(h, "little") % q**d for h in hashes], dtype=np.uint64)
+    )
+    vals = np.frombuffer(digests, dtype="<u8")
+    if q**d < 2**64:
+        vals = vals % np.uint64(q**d)
     return index_to_digits(vals, q, d)
 
 
@@ -173,6 +178,9 @@ def _encode_columns(cfg: PipelineConfig, A: np.ndarray, first_col: int = 0) -> Q
     norms = None
     Y = A
     if cfg.rotate:
+        # Checked here too: normalizing would warn on inf before the encoder rejects it.
+        if not np.isfinite(A).all():
+            raise ValueError("cannot encode non-finite values")
         S = random_rotation(cfg.n, cfg.rotation_seed)
         norms = np.linalg.norm(A, axis=0)
         Y = S @ A
@@ -315,7 +323,7 @@ _DITHER_CODE = {"none": 0, "fixed": 1, "random": 2}
 
 def _digit_record_bytes(q: int, d: int) -> int:
     """Bytes per packed digit vector; records hold at most 64 bits."""
-    if q**d > 2**64:
+    if d > 64 or q**d > 2**64:  # q >= 2, so d > 64 overflows too, without a huge q**d
         raise ValueError(f"q^d = {q}^{d} digit vectors do not fit 64-bit records")
     return ((q**d - 1).bit_length() + 7) // 8
 
@@ -387,6 +395,11 @@ def load_quantized_matrix(path, *, max_retries: int = 60) -> QuantizedMatrix:
     mode = {v: k for k, v in _DITHER_CODE.items()}.get(dither_code)
     if mode is None:
         raise ValueError(f"unknown dither mode {dither_code}")
+    # Check the record size before make_lattice allocates d x d matrices;
+    # q >= 2 and q^d <= 2^64 bound d by 64.
+    if q < 2:
+        raise ValueError(f"base q = {q} must be at least 2")
+    nrec = _digit_record_bytes(q, d)
     off = _QM_HEADER.size
     fixed_ids = None
     if mode == "fixed":
@@ -405,7 +418,6 @@ def load_quantized_matrix(path, *, max_retries: int = 60) -> QuantizedMatrix:
         dither_seed=dither_seed,
     )
     K = cfg.chunks
-    nrec = _digit_record_bytes(q, d)
     count = cols * K * M * nrec
     payload = np.frombuffer(raw, dtype=np.uint8, count=count, offset=off)
     off += count

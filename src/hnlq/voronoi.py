@@ -52,7 +52,7 @@ def _check_digits(b: np.ndarray, r: int, d: int) -> np.ndarray:
         raise ValueError("digits must be integers")
     if b.min(initial=0) < 0 or b.max(initial=0) >= r:
         raise ValueError(f"digits out of range [0, {r})")
-    return b.astype(np.int64)
+    return b.astype(np.int64, copy=False)
 
 
 def vc_decode_many(params: VoronoiCodeParams, B: np.ndarray) -> np.ndarray:

@@ -8,8 +8,14 @@ code so the two agree everywhere, including on constructed ties.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hnlq import make_lattice
+
+# Property tests draw the same examples on every run unless a run asks for
+# another profile (``--hypothesis-profile=default`` draws fresh ones).
+settings.register_profile("ci", derandomize=True, deadline=None, database=None)
+settings.load_profile("ci")
 
 
 def _offset_grid(d: int, radius: int) -> np.ndarray:

@@ -26,12 +26,15 @@ from hnlq import (
 )
 from hnlq.codec import (
     ENUMERATION_GUARD,
+    LAYER_CODEBOOK_MAX,
+    _layer_coords,
     decode_coords_many,
     layer_codebook_coords,
     q_circ_many,
 )
 from hnlq.lattices import in_scaled_voronoi_many
-from hnlq.voronoi import digit_grid
+from hnlq.scaling import ScalingConfig, decode_scaled_many, dither_point, encode_scaled_many
+from hnlq.voronoi import digit_grid, vc_decode_many
 
 
 def test_params_validation(z2):
@@ -199,6 +202,59 @@ def test_layer_codebook_order(z2):
     got = layer_codebook_coords(p)
     # rows follow the digit grid: (0,0),(0,1),(1,0),(1,1) reduced mod 2L
     assert np.array_equal(got, [[0, 0], [0, -1], [-1, 0], [-1, -1]])
+    # the params object caches it once, read-only
+    assert layer_codebook_coords(p) is got
+    with pytest.raises(ValueError):
+        got[0, 0] = 5
+
+
+# q^d on both sides of the gather bound LAYER_CODEBOOK_MAX = 2^14.  No q = 2:
+# it puts dither points on the cell boundary, where a dithered zero never encodes.
+GATHER_CASES = [
+    ("z1", (3, 5, 2**14, 2**14 + 1)),
+    ("z2", (3, 128, 129)),
+    ("a2", (3, 8, 128, 129)),
+    ("d4", (3, 4, 11, 12)),
+]
+
+
+@pytest.mark.parametrize("name, qs", GATHER_CASES)
+def test_layer_decode_gathers_the_direct_decode(name, qs):
+    lat = make_lattice(name)
+    rng = np.random.default_rng(41)
+    cfg = ScalingConfig(beta0=16.0)
+    assert min(q**lat.d for q in qs) <= LAYER_CODEBOOK_MAX < max(q**lat.d for q in qs)
+    for q in qs:
+        p = HierarchicalParams(lat, q, 2)
+        vc = VoronoiCodeParams(lat, q)
+        D = rng.integers(0, q, (300, 2, lat.d))
+        reps = vc_decode_many(vc, D)
+        coords = reps[:, 0] + q * reps[:, 1]
+        assert np.array_equal(_layer_coords(p, D), reps)
+        assert np.array_equal(decode_coords_many(p, D), coords)
+        assert np.array_equal(layer_codebook_coords(p), vc_decode_many(vc, digit_grid(q, lat.d)))
+        ids = D[:, 0]
+        Z = lat.point_of(reps[:, 0]) / q
+        for row, z in zip(ids[:20], Z):
+            assert np.array_equal(dither_point(p, row), z)
+        # dithered encode and decode see the same dither points
+        X = rng.standard_normal((300, lat.d))
+        digits, T = encode_scaled_many(p, cfg, X, dither_ids=ids)
+        assert not T.any()
+        assert np.array_equal(digits, h_encode_many(p, X / cfg.beta0 - Z)[0])
+        recon = lat.point_of(decode_coords_many(p, digits)) + Z
+        got = decode_scaled_many(p, cfg, digits, T, dither_ids=ids)
+        assert np.array_equal(got, np.asarray(cfg.scale(T))[:, None] * recon)
+        # malformed digits fail the same way with and without the gather
+        bad_digits = (D.astype(float), np.full((1, lat.d), q), np.full((1, lat.d), -1),
+                      D[..., :1] if lat.d > 1 else np.zeros((1, 2), dtype=int))
+        for bad in bad_digits:
+            with pytest.raises(ValueError):
+                _layer_coords(p, bad)
+            with pytest.raises(ValueError):
+                decode_coords_many(p, bad)
+        with pytest.raises(ValueError):
+            dither_point(p, np.full(lat.d, q))
 
 
 def test_enumerate_scalar_codebooks(z1):

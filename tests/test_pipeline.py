@@ -219,11 +219,13 @@ def test_non_finite_input_is_rejected():
         x = np.ones(8)
         x[5] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            quantize_vector(cfg, x)
-        with pytest.raises(ValueError, match="non-finite"):
-            quantize_matrix(cfg, np.stack([np.ones(8), x], axis=1))
-        with pytest.raises(ValueError, match="non-finite"):
             encode_scaled_many(cfg.params, cfg.scaling, x.reshape(2, 4))
+        # rotating normalizes first, which must not warn before the rejection
+        for c in (cfg, pipe(n=8, rotate=True)):
+            with pytest.raises(ValueError, match="non-finite"):
+                quantize_vector(c, x)
+            with pytest.raises(ValueError, match="non-finite"):
+                quantize_matrix(c, np.stack([np.ones(8), x], axis=1))
 
 
 def test_unencodable_propagates():
@@ -451,7 +453,7 @@ def test_save_load_roundtrip(tmp_path):
         assert a == b
 
 
-def test_load_validates_file(tmp_path):
+def test_load_validates_file(tmp_path, monkeypatch):
     cfg = pipe(n=8)
     rng = np.random.default_rng(19)
     qm = quantize_matrix(cfg, rng.standard_normal((8, 2)))
@@ -508,3 +510,16 @@ def test_load_validates_file(tmp_path):
     top.digits[1, 0, 0, 0] = 7
     save_quantized_matrix(top, path)
     assert np.array_equal(load_quantized_matrix(path).digits, top.digits)
+
+    # A corrupt d or q is rejected from the header alone, before the d x d
+    # lattice matrices are built.
+    def no_lattice(*args):
+        raise AssertionError("make_lattice called for a corrupt header")
+
+    monkeypatch.setattr(pipeline, "make_lattice", no_lattice)
+    fields = list(pipeline._QM_HEADER.unpack_from(raw))
+    for d, q in ((1600, 2), (2**32 - 1, 3), (65, 2), (4, 1), (4, 0)):
+        fields[3], fields[6] = d, q
+        bad.write_bytes(pipeline._QM_HEADER.pack(*fields) + raw[pipeline._QM_HEADER.size:])
+        with pytest.raises(ValueError):
+            load_quantized_matrix(bad)
