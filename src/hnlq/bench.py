@@ -25,7 +25,8 @@ from .codec import (
 )
 from .lattices import make_lattice
 from .lut import build_lut
-from .pipeline import PipelineConfig, ip_approx, quantize_matrix
+from .pipeline import PipelineConfig, paired_ip_approx, quantize_matrix
+from .pipeline import ip_approx  # noqa: F401  (perfbench's tracer wraps this name)
 from .scaling import (
     ScalingConfig,
     decode_scaled_many,
@@ -317,12 +318,7 @@ def run_dr_ip(cfg: ExperimentConfig) -> list[DRPoint]:
                 lut = build_lut(eff)
                 QX = quantize_matrix(pipe, X)
                 QY = quantize_matrix(pipe, Y)
-                approx = np.array(
-                    [
-                        ip_approx(pipe, lut, QX.column(j), QY.column(j))
-                        for j in range(cfg.samples)
-                    ]
-                )
+                approx = paired_ip_approx(pipe, lut, QX, QY)
                 dist = float(((exact - approx) ** 2).mean() / cfg.n)
                 T = np.concatenate([QX.T.ravel(), QY.T.ravel()])
                 rate = empirical_rate(eff, T)

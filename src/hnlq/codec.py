@@ -1,7 +1,9 @@
 """Hierarchical nested-lattice codec.
 
 Encodes a vector as M base-q digit vectors by repeatedly quantizing,
-reducing mod q and shrinking by q.  Layer m of the decoder contributes
+reducing mod q and shrinking by q.  Only the first quantization runs the
+nearest-point decoder: each later one is exact coset arithmetic through
+the layer codebook (``_layer_coords``).  Layer m of the decoder contributes
 q^m times a coset representative, so the reconstruction always equals the
 nearest lattice point minus the M-fold coarsened quantization of the
 input; the codebook is exact whenever that coarse term is zero.
@@ -101,17 +103,23 @@ def reduced_nesting_ratio(q: int, M: int) -> int:
 
 
 def h_encode_many(params: HierarchicalParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Encode rows of X (..., d); returns digits (..., M, d) and overload (...)."""
-    lat, q, M = params.lat, params.q, params.M
-    X = np.asarray(X, dtype=np.float64)
-    digits = np.empty(X.shape[:-1] + (M, lat.d), dtype=np.int64)
-    g = X
-    for m in range(M):
-        c = lat.nearest_coords(g)
-        digits[..., m, :] = np.mod(c, q)
-        g = lat.point_of(c) / q
-    overload = lat.nearest_coords(g).any(axis=-1)
-    return digits, overload
+    """Encode rows of X (..., d); returns digits (..., M, d) and overload (...).
+
+    Only layer 0 runs the nearest-point quantizer.  Layer m + 1 quantizes
+    lambda_m / q, which depends only on the coset of lambda_m mod qL: it is
+    (c - rep(c mod q)) / q in generator coordinates, with rep the layer
+    codebook row (``_layer_coords``).  So every later layer and the
+    overload test are exact int64 steps.  Past |x| of about 1e9 the digits
+    of rows that already overload may differ from re-quantizing each layer
+    in floating point, whose tie-breaker falls below float resolution there;
+    the overload flag does not.
+    """
+    c = params.lat.nearest_coords(X)
+    digits = np.empty(c.shape[:-1] + (params.M, params.lat.d), dtype=np.int64)
+    for m in range(params.M):
+        b = digits[..., m, :] = c % params.q
+        c = (c - _layer_coords(params, b)) // params.q
+    return digits, c.any(axis=-1)
 
 
 def h_encode(params: HierarchicalParams, x: np.ndarray) -> HierarchicalEncoding:

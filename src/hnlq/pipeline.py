@@ -9,6 +9,7 @@ an optional shared random rotation and norm bookkeeping in front.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 from functools import reduce
@@ -31,6 +32,7 @@ __all__ = [
     "reconstruct_chunks",
     "ip_approx",
     "matmul_approx",
+    "paired_ip_approx",
     "save_quantized_matrix",
     "load_quantized_matrix",
 ]
@@ -78,6 +80,13 @@ class PipelineConfig:
             object.__setattr__(self, "dither_ids", ids.astype(np.int64))
         elif self.dither_ids is not None:
             raise ValueError("dither_ids only applies to the fixed mode")
+        # Every non-zero coset of L/2L holds both lambda and -lambda, so every
+        # non-zero dither point at q = 2 lies on the cell boundary and a chunk
+        # near zero overloads at every scale.
+        if self.params.q == 2 and (self.dither_mode == "random" or (
+                self.dither_mode == "fixed" and self.dither_ids.any())):
+            raise ValueError("q = 2 admits no non-zero dither: use dither_mode 'none' "
+                             "or a fixed all-zero id")
 
     @property
     def chunks(self) -> int:
@@ -247,29 +256,34 @@ def _layers(q: int, digits: np.ndarray, dither_ids: np.ndarray | None) -> np.nda
 
 
 def _combine(cfg, lut, ia, ib, Ta, Tb, dithered: bool) -> np.ndarray:
-    """Inner products (na, nb) from layer indices (n, K, L) and retry counts (n, K).
+    """Inner products from layer indices (..., K, L) and retry counts (..., K).
 
-    Layer l weighs q^l; a dithered chunk sum is divided by q^2.  A chunk sum
-    is exact in int64 when the table is integral and max|table| (sum_l q^l)^2
-    < 2^63, else float64, and is taken in one order whatever na, nb or the block.
+    The leading axes of the two sides broadcast: (na, 1) against (1, nb) gives
+    all pairs, (n,) against (n,) gives n paired columns.  Layer l weighs q^l;
+    a dithered chunk sum is divided by q^2.  A chunk sum is exact in int64 when
+    the table is integral and max|table| (sum_l q^l)^2 < 2^63, else float64,
+    and is taken in one order whatever the shapes or the block.
     """
     lat, q = cfg.params.lat, cfg.params.q
     if (lut.family, lut.d, lut.q) != (lat.family, lat.d, q):
         raise ValueError("LUT does not match the pipeline parameters")
-    (na, K, L), nb = ia.shape, ib.shape[0]
+    *lead, K, L = np.broadcast_shapes(ia.shape, ib.shape)
     exact = lut.values.dtype.kind == "i" and lut.max_abs * ((q**L - 1) // (q - 1)) ** 2 < 2**63
     e = np.arange(L)
-    w = (np.int64 if exact else np.float64)(q) ** (e[:, None] + e)[..., None, None, None]
-    ra, rb = (i.transpose(2, 0, 1).copy() for i in (ia * lut.side, ib))  # (L, n, K)
-    sa, sb = cfg.scaling.scale(Ta), cfg.scaling.scale(Tb)
-    rows = max(1, _COMBINE_BLOCK // (L * L * max(nb, 1) * K))
-    out = np.empty((na, nb))
-    for r in range(0, na, rows):
-        pairs = w * lut._gather(ra[:, None, r:r + rows, None] + rb[None, :, None])
+    w = (np.int64 if exact else np.float64)(q) ** (e[:, None] + e)
+    w = w.reshape(L, L, *[1] * len(lead), 1)
+    # (L, *lead, K) views of contiguous (L, ..., K) copies
+    ra, rb = (np.broadcast_to(np.moveaxis(i, -1, 0).copy(), (L, *lead, K))
+              for i in (ia * lut.side, ib))
+    sa, sb = (np.broadcast_to(cfg.scaling.scale(T), (*lead, K)) for T in (Ta, Tb))
+    rows = max(1, _COMBINE_BLOCK // (L * L * max(1, math.prod(lead[1:])) * K))
+    out = np.empty(lead)
+    for r in range(0, lead[0], rows):
+        pairs = w * lut._gather(ra[:, None, r:r + rows] + rb[None, :, r:r + rows])
         # Fold the pairs in order: an axis sum can change its order with the
         # shape, and entries must match ip_approx bit for bit.
         chunk = reduce(np.add, pairs.reshape(L * L, *pairs.shape[2:])) / (q**2 if dithered else 1)
-        out[r:r + rows] = (sa[r:r + rows, None] * sb * chunk).sum(-1)
+        out[r:r + rows] = (sa[r:r + rows] * sb[r:r + rows] * chunk).sum(-1)
     return out
 
 
@@ -291,10 +305,24 @@ def ip_approx(
     if cfg.rotate and (qx.norm is None or qy.norm is None):
         raise ValueError("rotating pipeline needs columns with recorded norms")
     ix, iy = (_layers(cfg.params.q, v.digits, v.dither_ids)[None] for v in (qx, qy))
-    total = float(_combine(cfg, lut, ix, iy, qx.T[None], qy.T[None], dithered)[0, 0])
+    total = float(_combine(cfg, lut, ix, iy, qx.T[None], qy.T[None], dithered)[0])
     if cfg.rotate:
         total *= qx.norm * qy.norm
     return total
+
+
+def _matrix_products(cfg, lut, QA: QuantizedMatrix, QB: QuantizedMatrix, outer: bool):
+    """All column pairs (na, nb) when ``outer``, else paired columns (n,)."""
+    if _code_key(QA.cfg) != _code_key(cfg) or _code_key(QB.cfg) != _code_key(cfg):
+        raise ValueError("quantized matrix does not match the pipeline config")
+    if not outer and QA.cols != QB.cols:
+        raise ValueError("paired matrices need the same number of columns")
+    ea, eb = ((slice(None), None), (None,)) if outer else ((), ())
+    ia, ib = (_layers(cfg.params.q, Q.digits, Q.dither_ids) for Q in (QA, QB))
+    out = _combine(cfg, lut, ia[ea], ib[eb], QA.T[ea], QB.T[eb], QA.dither_ids is not None)
+    if cfg.rotate:
+        out *= QA.norms[ea] * QB.norms[eb]
+    return out
 
 
 def matmul_approx(
@@ -307,13 +335,20 @@ def matmul_approx(
     dithered), counted by the LUT's query counter.  Both matrices must be
     quantized under settings equal to cfg's.
     """
-    if _code_key(QA.cfg) != _code_key(cfg) or _code_key(QB.cfg) != _code_key(cfg):
-        raise ValueError("quantized matrix does not match the pipeline config")
-    ia, ib = (_layers(cfg.params.q, Q.digits, Q.dither_ids) for Q in (QA, QB))
-    out = _combine(cfg, lut, ia, ib, QA.T, QB.T, QA.dither_ids is not None)
-    if cfg.rotate:
-        out *= QA.norms[:, None] * QB.norms
-    return out
+    return _matrix_products(cfg, lut, QA, QB, outer=True)
+
+
+def paired_ip_approx(
+    cfg: PipelineConfig, lut: InnerProductLUT, QA: QuantizedMatrix, QB: QuantizedMatrix
+) -> np.ndarray:
+    """Approximate inner products of column j of A with column j of B, every j.
+
+    The same table combine as ``matmul_approx`` on its diagonal only: entry j
+    equals ``ip_approx`` of the two columns bit for bit and costs its K M^2
+    reads (K (M+1)^2 when dithered).  Both matrices must have the same number
+    of columns and be quantized under settings equal to cfg's.
+    """
+    return _matrix_products(cfg, lut, QA, QB, outer=False)
 
 
 _QM_MAGIC = int.from_bytes(b"NLQM", "little")

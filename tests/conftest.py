@@ -1,9 +1,10 @@
-"""Shared fixtures and a brute-force nearest-point reference decoder.
+"""Shared fixtures, a brute-force nearest-point decoder and a reference encoder.
 
 The closed-form decoders in the package are checked against an explicit
 candidate search over a box guaranteed to contain the minimizer.  The
 search applies the same deterministic tie-break offset as the production
-code so the two agree everywhere, including on constructed ties.
+code so the two agree everywhere, including on constructed ties.  The
+encoder's integer layer chain is checked against re-quantizing every layer.
 """
 
 import numpy as np
@@ -45,6 +46,22 @@ def oracle_nearest(lat, x) -> np.ndarray:
         pts = coords @ G0.T
     best = int(np.argmin(((y - pts) ** 2).sum(axis=1)))
     return coords[best]
+
+
+def float_chain_encode(params, X):
+    """Reference encoder: run the nearest-point quantizer on every layer.
+
+    Layer m + 1 quantizes lambda_m / q in floating point, and overload is a
+    non-zero quantization of lambda_{M-1} / q: M + 1 quantizer calls.
+    """
+    lat, q = params.lat, params.q
+    g = np.asarray(X, dtype=np.float64)
+    digits = []
+    for _ in range(params.M):
+        c = lat.nearest_coords(g)
+        digits.append(c % q)
+        g = lat.point_of(c) / q
+    return np.stack(digits, axis=-2), lat.nearest_coords(g).any(axis=-1)
 
 
 @pytest.fixture(scope="session")

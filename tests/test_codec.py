@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from conftest import oracle_nearest
+from conftest import float_chain_encode, oracle_nearest
 from hnlq import (
     HierarchicalEncoding,
     HierarchicalParams,
+    Lattice,
+    UnencodableError,
     VoronoiCodeParams,
     enumerate_codebook,
     h_decode,
@@ -32,6 +34,7 @@ from hnlq.codec import (
     layer_codebook_coords,
     q_circ_many,
 )
+from hnlq import scaling
 from hnlq.lattices import in_scaled_voronoi_many
 from hnlq.scaling import ScalingConfig, decode_scaled_many, dither_point, encode_scaled_many
 from hnlq.voronoi import digit_grid, vc_decode_many
@@ -137,6 +140,90 @@ def test_telescoping_identity(any_lat):
         coarse = q_circ_many(p, X, M)
         assert np.array_equal(recon, fine - coarse)
         assert np.array_equal(overload, coarse.any(axis=-1))
+
+
+CHAIN_LATTICES = {
+    **{name: make_lattice(name) for name in ("z1", "z2", "z16", "d2", "d3", "d4", "d8", "a2")},
+    "d4@0.37": make_lattice("d4", scale=0.37),
+    "a2@2.5": make_lattice("a2", scale=2.5),
+}
+CHAIN_QS = (2, 3, 4, 5, 8, 16)
+
+
+@pytest.mark.parametrize("lat", CHAIN_LATTICES.values(), ids=CHAIN_LATTICES.keys())
+def test_integer_chain_matches_float_chain(lat):
+    # exact digits and overload flags against re-quantizing every layer, on
+    # Gaussian rows up to 3 q^M and on lattice points over 1, 2 and q (cell facets)
+    cached = {q**m.d <= LAYER_CODEBOOK_MAX for m in CHAIN_LATTICES.values() for q in CHAIN_QS}
+    assert cached == {True, False}  # the grid runs the gather and the per-row decode
+    rng = np.random.default_rng(43)
+    for q in CHAIN_QS:
+        for M in (1, 2, 3, 4):
+            p = HierarchicalParams(lat, q, M)
+            spread = q**M * lat.scale
+            C = rng.integers(-3 * q**M, 3 * q**M + 1, (40, lat.d))
+            X = np.concatenate(
+                [rng.standard_normal((40, lat.d)) * s * spread for s in (0.05, 0.3, 1.0, 3.0)]
+                + [lat.point_of(C) / div for div in (1, 2, q)]
+            )
+            digits, overload = h_encode_many(p, X)
+            want_digits, want_overload = float_chain_encode(p, X)
+            assert np.array_equal(digits, want_digits), (q, M)
+            assert np.array_equal(overload, want_overload), (q, M)
+
+
+def test_encode_runs_the_quantizer_once_per_call(monkeypatch):
+    # with the layer codebook cached, later layers are integer steps: one call
+    calls = []
+    nearest = Lattice.nearest_coords
+
+    def counted(self, x):
+        calls.append(len(np.asarray(x)))
+        return nearest(self, x)
+
+    rng = np.random.default_rng(44)
+    for name, q, M in (("z1", 3, 4), ("a2", 8, 2), ("d4", 4, 3), ("d8", 3, 2)):
+        p = HierarchicalParams(make_lattice(name), q, M)
+        assert layer_codebook_coords(p) is p._layer_codebook  # cached before counting
+        X = rng.standard_normal((200, p.lat.d)) * q**M
+        monkeypatch.setattr(Lattice, "nearest_coords", counted)
+        calls.clear()
+        digits, overload = h_encode_many(p, X)
+        assert calls == [200]
+        h_encode(p, X[0])
+        assert len(calls) == 2
+        monkeypatch.undo()
+        assert np.array_equal(digits, float_chain_encode(p, X)[0])
+
+
+@pytest.mark.parametrize("name", ["z2", "d4", "a2"])
+def test_huge_inputs_overload_as_the_float_chain(name, monkeypatch):
+    # Overload flags agree at any magnitude, so the retry loop retries the same
+    # rows and settles on, or gives up at, the same T.  (The digits of rows that
+    # already overload may differ past about 1e9, where the float chain's
+    # tie-breaker falls below float resolution.)
+    lat = make_lattice(name)
+    p = HierarchicalParams(lat, 3, 2)
+    rng = np.random.default_rng(45)
+    with np.errstate(invalid="ignore"):  # int64 casts of |x| > 2^63
+        for mag in (1e10, 1e12, 1e15, 1e19, 1e30, 1e100, 1e300):
+            X = rng.standard_normal((60, lat.d)) * mag
+            assert np.array_equal(h_encode_many(p, X)[1], float_chain_encode(p, X)[1]), mag
+            for alpha in (1.0 / 3.0, 17.0):  # 2^(alpha T) up to about 1e6, or past 1e300
+                cfg = ScalingConfig(beta0=1.0, alpha=alpha)
+                outcomes = []
+                for encode in (h_encode_many, float_chain_encode):
+                    monkeypatch.setattr(scaling, "h_encode_many", encode)
+                    try:
+                        outcomes.append(encode_scaled_many(p, cfg, X))
+                    except UnencodableError as err:
+                        outcomes.append(str(err))
+                monkeypatch.undo()
+                got, want = outcomes
+                if isinstance(want, str):
+                    assert got == want, (mag, alpha)
+                else:
+                    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_exactness_iff_no_overload(d4):

@@ -17,6 +17,7 @@ from hnlq import (
     lut_ip_dithered,
     make_lattice,
     matmul_approx,
+    paired_ip_approx,
     quantize_matrix,
     quantize_vector,
     random_rotation,
@@ -321,6 +322,60 @@ def test_matmul_counts_queries():
             QB = quantize_matrix(cfg, rng.standard_normal((n, cols_b)))
             matmul_approx(cfg, lut, QA, QB)
             assert lut.query_count == cols_a * cols_b * cfg.chunks * L * L
+
+
+def test_paired_products_match_columns():
+    # entry j is ip_approx of the two columns bit for bit, at K L^2 reads per pair,
+    # across two full row blocks of the combine and part of a third
+    rng = np.random.default_rng(18)
+    cases = [(256, kw) for kw in KERNEL_CASES.values()] + [
+        (64, {"lat": make_lattice("a2"), "q": 8, **KERNEL_CASES["fixed"],
+              "dither_ids": np.array([1, 7])}),
+        (64, {"lat": make_lattice("a2"), "q": 4}),
+        (64, {"M": 1, **KERNEL_CASES["random"]}),
+        (64, {"M": 3, **KERNEL_CASES["fixed"]}),
+    ]
+    for n, kw in cases:
+        cfg = pipe(n=n, **kw)
+        lut = build_lut(cfg.params)
+        L = cfg.params.M + (cfg.dither_mode != "none")
+        cols = cols_spanning_blocks(cfg, 1) if n == 256 else 40
+        QA = quantize_matrix(cfg, rng.standard_normal((n, cols)))
+        QB = quantize_matrix(cfg, rng.standard_normal((n, cols)))
+        out = paired_ip_approx(cfg, lut, QA, QB)
+        assert out.shape == (cols,)
+        assert lut.query_count == cols * cfg.chunks * L * L
+        for j in range(cols):
+            assert out[j] == ip_approx(cfg, lut, QA.column(j), QB.column(j))
+    empty = quantize_matrix(cfg, np.zeros((n, 0)))
+    assert paired_ip_approx(cfg, lut, empty, empty).shape == (0,)
+    with pytest.raises(ValueError):
+        paired_ip_approx(cfg, lut, QA, empty)
+    with pytest.raises(ValueError):  # one column must not broadcast against many
+        paired_ip_approx(cfg, lut, QA, quantize_matrix(cfg, rng.standard_normal((n, 1))))
+    other = quantize_matrix(pipe(n=n, M=3), rng.standard_normal((n, cols)))
+    with pytest.raises(ValueError):
+        paired_ip_approx(cfg, lut, QA, other)
+
+
+@pytest.mark.parametrize("name", ["z1", "d4", "a2"])
+def test_q2_refuses_non_zero_dither(name):
+    # Every non-zero coset of L/2L holds both lambda and -lambda, so every
+    # non-zero dither point at q = 2 lies on the cell boundary: a chunk near
+    # zero would overload at every scale.  Undithered and zero-id q = 2 encode.
+    lat = make_lattice(name)
+    one_hot = np.zeros(lat.d, dtype=np.int64)
+    one_hot[-1] = 1
+    for kw in ({"dither_mode": "random"}, {"dither_mode": "random", "dither_seed": 3},
+               {"dither_mode": "fixed", "dither_ids": np.ones(lat.d, dtype=np.int64)},
+               {"dither_mode": "fixed", "dither_ids": one_hot}):
+        with pytest.raises(ValueError):
+            pipe(n=8, q=2, lat=lat, beta0=0.5, **kw)
+    rng = np.random.default_rng(19)
+    A = rng.standard_normal((8, 8))
+    for kw in ({}, {"dither_mode": "fixed", "dither_ids": np.zeros(lat.d, dtype=np.int64)}):
+        Q = quantize_matrix(pipe(n=8, q=2, lat=lat, beta0=0.5, **kw), A)
+        assert Q.digits.shape == (8, 8 // lat.d, 2, lat.d)
 
 
 def test_matmul_validates_config():

@@ -1,4 +1,5 @@
-"""Property tests: NLQM files round-trip and reject truncation; decode telescopes."""
+"""Property tests: NLQM files round-trip and reject truncation; decode telescopes;
+the integer layer chain encodes as re-quantizing every layer does."""
 
 import math
 
@@ -6,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+
+from conftest import float_chain_encode
 
 from hnlq import (
     HierarchicalParams,
@@ -88,3 +91,19 @@ def test_decode_telescopes(gathered, name, data):
     coarse = q_circ_many(p, X, p.M)
     assert np.array_equal(decode_coords_many(p, digits), lat.nearest_coords(X) - coarse)
     assert np.array_equal(overload, coarse.any(axis=-1))
+
+
+@given(name=st.sampled_from(LATTICES + ("z3", "d3", "d8")), data=st.data())
+def test_integer_chain_matches_float_chain(name, data):
+    # q up to 16 puts q^d on both sides of the gather bound for every d > 3
+    lat = make_lattice(name, scale=data.draw(st.sampled_from([1.0, 0.37, 2.5])))
+    p = HierarchicalParams(lat, data.draw(st.integers(2, 16)), data.draw(st.integers(1, 4)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    spread = data.draw(st.floats(0.01, 3.0)) * p.q**p.M * lat.scale
+    C = rng.integers(-3 * p.q**p.M, 3 * p.q**p.M + 1, (32, lat.d))
+    div = data.draw(st.sampled_from([1, 2, p.q]))
+    X = np.concatenate([rng.standard_normal((32, lat.d)) * spread, lat.point_of(C) / div])
+    digits, overload = h_encode_many(p, X)
+    want_digits, want_overload = float_chain_encode(p, X)
+    assert np.array_equal(digits, want_digits)
+    assert np.array_equal(overload, want_overload)
