@@ -229,6 +229,34 @@ def _histogram(T: np.ndarray) -> dict[int, int]:
     return {int(v): int(c) for v, c in zip(vals, counts)}
 
 
+def _dr_point(cfg: ExperimentConfig, scheme: str, base: HierarchicalParams, measure, ref):
+    """One sweep cell: choose beta0, ``measure(eff, scfg) -> (distortion, T)``, emit a point."""
+    eff = effective_params(scheme, base)
+    if cfg.beta0 == "auto":
+        b0 = calibrate_beta0(
+            scheme, base, seed=cfg.seed, alpha=cfg.alpha, max_retries=cfg.max_retries
+        )
+    else:
+        b0 = float(cfg.beta0)
+    dist, T = measure(eff, ScalingConfig(beta0=b0, alpha=cfg.alpha, max_retries=cfg.max_retries))
+    rate = empirical_rate(eff, T)
+    return DRPoint(
+        scheme=scheme,
+        lattice=eff.lat.name,
+        d=eff.lat.d,
+        q=eff.q,
+        M=eff.M,
+        beta0=b0,
+        alpha=cfg.alpha,
+        rate_bits=rate,
+        distortion=dist,
+        ref=ref(rate),
+        t_histogram=_histogram(T),
+        samples=cfg.samples,
+        seed=cfg.seed,
+    )
+
+
 def run_dr_vector(cfg: ExperimentConfig) -> list[DRPoint]:
     """Distortion-rate sweep for direct vector quantization.
 
@@ -244,34 +272,10 @@ def run_dr_vector(cfg: ExperimentConfig) -> list[DRPoint]:
             rng = np.random.default_rng([cfg.seed, q, M])
             X = rng.standard_normal((cfg.samples, lat.d))
             for scheme in cfg.schemes:
-                eff = effective_params(scheme, base)
-                if cfg.beta0 == "auto":
-                    b0 = calibrate_beta0(
-                        scheme, base, seed=cfg.seed, alpha=cfg.alpha,
-                        max_retries=cfg.max_retries,
-                    )
-                else:
-                    b0 = float(cfg.beta0)
-                scfg = ScalingConfig(beta0=b0, alpha=cfg.alpha, max_retries=cfg.max_retries)
-                dist, T = _vector_mse(eff, scfg, X)
-                rate = empirical_rate(eff, T)
-                points.append(
-                    DRPoint(
-                        scheme=scheme,
-                        lattice=lat.name,
-                        d=lat.d,
-                        q=eff.q,
-                        M=eff.M,
-                        beta0=b0,
-                        alpha=cfg.alpha,
-                        rate_bits=rate,
-                        distortion=dist,
-                        ref=shannon_distortion(rate),
-                        t_histogram=_histogram(T),
-                        samples=cfg.samples,
-                        seed=cfg.seed,
-                    )
-                )
+                points.append(_dr_point(
+                    cfg, scheme, base, lambda eff, scfg: _vector_mse(eff, scfg, X),
+                    shannon_distortion,
+                ))
     return points
 
 
@@ -291,54 +295,31 @@ def run_dr_ip(cfg: ExperimentConfig) -> list[DRPoint]:
     X = rng.standard_normal((cfg.n, cfg.samples))
     Y = rng.standard_normal((cfg.n, cfg.samples))
     exact = np.einsum("ij,ij->j", X, Y)
+
+    def measure(eff, scfg):
+        pipe = PipelineConfig(
+            params=eff,
+            scaling=scfg,
+            n=cfg.n,
+            rotate=cfg.rotate,
+            rotation_seed=cfg.seed,
+            dither_mode=cfg.dither,
+            dither_ids=np.ones(d, dtype=np.int64) if cfg.dither == "fixed" else None,
+            dither_seed=cfg.dither_seed,
+        )
+        lut = build_lut(eff)
+        QX = quantize_matrix(pipe, X)
+        QY = quantize_matrix(pipe, Y)
+        approx = paired_ip_approx(pipe, lut, QX, QY)
+        dist = float(((exact - approx) ** 2).mean() / cfg.n)
+        return dist, np.concatenate([QX.T.ravel(), QY.T.ravel()])
+
     points = []
     for q in cfg.qs:
         for M in cfg.ms:
             base = HierarchicalParams(lat, q, M)
             for scheme in cfg.schemes:
-                eff = effective_params(scheme, base)
-                if cfg.beta0 == "auto":
-                    b0 = calibrate_beta0(
-                        scheme, base, seed=cfg.seed, alpha=cfg.alpha,
-                        max_retries=cfg.max_retries,
-                    )
-                else:
-                    b0 = float(cfg.beta0)
-                scfg = ScalingConfig(beta0=b0, alpha=cfg.alpha, max_retries=cfg.max_retries)
-                pipe = PipelineConfig(
-                    params=eff,
-                    scaling=scfg,
-                    n=cfg.n,
-                    rotate=cfg.rotate,
-                    rotation_seed=cfg.seed,
-                    dither_mode=cfg.dither,
-                    dither_ids=np.ones(d, dtype=np.int64) if cfg.dither == "fixed" else None,
-                    dither_seed=cfg.dither_seed,
-                )
-                lut = build_lut(eff)
-                QX = quantize_matrix(pipe, X)
-                QY = quantize_matrix(pipe, Y)
-                approx = paired_ip_approx(pipe, lut, QX, QY)
-                dist = float(((exact - approx) ** 2).mean() / cfg.n)
-                T = np.concatenate([QX.T.ravel(), QY.T.ravel()])
-                rate = empirical_rate(eff, T)
-                points.append(
-                    DRPoint(
-                        scheme=scheme,
-                        lattice=lat.name,
-                        d=d,
-                        q=eff.q,
-                        M=eff.M,
-                        beta0=b0,
-                        alpha=cfg.alpha,
-                        rate_bits=rate,
-                        distortion=dist,
-                        ref=gamma_distortion(rate),
-                        t_histogram=_histogram(T),
-                        samples=cfg.samples,
-                        seed=cfg.seed,
-                    )
-                )
+                points.append(_dr_point(cfg, scheme, base, measure, gamma_distortion))
     return points
 
 

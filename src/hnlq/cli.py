@@ -98,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _experiment_config(args, *, dr_ip: bool) -> ExperimentConfig:
-    samples = FULL_SAMPLES if args.full else args.samples
     if dr_ip:
         qs = tuple(args.q) if args.q else (4,)
         ms = tuple(args.m) if args.m else (1, 2, 3)
@@ -111,7 +110,7 @@ def _experiment_config(args, *, dr_ip: bool) -> ExperimentConfig:
         qs=qs,
         ms=ms,
         n=getattr(args, "n", 512),
-        samples=samples,
+        samples=args.samples,
         alpha=args.alpha,
         beta0=args.beta0,
         seed=args.seed,
@@ -123,6 +122,8 @@ def _experiment_config(args, *, dr_ip: bool) -> ExperimentConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "full", False):
+        args.samples = FULL_SAMPLES
 
     if args.command == "dr-vector":
         cfg = _experiment_config(args, dr_ip=False)

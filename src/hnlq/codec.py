@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .lattices import Lattice, LatticePoint, in_scaled_voronoi_many
-from .voronoi import VoronoiCodeParams, _check_digits, digit_grid, vc_decode_many
+from .voronoi import VoronoiCodeParams, digit_grid, digits_to_index, vc_decode_many
 
 __all__ = [
     "HierarchicalParams",
@@ -134,15 +134,16 @@ def h_encode(params: HierarchicalParams, x: np.ndarray) -> HierarchicalEncoding:
 def _layer_coords(params: HierarchicalParams, digits: np.ndarray) -> np.ndarray:
     """Coset representative coordinates of digit rows (..., d), exact int64.
 
-    Validates the digits, then gathers rows of the cached layer codebook by
-    base-q index; without a cached codebook it runs the quantizer per row.
+    Gathers rows of the cached layer codebook by base-q index; without a
+    cached codebook it runs the quantizer per row.  Either way the digits
+    are validated once.
     """
-    q, d = params.q, params.lat.d
-    digits = _check_digits(digits, q, d)
     cb = params._layer_codebook
     if cb is None:
-        return vc_decode_many(VoronoiCodeParams(params.lat, q), digits)
-    return np.take(cb, digits @ q ** np.arange(d - 1, -1, -1), axis=0)
+        return vc_decode_many(VoronoiCodeParams(params.lat, params.q), digits)
+    if np.shape(digits)[-1] != params.lat.d:
+        raise ValueError(f"digit vector must have trailing axis {params.lat.d}")
+    return np.take(cb, digits_to_index(digits, params.q), axis=0)
 
 
 def decode_coords_many(
@@ -226,11 +227,11 @@ def layer_codebook_coords(params: HierarchicalParams) -> np.ndarray:
     return cb if cb is not None else _layer_coords(params, digit_grid(params.q, params.lat.d))
 
 
-def _iter_codebook_coords(params: HierarchicalParams, per_chunk_layers: int = 1):
-    """Yield codebook coordinates in chunks of q^(d*(M - per_chunk_layers)) rows.
+def _iter_codebook_coords(params: HierarchicalParams):
+    """Yield codebook coordinates in q^d chunks of q^(d(M-1)) rows each.
 
     The codebook is the Minkowski sum over layers of q^m times the layer
-    codebook; chunking by the leading layer keeps memory bounded for the
+    codebook; chunking by the layer-0 point keeps memory bounded for the
     largest admissible enumerations.
     """
     q, M, d = params.q, params.M, params.lat.d

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .codec import LUT_GUARD, HierarchicalEncoding, HierarchicalParams, layer_codebook_coords
 from .lattices import FAMILY_IDS, Lattice
+from .voronoi import digits_to_index, index_to_digits
 
 __all__ = [
     "InnerProductLUT",
@@ -35,36 +36,6 @@ __all__ = [
 _MAGIC = int.from_bytes(b"NLL1", "little")
 _HEADER = struct.Struct("<8I")  # magic, version, family, d, q, value type, two reserved
 _VALUE_TYPES = {0: np.dtype("<i8"), 1: np.dtype("<f8")}
-
-
-def digits_to_index(b: np.ndarray, q: int) -> int | np.ndarray:
-    """Base-q value of a digit vector, first coordinate most significant.
-
-    Accepts (..., d) and returns int64 of shape (...).
-    """
-    b = np.asarray(b, dtype=np.int64)
-    if b.min(initial=0) < 0 or b.max(initial=0) >= q:
-        raise ValueError(f"digits out of range [0, {q})")
-    idx = np.zeros(b.shape[:-1], dtype=np.int64)
-    for i in range(b.shape[-1]):
-        idx = idx * q + b[..., i]
-    return int(idx) if idx.ndim == 0 else idx
-
-
-def index_to_digits(idx, q: int, d: int) -> np.ndarray:
-    """Inverse of digits_to_index: indices (...) to int64 digit vectors (..., d).
-
-    Unpacks in uint64, so every index in [0, min(q^d, 2^64)) is accepted.
-    """
-    idx = np.asarray(idx)
-    if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= min(q**d, 2**64)):
-        raise ValueError("index out of range")
-    v = idx.astype(np.uint64)
-    out = np.empty(idx.shape + (d,), dtype=np.int64)
-    for i in range(d - 1, -1, -1):
-        out[..., i] = v % q
-        v //= q
-    return out
 
 
 @dataclass(eq=False)
@@ -95,10 +66,6 @@ class InnerProductLUT:
         """Largest entry magnitude; bounds every weighted sum of reads."""
         return np.abs(self.values).max().item()
 
-    def _fetch(self, i: int, j: int):
-        self.query_count += 1
-        return self.values[i * self.side + j]
-
     def _gather(self, flat_idx: np.ndarray) -> np.ndarray:
         self.query_count += flat_idx.size
         return self.values[flat_idx]
@@ -114,9 +81,9 @@ class OneSidedLUT:
     values: np.ndarray
     query_count: int = field(default=0, compare=False)
 
-    def _fetch(self, i: int):
-        self.query_count += 1
-        return self.values[i]
+    def _gather(self, idx: np.ndarray) -> np.ndarray:
+        self.query_count += idx.size
+        return self.values[idx]
 
 
 def build_lut(params: HierarchicalParams, guard: int = LUT_GUARD) -> InnerProductLUT:
@@ -134,22 +101,43 @@ def build_lut(params: HierarchicalParams, guard: int = LUT_GUARD) -> InnerProduc
     return InnerProductLUT(family=params.lat.family, d=d, q=q, values=table.reshape(-1))
 
 
-def _layer_indices(tbl, enc: HierarchicalEncoding) -> np.ndarray:
-    digits = np.asarray(enc.digits)
-    if digits.ndim != 2 or digits.shape[1] != tbl.d:
+def layer_indices(q: int, digits: np.ndarray, dither_ids: np.ndarray | None) -> np.ndarray:
+    """Table indices (..., L) of digits (..., M, d); dither ids (..., d) become layer 0."""
+    idx = digits_to_index(digits, q)
+    if dither_ids is None:
+        return idx
+    return np.concatenate([digits_to_index(dither_ids, q)[..., None], idx], axis=-1)
+
+
+def weighted_pair_sum(lut: InnerProductLUT, ra: np.ndarray, rb: np.ndarray, w: np.ndarray):
+    """Sum over layer pairs (i, j) of w[i, j] * table[ra[i] + rb[j]], in one gather.
+
+    ra holds row offsets (index times ``side``) and rb column indices, both
+    layer-major (L, ...) with broadcasting trailing axes.  The dtype of the
+    (L, L) weights chooses the arithmetic: int64 or float64 arrays, or
+    Python objects for exact integers past int64.  The pairs are folded in
+    one fixed order, (0, 0), (0, 1), ..., whatever the trailing shape.
+    """
+    L = len(w)
+    pairs = lut._gather(ra[:, None] + rb[None, :])
+    pairs = w.reshape(L, L, *[1] * (pairs.ndim - 2)) * pairs
+    # An axis sum can change its order with the shape; a fold cannot.
+    return reduce(np.add, pairs.reshape(L * L, *pairs.shape[2:]))
+
+
+def _stacked_digits(tbl, encs) -> np.ndarray:
+    """Digits (len(encs), M, d) of encodings; np.stack refuses unequal depths."""
+    digits = np.stack([np.asarray(e.digits) for e in encs])
+    if digits.ndim != 3 or digits.shape[2] != tbl.d:
         raise ValueError(f"digits must have shape (M, {tbl.d})")
-    return digits_to_index(digits, tbl.q)
+    return digits
 
 
-def _weighted_reads(lut: InnerProductLUT, ix: np.ndarray, iy: np.ndarray):
-    """Sum of q^(i+j) table[ix[i], iy[j]] with each read as an exact Python scalar."""
-    if ix.shape != iy.shape:
-        raise ValueError("encodings have different depths")
-    return sum(
-        lut.q ** (i + j) * lut._fetch(int(a), int(b)).item()
-        for i, a in enumerate(ix)
-        for j, b in enumerate(iy)
-    )
+def _exact_ip(lut: InnerProductLUT, encs, dither_ids):
+    """Sum of q^(i+j) table[ix_i, iy_j] over two encodings' layers, in Python-int weights."""
+    ix, iy = layer_indices(lut.q, _stacked_digits(lut, encs), dither_ids)
+    e = np.arange(ix.size, dtype=object)
+    return weighted_pair_sum(lut, lut.side * ix[:, None], iy[:, None], lut.q ** (e[:, None] + e))[0]
 
 
 def lut_ip(
@@ -163,7 +151,7 @@ def lut_ip(
     digit range and shape are validated against the table.  Returns a
     Python int for integral-Gram lattices, else a float.
     """
-    total = _weighted_reads(lut, _layer_indices(lut, enc_x), _layer_indices(lut, enc_y))
+    total = _exact_ip(lut, (enc_x, enc_y), None)
     return int(total) if lut.values.dtype.kind == "i" else float(total)
 
 
@@ -181,10 +169,7 @@ def lut_ip_dithered(
     once at the end, so integral-Gram tables stay exact until the final
     division.
     """
-    q = lut.q
-    ix = np.concatenate([[digits_to_index(np.asarray(dither_x), q)], _layer_indices(lut, enc_x)])
-    iy = np.concatenate([[digits_to_index(np.asarray(dither_y), q)], _layer_indices(lut, enc_y)])
-    return float(_weighted_reads(lut, ix, iy)) / q**2
+    return float(_exact_ip(lut, (enc_x, enc_y), np.stack([dither_x, dither_y]))) / lut.q**2
 
 
 def build_one_sided(params: HierarchicalParams, y: np.ndarray) -> OneSidedLUT:
@@ -198,9 +183,9 @@ def build_one_sided(params: HierarchicalParams, y: np.ndarray) -> OneSidedLUT:
 
 def one_sided_ip(oslut: OneSidedLUT, enc_x: HierarchicalEncoding) -> float:
     """Inner product of the table's vector with a reconstruction, M reads."""
-    ix = _layer_indices(oslut, enc_x)
-    q = oslut.q
-    return float(sum(q**i * oslut._fetch(int(ix[i])) for i in range(ix.size)))
+    (ix,) = layer_indices(oslut.q, _stacked_digits(oslut, [enc_x]), None)
+    reads = oslut._gather(ix)
+    return float(sum(oslut.q**i * v for i, v in enumerate(reads)))
 
 
 def save_lut(lut: InnerProductLUT, path) -> None:

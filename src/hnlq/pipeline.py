@@ -12,14 +12,14 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .codec import HierarchicalParams
 from .lattices import FAMILY_IDS, make_lattice
-from .lut import InnerProductLUT, digits_to_index, index_to_digits
+from .lut import InnerProductLUT, layer_indices, weighted_pair_sum
 from .scaling import ScalingConfig, decode_scaled_many, encode_scaled_many
+from .voronoi import digits_to_index, index_to_digits
 
 __all__ = [
     "DITHER_MODES",
@@ -247,14 +247,6 @@ def _code_key(cfg: PipelineConfig) -> tuple:
             cfg.dither_mode, ids, cfg.dither_seed)
 
 
-def _layers(q: int, digits: np.ndarray, dither_ids: np.ndarray | None) -> np.ndarray:
-    """Table indices (..., L) of digits (..., M, d); dither ids (..., d) become layer 0."""
-    idx = digits_to_index(digits, q)
-    if dither_ids is None:
-        return idx
-    return np.concatenate([digits_to_index(dither_ids, q)[..., None], idx], axis=-1)
-
-
 def _combine(cfg, lut, ia, ib, Ta, Tb, dithered: bool) -> np.ndarray:
     """Inner products from layer indices (..., K, L) and retry counts (..., K).
 
@@ -271,7 +263,6 @@ def _combine(cfg, lut, ia, ib, Ta, Tb, dithered: bool) -> np.ndarray:
     exact = lut.values.dtype.kind == "i" and lut.max_abs * ((q**L - 1) // (q - 1)) ** 2 < 2**63
     e = np.arange(L)
     w = (np.int64 if exact else np.float64)(q) ** (e[:, None] + e)
-    w = w.reshape(L, L, *[1] * len(lead), 1)
     # (L, *lead, K) views of contiguous (L, ..., K) copies
     ra, rb = (np.broadcast_to(np.moveaxis(i, -1, 0).copy(), (L, *lead, K))
               for i in (ia * lut.side, ib))
@@ -279,10 +270,8 @@ def _combine(cfg, lut, ia, ib, Ta, Tb, dithered: bool) -> np.ndarray:
     rows = max(1, _COMBINE_BLOCK // (L * L * max(1, math.prod(lead[1:])) * K))
     out = np.empty(lead)
     for r in range(0, lead[0], rows):
-        pairs = w * lut._gather(ra[:, None, r:r + rows] + rb[None, :, r:r + rows])
-        # Fold the pairs in order: an axis sum can change its order with the
-        # shape, and entries must match ip_approx bit for bit.
-        chunk = reduce(np.add, pairs.reshape(L * L, *pairs.shape[2:])) / (q**2 if dithered else 1)
+        chunk = weighted_pair_sum(lut, ra[:, r:r + rows], rb[:, r:r + rows], w)
+        chunk = chunk / (q**2 if dithered else 1)
         out[r:r + rows] = (sa[r:r + rows] * sb[r:r + rows] * chunk).sum(-1)
     return out
 
@@ -304,7 +293,7 @@ def ip_approx(
         raise ValueError("cannot mix dithered and undithered columns")
     if cfg.rotate and (qx.norm is None or qy.norm is None):
         raise ValueError("rotating pipeline needs columns with recorded norms")
-    ix, iy = (_layers(cfg.params.q, v.digits, v.dither_ids)[None] for v in (qx, qy))
+    ix, iy = (layer_indices(cfg.params.q, v.digits, v.dither_ids)[None] for v in (qx, qy))
     total = float(_combine(cfg, lut, ix, iy, qx.T[None], qy.T[None], dithered)[0])
     if cfg.rotate:
         total *= qx.norm * qy.norm
@@ -318,7 +307,7 @@ def _matrix_products(cfg, lut, QA: QuantizedMatrix, QB: QuantizedMatrix, outer: 
     if not outer and QA.cols != QB.cols:
         raise ValueError("paired matrices need the same number of columns")
     ea, eb = ((slice(None), None), (None,)) if outer else ((), ())
-    ia, ib = (_layers(cfg.params.q, Q.digits, Q.dither_ids) for Q in (QA, QB))
+    ia, ib = (layer_indices(cfg.params.q, Q.digits, Q.dither_ids) for Q in (QA, QB))
     out = _combine(cfg, lut, ia[ea], ib[eb], QA.T[ea], QB.T[eb], QA.dither_ids is not None)
     if cfg.rotate:
         out *= QA.norms[ea] * QB.norms[eb]

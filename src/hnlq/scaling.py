@@ -98,14 +98,25 @@ def encode_scaled_many(
 
     Returns (digits (N, M, d), T (N,)).  Raises ValueError on non-finite
     input and UnencodableError when some row still overloads at
-    T = max_retries.
+    T = max_retries.  A row whose scaled lattice coordinates could leave
+    int64 overloads at that scale without being quantized; if one still
+    could at T = max_retries, the error is raised before any encoding.
     """
     X = np.asarray(X, dtype=np.float64)
     flatX = X.reshape(-1, params.lat.d)
-    if not np.isfinite(flatX).all():
+    top = np.abs(flatX).max(initial=0.0)
+    if not np.isfinite(top):
         raise ValueError("cannot encode non-finite values")
     _, Z = _resolve_dither(params, X.shape, dither_ids)
     flatZ = None if Z is None else Z.reshape(-1, params.lat.d)
+    # |coordinates| <= max|x| * max row sum of |G^-1|; 2^62 leaves room for the dither.
+    reach = 2.0**62 / float(np.abs(params.lat.G_inv).sum(axis=1).max())
+    if top >= reach * cfg.beta0:  # some row could leave int64: per-row magnitudes
+        mag = np.abs(flatX).max(axis=-1)
+        with np.errstate(over="ignore"):  # a scale past the float range fits every row
+            lost = np.count_nonzero(mag >= reach * cfg.scale(np.float64(cfg.max_retries)))
+        if lost:
+            raise UnencodableError(f"{lost} vector(s) still overload after {cfg.max_retries} retries")
 
     n = flatX.shape[0]
     digits = np.zeros((n, params.M, params.lat.d), dtype=np.int64)
@@ -113,13 +124,15 @@ def encode_scaled_many(
     active = np.arange(n)
     for t in range(cfg.max_retries + 1):
         beta = cfg.scale(t)
-        sub = flatX[active] / beta
+        # A row that could leave int64 at this scale overloads here unquantized.
+        run = active if top < reach * beta else active[mag[active] < reach * beta]
+        sub = flatX[run] / beta
         if flatZ is not None:
-            sub = sub - flatZ[active]
+            sub = sub - flatZ[run]
         dg, ov = h_encode_many(params, sub)
-        digits[active] = dg
-        T[active] = t
-        active = active[ov]
+        digits[run] = dg
+        T[run] = t
+        active = run[ov] if run is active else np.setdiff1d(active, run[~ov], assume_unique=True)
         if active.size == 0:
             break
     if active.size:

@@ -18,6 +18,8 @@ __all__ = [
     "vc_decode",
     "vc_decode_many",
     "digit_grid",
+    "digits_to_index",
+    "index_to_digits",
 ]
 
 
@@ -37,8 +39,7 @@ class VoronoiCodeParams:
 def digit_grid(q: int, d: int) -> np.ndarray:
     """All q^d digit vectors in [0, q)^d, first coordinate most significant.
 
-    Row i holds the base-q expansion of i, so the ordering matches
-    digits_to_index in the LUT module.
+    Row i holds the base-q expansion of i: ``digits_to_index`` of row i is i.
     """
     axes = np.meshgrid(*([np.arange(q, dtype=np.int64)] * d), indexing="ij")
     return np.stack(axes, axis=-1).reshape(-1, d)
@@ -53,6 +54,32 @@ def _check_digits(b: np.ndarray, r: int, d: int) -> np.ndarray:
     if b.min(initial=0) < 0 or b.max(initial=0) >= r:
         raise ValueError(f"digits out of range [0, {r})")
     return b.astype(np.int64, copy=False)
+
+
+def digits_to_index(b: np.ndarray, q: int) -> int | np.ndarray:
+    """Base-q value of a digit vector, first coordinate most significant.
+
+    Accepts integer digits (..., d) in [0, q) and returns int64 of shape (...).
+    """
+    b = _check_digits(b, q, np.shape(b)[-1])
+    idx = b @ q ** np.arange(b.shape[-1] - 1, -1, -1)
+    return int(idx) if idx.ndim == 0 else idx
+
+
+def index_to_digits(idx, q: int, d: int) -> np.ndarray:
+    """Inverse of digits_to_index: indices (...) to int64 digit vectors (..., d).
+
+    Unpacks in uint64, so every index in [0, min(q^d, 2^64)) is accepted.
+    """
+    idx = np.asarray(idx)
+    if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= min(q**d, 2**64)):
+        raise ValueError("index out of range")
+    v = idx.astype(np.uint64)
+    out = np.empty(idx.shape + (d,), dtype=np.int64)
+    for i in range(d - 1, -1, -1):
+        out[..., i] = v % q
+        v //= q
+    return out
 
 
 def vc_decode_many(params: VoronoiCodeParams, B: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from hnlq import HierarchicalParams, ScalingConfig, load_lut, make_lattice
+from hnlq import HierarchicalParams, ScalingConfig, cli, load_lut, make_lattice
 from hnlq.bench import (
     CSV_COLUMNS,
     DEFAULT_BETA0_GRID,
@@ -306,6 +306,20 @@ def test_cli_calibrate(tmp_path):
     scheme, lattice, q, M, b0 = line.split(",")
     assert (scheme, lattice, q, M) == ("hierarchical", "D4", "4", "2")
     assert float(b0) in DEFAULT_BETA0_GRID
+
+
+def test_cli_calibrate_full_flag(tmp_path, monkeypatch):
+    pilots = []
+
+    def calibrate(*args, pilot_n, **kwargs):
+        pilots.append(pilot_n)
+        return 0.5
+
+    monkeypatch.setattr(cli, "calibrate_beta0", calibrate)
+    out = str(tmp_path / "cal.csv")
+    assert main(["calibrate", "--samples", "40", "--out", out]) == 0
+    assert main(["calibrate", "--samples", "40", "--full", "--out", out]) == 0
+    assert pilots == [40, 5000]
 
 
 def test_cli_verify_lemmas(tmp_path):

@@ -6,6 +6,10 @@ import pytest
 from hnlq import (
     HierarchicalEncoding,
     HierarchicalParams,
+    InnerProductLUT,
+    OneSidedLUT,
+    PipelineConfig,
+    ScalingConfig,
     build_lut,
     build_one_sided,
     digits_to_index,
@@ -13,11 +17,13 @@ from hnlq import (
     h_decode,
     h_encode,
     index_to_digits,
+    ip_approx,
     load_lut,
     lut_ip,
     lut_ip_dithered,
     make_lattice,
     one_sided_ip,
+    quantize_vector,
     save_lut,
 )
 
@@ -50,6 +56,15 @@ def test_digit_indexing():
     for bad in ([-1, 0], [0, 9]):
         with pytest.raises(ValueError):
             index_to_digits(np.array(bad), 3, 2)
+
+
+def test_float_digits_are_refused(z1):
+    with pytest.raises(ValueError, match="integers"):
+        digits_to_index(np.array([1.0, 2.0]), 3)
+    lut = build_lut(HierarchicalParams(z1, 3, 2))
+    fractional = HierarchicalEncoding(digits=np.array([[1.9], [1.2]]), overload=False)
+    with pytest.raises(ValueError, match="integers"):
+        lut_ip(lut, fractional, enc_of([[1], [1]]))
 
 
 def test_build_scalar_table(z1):
@@ -148,6 +163,24 @@ def test_query_counters(d4):
     assert os.query_count == 3
 
 
+def test_each_product_is_one_gather(d4, monkeypatch):
+    calls = []
+    for cls in (InnerProductLUT, OneSidedLUT):
+        def counted(self, idx, gather=cls._gather):
+            calls.append(idx.size)
+            return gather(self, idx)
+
+        monkeypatch.setattr(cls, "_gather", counted)
+    p = HierarchicalParams(d4, 3, 3)
+    lut = build_lut(p)
+    rng = np.random.default_rng(59)
+    ex, ey = random_encodings(rng, 3, 3, 4, 2)
+    lut_ip(lut, ex, ey)
+    lut_ip_dithered(lut, ex, ey, np.array([1, 0, 2, 1]), np.array([0, 2, 1, 0]))
+    one_sided_ip(build_one_sided(p, np.array([1.0, -2.0, 0.5, 3.0])), ex)
+    assert calls == [9, 16, 3]
+
+
 def test_ip_validates_shapes(d4):
     p = HierarchicalParams(d4, 3, 2)
     lut = build_lut(p)
@@ -189,6 +222,26 @@ def test_dithered_matches_direct(d4):
         zx, zy = dither_point(p, idx), dither_point(p, idy)
         want = float(np.dot(h_decode(p, ex) + zx, h_decode(p, ey) + zy))
         assert abs(lut_ip_dithered(lut, ex, ey, idx, idy) - want) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["d4", "a2"])
+def test_one_chunk_dithered_ip_is_ip_approx(name):
+    # With beta0 = 1 and no retries, ip_approx of one chunk is the dithered
+    # table sum divided by q^2, so the pipeline and the scalar API agree exactly.
+    lat = make_lattice(name)
+    p = HierarchicalParams(lat, 4, 2)
+    lut = build_lut(p)
+    cfg = PipelineConfig(params=p, scaling=ScalingConfig(beta0=1.0), n=lat.d,
+                         dither_mode="random", dither_seed=3)
+    rng = np.random.default_rng(60)
+    for col in range(40):
+        qx = quantize_vector(cfg, rng.uniform(-4, 4, lat.d), col)
+        qy = quantize_vector(cfg, rng.uniform(-4, 4, lat.d), col + 40)
+        assert qx.T[0] == qy.T[0] == 0
+        want = ip_approx(cfg, lut, qx, qy)
+        got = lut_ip_dithered(lut, enc_of(qx.digits[0]), enc_of(qy.digits[0]),
+                              qx.dither_ids[0], qy.dither_ids[0])
+        assert got == want
 
 
 def test_one_sided_table_and_trace(z1):

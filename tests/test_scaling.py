@@ -7,6 +7,8 @@ import pytest
 
 from hnlq import (
     HierarchicalParams,
+    Lattice,
+    PipelineConfig,
     ScalingConfig,
     UnencodableError,
     decode_scaled,
@@ -17,6 +19,7 @@ from hnlq import (
     h_encode_many,
     in_scaled_voronoi,
     make_lattice,
+    quantize_matrix,
 )
 from hnlq.scaling import decode_scaled_many, encode_scaled_many, entropy_bits
 from hnlq.voronoi import digit_grid
@@ -86,6 +89,56 @@ def test_unencodable_when_budget_exhausted(z1):
     cfg = ScalingConfig(beta0=1e-3, alpha=0.01, max_retries=5)
     with pytest.raises(UnencodableError):
         encode_scaled(p, cfg, np.array([1e6]))
+
+
+def retry_every_row(params, cfg, X):
+    """The retry ladder that quantizes every overloading row at every pass."""
+    digits = np.zeros((len(X), params.M, params.lat.d), dtype=np.int64)
+    T = np.zeros(len(X), dtype=np.int64)
+    active = np.arange(len(X))
+    for t in range(cfg.max_retries + 1):
+        with np.errstate(invalid="ignore"):  # int64 casts of |x| / scale >= 2^63
+            digits[active], ov = h_encode_many(params, X[active] / cfg.scale(t))
+        T[active] = t
+        active = active[ov]
+        if not active.size:
+            return digits, T
+    return f"{active.size} vector(s) still overload after {cfg.max_retries} retries"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["d4", "a2", "z2"])
+def test_rows_past_int64_overload_unquantized(name, monkeypatch):
+    # A row whose lattice coordinates would leave int64 overloads at that scale
+    # without a quantizer call, so nothing warns, and encoding settles on the
+    # same T and digits as quantizing it, or fails with the same error.
+    lat = make_lattice(name)
+    p = HierarchicalParams(lat, 3, 2)
+    rng = np.random.default_rng(46)
+    calls = []
+    nearest = Lattice.nearest_coords
+    monkeypatch.setattr(Lattice, "nearest_coords", lambda s, x: calls.append(1) or nearest(s, x))
+    for mag in (1e19, 1e300):
+        X = rng.standard_normal((60, lat.d)) * mag
+        for alpha in (1.0 / 3.0, 17.0):
+            cfg = ScalingConfig(beta0=1.0, alpha=alpha)
+            pipe = PipelineConfig(params=p, scaling=cfg, n=6 * lat.d)
+
+            def via_matrix():
+                qm = quantize_matrix(pipe, X.reshape(10, -1).T)
+                return qm.digits.reshape(X.shape[0], p.M, lat.d), qm.T.reshape(-1)
+
+            want = retry_every_row(p, cfg, X)
+            calls.clear()
+            for encode in (lambda: encode_scaled_many(p, cfg, X), via_matrix):
+                try:
+                    digits, T = encode()
+                except UnencodableError as err:
+                    assert str(err) == want, (mag, alpha)
+                else:
+                    assert np.array_equal(digits, want[0]) and np.array_equal(T, want[1])
+            if mag == 1e300 and alpha < 1:
+                assert isinstance(want, str) and calls == []  # no pass could succeed
 
 
 def test_dither_point_values(z1):
