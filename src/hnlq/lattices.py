@@ -126,26 +126,22 @@ class Lattice:
         return np.rint(c).astype(np.int64)
 
     def _nearest_coords_a2(self, y: np.ndarray) -> np.ndarray:
-        # Exhaustive check over the 3x3 grid of rounded generator
-        # coordinates; the true nearest neighbor is always within one step
-        # of round(G0_inv @ y) for this basis.
-        g0 = self.G / self.scale
-        u = y @ (self.G_inv * self.scale).T
-        base = np.rint(u).astype(np.int64)
-        best_c = None
-        best_d2 = None
-        for da in (-1, 0, 1):
-            for db in (-1, 0, 1):
-                c = base + np.array([da, db], dtype=np.int64)
-                diff = y - c @ g0.T
-                d2 = np.einsum("...i,...i->...", diff, diff)
-                if best_d2 is None:
-                    best_c, best_d2 = c, d2
-                else:
-                    better = d2 < best_d2
-                    best_d2 = np.where(better, d2, best_d2)
-                    best_c = np.where(better[..., None], c, best_c)
-        return best_c
+        # A2 is Z x sqrt3 Z together with its coset shifted by (1/2, sqrt3/2):
+        # round in each and keep the nearer point (the unshifted one on a tie).
+        # Points (i, sqrt3 j) and (i + 1/2, sqrt3 (j + 1/2)) have generator
+        # coordinates (i - j, 2j) and (i - j, 2j + 1).
+        r3 = math.sqrt(3.0)
+        x0, x1 = y[..., 0], y[..., 1]
+        u = x1 / r3
+        i0, j0 = np.rint(x0), np.rint(u)
+        i1, j1 = np.rint(x0 - 0.5), np.rint(u - 0.5)
+        # A square overflows only past |y| ~ 1e170, where the int64 cast fails anyway.
+        with np.errstate(over="ignore"):
+            d0 = (x0 - i0) ** 2 + (x1 - r3 * j0) ** 2
+            d1 = (x0 - i1 - 0.5) ** 2 + (x1 - r3 * (j1 + 0.5)) ** 2
+        shifted = d1 < d0
+        i, j = np.where(shifted, i1, i0), np.where(shifted, j1, j0)
+        return np.stack([i - j, 2 * j + shifted], axis=-1).astype(np.int64)
 
 
 def _canonical_generator(family: str, d: int) -> np.ndarray:

@@ -106,6 +106,9 @@ def layer_indices(q: int, digits: np.ndarray, dither_ids: np.ndarray | None) -> 
     idx = digits_to_index(digits, q)
     if dither_ids is None:
         return idx
+    want = np.shape(digits)[:-2] + np.shape(digits)[-1:]
+    if np.shape(dither_ids) != want:
+        raise ValueError(f"dither ids must have shape {want}, got {np.shape(dither_ids)}")
     return np.concatenate([digits_to_index(dither_ids, q)[..., None], idx], axis=-1)
 
 

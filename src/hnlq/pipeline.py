@@ -52,9 +52,10 @@ class PipelineConfig:
             recording its norm for exact rescaling of inner products.
         rotation_seed: seed of the shared rotation.
         dither_mode: "none", "fixed" (one digit id for every chunk) or
-            "random" (per column/chunk ids from a counter-based hash).
+            "random" (per column/chunk ids from a counter-based SplitMix64
+            hash of (dither_seed, column, chunk); see ``_dither_digit_ids``).
         dither_ids: the fixed digit id, required when dither_mode="fixed".
-        dither_seed: seed for the "random" mode.
+        dither_seed: seed for the "random" mode; a negative seed is taken mod 2^64.
     """
 
     params: HierarchicalParams
@@ -145,25 +146,62 @@ def random_rotation(n: int, seed: int) -> np.ndarray:
     return Q * np.sign(np.diag(R))
 
 
-_DITHER_KEY = struct.Struct("<qqq")  # seed, column, chunk
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the golden-ratio increment and
+# the 64-bit finalizer.  NLQM v2 derives random-mode dither ids with it.
+_GAMMA = 0x9E3779B97F4A7C15
+_MASK64 = 2**64 - 1
+
+
+def _mix64(z):
+    """SplitMix64 finalizer of a Python int in [0, 2^64) or, in place, a uint64 array.
+
+    The masks keep Python ints in 64 bits; uint64 array products wrap by themselves.
+    """
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z &= _MASK64
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z &= _MASK64
+    z ^= z >> 31
+    return z
+
+
+def _low_digits(vals: np.ndarray, q: int, d: int) -> np.ndarray:
+    """Dither ids (..., d): the low d base-q digits of 64-bit values (...)."""
+    if q**d < 2**64:
+        vals = vals % q**d
+    return index_to_digits(vals, q, d)
 
 
 def _dither_digit_ids(cfg: PipelineConfig, col: int, K: int) -> np.ndarray | None:
-    """Per-chunk dither ids for one column, or None."""
+    """Per-chunk dither ids (K, d) for one column, or None.
+
+    Random-mode chunk k takes the low digits of
+    mix(mix(mix(seed gamma) + (col + 1) gamma) + (k + 1) gamma) mod 2^64, seed
+    and col taken mod 2^64: a counter-based SplitMix64 chain, so any column is
+    derived without the others.
+    """
     d, q = cfg.params.lat.d, cfg.params.q
     if cfg.dither_mode == "none":
         return None
     if cfg.dither_mode == "fixed":
         return np.broadcast_to(cfg.dither_ids, (K, d)).copy()
-    # Each chunk's id is the low d base-q digits of a 64-bit keyed hash.
+    prefix = _mix64(_mix64(int(cfg.dither_seed) * _GAMMA & _MASK64)
+                    + (int(col) + 1) * _GAMMA & _MASK64)
+    return _low_digits(_mix64(np.arange(1, K + 1, dtype=np.uint64) * _GAMMA + prefix), q, d)
+
+
+_V1_DITHER_KEY = struct.Struct("<qqq")  # seed, column, chunk
+
+
+def _v1_dither_digit_ids(cfg: PipelineConfig, col: int, K: int) -> np.ndarray:
+    """Random-mode ids (K, d) of NLQM version 1 files: one keyed blake2b per chunk."""
     digests = b"".join(
-        hashlib.blake2b(_DITHER_KEY.pack(cfg.dither_seed, col, k), digest_size=8).digest()
+        hashlib.blake2b(_V1_DITHER_KEY.pack(cfg.dither_seed, col, k), digest_size=8).digest()
         for k in range(K)
     )
-    vals = np.frombuffer(digests, dtype="<u8")
-    if q**d < 2**64:
-        vals = vals % np.uint64(q**d)
-    return index_to_digits(vals, q, d)
+    return _low_digits(np.frombuffer(digests, dtype="<u8"), cfg.params.q, cfg.params.lat.d)
 
 
 def _column_dither_ids(cfg: PipelineConfig, first_col: int, cols: int) -> np.ndarray | None:
@@ -342,6 +380,9 @@ def paired_ip_approx(
 
 _QM_MAGIC = int.from_bytes(b"NLQM", "little")
 _QM_HEADER = struct.Struct("<8I2d2I2q")
+# Version 2 derives random-mode dither ids with the SplitMix64 chain; version 1
+# files, whose ids came from blake2b, are still read.
+_QM_VERSION = 2
 _DITHER_CODE = {"none": 0, "fixed": 1, "random": 2}
 
 
@@ -359,13 +400,19 @@ def save_quantized_matrix(qm: QuantizedMatrix, path) -> None:
     base-q value (first coordinate most significant) in the minimal whole
     number of little-endian bytes, then one byte of T per chunk, then the
     per-column norms when rotation is on.  Fixed dither ids ride in a short
-    trailer right after the header.
+    trailer right after the header; random ones are re-derived from the seed
+    on load, so a matrix whose ids differ from that derivation (a version 1
+    random-mode file, or edited ids) is refused with ValueError.
     """
     cfg = qm.cfg
+    if cfg.dither_mode == "random" and not np.array_equal(
+            _column_dither_ids(cfg, 0, qm.cols), qm.dither_ids):
+        raise ValueError("random dither ids differ from the seed's derivation, "
+                         "so the file would load different ids")
     q, d, M = cfg.params.q, cfg.params.lat.d, cfg.params.M
     header = _QM_HEADER.pack(
         _QM_MAGIC,
-        1,
+        _QM_VERSION,
         FAMILY_IDS[cfg.params.lat.family],
         d,
         cfg.n,
@@ -411,7 +458,7 @@ def load_quantized_matrix(path, *, max_retries: int = 60) -> QuantizedMatrix:
     ) = _QM_HEADER.unpack_from(raw)
     if magic != _QM_MAGIC:
         raise ValueError("bad magic, not a quantized-matrix file")
-    if version != 1:
+    if version not in (1, _QM_VERSION):
         raise ValueError(f"unsupported version {version}")
     families = {v: k for k, v in FAMILY_IDS.items()}
     if fam_id not in families:
@@ -459,5 +506,9 @@ def load_quantized_matrix(path, *, max_retries: int = 60) -> QuantizedMatrix:
         off += cols * 8
     if off != len(raw):
         raise ValueError("trailing bytes in quantized-matrix file")
-    ids = _column_dither_ids(cfg, 0, cols)
+    if version == 1 and mode == "random":
+        ids = np.array([_v1_dither_digit_ids(cfg, c, K) for c in range(cols)], dtype=np.int64)
+        ids = ids.reshape(cols, K, d)
+    else:
+        ids = _column_dither_ids(cfg, 0, cols)
     return QuantizedMatrix(cfg=cfg, digits=digits, T=T, norms=norms, dither_ids=ids)

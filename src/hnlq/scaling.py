@@ -124,15 +124,17 @@ def encode_scaled_many(
     active = np.arange(n)
     for t in range(cfg.max_retries + 1):
         beta = cfg.scale(t)
-        # A row that could leave int64 at this scale overloads here unquantized.
+        # A row that could leave int64 at this scale overloads here unquantized;
+        # a pass with no row left to quantize is skipped.
         run = active if top < reach * beta else active[mag[active] < reach * beta]
-        sub = flatX[run] / beta
-        if flatZ is not None:
-            sub = sub - flatZ[run]
-        dg, ov = h_encode_many(params, sub)
-        digits[run] = dg
-        T[run] = t
-        active = run[ov] if run is active else np.setdiff1d(active, run[~ov], assume_unique=True)
+        if run.size:
+            sub = flatX[run] / beta
+            if flatZ is not None:
+                sub = sub - flatZ[run]
+            dg, ov = h_encode_many(params, sub)
+            digits[run] = dg
+            T[run] = t
+            active = run[ov] if run is active else np.setdiff1d(active, run[~ov], assume_unique=True)
         if active.size == 0:
             break
     if active.size:

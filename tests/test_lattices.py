@@ -95,6 +95,19 @@ def test_a2_prefers_hex_neighbor(a2):
     assert np.allclose(lp.point, [0.5, math.sqrt(3.0) / 2.0])
 
 
+def test_a2_two_coset_rounding_matches_bruteforce(a2):
+    # far from the origin, and on the bisectors between the two cosets'
+    # nearest points, where the 3x3 enumeration of the oracle decides
+    rng = np.random.default_rng(102)
+    X = np.concatenate([rng.standard_normal((200, 2)) * s for s in (100.0, 1e6)])
+    h = math.sqrt(3.0) / 2.0
+    mids = np.array([[0.25, h / 2], [0.75, h / 2], [0.5, 0.0], [0.0, h]])  # equidistant points
+    X = np.concatenate([X, mids + rng.integers(-5, 5, size=(4, 1)) * [[1.0, 2 * h]]])
+    got = a2.nearest_coords(X)
+    for x, c in zip(X, got):
+        assert np.array_equal(c, oracle_nearest(a2, x))
+
+
 def test_nearest_matches_bruteforce(any_lat):
     rng = np.random.default_rng(101)
     for sigma in (0.7, 3.0):

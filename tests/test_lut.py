@@ -201,6 +201,16 @@ def test_dithered_trace(z1):
     assert got == 1.25 * 0.75  # (1 + 1/4) * (1 - 1/4)
 
 
+def test_dithered_refuses_misshapen_ids(d4):
+    lut = build_lut(HierarchicalParams(d4, 3, 2))
+    ex, ey = random_encodings(np.random.default_rng(56), 3, 2, 4, 2)
+    # each side takes one id of shape (d,)
+    short, wide = np.array([1, 0, 2]), np.array([[1, 0, 2, 1]] * 2)
+    for ids in (short, wide):
+        with pytest.raises(ValueError, match="dither ids"):
+            lut_ip_dithered(lut, ex, ey, ids, ids)
+
+
 def test_dithered_reduces_to_plain_with_zero_ids(d4):
     p = HierarchicalParams(d4, 3, 2)
     lut = build_lut(p)

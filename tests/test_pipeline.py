@@ -254,7 +254,7 @@ def test_random_dither_ids_are_reproducible():
 
 
 def test_random_dither_ids_are_pinned():
-    # Files store only the seed, so these ids are part of the NLQM format.
+    # Files store only the seed, so these ids are part of the NLQM version 1 format.
     pinned = [
         ("a2", 8, 7, 3, [[2, 0], [4, 5]]),
         ("d4", 4, 5, 2, [[1, 3, 3, 0], [3, 2, 1, 1]]),
@@ -264,7 +264,55 @@ def test_random_dither_ids_are_pinned():
     for name, q, seed, col, want in pinned:
         lat = make_lattice(name)
         cfg = pipe(n=2 * lat.d, q=q, lat=lat, dither_mode="random", dither_seed=seed)
+        assert pipeline._v1_dither_digit_ids(cfg, col, 2).tolist() == want
+
+
+def splitmix_ids(seed, col, K, q, d):
+    """Reference NLQM v2 ids in Python ints: low d base-q digits of the SplitMix64 chain."""
+    mask, gamma = 2**64 - 1, 0x9E3779B97F4A7C15
+
+    def mix(z):
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & mask
+        return z ^ z >> 31
+
+    prefix = mix((mix(seed * gamma & mask) + (col + 1) * gamma) & mask)
+    ids = []
+    for k in range(K):
+        v = mix((prefix + (k + 1) * gamma) & mask) % min(q**d, 2**64)
+        ids.append([v // q ** (d - 1 - i) % q for i in range(d)])
+    return ids
+
+
+@pytest.mark.filterwarnings("error")
+def test_random_dither_ids_are_pinned_v2():
+    # NLQM version 2 ids: the low d base-q digits of
+    # mix(mix(mix(seed gamma) + (col + 1) gamma) + (k + 1) gamma) mod 2^64.
+    pinned = [
+        ("a2", 8, 7, 3, [[5, 1], [2, 6]]),
+        ("d4", 4, 5, 2, [[1, 0, 2, 1], [0, 1, 0, 1]]),
+        ("z16", 16, 1, 0, [[2, 3, 8, 2, 7, 5, 11, 12, 3, 8, 15, 12, 11, 14, 9, 1],
+                           [15, 8, 9, 10, 2, 5, 6, 6, 11, 5, 8, 2, 2, 12, 5, 4]]),  # q^d = 2^64
+        ("d4", 4, -3, 1000, [[3, 3, 2, 1], [3, 2, 3, 3]]),  # seeds are taken mod 2^64
+        ("a2", 8, -2**63, 0, [[0, 4], [0, 5]]),
+    ]
+    for name, q, seed, col, want in pinned:
+        lat = make_lattice(name)
+        cfg = pipe(n=2 * lat.d, q=q, lat=lat, dither_mode="random", dither_seed=seed)
         assert pipeline._dither_digit_ids(cfg, col, 2).tolist() == want
+        assert splitmix_ids(seed, col, 2, q, lat.d) == want
+    # the finalizer is SplitMix64's: from state 0 its stream starts with these
+    z = np.arange(1, 4, dtype=np.uint64)
+    z *= pipeline._GAMMA
+    stream = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert pipeline._mix64(z).tolist() == stream
+    assert [pipeline._mix64(k * pipeline._GAMMA & 2**64 - 1) for k in (1, 2, 3)] == stream
+    # random access: a column's ids need no earlier column, at any chunk count
+    cfg = pipe(n=64, q=8, lat=make_lattice("a2"), dither_mode="random", dither_seed=2**63 - 1)
+    ids = pipeline._column_dither_ids(cfg, 0, 6)
+    assert np.array_equal(pipeline._column_dither_ids(cfg, 5, 1)[0], ids[5])
+    for col in (0, 5):
+        assert ids[col].tolist() == splitmix_ids(2**63 - 1, col, 32, 8, 2)
 
 
 def test_fixed_dither_id_shared_across_chunks():
@@ -508,6 +556,73 @@ def test_save_load_roundtrip(tmp_path):
         assert a == b
 
 
+# NLQM version 1 files of a2 q=8 M=2, n=4, two columns, beta0 0.35, written
+# before version 2: random dither with seed -7, no dither, and fixed ids [3, 5].
+V1_A2_FILES = {
+    "random": "4e4c514d01000000030000000200000004000000020000000800000002000000"
+              "555555555555d53f666666666666d63f00000000020000000000000000000000"
+              "f9ffffffffffffff3c0018391038381800000007",
+    "none": "4e4c514d01000000030000000200000004000000020000000800000002000000"
+            "555555555555d53f666666666666d63f00000000000000000000000000000000"
+            "00000000000000003c00183910383f1800000007",
+    "fixed": "4e4c514d01000000030000000200000004000000020000000800000002000000"
+             "555555555555d53f666666666666d63f00000000010000000000000000000000"
+             "000000000000000003053c0011391038301800000007",
+}
+V1_A2_INPUT = np.array([[0.3, -2.0], [1.1, 0.05], [-0.4, 40.0], [2.5, -0.7]])
+
+
+def v1_a2_config(mode):
+    kw = {"random": {"dither_seed": -7}, "fixed": {"dither_ids": np.array([3, 5])}}
+    return pipe(n=4, q=8, lat=make_lattice("a2"), dither_mode=mode, **kw.get(mode, {}))
+
+
+def test_version1_random_file_loads_read_only(tmp_path):
+    path = tmp_path / "v1.qm"
+    path.write_bytes(bytes.fromhex(V1_A2_FILES["random"]))
+    qm = load_quantized_matrix(path)
+    assert qm.digits.tolist() == [[[[7, 4], [0, 0]], [[3, 0], [7, 1]]],
+                                  [[[2, 0], [7, 0]], [[7, 0], [3, 0]]]]
+    assert qm.T.tolist() == [[0, 0], [0, 7]]
+    # the ids of version 1, re-derived from the seed with blake2b
+    assert qm.dither_ids.tolist() == [[[1, 7], [6, 2]], [[1, 7], [1, 6]]]
+    assert qm.cfg.dither_seed == -7
+    # A version 2 file would load the SplitMix64 ids instead, so it is not written.
+    with pytest.raises(ValueError, match="dither ids"):
+        save_quantized_matrix(qm, tmp_path / "v2.qm")
+    assert not (tmp_path / "v2.qm").exists()
+    # Quantized afresh, the same input gets version 2 ids and saves.
+    fresh = quantize_matrix(qm.cfg, V1_A2_INPUT)
+    assert not np.array_equal(fresh.dither_ids, qm.dither_ids)
+    save_quantized_matrix(fresh, path)
+    assert path.read_bytes()[4] == 2
+    assert np.array_equal(load_quantized_matrix(path).dither_ids, fresh.dither_ids)
+
+
+@pytest.mark.parametrize("mode", ["none", "fixed"])
+def test_version2_changes_only_the_version_word(tmp_path, mode):
+    v1 = bytes.fromhex(V1_A2_FILES[mode])
+    path = tmp_path / "m.qm"
+    save_quantized_matrix(quantize_matrix(v1_a2_config(mode), V1_A2_INPUT), path)
+    v2 = path.read_bytes()
+    assert v2[4] == 2 and v2[:4] + b"\x01" + v2[5:] == v1
+    # the version 1 file loads to the same matrix and re-saves as version 2
+    path.write_bytes(v1)
+    old = load_quantized_matrix(path)
+    save_quantized_matrix(old, path)
+    assert path.read_bytes() == v2
+
+
+def test_save_refuses_edited_random_ids(tmp_path):
+    rng = np.random.default_rng(20)
+    qm = quantize_matrix(pipe(n=8, dither_mode="random", dither_seed=3),
+                         rng.standard_normal((8, 3)))
+    qm.dither_ids = qm.dither_ids.copy()
+    qm.dither_ids[2, 1, 0] = (qm.dither_ids[2, 1, 0] + 1) % 4
+    with pytest.raises(ValueError, match="dither ids"):
+        save_quantized_matrix(qm, tmp_path / "m.qm")
+
+
 def test_load_validates_file(tmp_path, monkeypatch):
     cfg = pipe(n=8)
     rng = np.random.default_rng(19)
@@ -529,6 +644,11 @@ def test_load_validates_file(tmp_path, monkeypatch):
 
     corrupt = bytearray(raw)
     corrupt[4] = 3  # version
+    bad.write_bytes(corrupt)
+    with pytest.raises(ValueError):
+        load_quantized_matrix(bad)
+
+    corrupt[4] = 0
     bad.write_bytes(corrupt)
     with pytest.raises(ValueError):
         load_quantized_matrix(bad)

@@ -21,6 +21,7 @@ from hnlq import (
     make_lattice,
     quantize_matrix,
 )
+from hnlq import scaling
 from hnlq.scaling import decode_scaled_many, encode_scaled_many, entropy_bits
 from hnlq.voronoi import digit_grid
 
@@ -139,6 +140,29 @@ def test_rows_past_int64_overload_unquantized(name, monkeypatch):
                     assert np.array_equal(digits, want[0]) and np.array_equal(T, want[1])
             if mag == 1e300 and alpha < 1:
                 assert isinstance(want, str) and calls == []  # no pass could succeed
+
+
+@pytest.mark.filterwarnings("error")
+def test_passes_with_no_row_in_range_are_skipped(monkeypatch):
+    # At 1e300 and alpha 17 most passes have every remaining row past int64;
+    # such a pass calls no encoder, and the outcome is the reference ladder's.
+    p = HierarchicalParams(make_lattice("d4"), 3, 2)
+    X = np.random.default_rng(46).standard_normal((60, 4)) * 1e300
+    cfg = ScalingConfig(beta0=1.0, alpha=17.0)
+    want = retry_every_row(p, cfg, X)
+    rows = []
+    encode = scaling.h_encode_many
+    monkeypatch.setattr(scaling, "h_encode_many", lambda p, X: rows.append(len(X)) or encode(p, X))
+    try:
+        got = encode_scaled_many(p, cfg, X)
+    except UnencodableError as err:
+        got = str(err)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert rows and min(rows) > 0
+    assert len(rows) < 10  # one pass per scale at which some row is in range
 
 
 def test_dither_point_values(z1):
