@@ -57,6 +57,9 @@ __all__ = [
 SCHEMES = ("hierarchical", "voronoi", "voronoi-reduced")
 
 DEFAULT_BETA0_GRID = tuple(float(b) for b in np.geomspace(0.05, 2.0, 24))
+# Most points calibrate_beta0 adds past the ends of its grid, 96 ratio steps:
+# at the default grid's ratio, down to about 1e-8.
+GRID_EXTENSION_LIMIT = 96
 
 CSV_COLUMNS = [
     "scheme",
@@ -204,24 +207,41 @@ def calibrate_beta0(
     charges for those bits.  Scores are smoothed over adjacent grid points
     before the argmin so pilot noise cannot wander along the flat valley;
     ties resolve to the smaller candidate.
+
+    The best scale shrinks like q^-M, so at high rate it can fall off the
+    grid: while the argmin is the first or last point, the grid grows by one
+    point past that end at the end's own ratio, up to
+    ``GRID_EXTENSION_LIMIT`` points.  A cell whose argmin is interior keeps
+    its pick.
     """
-    grid = [float(b) for b in grid]
+    grid = sorted(float(b) for b in grid)
     if not grid:
         raise ValueError("empty beta0 grid")
     eff = effective_params(scheme, params)
     rng = np.random.default_rng([seed, 0xB0])
     X = rng.standard_normal((pilot_n, eff.lat.d))
-    scores = []
-    for b in sorted(grid):
+
+    def score(b):
         scfg = ScalingConfig(beta0=b, alpha=alpha, max_retries=max_retries)
         dist, T = _vector_mse(eff, scfg, X)
-        scores.append(empirical_rate(eff, T) + 0.5 * math.log2(dist))
-    smoothed = [
-        sum(scores[max(0, i - 1) : i + 2]) / len(scores[max(0, i - 1) : i + 2])
-        for i in range(len(scores))
-    ]
-    best = min(range(len(grid)), key=lambda i: (smoothed[i], i))
-    return sorted(grid)[best]
+        return empirical_rate(eff, T) + 0.5 * math.log2(dist)
+
+    scores = [score(b) for b in grid]
+    for added in range(GRID_EXTENSION_LIMIT + 1):
+        smoothed = [
+            sum(scores[max(0, i - 1) : i + 2]) / len(scores[max(0, i - 1) : i + 2])
+            for i in range(len(scores))
+        ]
+        best = min(range(len(grid)), key=lambda i: (smoothed[i], i))
+        end, inner = (0, 1) if best == 0 else (-1, -2)
+        if (0 < best < len(grid) - 1 or len(grid) < 2 or grid[end] == grid[inner]
+                or added == GRID_EXTENSION_LIMIT):
+            break
+        b = grid[end] * (grid[end] / grid[inner])
+        at = 0 if best == 0 else len(grid)
+        grid.insert(at, b)
+        scores.insert(at, score(b))
+    return grid[best]
 
 
 def _histogram(T: np.ndarray) -> dict[int, int]:

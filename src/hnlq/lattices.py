@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -99,31 +100,67 @@ class Lattice:
             raise ValueError(
                 f"dimension mismatch: expected trailing axis {self.d}, got {x.shape[-1]}"
             )
-        y = x / self.scale + self.eps
+        if self.family == "D":
+            return self._nearest_coords_d(x)
+        y = x / self.scale
+        y += self.eps
         if self.family == "Z":
             return np.rint(y).astype(np.int64)
-        if self.family == "D":
-            return self._nearest_coords_d(y)
         return self._nearest_coords_a2(y)
 
-    def _nearest_coords_d(self, y: np.ndarray) -> np.ndarray:
+    def gauge(self, x: np.ndarray) -> np.ndarray:
+        """Least s >= 0 with x in s times the Voronoi cell, batched over (..., d).
+
+        The cell is {x : |<x, v>| <= |v|^2 / 2} over its relevant vectors v
+        (Conway and Sloane): the roots +-e_i +- e_j for D_n, the six minimal
+        vectors for A_2 and +-e_i for Z_d.  So the gauge is the max over v of
+        2 |<x, v>| / |v|^2, with the scale removed.  The tie breaker plays no
+        part; a gauge past the float range is inf.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        # One matmul, then a reduction over the leading (relevant-vector) axis:
+        # a max over a short trailing axis costs several times more.
+        with np.errstate(over="ignore"):
+            p = self._gauge_weights.T @ x.reshape(-1, self.d).T
+        return np.abs(p, out=p).max(axis=0).reshape(x.shape[:-1])
+
+    @cached_property
+    def _gauge_weights(self) -> np.ndarray:
+        """Columns 2 v / (scale |v|^2), one per pair +-v of relevant vectors."""
+        eye = np.eye(self.d)
+        if self.family == "Z":
+            V = eye
+        elif self.family == "D":
+            V = np.array([eye[i] + s * eye[j] for i in range(self.d)
+                          for j in range(i + 1, self.d) for s in (1, -1)]).T
+        else:  # A_2: both basis vectors and their difference
+            V = (self.G / self.scale) @ np.array([[1.0, 0.0, -1.0], [0.0, 1.0, 1.0]])
+        return 2.0 * V / (self.scale * (V * V).sum(axis=0))
+
+    def _nearest_coords_d(self, x: np.ndarray) -> np.ndarray:
         # Round every coordinate; if the sum is odd, re-round the coordinate
         # with the largest rounding error to its second-nearest integer.
-        # Ties on the error pick the lowest index (argmax convention).
-        f = np.rint(y)
-        delta = y - f
-        p = f.astype(np.int64)
-        odd = (p.sum(axis=-1) & 1).astype(bool)
-        k = np.argmax(np.abs(delta), axis=-1)[..., None]
-        dk = np.take_along_axis(delta, k, axis=-1)
-        step = np.where(dk >= 0, 1, -1).astype(np.int64)
-        fixed = p.copy()
-        np.put_along_axis(fixed, k, np.take_along_axis(p, k, axis=-1) + step, axis=-1)
-        p = np.where(odd[..., None], fixed, p)
+        # Ties on the error pick the lowest index (argmax convention).  Works
+        # column-major, on (d, N), so the parity sum and the argmax over the d
+        # coordinates are d - 1 elementwise steps on whole rows.  The fix goes
+        # into the rounded floats, which stay exact integers.
+        d = self.d
+        x2 = x.reshape(-1, d)
+        delta = np.divide(x2.T, self.scale, out=np.empty((d, x2.shape[0])))
+        delta += self.eps[:, None]
+        f = np.rint(delta)
+        delta -= f
+        odd = np.flatnonzero(f.astype(np.int64).sum(axis=0) & 1)
+        err = np.abs(delta[:, odd])
+        best, k = err[0].copy(), np.zeros(odd.size, dtype=np.intp)
+        for i in range(1, d):
+            k[err[i] > best] = i
+            np.maximum(best, err[i], out=best)
+        f[k, odd] += np.where(delta[k, odd] >= 0, 1.0, -1.0)
         # Generator coordinates: G0_inv has half-integer entries, product is
         # an exact integer for any D_n point of sane magnitude.
-        c = p @ (self.G_inv * self.scale).T
-        return np.rint(c).astype(np.int64)
+        c = f.T @ (self.G_inv * self.scale).T
+        return np.rint(c, out=c).astype(np.int64).reshape(x.shape)
 
     def _nearest_coords_a2(self, y: np.ndarray) -> np.ndarray:
         # A2 is Z x sqrt3 Z together with its coset shifted by (1/2, sqrt3/2):

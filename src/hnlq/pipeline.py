@@ -50,12 +50,14 @@ class PipelineConfig:
         n: full vector length, a multiple of the lattice dimension.
         rotate: apply a shared random rotation and normalize each vector,
             recording its norm for exact rescaling of inner products.
-        rotation_seed: seed of the shared rotation.
+        rotation_seed: seed of the shared rotation, in [-2^63, 2^63).
         dither_mode: "none", "fixed" (one digit id for every chunk) or
             "random" (per column/chunk ids from a counter-based SplitMix64
             hash of (dither_seed, column, chunk); see ``_dither_digit_ids``).
         dither_ids: the fixed digit id, required when dither_mode="fixed".
-        dither_seed: seed for the "random" mode; a negative seed is taken mod 2^64.
+        dither_seed: seed for the "random" mode, in [-2^63, 2^63) like
+            rotation_seed (files store both as int64); a negative seed is
+            taken mod 2^64.
     """
 
     params: HierarchicalParams
@@ -70,6 +72,9 @@ class PipelineConfig:
     def __post_init__(self):
         if self.n < 1 or self.n % self.params.lat.d:
             raise ValueError("n must be a positive multiple of the lattice dimension")
+        for name in ("rotation_seed", "dither_seed"):
+            if not -(2**63) <= getattr(self, name) < 2**63:
+                raise ValueError(f"{name} must lie in [-2^63, 2^63)")
         if self.dither_mode not in DITHER_MODES:
             raise ValueError(f"dither_mode must be one of {DITHER_MODES}")
         if self.dither_mode == "fixed":

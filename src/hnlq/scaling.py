@@ -20,6 +20,7 @@ from .codec import (
     _layer_coords,
     decode_coords_many,
     h_encode_many,
+    outer_nesting_ratio,
 )
 from .errors import UnencodableError
 from .voronoi import vc_decode_many  # noqa: F401  (perfbench's tracer wraps this name)
@@ -88,6 +89,25 @@ def _resolve_dither(params, X_shape, dither_ids):
     return ids, params.lat.point_of(_layer_coords(params, ids)) / params.q
 
 
+def _rung_scales(cfg: ScalingConfig) -> np.ndarray:
+    """cfg.scale(t) for t = 0..max_retries, the same Python floats, as one array.
+
+    The ladder ends before a rung whose 2^(alpha t) is past the float range.
+    """
+    scales = []
+    for t in range(cfg.max_retries + 1):
+        try:
+            scales.append(cfg.scale(t))
+        except OverflowError:
+            break
+    return np.array(scales)
+
+
+# Relative allowance for float rounding in the gauge, in x / scale and in the
+# decoders, none of which comes near one part in 1e9 of the threshold.
+_GAUGE_RTOL = 1e-9
+
+
 def encode_scaled_many(
     params: HierarchicalParams,
     cfg: ScalingConfig,
@@ -101,47 +121,82 @@ def encode_scaled_many(
     T = max_retries.  A row whose scaled lattice coordinates could leave
     int64 overloads at that scale without being quantized; if one still
     could at T = max_retries, the error is raised before any encoding.
+
+    Each row runs its own ladder, and one pass encodes every unfinished row
+    at its current rung.  A row starts at the first rung within int64 reach;
+    if that overloads, it jumps to the first rung at which the outer
+    inclusion of the codebook lets it fit (``Lattice.gauge``).  Every rung
+    skipped either way overloads, so digits and T are those of trying each
+    rung in turn.
     """
     X = np.asarray(X, dtype=np.float64)
-    flatX = X.reshape(-1, params.lat.d)
+    lat = params.lat
+    flatX = X.reshape(-1, lat.d)
     top = np.abs(flatX).max(initial=0.0)
     if not np.isfinite(top):
         raise ValueError("cannot encode non-finite values")
     _, Z = _resolve_dither(params, X.shape, dither_ids)
-    flatZ = None if Z is None else Z.reshape(-1, params.lat.d)
+    flatZ = None if Z is None else Z.reshape(-1, lat.d)
+    scales = _rung_scales(cfg)
+    n = flatX.shape[0]
     # |coordinates| <= max|x| * max row sum of |G^-1|; 2^62 leaves room for the dither.
-    reach = 2.0**62 / float(np.abs(params.lat.G_inv).sum(axis=1).max())
-    if top >= reach * cfg.beta0:  # some row could leave int64: per-row magnitudes
-        mag = np.abs(flatX).max(axis=-1)
+    reach = 2.0**62 / float(np.abs(lat.G_inv).sum(axis=1).max())
+    T = np.zeros(n, dtype=np.int64)
+    if top >= reach * cfg.beta0:  # some row could leave int64: start past those rungs
         with np.errstate(over="ignore"):  # a scale past the float range fits every row
-            lost = np.count_nonzero(mag >= reach * cfg.scale(np.float64(cfg.max_retries)))
+            T[:] = np.searchsorted(reach * scales, np.abs(flatX).max(axis=-1), side="right")
+        lost = np.count_nonzero(T >= scales.size)
         if lost:
+            _ladder_end(cfg, scales)
             raise UnencodableError(f"{lost} vector(s) still overload after {cfg.max_retries} retries")
 
-    n = flatX.shape[0]
-    digits = np.zeros((n, params.M, params.lat.d), dtype=np.int64)
-    T = np.zeros(n, dtype=np.int64)
-    active = np.arange(n)
-    for t in range(cfg.max_retries + 1):
-        beta = cfg.scale(t)
-        # A row that could leave int64 at this scale overloads here unquantized;
-        # a pass with no row left to quantize is skipped.
-        run = active if top < reach * beta else active[mag[active] < reach * beta]
-        if run.size:
-            sub = flatX[run] / beta
-            if flatZ is not None:
-                sub = sub - flatZ[run]
-            dg, ov = h_encode_many(params, sub)
-            digits[run] = dg
-            T[run] = t
-            active = run[ov] if run is active else np.setdiff1d(active, run[~ov], assume_unique=True)
-        if active.size == 0:
-            break
-    if active.size:
-        raise UnencodableError(
-            f"{active.size} vector(s) still overload after {cfg.max_retries} retries"
-        )
-    return digits.reshape(X.shape[:-1] + (params.M, params.lat.d)), T.reshape(X.shape[:-1])
+    # Gauge bound.  Let e be the tie breaker in the lattice's frame, eta = g(e),
+    # z the dither (zero without) and y = x / s - z the quantizer's input.  Its
+    # nearest point l has g(y + e - l) <= 1.  A layer codebook row lies in
+    # q (V - e), so a codeword, sum_m q^m rows, has g <= B (1 + eta) with
+    # B = q + ... + q^M, and so has a dither, a row over q: g(z) <= 1 + eta.
+    # A row that does not overload decodes to l, a codeword, so
+    #   g(x) / s = g(l + (y + e - l) - e + z) <= (B + 1 + [dithered]) (1 + eta).
+    # At any rung where g(x) exceeds s times that bound the row overloads.
+    bound = (outer_nesting_ratio(params.q, params.M) + 1 + (flatZ is not None)) * (
+        1.0 + float(lat.gauge(lat.scale * lat.eps))
+    )
+    # The first pass encodes every row at its start rung.
+    sub = flatX / scales[T][:, None]
+    if flatZ is not None:
+        sub -= flatZ
+    digits, ov = h_encode_many(params, sub)
+    active = np.flatnonzero(ov)
+    if active.size:  # the gauge, only for rows that overload at their start
+        with np.errstate(over="ignore"):
+            fit = np.searchsorted(scales * (bound * (1.0 + _GAUGE_RTOL)), lat.gauge(flatX[active]))
+        T[active] = np.maximum(T[active] + 1, fit)
+    failed = 0
+    while active.size:
+        past = T[active] >= scales.size
+        if past.any():
+            _ladder_end(cfg, scales)
+            failed += np.count_nonzero(past)
+            active = active[~past]
+            continue
+        sub = flatX[active] / scales[T[active]][:, None]
+        if flatZ is not None:
+            sub -= flatZ[active]
+        dg, ov = h_encode_many(params, sub)
+        done = ~ov
+        digits[active[done]] = dg[done]
+        active = active[ov]
+        T[active] += 1
+    if failed:
+        raise UnencodableError(f"{failed} vector(s) still overload after {cfg.max_retries} retries")
+    return digits.reshape(X.shape[:-1] + (params.M, lat.d)), T.reshape(X.shape[:-1])
+
+
+def _ladder_end(cfg: ScalingConfig, scales: np.ndarray) -> None:
+    """For rows past the last rung: a ladder cut short by the float range raises
+    the OverflowError that the first rung past it does."""
+    if scales.size <= cfg.max_retries:
+        cfg.scale(scales.size)
 
 
 def encode_scaled(

@@ -59,10 +59,17 @@ def _check_digits(b: np.ndarray, r: int, d: int) -> np.ndarray:
 def digits_to_index(b: np.ndarray, q: int) -> int | np.ndarray:
     """Base-q value of a digit vector, first coordinate most significant.
 
-    Accepts integer digits (..., d) in [0, q) and returns int64 of shape (...).
+    Accepts integer digits (..., d) in [0, q) and returns int64 of shape
+    (...), or uint64 when q^d > 2^63.  Raises ValueError when q^d > 2^64.
     """
     b = _check_digits(b, q, np.shape(b)[-1])
-    idx = b @ q ** np.arange(b.shape[-1] - 1, -1, -1)
+    d = b.shape[-1]
+    if q**d <= 2**63:
+        idx = b @ q ** np.arange(d - 1, -1, -1)
+    elif q**d <= 2**64:
+        idx = b.astype(np.uint64) @ np.array([q**k for k in range(d - 1, -1, -1)], dtype=np.uint64)
+    else:
+        raise ValueError(f"q^d = {q}^{d} indices do not fit 64 bits")
     return int(idx) if idx.ndim == 0 else idx
 
 

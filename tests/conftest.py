@@ -1,17 +1,19 @@
-"""Shared fixtures, a brute-force nearest-point decoder and a reference encoder.
+"""Shared fixtures, a brute-force nearest-point decoder and reference encoders.
 
 The closed-form decoders in the package are checked against an explicit
 candidate search over a box guaranteed to contain the minimizer.  The
 search applies the same deterministic tie-break offset as the production
 code so the two agree everywhere, including on constructed ties.  The
-encoder's integer layer chain is checked against re-quantizing every layer.
+encoder's integer layer chain is checked against re-quantizing every layer,
+and the per-row retry ladder against trying every rung in turn.
 """
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from hnlq import make_lattice
+from hnlq import UnencodableError, h_encode_many, make_lattice
+from hnlq.scaling import _resolve_dither
 
 # Property tests draw the same examples on every run unless a run asks for
 # another profile (``--hypothesis-profile=default`` draws fresh ones).
@@ -62,6 +64,51 @@ def float_chain_encode(params, X):
         digits.append(c % q)
         g = lat.point_of(c) / q
     return np.stack(digits, axis=-2), lat.nearest_coords(g).any(axis=-1)
+
+
+def full_ladder_encode(params, cfg, X, dither_ids=None):
+    """Reference retry ladder: try rung 0, 1, ... for every overloading row.
+
+    Each pass encodes every row still overloading at scale beta0 2^(alpha t),
+    except rows whose lattice coordinates could leave int64 there, which
+    overload at that scale unquantized.  Returns (digits, T) or raises the
+    same errors as ``encode_scaled_many``.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    flatX = X.reshape(-1, params.lat.d)
+    top = np.abs(flatX).max(initial=0.0)
+    if not np.isfinite(top):
+        raise ValueError("cannot encode non-finite values")
+    _, Z = _resolve_dither(params, X.shape, dither_ids)
+    flatZ = None if Z is None else Z.reshape(-1, params.lat.d)
+    reach = 2.0**62 / float(np.abs(params.lat.G_inv).sum(axis=1).max())
+    mag = np.abs(flatX).max(axis=-1)
+    with np.errstate(over="ignore"):
+        lost = np.count_nonzero(mag >= reach * cfg.scale(np.float64(cfg.max_retries)))
+    if lost:
+        raise UnencodableError(f"{lost} vector(s) still overload after {cfg.max_retries} retries")
+    n = flatX.shape[0]
+    digits = np.zeros((n, params.M, params.lat.d), dtype=np.int64)
+    T = np.zeros(n, dtype=np.int64)
+    active = np.arange(n)
+    for t in range(cfg.max_retries + 1):
+        beta = cfg.scale(t)
+        run = active[mag[active] < reach * beta]
+        if run.size:
+            sub = flatX[run] / beta
+            if flatZ is not None:
+                sub = sub - flatZ[run]
+            dg, ov = h_encode_many(params, sub)
+            digits[run] = dg
+            T[run] = t
+            active = np.setdiff1d(active, run[~ov], assume_unique=True)
+        if active.size == 0:
+            break
+    if active.size:
+        raise UnencodableError(
+            f"{active.size} vector(s) still overload after {cfg.max_retries} retries"
+        )
+    return digits.reshape(X.shape[:-1] + (params.M, params.lat.d)), T.reshape(X.shape[:-1])
 
 
 @pytest.fixture(scope="session")

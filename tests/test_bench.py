@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from hnlq import HierarchicalParams, ScalingConfig, cli, load_lut, make_lattice
+from hnlq import HierarchicalParams, ScalingConfig, bench, cli, load_lut, make_lattice
 from hnlq.bench import (
     CSV_COLUMNS,
     DEFAULT_BETA0_GRID,
@@ -211,6 +211,46 @@ def test_calibrate_picks_an_interior_optimum():
 
     assert score(got) < score(DEFAULT_BETA0_GRID[0])
     assert score(got) < score(DEFAULT_BETA0_GRID[-1])
+
+
+def test_calibration_extends_the_grid_at_high_rate():
+    # z2 q=8 M=3 (9 bits/dim): the best beta0 lies far below the grid's 0.05.
+    # Stopping at the grid floor costs 2.9 bits of rate gap on this sweep.
+    params = HierarchicalParams(make_lattice("z2"), 8, 3)
+    got = calibrate_beta0("hierarchical", params, seed=7)
+    assert got < DEFAULT_BETA0_GRID[0]
+    rng = np.random.default_rng([7, 0xB0])
+    X = rng.standard_normal((8000, 2))
+
+    def score(b0):
+        dist, T = _vector_mse(params, ScalingConfig(beta0=b0), X)
+        return empirical_rate(params, T) + 0.5 * math.log2(dist)
+
+    ratio = DEFAULT_BETA0_GRID[1] / DEFAULT_BETA0_GRID[0]
+    assert score(got) < min(score(got * ratio**3), score(got / ratio**3))  # an interior valley
+    cfg = ExperimentConfig(lattice="z2", schemes=("hierarchical",), qs=(8,), ms=(3,),
+                           samples=20_000, seed=7)
+    (p,) = run_dr_vector(cfg)
+    assert p.beta0 == got
+    assert shannon_rate_gap(p.rate_bits, p.distortion) < 1.0
+
+
+def test_calibration_grid_grows_at_its_own_ratio(monkeypatch):
+    # A cell whose argmin sits on an end is scored at one more point past
+    # that end per step, at the end's own ratio, and a cell whose argmin is
+    # interior scores only the grid.
+    seen = []
+    vector_mse = bench._vector_mse
+    monkeypatch.setattr(bench, "_vector_mse",
+                        lambda p, scfg, X: seen.append(scfg.beta0) or vector_mse(p, scfg, X))
+    params = HierarchicalParams(make_lattice("z2"), 8, 3)
+    got = calibrate_beta0("hierarchical", params, pilot_n=2000, grid=[0.2, 0.4, 0.8])
+    assert seen[:3] == [0.2, 0.4, 0.8]
+    assert seen[3:] == [0.2 / 2**k for k in range(1, len(seen) - 2)]
+    assert got in seen and min(seen) < got < max(seen)
+    seen.clear()
+    calibrate_beta0("hierarchical", HierarchicalParams(make_lattice("d4"), 4, 2), pilot_n=2000)
+    assert seen == list(DEFAULT_BETA0_GRID)
 
 
 def test_exactness_check_reports_shape():

@@ -19,6 +19,7 @@ from hnlq import (
     h_encode_many,
     make_lattice,
     nesting_radius_ratio,
+    outer_nesting_ratio,
     nn_quantize,
     q_circ,
     reduced_nesting_ratio,
@@ -377,6 +378,21 @@ def test_nesting_ratio_values():
     assert reduced_nesting_ratio(3, 2) == 6
     assert reduced_nesting_ratio(3, 3) == 15
     assert reduced_nesting_ratio(2, 4) == 2
+    assert outer_nesting_ratio(4, 2) == 20  # q^M (1 + ratio) = 16 * 1.25
+    assert outer_nesting_ratio(3, 3) == 39
+    assert outer_nesting_ratio(5, 1) == 5
+
+
+@pytest.mark.parametrize("name", ["z2", "a2", "d4"])
+def test_codewords_lie_in_outer_ratio_times_the_cell(name):
+    # The bound the retry ladder skips rungs by: every codeword has gauge at
+    # most B (1 + g(eps)), B = outer_nesting_ratio(q, M).
+    lat = make_lattice(name)
+    eta = float(lat.gauge(lat.eps))
+    for q, M in ((3, 1), (3, 2), (4, 2), (2, 3)):
+        params = HierarchicalParams(lat, q, M)
+        g = lat.gauge(lat.point_of(enumerate_codebook(params)))
+        assert g.max() <= outer_nesting_ratio(q, M) * (1 + eta) * (1 + 1e-12)
 
 
 def test_sandwich_reports(z2, d4):

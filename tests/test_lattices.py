@@ -155,6 +155,31 @@ def test_quantization_commutes_with_scale():
         )
 
 
+@pytest.mark.parametrize("name", ["z1", "z2", "z3", "d2", "d3", "d4", "d8", "a2"])
+def test_gauge_is_the_least_scale_of_the_cell_holding_x(name):
+    lat = make_lattice(name)
+    X = np.random.default_rng(11).standard_normal((300, lat.d)) * 3
+    g = lat.gauge(X)
+    assert g.shape == (300,)
+    assert in_scaled_voronoi_many(lat, X, 1.0).tolist() == (g < 1).tolist()
+    assert in_scaled_voronoi_many(lat, X / g[:, None], 1.0 + 1e-3).all()
+    assert not in_scaled_voronoi_many(lat, X / g[:, None], 1.0 - 1e-3).any()
+    scaled = make_lattice(name, scale=0.37)
+    assert np.allclose(scaled.gauge(0.37 * X), g, rtol=1e-14, atol=0)
+    assert lat.gauge(X.reshape(3, 100, lat.d)).shape == (3, 100)
+    assert lat.gauge(X[0]).shape == ()
+
+
+def test_gauge_values(z1, d4, a2):
+    assert z1.gauge(np.array([[0.5], [-1.25]])).tolist() == [1.0, 2.5]
+    # D4 cell: |x_i| + |x_j| <= 1, with vertices at e_i and (1/2, 1/2, 1/2, 1/2)
+    assert d4.gauge(np.array([[1.0, 0, 0, 0], [0.5, -0.5, 0.5, 0.5], [0.3, -2, 1, 0]])).tolist() == [
+        1.0, 1.0, 3.0]
+    # the hexagon has facets at distance 1/2 and vertices at distance 1/sqrt(3)
+    assert np.allclose(a2.gauge(np.array([[0.5, 0.0], [0.0, 1 / math.sqrt(3.0)]])), 1.0)
+    assert np.isinf(d4.gauge(np.array([1e308, 1e308, 0, 0])))
+
+
 def test_dimension_mismatch_raises(d4):
     with pytest.raises(ValueError):
         d4.nearest_coords(np.zeros(3))

@@ -58,6 +58,21 @@ def test_digit_indexing():
             index_to_digits(np.array(bad), 3, 2)
 
 
+def test_digit_indexing_past_int64():
+    # q^d > 2^63: indices come back as uint64, never wrapped negative
+    assert digits_to_index(np.full(16, 15), 16) == 2**64 - 1
+    assert digits_to_index(np.full(16, 8), 16) == 0x8888888888888888
+    assert digits_to_index(np.ones(64, dtype=np.int64), 2) == 2**64 - 1
+    idx = digits_to_index(np.array([np.full(16, 15), np.full(16, 8), np.arange(16)]), 16)
+    assert idx.dtype == np.uint64
+    assert idx.tolist() == [2**64 - 1, 0x8888888888888888, 0x0123456789ABCDEF]
+    assert np.array_equal(index_to_digits(idx, 16, 16)[1], np.full(16, 8))
+    assert digits_to_index(np.full(15, 15), 16) == 2**60 - 1  # q^d <= 2^63 stays int64
+    assert digits_to_index(np.array([[1] * 15]), 16).dtype == np.int64
+    with pytest.raises(ValueError, match="64 bits"):
+        digits_to_index(np.zeros(16, dtype=np.int64), 17)
+
+
 def test_float_digits_are_refused(z1):
     with pytest.raises(ValueError, match="integers"):
         digits_to_index(np.array([1.0, 2.0]), 3)

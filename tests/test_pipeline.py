@@ -95,6 +95,19 @@ def test_config_validation():
         )
 
 
+@pytest.mark.parametrize("name", ["rotation_seed", "dither_seed"])
+def test_seeds_must_fit_int64(name, tmp_path):
+    # Files store both seeds as int64, so a seed outside it is refused up front
+    # rather than quantized with and then unsaveable.
+    for bad in (2**64 + 5, 2**63, -(2**63) - 1):
+        with pytest.raises(ValueError, match=name):
+            pipe(n=8, dither_mode="random", **{name: bad})
+    for ok in (2**63 - 1, -(2**63)):
+        cfg = pipe(n=8, dither_mode="random", **{name: ok})
+        save_quantized_matrix(quantize_matrix(cfg, np.ones((8, 2))), tmp_path / "m.qm")
+        assert getattr(load_quantized_matrix(tmp_path / "m.qm").cfg, name) == ok
+
+
 def test_quantize_vector_shapes():
     cfg = pipe(n=16)
     rng = np.random.default_rng(1)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import full_ladder_encode
 from hnlq import (
     HierarchicalParams,
     Lattice,
@@ -19,9 +20,11 @@ from hnlq import (
     h_encode_many,
     in_scaled_voronoi,
     make_lattice,
+    outer_nesting_ratio,
     quantize_matrix,
 )
-from hnlq import scaling
+from hnlq import bench, scaling
+from hnlq.codec import decode_coords_many
 from hnlq.scaling import decode_scaled_many, encode_scaled_many, entropy_bits
 from hnlq.voronoi import digit_grid
 
@@ -163,6 +166,79 @@ def test_passes_with_no_row_in_range_are_skipped(monkeypatch):
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert rows and min(rows) > 0
     assert len(rows) < 10  # one pass per scale at which some row is in range
+
+
+def _outcome(encode):
+    try:
+        return encode()
+    except UnencodableError as err:
+        return str(err)
+
+
+def _same_outcome(got, want):
+    if isinstance(want, str) or isinstance(got, str):
+        return got == want
+    return np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name,scale", [
+    ("z1", 1.0), ("z2", 1.0), ("z16", 1.0), ("d2", 1.0), ("d3", 1.0), ("d4", 1.0),
+    ("d8", 1.0), ("a2", 1.0), ("d4", 0.37),
+])
+def test_start_rungs_keep_the_full_ladder_outcome(name, scale):
+    # Starting rows past their int64 and gauge rungs must give the digits, T
+    # and error text of trying every rung in turn: on Gaussian rows, on
+    # codewords and on points of B V's boundary at a known rung (the rows the
+    # gauge bound is tightest on), and on rows at 1e19 and 1e300.
+    lat = make_lattice(name, scale=scale)
+    rng = np.random.default_rng([5, lat.d, int(scale * 100)])
+    for q in (3, 4, 8, 16):
+        for M in (1, 2, 3, 4):
+            p = HierarchicalParams(lat, q, M)
+            B = outer_nesting_ratio(q, M)
+            gauss = rng.standard_normal((24, lat.d))
+            cw = lat.point_of(decode_coords_many(p, rng.integers(0, q, (12, M, lat.d))))
+            g = lat.gauge(cw)
+            edge = cw[g > 0] * (B / g[g > 0])[:, None]
+            for beta0, t0 in ((0.01, 4), (0.3, 0)):
+                cfg = ScalingConfig(beta0=beta0)
+                X = np.concatenate([gauss, cw * cfg.scale(t0), edge * cfg.scale(t0)])
+                fixed = rng.integers(0, q, lat.d)
+                per_row = rng.integers(0, q, (len(X), lat.d))
+                for ids in (None, fixed, per_row):
+                    want = _outcome(lambda: full_ladder_encode(p, cfg, X, ids))
+                    got = _outcome(lambda: encode_scaled_many(p, cfg, X, dither_ids=ids))
+                    assert _same_outcome(got, want), (q, M, beta0, ids)
+            for mag in (1e19, 1e300):
+                for alpha in (1.0 / 3.0, 17.0):
+                    cfg = ScalingConfig(beta0=1.0, alpha=alpha)
+                    X = gauss * mag
+                    want = _outcome(lambda: full_ladder_encode(p, cfg, X))
+                    assert _same_outcome(_outcome(lambda: encode_scaled_many(p, cfg, X)), want)
+
+
+def test_ladder_ends_where_the_scale_leaves_the_float_range():
+    # alpha = 20: 2^(alpha t) overflows from t = 52 on.  Rows that fit earlier
+    # encode as before; a row that needs that rung raises its OverflowError.
+    p = HierarchicalParams(make_lattice("d4"), 3, 2)
+    cfg = ScalingConfig(beta0=1.0, alpha=20.0)
+    X = np.random.default_rng(3).standard_normal((20, 4))
+    assert _same_outcome(encode_scaled_many(p, cfg, X), full_ladder_encode(p, cfg, X))
+    Y = np.concatenate([X, [[1.7e308, -1.7e308, 1.7e308, 0.0]]])
+    for encode in (full_ladder_encode, encode_scaled_many):
+        with pytest.raises(OverflowError):
+            encode(p, cfg, Y)
+
+
+def test_calibration_skips_rungs_that_must_overload(monkeypatch):
+    # d4 q=4 M=1 at seed 7: trying every rung encodes 963,215 pilot rows over
+    # the 24 candidates (8,000 x 24 = 192,000 first passes).
+    rows = []
+    encode = scaling.h_encode_many
+    monkeypatch.setattr(scaling, "h_encode_many", lambda p, X: rows.append(len(X)) or encode(p, X))
+    bench.calibrate_beta0("hierarchical", HierarchicalParams(make_lattice("d4"), 4, 1), seed=7)
+    assert 192_000 <= sum(rows) <= 0.55 * 963_215
 
 
 def test_dither_point_values(z1):
