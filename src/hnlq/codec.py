@@ -84,6 +84,15 @@ class HierarchicalParams:
         cb.setflags(write=False)
         return cb
 
+    @cached_property
+    def _dither_table(self) -> np.ndarray | None:
+        """Read-only (q^d, d) dither points, the layer codebook's points over q."""
+        if self._layer_codebook is None:
+            return None
+        pts = self.lat.point_of(self._layer_codebook) / self.q
+        pts.setflags(write=False)
+        return pts
+
 
 @dataclass(frozen=True, eq=False)
 class HierarchicalEncoding:
@@ -122,7 +131,9 @@ def h_encode_many(params: HierarchicalParams, X: np.ndarray) -> tuple[np.ndarray
     overload test are exact int64 steps.  Past |x| of about 1e9 the digits
     of rows that already overload may differ from re-quantizing each layer
     in floating point, whose tie-breaker falls below float resolution there;
-    the overload flag does not.
+    the overload flag does not.  Unchecked: |x| / scale >= 2^62 is outside
+    its contract (INT64_MIN coordinates, RuntimeWarning); the checked entry
+    point is ``scaling.encode_scaled_many``.
     """
     q = params.q
     c = params.lat.nearest_coords(X)
@@ -165,6 +176,15 @@ def _layer_coords(params: HierarchicalParams, digits: np.ndarray) -> np.ndarray:
     if np.shape(digits)[-1] != params.lat.d:
         raise ValueError(f"digit vector must have trailing axis {params.lat.d}")
     return np.take(cb, digits_to_index(digits, params.q), axis=0)
+
+
+def _dither_points(params: HierarchicalParams, ids: np.ndarray) -> np.ndarray:
+    """Dither points of ids (..., d): rows of the cached point table, or above
+    LAYER_CODEBOOK_MAX each row's ``_layer_coords`` point over q (same floats)."""
+    table = params._dither_table
+    if table is None:
+        return params.lat.point_of(_layer_coords(params, ids)) / params.q
+    return np.take(table, digits_to_index(ids, params.q), axis=0)
 
 
 def decode_coords_many(
@@ -218,6 +238,9 @@ def q_circ_many(params: HierarchicalParams, X: np.ndarray, m: int) -> np.ndarray
 
     Applies the nearest-neighbor quantizer at scales 1, q, ..., q^m in
     sequence; m = 0 is plain quantization.  Returns int64 (..., d).
+    Unchecked: |x| / scale >= 2^62 is outside its contract (INT64_MIN
+    coordinates, RuntimeWarning); the checked entry point is
+    ``scaling.encode_scaled_many``.
     """
     if int(m) != m or m < 0:
         raise ValueError("m must be a non-negative integer")

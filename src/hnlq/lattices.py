@@ -94,6 +94,10 @@ class Lattice:
         Accepts shape (..., d) and returns int64 of the same shape.  The
         tie breaker is added after removing the scale, i.e. the result is
         argmin over c of ||x/scale + eps - G0 @ c|| with G0 = G/scale.
+
+        Unchecked: |x| / scale >= 2^62 is outside its contract and may give
+        INT64_MIN coordinates with a RuntimeWarning.  The checked entry point
+        is ``scaling.encode_scaled_many``.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.d:
@@ -252,7 +256,12 @@ def make_lattice(
 
 
 def nn_quantize(lat: Lattice, x: np.ndarray) -> LatticePoint:
-    """Nearest lattice point of a single vector, with deterministic ties."""
+    """Nearest lattice point of a single vector, with deterministic ties.
+
+    Unchecked: |x| / scale >= 2^62 is outside its contract (INT64_MIN
+    coordinates, RuntimeWarning); the checked entry point is
+    ``scaling.encode_scaled_many``.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (lat.d,):
         raise ValueError(f"expected shape ({lat.d},), got {x.shape}")
@@ -276,7 +285,12 @@ def coords_of(lat: Lattice, p: np.ndarray) -> np.ndarray:
 
 
 def in_scaled_voronoi(lat: Lattice, x: np.ndarray, s: float) -> bool:
-    """Whether x lies in s times the base Voronoi cell (tie-broken)."""
+    """Whether x lies in s times the base Voronoi cell (tie-broken).
+
+    Unchecked: |x| / (s scale) >= 2^62 is outside its contract (INT64_MIN
+    coordinates, RuntimeWarning); the checked entry point is
+    ``scaling.encode_scaled_many``.
+    """
     if not s > 0:
         raise ValueError("scale factor must be positive")
     x = np.asarray(x, dtype=np.float64)
@@ -286,7 +300,12 @@ def in_scaled_voronoi(lat: Lattice, x: np.ndarray, s: float) -> bool:
 
 
 def in_scaled_voronoi_many(lat: Lattice, X: np.ndarray, s: float) -> np.ndarray:
-    """Batched membership test, X of shape (..., d) -> bool (...)."""
+    """Batched membership test, X of shape (..., d) -> bool (...).
+
+    Unchecked: |x| / (s scale) >= 2^62 is outside its contract (INT64_MIN
+    coordinates, RuntimeWarning); the checked entry point is
+    ``scaling.encode_scaled_many``.
+    """
     if not s > 0:
         raise ValueError("scale factor must be positive")
     X = np.asarray(X, dtype=np.float64)

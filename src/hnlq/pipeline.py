@@ -179,22 +179,29 @@ def _low_digits(vals: np.ndarray, q: int, d: int) -> np.ndarray:
     return index_to_digits(vals, q, d)
 
 
-def _dither_digit_ids(cfg: PipelineConfig, col: int, K: int) -> np.ndarray | None:
-    """Per-chunk dither ids (K, d) for one column, or None.
+def _dither_digit_ids(cfg: PipelineConfig, col, K: int) -> np.ndarray | None:
+    """Per-chunk dither ids (K, d) of column ``col``, or (..., K, d) of an array of
+    columns, or None.
 
     Random-mode chunk k takes the low digits of
     mix(mix(mix(seed gamma) + (col + 1) gamma) + (k + 1) gamma) mod 2^64, seed
     and col taken mod 2^64: a counter-based SplitMix64 chain, so any column is
-    derived without the others.
+    derived without the others, and every (column, chunk) id in one uint64 pass.
     """
     d, q = cfg.params.lat.d, cfg.params.q
     if cfg.dither_mode == "none":
         return None
+    shape = np.shape(col) + (K, d)
     if cfg.dither_mode == "fixed":
-        return np.broadcast_to(cfg.dither_ids, (K, d)).copy()
-    prefix = _mix64(_mix64(int(cfg.dither_seed) * _GAMMA & _MASK64)
-                    + (int(col) + 1) * _GAMMA & _MASK64)
-    return _low_digits(_mix64(np.arange(1, K + 1, dtype=np.uint64) * _GAMMA + prefix), q, d)
+        return np.broadcast_to(cfg.dither_ids, shape).copy()
+    # uint64 arrays, never numpy scalars: array products wrap without a warning.
+    col = int(col) % 2**64 if np.ndim(col) == 0 else col
+    z = np.array(col).astype(np.uint64).reshape(-1, 1)
+    z += 1
+    z *= _GAMMA
+    z += _mix64(int(cfg.dither_seed) * _GAMMA & _MASK64)
+    z = _mix64(z) + np.arange(1, K + 1, dtype=np.uint64) * _GAMMA
+    return _low_digits(_mix64(z), q, d).reshape(shape)
 
 
 _V1_DITHER_KEY = struct.Struct("<qqq")  # seed, column, chunk
@@ -213,9 +220,9 @@ def _column_dither_ids(cfg: PipelineConfig, first_col: int, cols: int) -> np.nda
     """Dither ids (cols, K, d) of columns first_col, first_col + 1, ..., or None."""
     if cfg.dither_mode == "none":
         return None
-    K, d = cfg.chunks, cfg.params.lat.d
-    ids = [_dither_digit_ids(cfg, first_col + j, K) for j in range(cols)]
-    return np.array(ids, dtype=np.int64).reshape(cols, K, d)
+    # Columns are taken mod 2^64, so the uint64 column numbers may wrap past 2^64 - 1.
+    col = np.arange(cols, dtype=np.uint64) + int(first_col) % 2**64
+    return _dither_digit_ids(cfg, col, cfg.chunks)
 
 
 def _encode_columns(cfg: PipelineConfig, A: np.ndarray, first_col: int = 0) -> QuantizedMatrix:
@@ -239,8 +246,10 @@ def _encode_columns(cfg: PipelineConfig, A: np.ndarray, first_col: int = 0) -> Q
         safe = np.where(norms > 0, norms, 1.0)
         Y = Y / safe
     ids = _column_dither_ids(cfg, first_col, cols)
+    # A fixed id is one point for every chunk: the encoder broadcasts it.
     digits, T = encode_scaled_many(
-        cfg.params, cfg.scaling, Y.T.reshape(cols, K, d), dither_ids=ids
+        cfg.params, cfg.scaling, Y.T.reshape(cols, K, d),
+        dither_ids=cfg.dither_ids if cfg.dither_mode == "fixed" else ids,
     )
     return QuantizedMatrix(cfg=cfg, digits=digits, T=T, norms=norms, dither_ids=ids)
 
@@ -404,15 +413,15 @@ def save_quantized_matrix(qm: QuantizedMatrix, path) -> None:
     Header, then per column and chunk each digit vector packed as its
     base-q value (first coordinate most significant) in the minimal whole
     number of little-endian bytes, then one byte of T per chunk, then the
-    per-column norms when rotation is on.  Fixed dither ids ride in a short
-    trailer right after the header; random ones are re-derived from the seed
-    on load, so a matrix whose ids differ from that derivation (a version 1
-    random-mode file, or edited ids) is refused with ValueError.
+    per-column norms when rotation is on.  The config's fixed dither id rides
+    in a short trailer right after the header; random ids are re-derived from
+    the seed on load.  So a matrix whose ids differ from the ones its config
+    gives (a version 1 random-mode file, or edited ids) is refused with
+    ValueError.
     """
     cfg = qm.cfg
-    if cfg.dither_mode == "random" and not np.array_equal(
-            _column_dither_ids(cfg, 0, qm.cols), qm.dither_ids):
-        raise ValueError("random dither ids differ from the seed's derivation, "
+    if not np.array_equal(_column_dither_ids(cfg, 0, qm.cols), qm.dither_ids):
+        raise ValueError("dither ids differ from the ones the config gives, "
                          "so the file would load different ids")
     q, d, M = cfg.params.q, cfg.params.lat.d, cfg.params.M
     header = _QM_HEADER.pack(

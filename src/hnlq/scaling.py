@@ -17,7 +17,7 @@ import numpy as np
 from .codec import (
     HierarchicalEncoding,
     HierarchicalParams,
-    _layer_coords,
+    _dither_points,
     decode_coords_many,
     h_encode_many,
     outer_nesting_ratio,
@@ -75,18 +75,20 @@ def dither_point(params: HierarchicalParams, b_z: np.ndarray) -> np.ndarray:
     b_z = np.asarray(b_z)
     if b_z.shape != (params.lat.d,):
         raise ValueError(f"dither id must have shape ({params.lat.d},)")
-    return params.lat.point_of(_layer_coords(params, b_z)) / params.q
+    return _dither_points(params, b_z)
 
 
 def _resolve_dither(params, X_shape, dither_ids):
+    """Dither points for rows of X_shape (..., d), or None; one id (d,) serves
+    every row, so its point is computed once and broadcast."""
     if dither_ids is None:
-        return None, None
+        return None
     ids = np.asarray(dither_ids)
     if ids.ndim == 1:
-        ids = np.broadcast_to(ids, X_shape[:-1] + ids.shape)
+        return np.broadcast_to(dither_point(params, ids), X_shape)
     if ids.shape != X_shape[:-1] + (params.lat.d,):
         raise ValueError("dither ids must broadcast to the batch shape")
-    return ids, params.lat.point_of(_layer_coords(params, ids)) / params.q
+    return _dither_points(params, ids)
 
 
 def _rung_scales(cfg: ScalingConfig) -> np.ndarray:
@@ -135,7 +137,7 @@ def encode_scaled_many(
     top = np.abs(flatX).max(initial=0.0)
     if not np.isfinite(top):
         raise ValueError("cannot encode non-finite values")
-    _, Z = _resolve_dither(params, X.shape, dither_ids)
+    Z = _resolve_dither(params, X.shape, dither_ids)
     flatZ = None if Z is None else Z.reshape(-1, lat.d)
     scales = _rung_scales(cfg)
     n = flatX.shape[0]
@@ -225,7 +227,7 @@ def decode_scaled_many(
     """Reconstruct rows from digits (..., M, d) and per-row T (...,)."""
     coords = decode_coords_many(params, digits)
     pts = params.lat.point_of(coords)
-    _, Z = _resolve_dither(params, pts.shape, dither_ids)
+    Z = _resolve_dither(params, pts.shape, dither_ids)
     if Z is not None:
         pts = pts + Z
     scale = np.asarray(cfg.scale(np.asarray(T)))[..., None]

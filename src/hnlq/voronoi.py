@@ -76,12 +76,13 @@ def digits_to_index(b: np.ndarray, q: int) -> int | np.ndarray:
 def index_to_digits(idx, q: int, d: int) -> np.ndarray:
     """Inverse of digits_to_index: indices (...) to int64 digit vectors (..., d).
 
-    Unpacks in uint64, so every index in [0, min(q^d, 2^64)) is accepted.
+    Unpacks in int64, or in uint64 when q^d > 2^63, so every index in
+    [0, min(q^d, 2^64)) is accepted.
     """
     idx = np.asarray(idx)
     if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= min(q**d, 2**64)):
         raise ValueError("index out of range")
-    v = idx.astype(np.uint64)
+    v = idx.astype(np.int64 if q**d <= 2**63 else np.uint64)
     out = np.empty(idx.shape + (d,), dtype=np.int64)
     for i in range(d - 1, -1, -1):
         out[..., i] = v % q

@@ -79,7 +79,7 @@ def full_ladder_encode(params, cfg, X, dither_ids=None):
     top = np.abs(flatX).max(initial=0.0)
     if not np.isfinite(top):
         raise ValueError("cannot encode non-finite values")
-    _, Z = _resolve_dither(params, X.shape, dither_ids)
+    Z = _resolve_dither(params, X.shape, dither_ids)
     flatZ = None if Z is None else Z.reshape(-1, params.lat.d)
     reach = 2.0**62 / float(np.abs(params.lat.G_inv).sum(axis=1).max())
     mag = np.abs(flatX).max(axis=-1)

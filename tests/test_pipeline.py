@@ -1,5 +1,7 @@
 """Product-code pipeline: rotation, chunked encoding, table-driven products."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -328,6 +330,36 @@ def test_random_dither_ids_are_pinned_v2():
         assert ids[col].tolist() == splitmix_ids(2**63 - 1, col, 32, 8, 2)
 
 
+@pytest.mark.filterwarnings("error")
+def test_column_dither_ids_match_the_reference_chain():
+    # every (column, chunk) id of a block comes from one uint64 chain; columns
+    # and seeds are taken mod 2^64, also where the column numbers wrap
+    cases = [("a2", 8, 6), ("d4", 4, 12), ("z16", 16, 32)]  # z16 q=16: q^d = 2^64
+    for name, q, n in cases:
+        lat = make_lattice(name)
+        for seed in (0, -3, 2**63 - 1):
+            cfg = pipe(n=n, q=q, lat=lat, dither_mode="random", dither_seed=seed)
+            for first_col in (0, 5, 2**40, 2**64 - 1):
+                for cols in (1, 3, 17):
+                    ids = pipeline._column_dither_ids(cfg, first_col, cols)
+                    assert ids.shape == (cols, cfg.chunks, lat.d)
+                    assert ids.dtype == np.int64
+                    want = [splitmix_ids(seed, first_col + j, cfg.chunks, q, lat.d)
+                            for j in range(cols)]
+                    assert ids.tolist() == want
+    # a vector quantized as column col is that column of the matrix
+    cfg = pipe(n=16, dither_mode="random", dither_seed=-3)
+    A = np.random.default_rng(22).standard_normal((16, 6))
+    QA = quantize_matrix(cfg, A)
+    for col in (0, 5):
+        qv = quantize_vector(cfg, A[:, col], col=col)
+        assert np.array_equal(qv.dither_ids, QA.dither_ids[col])
+        assert np.array_equal(qv.digits, QA.digits[col])
+        assert np.array_equal(qv.T, QA.T[col])
+    far = quantize_vector(cfg, A[:, 0], col=2**64 - 1)
+    assert far.dither_ids.tolist() == splitmix_ids(-3, 2**64 - 1, 4, 4, 4)
+
+
 def test_fixed_dither_id_shared_across_chunks():
     ids = np.array([1, 3, 0, 2])
     cfg = pipe(n=16, dither_mode="fixed", dither_ids=ids)
@@ -634,6 +666,46 @@ def test_save_refuses_edited_random_ids(tmp_path):
     qm.dither_ids[2, 1, 0] = (qm.dither_ids[2, 1, 0] + 1) % 4
     with pytest.raises(ValueError, match="dither ids"):
         save_quantized_matrix(qm, tmp_path / "m.qm")
+
+
+def test_save_refuses_edited_fixed_ids(tmp_path):
+    # a fixed-mode file stores the config's id, so edited ids would not load back
+    cfg = pipe(n=8, dither_mode="fixed", dither_ids=np.array([1, 0, 3, 2]))
+    qm = quantize_matrix(cfg, np.random.default_rng(23).standard_normal((8, 3)))
+    save_quantized_matrix(qm, tmp_path / "ok.qm")
+    qm.dither_ids = qm.dither_ids.copy()
+    qm.dither_ids[1, 0] = [3, 3, 3, 3]
+    with pytest.raises(ValueError, match="dither ids"):
+        save_quantized_matrix(qm, tmp_path / "m.qm")
+    assert not (tmp_path / "m.qm").exists()
+    # and an undithered matrix carrying ids is refused too
+    plain = quantize_matrix(pipe(n=8), np.ones((8, 2)))
+    plain.dither_ids = np.zeros((2, 2, 4), dtype=np.int64)
+    with pytest.raises(ValueError, match="dither ids"):
+        save_quantized_matrix(plain, tmp_path / "p.qm")
+
+
+def exact_inputs(n, cols):
+    """Inputs with exact float values, so pinned files need no random stream."""
+    return ((np.arange(n * cols) * 37 % 101 - 50) / 17.0).reshape(n, cols)
+
+
+def test_nlqm_files_are_pinned(tmp_path):
+    # sha256 of small version 2 files in random and fixed mode: a change to the
+    # dither ids, their points or the encoder shows up here
+    pinned = [
+        ("a2", 8, 0.05, 8, {"dither_mode": "random", "dither_seed": 11},
+         "a07b226bf95ac1ad9e026654c9f0eb4bc7df2e0730babd15d939534b78797442"),
+        ("d4", 4, 0.3, 16, {"dither_mode": "fixed", "dither_ids": np.array([1, 0, 3, 2])},
+         "1beccb1e98e35f04500319a52ff46e71be6c7511e181dadba97c73119ec59609"),
+    ]
+    for name, q, beta0, n, kw, want in pinned:
+        cfg = pipe(n=n, q=q, beta0=beta0, lat=make_lattice(name), **kw)
+        qm = quantize_matrix(cfg, exact_inputs(n, 3))
+        assert qm.T.any()  # some chunks retried
+        path = tmp_path / f"{name}.qm"
+        save_quantized_matrix(qm, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want
 
 
 def test_load_validates_file(tmp_path, monkeypatch):

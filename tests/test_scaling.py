@@ -23,10 +23,10 @@ from hnlq import (
     outer_nesting_ratio,
     quantize_matrix,
 )
-from hnlq import bench, scaling
-from hnlq.codec import decode_coords_many
+from hnlq import bench, codec, scaling
+from hnlq.codec import LAYER_CODEBOOK_MAX, _layer_coords, decode_coords_many
 from hnlq.scaling import decode_scaled_many, encode_scaled_many, entropy_bits
-from hnlq.voronoi import digit_grid
+from hnlq.voronoi import VoronoiCodeParams, digit_grid
 
 
 def test_config_validation():
@@ -289,6 +289,56 @@ def test_dither_id_broadcast(d4):
     assert np.array_equal(t1, t2)
     with pytest.raises(ValueError):
         encode_scaled_many(p, cfg, X, dither_ids=np.tile(ids, (29, 1)))
+    # One (d,) id has its point computed once and broadcast; the same id on
+    # every row gathers it per row (or computes it, above LAYER_CODEBOOK_MAX).
+    for name, q in (("d4", 4), ("a2", 8), ("d8", 4), ("z16", 16)):
+        lat = make_lattice(name)
+        p = HierarchicalParams(lat, q, 2)
+        cfg = ScalingConfig(beta0=0.3)
+        X = rng.standard_normal((5, 7, lat.d)) * 0.15 * q**2
+        one = np.arange(1, lat.d + 1) % q
+        every = np.broadcast_to(one, (5, 7, lat.d)).copy()
+        d1, t1 = encode_scaled_many(p, cfg, X, dither_ids=one)
+        d2, t2 = encode_scaled_many(p, cfg, X, dither_ids=every)
+        assert np.array_equal(d1, d2) and np.array_equal(t1, t2)
+        assert t1.any()
+        assert np.array_equal(decode_scaled_many(p, cfg, d1, t1, dither_ids=one),
+                              decode_scaled_many(p, cfg, d1, t1, dither_ids=every))
+
+
+@pytest.mark.parametrize("name, q", [("z2", 5), ("a2", 8), ("d4", 4), ("d8", 3)])
+def test_dither_point_table_is_the_per_row_points(name, q):
+    lat = make_lattice(name)
+    p = HierarchicalParams(lat, q, 2)
+    table = p._dither_table
+    assert table is p._dither_table and table.shape == (q**lat.d, lat.d)
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+    grid = digit_grid(q, lat.d)
+    rows = np.random.default_rng(25).choice(len(grid), 40)
+    for i in rows:  # one row at a time, so no batched product is shared
+        want = lat.point_of(_layer_coords(p, grid[i])) / q
+        assert np.array_equal(table[i], want)
+        assert np.array_equal(dither_point(p, grid[i]), want)
+    batch = lat.point_of(_layer_coords(p, grid[rows])) / q
+    assert np.array_equal(table[rows], batch)
+    assert np.array_equal(scaling._resolve_dither(p, (40, lat.d), grid[rows]), batch)
+
+
+def test_dither_points_above_the_codebook_cache(monkeypatch):
+    # d8 q=4 has 4^8 > LAYER_CODEBOOK_MAX ids: no table, points per row
+    lat = make_lattice("d8")
+    p = HierarchicalParams(lat, 4, 2)
+    assert 4**8 > LAYER_CODEBOOK_MAX and p._dither_table is None
+    ids = np.random.default_rng(26).integers(0, 4, (30, 8))
+    calls = []
+    real = codec.vc_decode_many
+    monkeypatch.setattr(codec, "vc_decode_many", lambda *a: calls.append(1) or real(*a))
+    got = scaling._resolve_dither(p, (30, 8), ids)
+    assert calls == [1]
+    want = np.array([lat.point_of(real(VoronoiCodeParams(lat, 4), row)) / 4 for row in ids])
+    assert np.array_equal(got, want)
+    assert np.array_equal(dither_point(p, ids[3]), want[3])
 
 
 def test_batch_decode_matches_scalar(d4):
