@@ -107,6 +107,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown scheme {s!r}")
         if isinstance(self.beta0, str) and self.beta0 != "auto":
             raise ValueError("beta0 must be a number or 'auto'")
+        if self.samples < 1:
+            raise ValueError("samples must be at least 1")
 
     def make_lat(self):
         return make_lattice(self.lattice, self.d)
@@ -217,6 +219,8 @@ def calibrate_beta0(
     grid = sorted(float(b) for b in grid)
     if not grid:
         raise ValueError("empty beta0 grid")
+    if pilot_n < 1:
+        raise ValueError("pilot_n must be at least 1")
     eff = effective_params(scheme, params)
     rng = np.random.default_rng([seed, 0xB0])
     X = rng.standard_normal((pilot_n, eff.lat.d))
@@ -400,8 +404,8 @@ def verify_lemmas(
 ) -> dict:
     """Machine-readable pass/fail report for the codec identities.
 
-    For every configuration runs the exactness check and, when the
-    codebook enumeration fits the guard, the two-sided inclusion check.
+    For every configuration runs the exactness check and, when the codebook
+    fits the guard and int64 keys, the two-sided inclusion check.
     """
     results = []
     all_ok = True
@@ -414,7 +418,7 @@ def verify_lemmas(
                 exact = check_exactness(params, samples, seed)
                 entry["exactness"] = exact
                 ok = exact["ok"]
-                if params.codebook_size <= enumeration_guard:
+                if params.codebook_size <= enumeration_guard and codec._key_layout(params):
                     rep = verify_sandwich(params)
                     entry["sandwich"] = {
                         "inner_ok": rep.inner_ok,

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattices import Lattice, LatticePoint, in_scaled_voronoi_many
+from .lattices import Lattice, LatticePoint, _as_vector, in_scaled_voronoi_many
 from .voronoi import VoronoiCodeParams, digit_grid, digits_to_index, vc_decode_many
 
 __all__ = [
@@ -156,10 +156,7 @@ def h_encode_many(params: HierarchicalParams, X: np.ndarray) -> tuple[np.ndarray
 
 def h_encode(params: HierarchicalParams, x: np.ndarray) -> HierarchicalEncoding:
     """Encode one vector of shape (d,)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.lat.d,):
-        raise ValueError(f"expected shape ({params.lat.d},), got {x.shape}")
-    digits, overload = h_encode_many(params, x)
+    digits, overload = h_encode_many(params, _as_vector(x, params.lat.d))
     return HierarchicalEncoding(digits=digits, overload=bool(overload))
 
 
@@ -253,10 +250,7 @@ def q_circ_many(params: HierarchicalParams, X: np.ndarray, m: int) -> np.ndarray
 
 def q_circ(params: HierarchicalParams, x: np.ndarray, m: int) -> LatticePoint:
     """Single-vector form of q_circ_many."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.lat.d,):
-        raise ValueError(f"expected shape ({params.lat.d},), got {x.shape}")
-    c = q_circ_many(params, x, m)
+    c = q_circ_many(params, _as_vector(x, params.lat.d), m)
     return LatticePoint(coords=c, point=params.lat.point_of(c))
 
 
@@ -303,17 +297,26 @@ def enumerate_codebook(params: HierarchicalParams) -> np.ndarray:
     return np.concatenate(list(_iter_codebook_coords(params)), axis=0)
 
 
-_PACK_BOUND = 1 << 13
+def _key_layout(params: HierarchicalParams) -> tuple[int, int] | None:
+    """(lo, width): codeword coordinates lie in [lo, lo + 2^width).
+
+    None when d fields of that width exceed an int64 key.  A codeword sums q^m
+    times a layer codebook row over m < M, so its extremes are (q^M - 1) / (q - 1)
+    times the layer codebook's."""
+    LC = layer_codebook_coords(params)
+    span = (params.q**params.M - 1) // (params.q - 1)
+    lo, hi = span * int(LC.min()), span * int(LC.max())
+    width = (hi - lo).bit_length()
+    return (lo, width) if width * params.lat.d <= 63 else None
 
 
-def _pack_coords(C: np.ndarray, d: int) -> np.ndarray:
-    """Injective map from small integer coordinate rows to int64 keys."""
-    if np.abs(C).max(initial=0) >= _PACK_BOUND:
-        raise ValueError("coordinates exceed packing bound")
+def _pack_coords(C: np.ndarray, lo: int, width: int) -> np.ndarray:
+    """Distinct int64 keys >= 0 of integer rows in [lo, lo + 2^width)^d; -1 for others."""
+    U = C - lo
     key = np.zeros(C.shape[:-1], dtype=np.int64)
-    for i in range(d):
-        key = (key << 14) | (C[..., i] + _PACK_BOUND)
-    return key
+    for i in range(C.shape[-1]):
+        key = (key << width) | U[..., i]
+    return np.where((U >> width).any(axis=-1), -1, key)
 
 
 @dataclass(frozen=True)
@@ -334,12 +337,16 @@ def verify_sandwich(params: HierarchicalParams) -> SandwichReport:
     q^M (1 - r_qM) lies in the hierarchical codebook (inner inclusion) and
     that every codebook point lies within q^M (1 + r_qM) times the Voronoi
     cell (outer inclusion), with r_qM = (1 - q^(1-M)) / (q - 1).  Also
-    verifies all q^(dM) points are distinct.
-    """
+    verifies all q^(dM) points are distinct.  Raises ValueError past the
+    enumeration guard or when coordinates do not pack into int64 keys."""
     if params.codebook_size > ENUMERATION_GUARD:
         raise ValueError(
             f"enumeration too large: q^(dM) = {params.codebook_size} exceeds {ENUMERATION_GUARD}"
         )
+    layout = _key_layout(params)
+    if layout is None:
+        raise ValueError(f"{params.lat.d} coordinate fields do not fit an int64 key")
+    lo, width = layout
     lat, q, M, d = params.lat, params.q, params.M, params.lat.d
     ratio = nesting_radius_ratio(q, M)
     s_inner = reduced_nesting_ratio(q, M)
@@ -351,7 +358,7 @@ def verify_sandwich(params: HierarchicalParams) -> SandwichReport:
         pts = lat.point_of(chunk)
         if outer_ok and not in_scaled_voronoi_many(lat, pts, s_outer).all():
             outer_ok = False
-        keys.append(_pack_coords(chunk, d))
+        keys.append(_pack_coords(chunk, lo, width))
     keys = np.sort(np.concatenate(keys))
     distinct = bool(np.all(np.diff(keys) != 0)) if keys.size > 1 else True
 
@@ -365,7 +372,7 @@ def verify_sandwich(params: HierarchicalParams) -> SandwichReport:
     chunk_rows = 1 << 18
     for start in range(0, grid.shape[0], chunk_rows):
         reps = vc_decode_many(vc_small, grid[start : start + chunk_rows])
-        rk = _pack_coords(reps, d)
+        rk = _pack_coords(reps, lo, width)
         pos = np.searchsorted(keys, rk)
         found = keys[np.minimum(pos, keys.size - 1)] == rk
         if not found.all():

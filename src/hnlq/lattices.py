@@ -255,6 +255,14 @@ def make_lattice(
     return Lattice(family=family, d=d, G=G, G_inv=G_inv, eps=eps, scale=float(scale))
 
 
+def _as_vector(x, n: int) -> np.ndarray:
+    """x as a float64 array of shape (n,); ValueError for any other shape."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (n,):
+        raise ValueError(f"expected shape ({n},), got {x.shape}")
+    return x
+
+
 def nn_quantize(lat: Lattice, x: np.ndarray) -> LatticePoint:
     """Nearest lattice point of a single vector, with deterministic ties.
 
@@ -262,10 +270,7 @@ def nn_quantize(lat: Lattice, x: np.ndarray) -> LatticePoint:
     coordinates, RuntimeWarning); the checked entry point is
     ``scaling.encode_scaled_many``.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (lat.d,):
-        raise ValueError(f"expected shape ({lat.d},), got {x.shape}")
-    c = lat.nearest_coords(x)
+    c = lat.nearest_coords(_as_vector(x, lat.d))
     return LatticePoint(coords=c, point=lat.point_of(c))
 
 
@@ -275,9 +280,7 @@ def coords_of(lat: Lattice, p: np.ndarray) -> np.ndarray:
     Raises ValueError when p is further than 1e-6 from round(G_inv @ p)
     mapped back to the lattice.
     """
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (lat.d,):
-        raise ValueError(f"expected shape ({lat.d},), got {p.shape}")
+    p = _as_vector(p, lat.d)
     c = np.rint(lat.G_inv @ p).astype(np.int64)
     if np.linalg.norm(lat.G @ c - p) > 1e-6:
         raise ValueError("not a lattice point")
@@ -293,10 +296,7 @@ def in_scaled_voronoi(lat: Lattice, x: np.ndarray, s: float) -> bool:
     """
     if not s > 0:
         raise ValueError("scale factor must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (lat.d,):
-        raise ValueError(f"expected shape ({lat.d},), got {x.shape}")
-    return not lat.nearest_coords(x / s).any()
+    return not lat.nearest_coords(_as_vector(x, lat.d) / s).any()
 
 
 def in_scaled_voronoi_many(lat: Lattice, X: np.ndarray, s: float) -> np.ndarray:

@@ -16,7 +16,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .codec import LUT_GUARD, HierarchicalEncoding, HierarchicalParams, layer_codebook_coords
-from .lattices import FAMILY_IDS, Lattice
+from .lattices import FAMILY_IDS, Lattice, _as_vector
 from .voronoi import digits_to_index, index_to_digits
 
 __all__ = [
@@ -177,9 +177,7 @@ def lut_ip_dithered(
 
 def build_one_sided(params: HierarchicalParams, y: np.ndarray) -> OneSidedLUT:
     """Table of inner products of y with every single-layer codebook point."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (params.lat.d,):
-        raise ValueError(f"expected shape ({params.lat.d},), got {y.shape}")
+    y = _as_vector(y, params.lat.d)
     P = params.lat.point_of(layer_codebook_coords(params))
     return OneSidedLUT(family=params.lat.family, d=params.lat.d, q=params.q, values=P @ y)
 

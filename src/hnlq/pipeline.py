@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codec import HierarchicalParams
-from .lattices import FAMILY_IDS, make_lattice
+from .lattices import FAMILY_IDS, _as_vector, make_lattice
 from .lut import InnerProductLUT, layer_indices, weighted_pair_sum
 from .scaling import ScalingConfig, decode_scaled_many, encode_scaled_many
 from .voronoi import digits_to_index, index_to_digits
@@ -70,7 +71,7 @@ class PipelineConfig:
     dither_seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1 or self.n % self.params.lat.d:
+        if not isinstance(self.n, numbers.Integral) or self.n < 1 or self.n % self.params.lat.d:
             raise ValueError("n must be a positive multiple of the lattice dimension")
         for name in ("rotation_seed", "dither_seed"):
             if not -(2**63) <= getattr(self, name) < 2**63:
@@ -101,11 +102,12 @@ class PipelineConfig:
 
 @dataclass(eq=False)
 class QuantizedVector:
-    """One quantized column: per-chunk digits, retry counts and dither ids.
+    """One quantized column: its config, per-chunk digits, retry counts and dither ids.
 
     ``norm`` is recorded only when the pipeline rotates and normalizes.
     """
 
+    cfg: PipelineConfig
     digits: np.ndarray  # (K, M, d)
     T: np.ndarray  # (K,)
     norm: float | None
@@ -132,6 +134,7 @@ class QuantizedMatrix:
 
     def column(self, j: int) -> QuantizedVector:
         return QuantizedVector(
+            cfg=self.cfg,
             digits=self.digits[j],
             T=self.T[j],
             norm=None if self.norms is None else float(self.norms[j]),
@@ -268,10 +271,7 @@ def quantize_vector(cfg: PipelineConfig, x: np.ndarray, col: int = 0) -> Quantiz
     The result is what ``quantize_matrix(cfg, A).column(col)`` gives when
     column ``col`` of A is x: ``col`` selects the "random" mode's dither ids.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (cfg.n,):
-        raise ValueError(f"expected shape ({cfg.n},), got {x.shape}")
-    return _encode_columns(cfg, x[:, None], first_col=col).column(0)
+    return _encode_columns(cfg, _as_vector(x, cfg.n)[:, None], first_col=col).column(0)
 
 
 def reconstruct_chunks(cfg: PipelineConfig, qv: QuantizedVector) -> np.ndarray:
@@ -280,6 +280,7 @@ def reconstruct_chunks(cfg: PipelineConfig, qv: QuantizedVector) -> np.ndarray:
     These live in the rotated, normalized frame when the pipeline rotates;
     they are the exact vectors whose pairwise inner products ip_approx sums.
     """
+    _check_config(cfg, qv)
     return decode_scaled_many(
         cfg.params, cfg.scaling, qv.digits, qv.T, dither_ids=qv.dither_ids
     )
@@ -299,7 +300,13 @@ def _code_key(cfg: PipelineConfig) -> tuple:
             cfg.dither_mode, ids, cfg.dither_seed)
 
 
-def _combine(cfg, lut, ia, ib, Ta, Tb, dithered: bool) -> np.ndarray:
+def _check_config(cfg: PipelineConfig, *quantized) -> None:
+    """Refuse quantized columns or matrices made under settings other than cfg's."""
+    if any(_code_key(v.cfg) != _code_key(cfg) for v in quantized):
+        raise ValueError("quantized data does not match the pipeline config")
+
+
+def _combine(cfg, lut, ia, ib, Ta, Tb) -> np.ndarray:
     """Inner products from layer indices (..., K, L) and retry counts (..., K).
 
     The leading axes of the two sides broadcast: (na, 1) against (1, nb) gives
@@ -323,7 +330,7 @@ def _combine(cfg, lut, ia, ib, Ta, Tb, dithered: bool) -> np.ndarray:
     out = np.empty(lead)
     for r in range(0, lead[0], rows):
         chunk = weighted_pair_sum(lut, ra[:, r:r + rows], rb[:, r:r + rows], w)
-        chunk = chunk / (q**2 if dithered else 1)
+        chunk = chunk / (q**2 if cfg.dither_mode != "none" else 1)
         out[r:r + rows] = (sa[r:r + rows] * sb[r:r + rows] * chunk).sum(-1)
     return out
 
@@ -336,17 +343,11 @@ def ip_approx(
     Sums, over chunks, the looked-up inner product of the two chunk
     reconstructions times both chunks' scales, then multiplies by the
     recorded norms when the pipeline rotates.  Performs exactly K M^2 table
-    reads (K (M+1)^2 when dithered).
+    reads (K (M+1)^2 when dithered); both columns must be quantized under cfg.
     """
-    if qx.digits.shape != qy.digits.shape or qx.digits.shape[0] != cfg.chunks:
-        raise ValueError("quantized columns do not match the pipeline shape")
-    dithered = qx.dither_ids is not None
-    if dithered != (qy.dither_ids is not None):
-        raise ValueError("cannot mix dithered and undithered columns")
-    if cfg.rotate and (qx.norm is None or qy.norm is None):
-        raise ValueError("rotating pipeline needs columns with recorded norms")
+    _check_config(cfg, qx, qy)
     ix, iy = (layer_indices(cfg.params.q, v.digits, v.dither_ids)[None] for v in (qx, qy))
-    total = float(_combine(cfg, lut, ix, iy, qx.T[None], qy.T[None], dithered)[0])
+    total = float(_combine(cfg, lut, ix, iy, qx.T[None], qy.T[None])[0])
     if cfg.rotate:
         total *= qx.norm * qy.norm
     return total
@@ -354,13 +355,12 @@ def ip_approx(
 
 def _matrix_products(cfg, lut, QA: QuantizedMatrix, QB: QuantizedMatrix, outer: bool):
     """All column pairs (na, nb) when ``outer``, else paired columns (n,)."""
-    if _code_key(QA.cfg) != _code_key(cfg) or _code_key(QB.cfg) != _code_key(cfg):
-        raise ValueError("quantized matrix does not match the pipeline config")
+    _check_config(cfg, QA, QB)
     if not outer and QA.cols != QB.cols:
         raise ValueError("paired matrices need the same number of columns")
     ea, eb = ((slice(None), None), (None,)) if outer else ((), ())
     ia, ib = (layer_indices(cfg.params.q, Q.digits, Q.dither_ids) for Q in (QA, QB))
-    out = _combine(cfg, lut, ia[ea], ib[eb], QA.T[ea], QB.T[eb], QA.dither_ids is not None)
+    out = _combine(cfg, lut, ia[ea], ib[eb], QA.T[ea], QB.T[eb])
     if cfg.rotate:
         out *= QA.norms[ea] * QB.norms[eb]
     return out
@@ -460,7 +460,11 @@ def load_quantized_matrix(path, *, max_retries: int = 60) -> QuantizedMatrix:
     """Read a quantized matrix; reconstructs the pipeline config from the header.
 
     ``max_retries`` is not serialized (it only matters when encoding) and
-    can be supplied for the reconstructed config.
+    can be supplied for the reconstructed config, so that its top rung is finite.
+
+    There is no checksum; a flipped bit loads or raises ValueError.  Not checked:
+    alpha, beta0, both seeds, T bytes, norms, digit records kept below q^d, and
+    q, family, dither code or d where the file stays consistent in length.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -480,6 +484,8 @@ def load_quantized_matrix(path, *, max_retries: int = 60) -> QuantizedMatrix:
     mode = {v: k for k, v in _DITHER_CODE.items()}.get(dither_code)
     if mode is None:
         raise ValueError(f"unknown dither mode {dither_code}")
+    if rotate not in (0, 1):
+        raise ValueError(f"rotate flag {rotate} is neither 0 nor 1")
     # Check the record size before make_lattice allocates d x d matrices;
     # q >= 2 and q^d <= 2^64 bound d by 64.
     if q < 2:
@@ -496,7 +502,7 @@ def load_quantized_matrix(path, *, max_retries: int = 60) -> QuantizedMatrix:
         params=params,
         scaling=ScalingConfig(beta0=beta0, alpha=alpha, max_retries=max_retries),
         n=n,
-        rotate=bool(rotate),
+        rotate=rotate == 1,
         rotation_seed=rotation_seed,
         dither_mode=mode,
         dither_ids=fixed_ids,

@@ -10,6 +10,7 @@ single-layer codebook is subtracted before encoding and added back after.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .codec import (
     outer_nesting_ratio,
 )
 from .errors import UnencodableError
+from .lattices import _as_vector
 from .voronoi import vc_decode_many  # noqa: F401  (perfbench's tracer wraps this name)
 
 __all__ = [
@@ -40,7 +42,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScalingConfig:
-    """Base step beta0 > 0, growth exponent alpha > 0, retry budget."""
+    """Base step beta0 > 0, growth exponent alpha > 0, retry budget; every rung finite."""
 
     beta0: float
     alpha: float = 1.0 / 3.0
@@ -51,8 +53,15 @@ class ScalingConfig:
             raise ValueError("beta0 must be positive")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
+        if not isinstance(self.max_retries, numbers.Integral) or self.max_retries < 0:
+            raise ValueError("max_retries must be an integer >= 0")
+        try:  # rungs grow with t, so the top one bounds beta0 and the rest
+            with np.errstate(over="ignore", invalid="ignore"):  # numpy scalars give inf or nan
+                top = self.scale(self.max_retries)
+        except OverflowError:
+            top = math.inf
+        if not math.isfinite(top):
+            raise ValueError("a rung beta0 * 2^(alpha t) leaves the float range: lower max_retries")
 
     def scale(self, T: int | np.ndarray) -> float | np.ndarray:
         return self.beta0 * 2.0 ** (self.alpha * T)
@@ -91,20 +100,6 @@ def _resolve_dither(params, X_shape, dither_ids):
     return _dither_points(params, ids)
 
 
-def _rung_scales(cfg: ScalingConfig) -> np.ndarray:
-    """cfg.scale(t) for t = 0..max_retries, the same Python floats, as one array.
-
-    The ladder ends before a rung whose 2^(alpha t) is past the float range.
-    """
-    scales = []
-    for t in range(cfg.max_retries + 1):
-        try:
-            scales.append(cfg.scale(t))
-        except OverflowError:
-            break
-    return np.array(scales)
-
-
 # Relative allowance for float rounding in the gauge, in x / scale and in the
 # decoders, none of which comes near one part in 1e9 of the threshold.
 _GAUGE_RTOL = 1e-9
@@ -139,17 +134,17 @@ def encode_scaled_many(
         raise ValueError("cannot encode non-finite values")
     Z = _resolve_dither(params, X.shape, dither_ids)
     flatZ = None if Z is None else Z.reshape(-1, lat.d)
-    scales = _rung_scales(cfg)
+    # Rung t is cfg.scale of the Python int t, the float a scalar call gives.
+    scales = np.array([cfg.scale(t) for t in range(cfg.max_retries + 1)])
     n = flatX.shape[0]
     # |coordinates| <= max|x| * max row sum of |G^-1|; 2^62 leaves room for the dither.
     reach = 2.0**62 / float(np.abs(lat.G_inv).sum(axis=1).max())
     T = np.zeros(n, dtype=np.int64)
     if top >= reach * cfg.beta0:  # some row could leave int64: start past those rungs
-        with np.errstate(over="ignore"):  # a scale past the float range fits every row
+        with np.errstate(over="ignore"):  # a reach past the float range fits every row
             T[:] = np.searchsorted(reach * scales, np.abs(flatX).max(axis=-1), side="right")
         lost = np.count_nonzero(T >= scales.size)
         if lost:
-            _ladder_end(cfg, scales)
             raise UnencodableError(f"{lost} vector(s) still overload after {cfg.max_retries} retries")
 
     # Gauge bound.  Let e be the tie breaker in the lattice's frame, eta = g(e),
@@ -177,7 +172,6 @@ def encode_scaled_many(
     while active.size:
         past = T[active] >= scales.size
         if past.any():
-            _ladder_end(cfg, scales)
             failed += np.count_nonzero(past)
             active = active[~past]
             continue
@@ -194,13 +188,6 @@ def encode_scaled_many(
     return digits.reshape(X.shape[:-1] + (params.M, lat.d)), T.reshape(X.shape[:-1])
 
 
-def _ladder_end(cfg: ScalingConfig, scales: np.ndarray) -> None:
-    """For rows past the last rung: a ladder cut short by the float range raises
-    the OverflowError that the first rung past it does."""
-    if scales.size <= cfg.max_retries:
-        cfg.scale(scales.size)
-
-
 def encode_scaled(
     params: HierarchicalParams,
     cfg: ScalingConfig,
@@ -208,10 +195,7 @@ def encode_scaled(
     dither_id: np.ndarray | None = None,
 ) -> ScaledEncoding:
     """Encode one vector, growing the scale until nothing overloads."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.lat.d,):
-        raise ValueError(f"expected shape ({params.lat.d},), got {x.shape}")
-    digits, T = encode_scaled_many(params, cfg, x[None], dither_ids=dither_id)
+    digits, T = encode_scaled_many(params, cfg, _as_vector(x, params.lat.d)[None], dither_id)
     enc = HierarchicalEncoding(digits=digits[0], overload=False)
     did = None if dither_id is None else np.asarray(dither_id, dtype=np.int64)
     return ScaledEncoding(enc=enc, T=int(T[0]), dither_id=did)

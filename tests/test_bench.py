@@ -75,6 +75,8 @@ def test_experiment_config_validation():
         ExperimentConfig(schemes=("nope",))
     with pytest.raises(ValueError):
         ExperimentConfig(beta0="fast")
+    with pytest.raises(ValueError, match="samples"):
+        ExperimentConfig(samples=0)
     assert ExperimentConfig(beta0="auto").beta0 == "auto"
 
 
@@ -187,6 +189,8 @@ def test_calibrate_grid_of_one():
     assert calibrate_beta0("hierarchical", params, pilot_n=60, grid=[0.37]) == 0.37
     with pytest.raises(ValueError):
         calibrate_beta0("hierarchical", params, pilot_n=60, grid=[])
+    with pytest.raises(ValueError, match="pilot_n"):
+        calibrate_beta0("hierarchical", params, pilot_n=0, grid=[0.37])
 
 
 def test_calibrate_picks_an_interior_optimum():
@@ -372,6 +376,15 @@ def test_cli_verify_lemmas(tmp_path):
     report = json.loads(out.read_text())
     assert report["all_ok"] is True
     assert len(report["results"]) == 2
+
+
+def test_cli_verify_lemmas_skips_the_sandwich_past_int64_keys(tmp_path):
+    out = tmp_path / "rep.json"
+    rc = main(["verify-lemmas", "--lattice", "d16", "--q", "2", "--m", "1",
+               "--samples", "300", "--out", str(out)])
+    assert rc == 0
+    (entry,) = json.loads(out.read_text())["results"]
+    assert entry["sandwich"] is None and entry["ok"]
 
 
 def test_cli_build_lut(tmp_path, capsys):

@@ -35,7 +35,7 @@ from hnlq.codec import (
     layer_codebook_coords,
     q_circ_many,
 )
-from hnlq import scaling
+from hnlq import codec, scaling
 from hnlq.lattices import in_scaled_voronoi_many
 from hnlq.scaling import ScalingConfig, decode_scaled_many, dither_point, encode_scaled_many
 from hnlq.voronoi import digit_grid, vc_decode_many
@@ -402,6 +402,32 @@ def test_sandwich_reports(z2, d4):
     assert rep.codebook_size == 4**4
     rep = verify_sandwich(HierarchicalParams(d4, 3, 2))
     assert rep.inner_ok and rep.outer_ok and rep.distinct
+
+
+@pytest.mark.parametrize("name,q,M", [("d6", 3, 1), ("d8", 2, 2), ("z6", 3, 2), ("z8", 2, 2)])
+def test_sandwich_holds_past_four_dimensions(name, q, M):
+    # Codeword keys once took 14 bits per coordinate: past 63 bits from d = 5,
+    # so from d = 6 distinct codewords shared keys.
+    rep = verify_sandwich(HierarchicalParams(make_lattice(name), q, M))
+    assert rep.inner_ok and rep.outer_ok and rep.distinct
+
+
+def test_sandwich_reports_a_repeated_codeword(d4, monkeypatch):
+    real = codec._iter_codebook_coords
+
+    def one_row_repeated(params):
+        chunks = [c.copy() for c in real(params)]
+        chunks[1][0] = chunks[0][0]
+        yield from chunks
+
+    monkeypatch.setattr(codec, "_iter_codebook_coords", one_row_repeated)
+    assert not verify_sandwich(HierarchicalParams(d4, 3, 2)).distinct
+
+
+def test_sandwich_refuses_keys_past_int64():
+    # d16 q=2: 16 coordinates of 4 bits each need 64 bits.
+    with pytest.raises(ValueError, match="int64 key"):
+        verify_sandwich(HierarchicalParams(make_lattice("d16"), 2, 1))
 
 
 def test_sandwich_collapses_at_depth_one(z2):

@@ -1,17 +1,26 @@
 """Nearest-point decoders, coordinate maps, and Voronoi membership."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from conftest import oracle_nearest
 from hnlq import (
+    HierarchicalParams,
+    PipelineConfig,
+    ScalingConfig,
+    build_one_sided,
     coords_of,
     default_tie_breaker,
+    encode_scaled,
+    h_encode,
     in_scaled_voronoi,
     make_lattice,
     nn_quantize,
+    q_circ,
+    quantize_vector,
     second_moment,
 )
 from hnlq.lattices import FAMILY_IDS, in_scaled_voronoi_many
@@ -217,6 +226,26 @@ def test_in_scaled_voronoi_examples(z1, d4):
         in_scaled_voronoi(z1, np.array([0.0]), 0.0)
     with pytest.raises(ValueError):
         in_scaled_voronoi(z1, np.array([0.0]), -2.0)
+
+
+def test_vector_entry_points_name_the_expected_shape(d4):
+    p = HierarchicalParams(d4, 3, 2)
+    cfg = PipelineConfig(params=p, scaling=ScalingConfig(beta0=0.5), n=8)
+    calls = [
+        (4, lambda x: nn_quantize(d4, x)),
+        (4, lambda x: coords_of(d4, x)),
+        (4, lambda x: in_scaled_voronoi(d4, x, 1.0)),
+        (4, lambda x: h_encode(p, x)),
+        (4, lambda x: q_circ(p, x, 1)),
+        (4, lambda x: build_one_sided(p, x)),
+        (4, lambda x: encode_scaled(p, cfg.scaling, x)),
+        (8, lambda x: quantize_vector(cfg, x)),
+    ]
+    for n, call in calls:
+        for bad in (np.zeros(n + 1), np.zeros((1, n)), 0.0):
+            want = f"expected shape ({n},), got {np.shape(bad)}"
+            with pytest.raises(ValueError, match=re.escape(want)):
+                call(bad)
 
 
 def test_in_scaled_voronoi_many_consistent(any_lat):

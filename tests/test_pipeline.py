@@ -77,6 +77,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         PipelineConfig(params=params, scaling=sc, n=0)
     with pytest.raises(ValueError):
+        PipelineConfig(params=params, scaling=sc, n=8.0)  # used to fail in quantize_matrix
+    with pytest.raises(ValueError):
         PipelineConfig(params=params, scaling=sc, n=8, dither_mode="bogus")
     with pytest.raises(ValueError):
         PipelineConfig(params=params, scaling=sc, n=8, dither_mode="fixed")
@@ -211,6 +213,21 @@ def test_ip_validates_inputs():
     qd = quantize_vector(dcfg, rng.standard_normal(8))
     with pytest.raises(ValueError):
         ip_approx(cfg, lut, qx, qd)  # mixed dithered/undithered
+
+
+def test_columns_from_another_config_are_refused():
+    # Same n and dither mode, another beta0: the chunks' scales differ, so the
+    # table sum would weigh one side wrongly (26.03 against an exact 53.51).
+    cfg, other = pipe(n=64, beta0=0.3), pipe(n=64, beta0=0.6)
+    lut = build_lut(cfg.params)
+    x = np.random.default_rng(12).standard_normal(64)
+    qx, qo = quantize_vector(cfg, x), quantize_vector(other, x)
+    assert qx.cfg is cfg and quantize_matrix(cfg, x[:, None]).column(0).cfg is cfg
+    with pytest.raises(ValueError, match="does not match the pipeline config"):
+        ip_approx(cfg, lut, qx, qo)
+    with pytest.raises(ValueError, match="does not match the pipeline config"):
+        reconstruct_chunks(cfg, qo)
+    assert abs(ip_approx(cfg, lut, qx, qx) - x @ x) < 0.1 * (x @ x)
 
 
 def test_query_counter_scales_with_chunks():

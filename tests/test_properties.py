@@ -1,5 +1,6 @@
-"""Property tests: NLQM files round-trip and reject truncation; decode telescopes;
-the integer layer chain encodes as re-quantizing every layer does."""
+"""Property tests: NLQM files round-trip, reject truncation and load or raise
+ValueError after a bit flip; decode telescopes; the integer layer chain encodes
+as re-quantizing every layer does."""
 
 import math
 
@@ -74,6 +75,48 @@ def test_every_truncated_nlqm_is_rejected(qm, nlqm_path):
         nlqm_path.write_bytes(raw[:end])
         with pytest.raises(ValueError):
             load_quantized_matrix(nlqm_path)
+
+
+# The three files of the flip measurement: (lattice, q, n, rotate, dither mode).
+FLIP_FILES = (("d4", 4, 16, False, "fixed"), ("a2", 8, 8, True, "random"),
+              ("z2", 5, 8, False, "none"))
+# Header bytes of magic, version, d, n, cols and M: the first two name the
+# format, the other four fix the file's length for these files.
+LENGTH_FIELDS = set(range(0, 8)) | set(range(12, 24)) | set(range(28, 32))
+
+
+@given(file=st.sampled_from(FLIP_FILES), cols=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_a_flipped_nlqm_bit_loads_or_raises_value_error(file, cols, seed, data, nlqm_path):
+    name, q, n, rotate, mode = file
+    lat = make_lattice(name)
+    cfg = PipelineConfig(
+        params=HierarchicalParams(lat, q, 2), scaling=ScalingConfig(beta0=0.4), n=n,
+        rotate=rotate, dither_mode=mode, dither_seed=3,
+        dither_ids=np.ones(lat.d, dtype=np.int64) if mode == "fixed" else None,
+    )
+    A = np.random.default_rng(seed).standard_normal((n, cols))
+    save_quantized_matrix(quantize_matrix(cfg, A), nlqm_path)
+    raw = bytearray(nlqm_path.read_bytes())
+    bit = data.draw(st.integers(0, 8 * len(raw) - 1))
+    raw[bit // 8] ^= 1 << (bit % 8)
+    nlqm_path.write_bytes(bytes(raw))
+    try:
+        load_quantized_matrix(nlqm_path)
+    except ValueError:
+        return
+    assert bit // 8 not in LENGTH_FIELDS
+
+
+def test_a_rotate_flag_other_than_0_or_1_is_refused(nlqm_path):
+    cfg = PipelineConfig(params=HierarchicalParams(make_lattice("z2"), 5, 2),
+                         scaling=ScalingConfig(beta0=0.4), n=8, rotate=True)
+    save_quantized_matrix(quantize_matrix(cfg, np.ones((8, 2))), nlqm_path)
+    raw = bytearray(nlqm_path.read_bytes())
+    raw[48] = 3  # the rotate flag, a uint32 after the two doubles
+    nlqm_path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="rotate flag"):
+        load_quantized_matrix(nlqm_path)
 
 
 @pytest.mark.parametrize("gathered", [True, False])

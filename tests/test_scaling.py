@@ -41,6 +41,12 @@ def test_config_validation():
         ScalingConfig(beta0=1.0, alpha=0.0)
     with pytest.raises(ValueError):
         ScalingConfig(beta0=1.0, max_retries=-1)
+    # A rung that is not a finite float, or a budget that is not an integer.
+    for bad in ({"beta0": math.inf}, {"beta0": 1.0, "alpha": math.inf},
+                {"beta0": 1.0, "max_retries": 2.5}, {"beta0": 1e300, "alpha": 1.0},
+                {"beta0": 1.0, "alpha": np.float64(20.0)}):
+        with pytest.raises(ValueError):
+            ScalingConfig(**bad)
 
 
 def test_three_retries_double_the_scale():
@@ -218,16 +224,21 @@ def test_start_rungs_keep_the_full_ladder_outcome(name, scale):
                     assert _same_outcome(_outcome(lambda: encode_scaled_many(p, cfg, X)), want)
 
 
-def test_ladder_ends_where_the_scale_leaves_the_float_range():
-    # alpha = 20: 2^(alpha t) overflows from t = 52 on.  Rows that fit earlier
-    # encode as before; a row that needs that rung raises its OverflowError.
+@pytest.mark.filterwarnings("error")
+def test_every_rung_of_an_accepted_ladder_is_a_finite_float():
+    # alpha = 20: 2^(alpha t) leaves the float range from t = 52 on, so the
+    # default 60 retries are refused and 51 (top rung 2^1020) are accepted.
+    # There rows encode as on the full ladder, and a row past the top rung
+    # raises UnencodableError.
+    with pytest.raises(ValueError, match="max_retries"):
+        ScalingConfig(beta0=1.0, alpha=20.0)
     p = HierarchicalParams(make_lattice("d4"), 3, 2)
-    cfg = ScalingConfig(beta0=1.0, alpha=20.0)
+    cfg = ScalingConfig(beta0=1.0, alpha=20.0, max_retries=51)
     X = np.random.default_rng(3).standard_normal((20, 4))
     assert _same_outcome(encode_scaled_many(p, cfg, X), full_ladder_encode(p, cfg, X))
     Y = np.concatenate([X, [[1.7e308, -1.7e308, 1.7e308, 0.0]]])
     for encode in (full_ladder_encode, encode_scaled_many):
-        with pytest.raises(OverflowError):
+        with pytest.raises(UnencodableError, match="1 vector"):
             encode(p, cfg, Y)
 
 
