@@ -81,8 +81,12 @@ class Lattice:
 
     @property
     def integral_gram(self) -> bool:
-        """True when G.T @ G is an integer matrix (exact integer inner products)."""
-        return self.family in ("Z", "D")
+        """True when G.T @ G is an integer matrix (exact integer inner products).
+
+        The canonical Z_d and D_n generators have integral Gram matrices, so a
+        scaled one does exactly when scale^2 is an integer.
+        """
+        return self.family in ("Z", "D") and float(self.scale**2).is_integer()
 
     def point_of(self, coords: np.ndarray) -> np.ndarray:
         """Map generator coordinates (..., d) to vectors (..., d)."""

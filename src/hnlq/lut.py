@@ -2,14 +2,24 @@
 
 One table of q^(2d) entries holds every pairwise inner product of
 single-layer codebook points; any two hierarchical encodings are then
-combined with powers of q, so an M-layer by M-layer product needs exactly
-M^2 table reads regardless of depth.  Tables over Z_d and D_n hold exact
-64-bit integers; the hexagonal lattice stores reals.
+combined with powers of q, so an M-layer by M-layer product combines
+exactly M^2 table entries regardless of depth.  A table's ``query_count``
+counts those entries: L^2 per product of two L-layer chunks (L = M, or
+M + 1 with the dither layer), whichever kernel combines them.  Tables over
+Z_d and D_n whose scale^2 is an integer hold exact 64-bit integers; the
+others store reals.
+
+Two kernels combine the entries.  ``weighted_pair_sum`` gathers every layer
+pair at once and serves single and paired products and every real table.
+``outer_chunk_sums`` serves all column pairs of two matrices over an
+integer table: it sums one side's table rows once per chunk, then gathers
+from those partial rows, so it reads L entries per chunk pair, not L^2.
 """
 
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
@@ -43,15 +53,18 @@ class InnerProductLUT:
     """Flat table of all single-layer pairwise inner products.
 
     Entry i * q^d + j holds the inner product of layer codebook points i
-    and j.  ``query_count`` tallies every element read made through the
-    lookup helpers; it is diagnostic state, not part of the table.
+    and j of the lattice scaled by ``scale``.  ``query_count`` tallies the
+    table entries combined by the products, L^2 per chunk pair of L layers
+    each; it is diagnostic state, not part of the table.
     """
 
     family: str
     d: int
     q: int
     values: np.ndarray
+    scale: float = 1.0
     query_count: int = field(default=0, compare=False)
+    _typed: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def side(self) -> int:
@@ -65,6 +78,14 @@ class InnerProductLUT:
     def max_abs(self) -> int | float:
         """Largest entry magnitude; bounds every weighted sum of reads."""
         return np.abs(self.values).max().item()
+
+    def typed(self, dtype) -> np.ndarray:
+        """The table as a (side, side) array of ``dtype``, cached; the caller
+        checks that ``dtype`` holds every entry."""
+        dtype = np.dtype(dtype)
+        if dtype not in self._typed:
+            self._typed[dtype] = self.values.astype(dtype).reshape(self.side, self.side)
+        return self._typed[dtype]
 
     def _gather(self, flat_idx: np.ndarray) -> np.ndarray:
         self.query_count += flat_idx.size
@@ -98,7 +119,18 @@ def build_lut(params: HierarchicalParams, guard: int = LUT_GUARD) -> InnerProduc
     table = P @ P.T
     if params.lat.integral_gram:
         table = np.rint(table).astype(np.int64)
-    return InnerProductLUT(family=params.lat.family, d=d, q=q, values=table.reshape(-1))
+    return InnerProductLUT(family=params.lat.family, d=d, q=q, values=table.reshape(-1),
+                           scale=params.lat.scale)
+
+
+def check_lut(lut: InnerProductLUT, params: HierarchicalParams) -> None:
+    """Refuse a table built for another lattice, scale or base than params'."""
+    lat = params.lat
+    if (lut.family, lut.d, lut.scale, lut.q) != (lat.family, lat.d, lat.scale, params.q):
+        raise ValueError(
+            f"LUT ({lut.family}{lut.d} at scale {lut.scale}, q={lut.q}) does not match "
+            f"params ({lat.name} at scale {lat.scale}, q={params.q})"
+        )
 
 
 def layer_indices(q: int, digits: np.ndarray, dither_ids: np.ndarray | None) -> np.ndarray:
@@ -128,6 +160,61 @@ def weighted_pair_sum(lut: InnerProductLUT, ra: np.ndarray, rb: np.ndarray, w: n
     return reduce(np.add, pairs.reshape(L * L, *pairs.shape[2:]))
 
 
+_CHUNK_TYPES = tuple(map(np.dtype, (np.int16, np.int32, np.int64)))
+
+
+def chunk_sum_dtype(lut: InnerProductLUT, L: int) -> np.dtype | None:
+    """Narrowest integer type exact for every L-layer chunk sum, or None.
+
+    A chunk sum weighs the pair of layers (i, j) by q^(i+j), so its magnitude
+    is at most max|table| (sum_l q^l)^2; that bound must stay below the
+    type's 2^(bits-1).  None for a real table or a bound past 2^63.
+    """
+    if lut.values.dtype.kind != "i":
+        return None
+    bound = lut.max_abs * ((lut.q**L - 1) // (lut.q - 1)) ** 2
+    return next((t for t in _CHUNK_TYPES if bound < 2 ** (8 * t.itemsize - 1)), None)
+
+
+def _horner(q: int, terms) -> np.ndarray:
+    """sum_l q^l terms[l] from fresh arrays given highest layer first, in place."""
+    terms = iter(terms)
+    acc = next(terms)
+    for t in terms:
+        acc *= q
+        acc += t
+    return acc
+
+
+def outer_chunk_sums(
+    lut: InnerProductLUT, ia: np.ndarray, ib: np.ndarray, block: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Integer chunk sums of every column of A against every column of B.
+
+    ia (na, K, L) and ib (nb, K, L) are layer indices.  Yields (r, C), C of
+    shape (rows, nb, K), for row blocks of A in order: C[a, b, k] is
+    sum_(i, j) q^(i+j) table[ia[r + a, k, i], ib[b, k, j]], exact in the type
+    ``chunk_sum_dtype`` picks, which must not be None.  Each block first sums
+    its partial rows P[a, k] = sum_i q^i table[ia[r + a, k, i]] by Horner's
+    rule, then gathers C = sum_j q^j P[a, k, ib[b, k, j]] from them.  A block
+    holds about ``block`` elements of P or of C, and at least one column of A.
+    Counts K L^2 table entries per output entry.
+    """
+    na, K, L = ia.shape
+    nb, side, q = ib.shape[0], lut.side, lut.q
+    table = lut.typed(chunk_sum_dtype(lut, L))
+    lut.query_count += na * nb * K * L * L
+    # (L, nb, K) columns k * side + ib of a block's partial rows, flattened (rows, K * side)
+    cols = np.moveaxis(ib + side * np.arange(K)[:, None], -1, 0).copy()
+    rows = max(1, block // (K * max(nb, side)))
+    for r in range(0, na, rows):
+        ra = ia[r:r + rows]
+        P = _horner(q, (table[ra[..., i]] for i in reversed(range(L))))
+        P = P.reshape(len(ra), K * side)
+        # np.take on a flat axis, several times faster than P[:, cols[j]]
+        yield r, _horner(q, (np.take(P, cols[j], axis=1) for j in reversed(range(L))))
+
+
 def _stacked_digits(tbl, encs) -> np.ndarray:
     """Digits (len(encs), M, d) of encodings; np.stack refuses unequal depths."""
     digits = np.stack([np.asarray(e.digits) for e in encs])
@@ -147,13 +234,18 @@ def lut_ip(
     lut: InnerProductLUT,
     enc_x: HierarchicalEncoding,
     enc_y: HierarchicalEncoding,
+    *,
+    params: HierarchicalParams | None = None,
 ):
-    """Inner product of two reconstructions via M^2 table reads.
+    """Inner product of two reconstructions from M^2 table entries.
 
     Both encodings must come from the parameters the table was built for;
-    digit range and shape are validated against the table.  Returns a
-    Python int for integral-Gram lattices, else a float.
+    digit range and shape are validated against the table, and a table
+    built for other ``params``, when given, is refused with ValueError.
+    Returns a Python int for integral-Gram lattices, else a float.
     """
+    if params is not None:
+        check_lut(lut, params)
     total = _exact_ip(lut, (enc_x, enc_y), None)
     return int(total) if lut.values.dtype.kind == "i" else float(total)
 
@@ -164,14 +256,18 @@ def lut_ip_dithered(
     enc_y: HierarchicalEncoding,
     dither_x: np.ndarray,
     dither_y: np.ndarray,
+    *,
+    params: HierarchicalParams | None = None,
 ) -> float:
-    """Inner product of dithered reconstructions via (M+1)^2 reads.
+    """Inner product of dithered reconstructions from (M+1)^2 table entries.
 
     The dither ids act as an extra layer with weight 1/q on each side; the
     sum is accumulated with exact integer weights scaled by q^2 and divided
     once at the end, so integral-Gram tables stay exact until the final
-    division.
+    division.  A table built for other ``params``, when given, is refused.
     """
+    if params is not None:
+        check_lut(lut, params)
     return float(_exact_ip(lut, (enc_x, enc_y), np.stack([dither_x, dither_y]))) / lut.q**2
 
 
@@ -199,7 +295,10 @@ def save_lut(lut: InnerProductLUT, path) -> None:
 
 
 def load_lut(path, params: HierarchicalParams) -> InnerProductLUT:
-    """Read a table and validate its header against params."""
+    """Read a table and validate its header against params.
+
+    The NLL1 header records no scale: the table takes params' lattice scale.
+    """
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < _HEADER.size:
@@ -222,4 +321,4 @@ def load_lut(path, params: HierarchicalParams) -> InnerProductLUT:
     expected = q ** (2 * d)
     if values.size != expected:
         raise ValueError(f"table holds {values.size} entries, expected {expected}")
-    return InnerProductLUT(family=family, d=d, q=q, values=values.copy())
+    return InnerProductLUT(family=family, d=d, q=q, values=values.copy(), scale=lat.scale)

@@ -18,7 +18,8 @@ import numpy as np
 
 from .codec import HierarchicalParams
 from .lattices import FAMILY_IDS, _as_vector, make_lattice
-from .lut import InnerProductLUT, layer_indices, weighted_pair_sum
+from .lut import (InnerProductLUT, check_lut, chunk_sum_dtype, layer_indices,
+                  outer_chunk_sums, weighted_pair_sum)
 from .scaling import ScalingConfig, decode_scaled_many, encode_scaled_many
 from .voronoi import digits_to_index, index_to_digits
 
@@ -286,8 +287,9 @@ def reconstruct_chunks(cfg: PipelineConfig, qv: QuantizedVector) -> np.ndarray:
     )
 
 
-# Table reads per row block of the combine, so each temporary is 1 MiB.  On a
-# 2 MiB L2 cache a 1024x128 d4 product ran 1.1-1.6x slower at 2^18, 2x at 2^19.
+# Elements per row block of either kernel, so each float64 temporary is 1 MiB.
+# On a 2 MiB L2 cache a 1024x128 d4 pair fold ran 1.1-1.6x slower at 2^18, 2x
+# at 2^19, and the partial-row kernel about 1.1x slower at 2^16 or 2^18.
 _COMBINE_BLOCK = 2**17
 
 
@@ -312,16 +314,14 @@ def _combine(cfg, lut, ia, ib, Ta, Tb) -> np.ndarray:
     The leading axes of the two sides broadcast: (na, 1) against (1, nb) gives
     all pairs, (n,) against (n,) gives n paired columns.  Layer l weighs q^l;
     a dithered chunk sum is divided by q^2.  A chunk sum is exact in int64 when
-    the table is integral and max|table| (sum_l q^l)^2 < 2^63, else float64,
-    and is taken in one order whatever the shapes or the block.
+    ``chunk_sum_dtype`` finds an exact integer type, else float64, and is taken
+    in one order whatever the shapes or the block.
     """
-    lat, q = cfg.params.lat, cfg.params.q
-    if (lut.family, lut.d, lut.q) != (lat.family, lat.d, q):
-        raise ValueError("LUT does not match the pipeline parameters")
+    check_lut(lut, cfg.params)
+    q = cfg.params.q
     *lead, K, L = np.broadcast_shapes(ia.shape, ib.shape)
-    exact = lut.values.dtype.kind == "i" and lut.max_abs * ((q**L - 1) // (q - 1)) ** 2 < 2**63
     e = np.arange(L)
-    w = (np.int64 if exact else np.float64)(q) ** (e[:, None] + e)
+    w = (np.float64 if chunk_sum_dtype(lut, L) is None else np.int64)(q) ** (e[:, None] + e)
     # (L, *lead, K) views of contiguous (L, ..., K) copies
     ra, rb = (np.broadcast_to(np.moveaxis(i, -1, 0).copy(), (L, *lead, K))
               for i in (ia * lut.side, ib))
@@ -330,8 +330,29 @@ def _combine(cfg, lut, ia, ib, Ta, Tb) -> np.ndarray:
     out = np.empty(lead)
     for r in range(0, lead[0], rows):
         chunk = weighted_pair_sum(lut, ra[:, r:r + rows], rb[:, r:r + rows], w)
-        chunk = chunk / (q**2 if cfg.dither_mode != "none" else 1)
+        if cfg.dither_mode != "none":
+            chunk = chunk / q**2
         out[r:r + rows] = (sa[r:r + rows] * sb[r:r + rows] * chunk).sum(-1)
+    return out
+
+
+def _outer_combine(cfg, lut, ia, ib, Ta, Tb) -> np.ndarray:
+    """All column pairs (na, nb) from layer indices (na, K, L), (nb, K, L) and
+    retry counts (na, K), (nb, K), through the integer kernel ``outer_chunk_sums``.
+
+    Equals ``_combine`` of the same pairs bit for bit: each exact chunk sum
+    meets the same float steps, (sa * sb) * chunk, then a sum over chunks.
+    """
+    check_lut(lut, cfg.params)
+    sa, sb = (cfg.scaling.scale(T) for T in (Ta, Tb))
+    out = np.empty((len(ia), len(ib)))
+    buf = None
+    for r, chunk in outer_chunk_sums(lut, ia, ib, _COMBINE_BLOCK):
+        if buf is None:
+            buf = np.empty(chunk.shape)
+        prod = np.multiply(sa[r:r + len(chunk), None], sb, out=buf[:len(chunk)])
+        prod *= chunk / cfg.params.q**2 if cfg.dither_mode != "none" else chunk
+        out[r:r + len(chunk)] = prod.sum(-1)
     return out
 
 
@@ -342,8 +363,9 @@ def ip_approx(
 
     Sums, over chunks, the looked-up inner product of the two chunk
     reconstructions times both chunks' scales, then multiplies by the
-    recorded norms when the pipeline rotates.  Performs exactly K M^2 table
-    reads (K (M+1)^2 when dithered); both columns must be quantized under cfg.
+    recorded norms when the pipeline rotates.  Combines K M^2 table entries
+    (K (M+1)^2 when dithered) in one pair gather; both columns must be
+    quantized under cfg, and the table built for cfg's parameters.
     """
     _check_config(cfg, qx, qy)
     ix, iy = (layer_indices(cfg.params.q, v.digits, v.dither_ids)[None] for v in (qx, qy))
@@ -354,13 +376,20 @@ def ip_approx(
 
 
 def _matrix_products(cfg, lut, QA: QuantizedMatrix, QB: QuantizedMatrix, outer: bool):
-    """All column pairs (na, nb) when ``outer``, else paired columns (n,)."""
+    """All column pairs (na, nb) when ``outer``, else paired columns (n,).
+
+    All pairs over an integer table within its headroom take the partial-row
+    kernel; the rest fold every layer pair.
+    """
     _check_config(cfg, QA, QB)
     if not outer and QA.cols != QB.cols:
         raise ValueError("paired matrices need the same number of columns")
     ea, eb = ((slice(None), None), (None,)) if outer else ((), ())
     ia, ib = (layer_indices(cfg.params.q, Q.digits, Q.dither_ids) for Q in (QA, QB))
-    out = _combine(cfg, lut, ia[ea], ib[eb], QA.T[ea], QB.T[eb])
+    if outer and chunk_sum_dtype(lut, ia.shape[-1]) is not None:
+        out = _outer_combine(cfg, lut, ia, ib, QA.T, QB.T)
+    else:
+        out = _combine(cfg, lut, ia[ea], ib[eb], QA.T[ea], QB.T[eb])
     if cfg.rotate:
         out *= QA.norms[ea] * QB.norms[eb]
     return out
@@ -371,10 +400,14 @@ def matmul_approx(
 ) -> np.ndarray:
     """Approximate A^T B for two quantized matrices in one table combine.
 
-    Entry (i, j) equals ``ip_approx`` of columns i and j bit for bit.  Uses
-    a.cols * b.cols * K * M^2 table reads in total (K (M+1)^2 per entry when
-    dithered), counted by the LUT's query counter.  Both matrices must be
-    quantized under settings equal to cfg's.
+    Entry (i, j) equals ``ip_approx`` of columns i and j bit for bit.  The
+    LUT's query counter grows by a.cols * b.cols * K * M^2 table entries
+    combined (K (M+1)^2 per entry when dithered).  An integer table whose
+    chunk sums fit int64 is read through its partial rows: K L q^d entries
+    per column of A plus K L per output entry, in the narrowest exact integer
+    type.  Other tables fold all L^2 layer pairs per chunk.  Both matrices
+    must be quantized under settings equal to cfg's, and the table built for
+    cfg's parameters.
     """
     return _matrix_products(cfg, lut, QA, QB, outer=True)
 
@@ -384,10 +417,11 @@ def paired_ip_approx(
 ) -> np.ndarray:
     """Approximate inner products of column j of A with column j of B, every j.
 
-    The same table combine as ``matmul_approx`` on its diagonal only: entry j
-    equals ``ip_approx`` of the two columns bit for bit and costs its K M^2
-    reads (K (M+1)^2 when dithered).  Both matrices must have the same number
-    of columns and be quantized under settings equal to cfg's.
+    The pair fold of ``ip_approx`` on paired columns: entry j equals
+    ``ip_approx`` of the two columns bit for bit and combines its K M^2 table
+    entries (K (M+1)^2 when dithered).  Partial rows would not pay here: one
+    pair reads L^2 entries, a partial row L q^d.  Both matrices must have the
+    same number of columns and be quantized under settings equal to cfg's.
     """
     return _matrix_products(cfg, lut, QA, QB, outer=False)
 

@@ -164,6 +164,15 @@ def test_quantization_commutes_with_scale():
         )
 
 
+def test_integral_gram_needs_an_integer_squared_scale():
+    for name in ("z2", "d4"):
+        assert make_lattice(name).integral_gram
+        assert make_lattice(name, scale=2.0).integral_gram
+        assert not make_lattice(name, scale=0.37).integral_gram
+        assert not make_lattice(name, scale=0.5).integral_gram
+    assert not make_lattice("a2").integral_gram
+
+
 @pytest.mark.parametrize("name", ["z1", "z2", "z3", "d2", "d3", "d4", "d8", "a2"])
 def test_gauge_is_the_least_scale_of_the_cell_holding_x(name):
     lat = make_lattice(name)

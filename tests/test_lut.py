@@ -26,6 +26,7 @@ from hnlq import (
     quantize_vector,
     save_lut,
 )
+from hnlq.codec import layer_codebook_coords
 
 
 def enc_of(digits):
@@ -98,6 +99,25 @@ def test_table_is_symmetric(d4, a2):
         lut = build_lut(HierarchicalParams(lat, 3, 2))
         square = lut.values.reshape(lut.side, lut.side)
         assert np.array_equal(square, square.T)
+
+
+def test_tables_record_their_scale(tmp_path):
+    for scale, kind in ((1.0, "i"), (2.0, "i"), (0.37, "f")):
+        p = HierarchicalParams(make_lattice("d4", scale=scale), 3, 2)
+        lut = build_lut(p)
+        assert (lut.scale, lut.values.dtype.kind) == (scale, kind)
+        P = p.lat.point_of(layer_codebook_coords(p))
+        assert np.abs(lut.values - (P @ P.T).ravel()).max() <= 1e-12 * scale**2
+        save_lut(lut, tmp_path / "t.lut")
+        assert load_lut(tmp_path / "t.lut", p).scale == scale  # taken from params
+
+
+def test_typed_table_is_cached(d4):
+    lut = build_lut(HierarchicalParams(d4, 3, 2))
+    t16 = lut.typed(np.int16)
+    assert t16.dtype == np.int16 and t16.shape == (lut.side, lut.side)
+    assert np.array_equal(t16.ravel(), lut.values)
+    assert lut.typed(np.int16) is t16
 
 
 def test_build_guard():

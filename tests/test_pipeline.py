@@ -26,7 +26,9 @@ from hnlq import (
     reconstruct_chunks,
     save_quantized_matrix,
 )
+from hnlq import lut as lut_mod
 from hnlq import pipeline
+from hnlq.lut import chunk_sum_dtype
 from hnlq.scaling import encode_scaled_many
 
 
@@ -37,12 +39,31 @@ def pipe(n=16, q=4, M=2, beta0=0.35, lat=None, alpha=1.0 / 3.0, **kw):
     )
 
 
-def cols_spanning_blocks(cfg, cols_b):
-    """Columns of A that fill two row blocks of the table combine and part of a third."""
+def cols_spanning_blocks(cfg, cols_b, outer=True):
+    """Columns of A that fill two row blocks of the table combine and part of a third.
+
+    All pairs (``outer``) over an integer table within headroom take blocks of
+    partial rows (rows, K, q^d) and chunk sums (rows, cols_b, K); the pair fold
+    takes blocks of every layer pair (rows, L, L, cols_b, K).
+    """
     L = cfg.params.M + (cfg.dither_mode != "none")
-    rows = pipeline._COMBINE_BLOCK // (L * L * cols_b * cfg.chunks)
+    if outer and chunk_sum_dtype(build_lut(cfg.params), L) is not None:
+        per_row = cfg.chunks * max(cols_b, cfg.params.q**cfg.params.lat.d)
+    else:
+        per_row = L * L * cols_b * cfg.chunks
+    rows = pipeline._COMBINE_BLOCK // per_row
     assert rows >= 2
     return 2 * rows + 1
+
+
+def dense_products(cfg, QA, QB):
+    """The decode+GEMM oracle: all column pairs of the reconstructions."""
+    X, Y = (np.stack([reconstruct_chunks(cfg, Q.column(j)).ravel() for j in range(Q.cols)])
+            for Q in (QA, QB))
+    G = X @ Y.T
+    if cfg.rotate:
+        G *= QA.norms[:, None] * QB.norms
+    return G
 
 
 def direct_ip(cfg, qx, qy):
@@ -449,7 +470,7 @@ def test_paired_products_match_columns():
         cfg = pipe(n=n, **kw)
         lut = build_lut(cfg.params)
         L = cfg.params.M + (cfg.dither_mode != "none")
-        cols = cols_spanning_blocks(cfg, 1) if n == 256 else 40
+        cols = cols_spanning_blocks(cfg, 1, outer=False) if n == 256 else 40
         QA = quantize_matrix(cfg, rng.standard_normal((n, cols)))
         QB = quantize_matrix(cfg, rng.standard_normal((n, cols)))
         out = paired_ip_approx(cfg, lut, QA, QB)
@@ -530,6 +551,93 @@ def test_matmul_rejects_other_config(base, other):
         matmul_approx(cfg, lut, QA, QB)
     with pytest.raises(ValueError):
         matmul_approx(cfg, lut, QB, QA)
+
+
+def spy_outer_kernel(monkeypatch):
+    """Record the dtype of every block the partial-row kernel yields."""
+    dtypes = []
+
+    def spied(*args):
+        for r, chunk in lut_mod.outer_chunk_sums(*args):
+            dtypes.append(chunk.dtype)
+            yield r, chunk
+
+    monkeypatch.setattr(pipeline, "outer_chunk_sums", spied)
+    return dtypes
+
+
+FIXED2 = {"dither_mode": "fixed", "dither_ids": np.array([3, 9])}
+# (lattice, q, M, config, n, cols of B, the chunk sums' type or None for the pair fold)
+KERNEL_TYPES = {
+    "int16 d4 q=4 M=2": ("d4", 4, 2, {}, 32, 4, np.int16),
+    "int32 d4 q=4 M=3 fixed": ("d4", 4, 3, KERNEL_CASES["fixed"], 32, 4, np.int32),
+    "int32 z2 q=16 M=2": ("z2", 16, 2, {}, 16, 4, np.int32),
+    "int64 z2 q=16 M=3 fixed": ("z2", 16, 3, FIXED2, 16, 4, np.int64),
+    "float fold z2 q=16 M=8": ("z2", 16, 8, {}, 16, 4, None),
+    "float a2 q=4 M=2": ("a2", 4, 2, {}, 16, 16, None),
+}
+
+
+@pytest.mark.parametrize("case", KERNEL_TYPES.values(), ids=KERNEL_TYPES.keys())
+def test_outer_kernel_at_every_dtype_boundary(case, monkeypatch):
+    # matmul_approx equals ip_approx bit for bit and decode+GEMM to round-off,
+    # across two row blocks and part of a third, on each side of every type bound
+    name, q, M, kw, n, cols_b, dtype = case
+    monkeypatch.setattr(pipeline, "_COMBINE_BLOCK", 2**12)
+    dtypes = spy_outer_kernel(monkeypatch)
+    cfg = pipe(n=n, lat=make_lattice(name), q=q, M=M, beta0=0.02 * q, **kw)
+    lut = build_lut(cfg.params)
+    cols_a = cols_spanning_blocks(cfg, cols_b)
+    rng = np.random.default_rng(21)
+    QA = quantize_matrix(cfg, rng.standard_normal((n, cols_a)))
+    QB = quantize_matrix(cfg, rng.standard_normal((n, cols_b)))
+    G = matmul_approx(cfg, lut, QA, QB)
+    assert dtypes == ([np.dtype(dtype)] * 3 if dtype else [])
+    L = M + (cfg.dither_mode != "none")
+    assert lut.query_count == cols_a * cols_b * cfg.chunks * L * L
+    for i in range(cols_a):
+        for j in range(cols_b):
+            assert G[i, j] == ip_approx(cfg, lut, QA.column(i), QB.column(j))
+    want = dense_products(cfg, QA, QB)
+    assert np.linalg.norm(G - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("name, scale", [("d4", 0.37), ("z2", 0.37), ("d4", 2.0)])
+def test_scaled_tables_give_the_dense_product(name, scale, monkeypatch):
+    # a table is integral only when scale^2 is: at 0.37 a rounded table was 0.25 off
+    dtypes = spy_outer_kernel(monkeypatch)
+    lat = make_lattice(name, scale=scale)
+    cfg = pipe(n=64, lat=lat, beta0=0.2 * scale)
+    lut = build_lut(cfg.params)
+    assert lut.scale == scale
+    assert (lut.values.dtype.kind == "i") == (scale == 2.0)
+    rng = np.random.default_rng(3)
+    QA = quantize_matrix(cfg, rng.standard_normal((64, 6)))
+    QB = quantize_matrix(cfg, rng.standard_normal((64, 5)))
+    G = matmul_approx(cfg, lut, QA, QB)
+    assert bool(dtypes) == (scale == 2.0)
+    want = dense_products(cfg, QA, QB)
+    assert np.linalg.norm(G - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def test_tables_of_another_scale_are_refused():
+    cfg = pipe(n=8, lat=make_lattice("d4", scale=0.37), beta0=0.1)
+    unscaled = build_lut(pipe(n=8).params)
+    rng = np.random.default_rng(4)
+    QA = quantize_matrix(cfg, rng.standard_normal((8, 2)))
+    for product in (matmul_approx, paired_ip_approx):
+        with pytest.raises(ValueError, match="scale"):
+            product(cfg, unscaled, QA, QA)
+    with pytest.raises(ValueError, match="scale"):
+        ip_approx(cfg, unscaled, QA.column(0), QA.column(1))
+    enc = HierarchicalEncoding(digits=QA.digits[0, 0], overload=False)
+    ids = np.zeros(4, dtype=np.int64)
+    with pytest.raises(ValueError, match="scale"):
+        lut_ip(unscaled, enc, enc, params=cfg.params)
+    with pytest.raises(ValueError, match="scale"):
+        lut_ip_dithered(unscaled, enc, enc, ids, ids, params=cfg.params)
+    lut = build_lut(cfg.params)
+    assert lut_ip(lut, enc, enc, params=cfg.params) == lut_ip(lut, enc, enc)
 
 
 def test_products_exact_beyond_int64():
