@@ -64,7 +64,6 @@ class InnerProductLUT:
     values: np.ndarray
     scale: float = 1.0
     query_count: int = field(default=0, compare=False)
-    _typed: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def side(self) -> int:
@@ -78,14 +77,6 @@ class InnerProductLUT:
     def max_abs(self) -> int | float:
         """Largest entry magnitude; bounds every weighted sum of reads."""
         return np.abs(self.values).max().item()
-
-    def typed(self, dtype) -> np.ndarray:
-        """The table as a (side, side) array of ``dtype``, cached; the caller
-        checks that ``dtype`` holds every entry."""
-        dtype = np.dtype(dtype)
-        if dtype not in self._typed:
-            self._typed[dtype] = self.values.astype(dtype).reshape(self.side, self.side)
-        return self._typed[dtype]
 
     def _gather(self, flat_idx: np.ndarray) -> np.ndarray:
         self.query_count += flat_idx.size
@@ -202,7 +193,7 @@ def outer_chunk_sums(
     """
     na, K, L = ia.shape
     nb, side, q = ib.shape[0], lut.side, lut.q
-    table = lut.typed(chunk_sum_dtype(lut, L))
+    table = lut.values.astype(chunk_sum_dtype(lut, L)).reshape(side, side)
     lut.query_count += na * nb * K * L * L
     # (L, nb, K) columns k * side + ib of a block's partial rows, flattened (rows, K * side)
     cols = np.moveaxis(ib + side * np.arange(K)[:, None], -1, 0).copy()
@@ -234,18 +225,14 @@ def lut_ip(
     lut: InnerProductLUT,
     enc_x: HierarchicalEncoding,
     enc_y: HierarchicalEncoding,
-    *,
-    params: HierarchicalParams | None = None,
 ):
     """Inner product of two reconstructions from M^2 table entries.
 
-    Both encodings must come from the parameters the table was built for;
-    digit range and shape are validated against the table, and a table
-    built for other ``params``, when given, is refused with ValueError.
-    Returns a Python int for integral-Gram lattices, else a float.
+    Both encodings must come from the parameters the table was built for
+    (``check_lut`` checks a table against them); digit range and shape are
+    validated against the table.  Returns a Python int for integral-Gram
+    lattices, else a float.
     """
-    if params is not None:
-        check_lut(lut, params)
     total = _exact_ip(lut, (enc_x, enc_y), None)
     return int(total) if lut.values.dtype.kind == "i" else float(total)
 
@@ -256,18 +243,14 @@ def lut_ip_dithered(
     enc_y: HierarchicalEncoding,
     dither_x: np.ndarray,
     dither_y: np.ndarray,
-    *,
-    params: HierarchicalParams | None = None,
 ) -> float:
     """Inner product of dithered reconstructions from (M+1)^2 table entries.
 
     The dither ids act as an extra layer with weight 1/q on each side; the
     sum is accumulated with exact integer weights scaled by q^2 and divided
     once at the end, so integral-Gram tables stay exact until the final
-    division.  A table built for other ``params``, when given, is refused.
+    division.
     """
-    if params is not None:
-        check_lut(lut, params)
     return float(_exact_ip(lut, (enc_x, enc_y), np.stack([dither_x, dither_y]))) / lut.q**2
 
 
@@ -297,7 +280,11 @@ def save_lut(lut: InnerProductLUT, path) -> None:
 def load_lut(path, params: HierarchicalParams) -> InnerProductLUT:
     """Read a table and validate its header against params.
 
-    The NLL1 header records no scale: the table takes params' lattice scale.
+    The NLL1 header records no scale: the table takes params' lattice scale,
+    and its value type must be the one ``build_lut`` gives that lattice, so
+    an integer table is refused for a lattice whose Gram matrix is not
+    integral (such as a Z or D lattice at scale 0.37), and a real one for a
+    lattice whose Gram matrix is.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -316,6 +303,11 @@ def load_lut(path, params: HierarchicalParams) -> InnerProductLUT:
     if family != lat.family or d != lat.d or q != params.q:
         raise ValueError(
             f"LUT header ({family}{d}, q={q}) does not match params ({lat.name}, q={params.q})"
+        )
+    if (vt == 0) != lat.integral_gram:
+        raise ValueError(
+            f"LUT holds {'integer' if vt == 0 else 'real'} values, but {lat.name} at "
+            f"scale {lat.scale} has {'an' if lat.integral_gram else 'no'} integral Gram matrix"
         )
     values = np.frombuffer(raw, dtype=_VALUE_TYPES[vt], offset=_HEADER.size)
     expected = q ** (2 * d)

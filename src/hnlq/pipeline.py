@@ -340,9 +340,13 @@ def _outer_combine(cfg, lut, ia, ib, Ta, Tb) -> np.ndarray:
     """All column pairs (na, nb) from layer indices (na, K, L), (nb, K, L) and
     retry counts (na, K), (nb, K), through the integer kernel ``outer_chunk_sums``.
 
-    Equals ``_combine`` of the same pairs bit for bit: each exact chunk sum
-    meets the same float steps, (sa * sb) * chunk, then a sum over chunks.
+    Partial rows are built over the side with fewer columns: the table is
+    symmetric and a float product commutes, so swapping the sides changes no
+    bit.  Equals ``_combine`` of the same pairs bit for bit: each exact chunk
+    sum meets the same float steps, (sa * sb) * chunk, then a sum over chunks.
     """
+    if len(ib) < len(ia):
+        return _outer_combine(cfg, lut, ib, ia, Tb, Ta).T.copy()
     check_lut(lut, cfg.params)
     sa, sb = (cfg.scaling.scale(T) for T in (Ta, Tb))
     out = np.empty((len(ia), len(ib)))
@@ -403,11 +407,11 @@ def matmul_approx(
     Entry (i, j) equals ``ip_approx`` of columns i and j bit for bit.  The
     LUT's query counter grows by a.cols * b.cols * K * M^2 table entries
     combined (K (M+1)^2 per entry when dithered).  An integer table whose
-    chunk sums fit int64 is read through its partial rows: K L q^d entries
-    per column of A plus K L per output entry, in the narrowest exact integer
-    type.  Other tables fold all L^2 layer pairs per chunk.  Both matrices
-    must be quantized under settings equal to cfg's, and the table built for
-    cfg's parameters.
+    chunk sums fit int64 is read through partial rows of the matrix with
+    fewer columns: K L q^d entries per column of it plus K L per output
+    entry, in the narrowest exact integer type.  Other tables fold all L^2
+    layer pairs per chunk.  Both matrices must be quantized under settings
+    equal to cfg's, and the table built for cfg's parameters.
     """
     return _matrix_products(cfg, lut, QA, QB, outer=True)
 

@@ -112,12 +112,24 @@ def test_tables_record_their_scale(tmp_path):
         assert load_lut(tmp_path / "t.lut", p).scale == scale  # taken from params
 
 
-def test_typed_table_is_cached(d4):
-    lut = build_lut(HierarchicalParams(d4, 3, 2))
-    t16 = lut.typed(np.int16)
-    assert t16.dtype == np.int16 and t16.shape == (lut.side, lut.side)
-    assert np.array_equal(t16.ravel(), lut.values)
-    assert lut.typed(np.int16) is t16
+def test_load_refuses_a_value_type_the_lattice_cannot_have(tmp_path, d4, a2):
+    # NLL1 records no scale, so a rounded integer table of d4 at scale 0.37
+    # (which older builds wrote) must not load as exact for that lattice.
+    path = tmp_path / "t.lut"
+    scaled = HierarchicalParams(make_lattice("d4", scale=0.37), 3, 2)
+    save_lut(build_lut(HierarchicalParams(d4, 3, 2)), path)
+    with pytest.raises(ValueError, match="integer"):
+        load_lut(path, scaled)
+    save_lut(build_lut(scaled), path)
+    with pytest.raises(ValueError, match="real"):
+        load_lut(path, HierarchicalParams(d4, 3, 2))
+    assert load_lut(path, scaled).values.dtype.kind == "f"
+    pa = HierarchicalParams(a2, 3, 2)
+    rounded = build_lut(pa)
+    rounded.values = np.rint(rounded.values).astype(np.int64)
+    save_lut(rounded, path)
+    with pytest.raises(ValueError, match="integer"):
+        load_lut(path, pa)
 
 
 def test_build_guard():

@@ -28,7 +28,7 @@ from hnlq import (
 )
 from hnlq import lut as lut_mod
 from hnlq import pipeline
-from hnlq.lut import chunk_sum_dtype
+from hnlq.lut import check_lut, chunk_sum_dtype
 from hnlq.scaling import encode_scaled_many
 
 
@@ -567,12 +567,13 @@ def spy_outer_kernel(monkeypatch):
 
 
 FIXED2 = {"dither_mode": "fixed", "dither_ids": np.array([3, 9])}
-# (lattice, q, M, config, n, cols of B, the chunk sums' type or None for the pair fold)
+# (lattice, q, M, config, n, cols of B, the chunk sums' type or None for the pair fold);
+# B is the wider side on the partial-row cases, so A's partial rows span the blocks
 KERNEL_TYPES = {
-    "int16 d4 q=4 M=2": ("d4", 4, 2, {}, 32, 4, np.int16),
-    "int32 d4 q=4 M=3 fixed": ("d4", 4, 3, KERNEL_CASES["fixed"], 32, 4, np.int32),
-    "int32 z2 q=16 M=2": ("z2", 16, 2, {}, 16, 4, np.int32),
-    "int64 z2 q=16 M=3 fixed": ("z2", 16, 3, FIXED2, 16, 4, np.int64),
+    "int16 d4 q=4 M=2": ("d4", 4, 2, {}, 32, 8, np.int16),
+    "int32 d4 q=4 M=3 fixed": ("d4", 4, 3, KERNEL_CASES["fixed"], 32, 8, np.int32),
+    "int32 z2 q=16 M=2": ("z2", 16, 2, {}, 16, 8, np.int32),
+    "int64 z2 q=16 M=3 fixed": ("z2", 16, 3, FIXED2, 16, 8, np.int64),
     "float fold z2 q=16 M=8": ("z2", 16, 8, {}, 16, 4, None),
     "float a2 q=4 M=2": ("a2", 4, 2, {}, 16, 16, None),
 }
@@ -588,6 +589,7 @@ def test_outer_kernel_at_every_dtype_boundary(case, monkeypatch):
     cfg = pipe(n=n, lat=make_lattice(name), q=q, M=M, beta0=0.02 * q, **kw)
     lut = build_lut(cfg.params)
     cols_a = cols_spanning_blocks(cfg, cols_b)
+    assert dtype is None or cols_a < cols_b
     rng = np.random.default_rng(21)
     QA = quantize_matrix(cfg, rng.standard_normal((n, cols_a)))
     QB = quantize_matrix(cfg, rng.standard_normal((n, cols_b)))
@@ -595,6 +597,10 @@ def test_outer_kernel_at_every_dtype_boundary(case, monkeypatch):
     assert dtypes == ([np.dtype(dtype)] * 3 if dtype else [])
     L = M + (cfg.dither_mode != "none")
     assert lut.query_count == cols_a * cols_b * cfg.chunks * L * L
+    if dtype:
+        # B^T A builds its partial rows over A too, the side with fewer columns
+        assert np.array_equal(matmul_approx(cfg, lut, QB, QA), G.T)
+        assert dtypes == [np.dtype(dtype)] * 6
     for i in range(cols_a):
         for j in range(cols_b):
             assert G[i, j] == ip_approx(cfg, lut, QA.column(i), QB.column(j))
@@ -630,14 +636,14 @@ def test_tables_of_another_scale_are_refused():
             product(cfg, unscaled, QA, QA)
     with pytest.raises(ValueError, match="scale"):
         ip_approx(cfg, unscaled, QA.column(0), QA.column(1))
-    enc = HierarchicalEncoding(digits=QA.digits[0, 0], overload=False)
-    ids = np.zeros(4, dtype=np.int64)
+    # lut_ip takes no params: a caller holding them checks the table first
     with pytest.raises(ValueError, match="scale"):
-        lut_ip(unscaled, enc, enc, params=cfg.params)
-    with pytest.raises(ValueError, match="scale"):
-        lut_ip_dithered(unscaled, enc, enc, ids, ids, params=cfg.params)
+        check_lut(unscaled, cfg.params)
     lut = build_lut(cfg.params)
-    assert lut_ip(lut, enc, enc, params=cfg.params) == lut_ip(lut, enc, enc)
+    check_lut(lut, cfg.params)
+    enc = HierarchicalEncoding(digits=QA.digits[0, 0], overload=False)
+    point = h_decode(cfg.params, enc)
+    assert lut_ip(lut, enc, enc) == pytest.approx(float(point @ point))
 
 
 def test_products_exact_beyond_int64():
