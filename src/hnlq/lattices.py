@@ -79,14 +79,18 @@ class Lattice:
     def name(self) -> str:
         return f"{self.family}{self.d}"
 
-    @property
-    def integral_gram(self) -> bool:
-        """True when G.T @ G is an integer matrix (exact integer inner products).
+    @cached_property
+    def integer_gram(self) -> tuple[np.ndarray, float]:
+        """(B, u): an int64 matrix B and a factor u with G.T @ G = u B.
 
-        The canonical Z_d and D_n generators have integral Gram matrices, so a
-        scaled one does exactly when scale^2 is an integer.
+        B is the canonical Gram matrix and u = scale^2 for Z_d and D_n; for A_2,
+        B = [[2, 1], [1, 2]], twice the canonical one, and u = scale^2 / 2.
         """
-        return self.family in ("Z", "D") and float(self.scale**2).is_integer()
+        k = 2 if self.family == "A" else 1
+        G0 = _canonical_generator(self.family, self.d)
+        B = np.rint(k * G0.T @ G0).astype(np.int64)
+        B.flags.writeable = False
+        return B, self.scale**2 / k
 
     def point_of(self, coords: np.ndarray) -> np.ndarray:
         """Map generator coordinates (..., d) to vectors (..., d)."""

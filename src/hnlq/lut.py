@@ -5,23 +5,22 @@ single-layer codebook points; any two hierarchical encodings are then
 combined with powers of q, so an M-layer by M-layer product combines
 exactly M^2 table entries regardless of depth.  A table's ``query_count``
 counts those entries: L^2 per product of two L-layer chunks (L = M, or
-M + 1 with the dither layer), whichever kernel combines them.  Tables over
-Z_d and D_n whose scale^2 is an integer hold exact 64-bit integers; the
-others store reals.
+M + 1 with the dither layer), whichever gather reads them.
 
-Two kernels combine the entries.  ``weighted_pair_sum`` gathers every layer
-pair at once and serves single and paired products and every real table.
-``outer_chunk_sums`` serves all column pairs of two matrices over an
-integer table: it sums one side's table rows once per chunk, then gathers
-from those partial rows, so it reads L entries per chunk pair, not L^2.
+Every table holds exact int64 inner products on the unscaled canonical
+lattice, times 2 for A_2 (``Lattice.integer_gram``'s B); the lattice's one
+float factor u (scale^2, halved for A_2) is applied with the chunk scales.
+One kernel, ``chunk_sums``, combines the entries into exact integer chunk
+sums for every product.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -44,18 +43,20 @@ __all__ = [
 ]
 
 _MAGIC = int.from_bytes(b"NLL1", "little")
-_HEADER = struct.Struct("<8I")  # magic, version, family, d, q, value type, two reserved
+# magic, version, family, d, q, value type, lattice scale (version 1: two reserved words)
+_HEADER = struct.Struct("<6Id")
+_VERSION = 2
 _VALUE_TYPES = {0: np.dtype("<i8"), 1: np.dtype("<f8")}
 
 
 @dataclass(eq=False)
 class InnerProductLUT:
-    """Flat table of all single-layer pairwise inner products.
+    """Flat int64 table of all single-layer pairwise inner products over ``unit``.
 
-    Entry i * q^d + j holds the inner product of layer codebook points i
-    and j of the lattice scaled by ``scale``.  ``query_count`` tallies the
-    table entries combined by the products, L^2 per chunk pair of L layers
-    each; it is diagnostic state, not part of the table.
+    Entry i * q^d + j times ``unit`` (``Lattice.integer_gram``'s u) is the
+    inner product of layer codebook points i and j of the lattice scaled by
+    ``scale``.  ``query_count`` tallies the table entries combined by the
+    products, L^2 per chunk pair of L layers each; it is diagnostic state.
     """
 
     family: str
@@ -63,6 +64,7 @@ class InnerProductLUT:
     q: int
     values: np.ndarray
     scale: float = 1.0
+    unit: float = 1.0
     query_count: int = field(default=0, compare=False)
 
     @property
@@ -74,9 +76,9 @@ class InnerProductLUT:
         return self.values.nbytes
 
     @cached_property
-    def max_abs(self) -> int | float:
+    def max_abs(self) -> int:
         """Largest entry magnitude; bounds every weighted sum of reads."""
-        return np.abs(self.values).max().item()
+        return max(-int(self.values.min()), int(self.values.max()))
 
     def _gather(self, flat_idx: np.ndarray) -> np.ndarray:
         self.query_count += flat_idx.size
@@ -91,6 +93,7 @@ class OneSidedLUT:
     d: int
     q: int
     values: np.ndarray
+    scale: float = 1.0
     query_count: int = field(default=0, compare=False)
 
     def _gather(self, idx: np.ndarray) -> np.ndarray:
@@ -99,23 +102,22 @@ class OneSidedLUT:
 
 
 def build_lut(params: HierarchicalParams, guard: int = LUT_GUARD) -> InnerProductLUT:
-    """Build the full q^(2d)-entry inner product table.
+    """Build the full q^(2d)-entry inner product table, C B C^T over the layer
+    codebook coordinates C, in int64 with no rounding.
 
     Raises ValueError when q^(2d) exceeds the guard.
     """
-    q, d = params.q, params.lat.d
-    if q ** (2 * d) > guard:
-        raise ValueError(f"table too large: q^(2d) = {q ** (2 * d)} exceeds {guard}")
-    P = params.lat.point_of(layer_codebook_coords(params))
-    table = P @ P.T
-    if params.lat.integral_gram:
-        table = np.rint(table).astype(np.int64)
-    return InnerProductLUT(family=params.lat.family, d=d, q=q, values=table.reshape(-1),
-                           scale=params.lat.scale)
+    q, lat = params.q, params.lat
+    if q ** (2 * lat.d) > guard:
+        raise ValueError(f"table too large: q^(2d) = {q ** (2 * lat.d)} exceeds {guard}")
+    B, u = lat.integer_gram
+    C = layer_codebook_coords(params)
+    return InnerProductLUT(family=lat.family, d=lat.d, q=q, values=(C @ B @ C.T).reshape(-1),
+                           scale=lat.scale, unit=u)
 
 
-def check_lut(lut: InnerProductLUT, params: HierarchicalParams) -> None:
-    """Refuse a table built for another lattice, scale or base than params'."""
+def check_lut(lut: InnerProductLUT | OneSidedLUT, params: HierarchicalParams) -> None:
+    """Refuse a full or one-sided table built for another lattice, scale or base than params'."""
     lat = params.lat
     if (lut.family, lut.d, lut.scale, lut.q) != (lat.family, lat.d, lat.scale, params.q):
         raise ValueError(
@@ -135,22 +137,6 @@ def layer_indices(q: int, digits: np.ndarray, dither_ids: np.ndarray | None) -> 
     return np.concatenate([digits_to_index(dither_ids, q)[..., None], idx], axis=-1)
 
 
-def weighted_pair_sum(lut: InnerProductLUT, ra: np.ndarray, rb: np.ndarray, w: np.ndarray):
-    """Sum over layer pairs (i, j) of w[i, j] * table[ra[i] + rb[j]], in one gather.
-
-    ra holds row offsets (index times ``side``) and rb column indices, both
-    layer-major (L, ...) with broadcasting trailing axes.  The dtype of the
-    (L, L) weights chooses the arithmetic: int64 or float64 arrays, or
-    Python objects for exact integers past int64.  The pairs are folded in
-    one fixed order, (0, 0), (0, 1), ..., whatever the trailing shape.
-    """
-    L = len(w)
-    pairs = lut._gather(ra[:, None] + rb[None, :])
-    pairs = w.reshape(L, L, *[1] * (pairs.ndim - 2)) * pairs
-    # An axis sum can change its order with the shape; a fold cannot.
-    return reduce(np.add, pairs.reshape(L * L, *pairs.shape[2:]))
-
-
 _CHUNK_TYPES = tuple(map(np.dtype, (np.int16, np.int32, np.int64)))
 
 
@@ -159,16 +145,14 @@ def chunk_sum_dtype(lut: InnerProductLUT, L: int) -> np.dtype | None:
 
     A chunk sum weighs the pair of layers (i, j) by q^(i+j), so its magnitude
     is at most max|table| (sum_l q^l)^2; that bound must stay below the
-    type's 2^(bits-1).  None for a real table or a bound past 2^63.
+    type's 2^(bits-1).  None for a bound past 2^63.
     """
-    if lut.values.dtype.kind != "i":
-        return None
     bound = lut.max_abs * ((lut.q**L - 1) // (lut.q - 1)) ** 2
     return next((t for t in _CHUNK_TYPES if bound < 2 ** (8 * t.itemsize - 1)), None)
 
 
 def _horner(q: int, terms) -> np.ndarray:
-    """sum_l q^l terms[l] from fresh arrays given highest layer first, in place."""
+    """sum_l q^l terms[l], terms given highest layer first; overwrites the first."""
     terms = iter(terms)
     acc = next(terms)
     for t in terms:
@@ -177,33 +161,48 @@ def _horner(q: int, terms) -> np.ndarray:
     return acc
 
 
-def outer_chunk_sums(
-    lut: InnerProductLUT, ia: np.ndarray, ib: np.ndarray, block: int
+def chunk_sums(
+    lut: InnerProductLUT, ia: np.ndarray, ib: np.ndarray, outer: bool, block: int
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Integer chunk sums of every column of A against every column of B.
+    """Exact chunk sums sum_(i, j) q^(i+j) table[ia_i, ib_j] of layer indices
+    ia (na, K, L) and ib (nb, K, L), as (r, C) for row blocks of A from row r.
 
-    ia (na, K, L) and ib (nb, K, L) are layer indices.  Yields (r, C), C of
-    shape (rows, nb, K), for row blocks of A in order: C[a, b, k] is
-    sum_(i, j) q^(i+j) table[ia[r + a, k, i], ib[b, k, j]], exact in the type
-    ``chunk_sum_dtype`` picks, which must not be None.  Each block first sums
-    its partial rows P[a, k] = sum_i q^i table[ia[r + a, k, i]] by Horner's
-    rule, then gathers C = sum_j q^j P[a, k, ib[b, k, j]] from them.  A block
-    holds about ``block`` elements of P or of C, and at least one column of A.
-    Counts K L^2 table entries per output entry.
+    C is (rows, nb, K) for all pairs (``outer``), else (rows, K) for column a
+    against column a, in the narrowest type ``chunk_sum_dtype`` proves exact,
+    else Python ints: no order of the sums changes a bit.  A block holds
+    about ``block`` elements of its largest temporary, and at least one row.
+    Counts K L^2 table entries per chunk pair.
+
+    All pairs in an integer type sum partial rows P[a, k] = sum_i q^i
+    table[ia[r + a, k, i]] by Horner's rule, then gather sum_j q^j P[a, k,
+    ib[b, k, j]]: L reads per chunk pair, plus L q^d per chunk of A.  The rest
+    gather all L^2 layer pairs of a block (a partial row would read L q^d),
+    cast only those, and take Horner's rule over both layer axes.
     """
     na, K, L = ia.shape
-    nb, side, q = ib.shape[0], lut.side, lut.q
-    table = lut.values.astype(chunk_sum_dtype(lut, L)).reshape(side, side)
-    lut.query_count += na * nb * K * L * L
-    # (L, nb, K) columns k * side + ib of a block's partial rows, flattened (rows, K * side)
-    cols = np.moveaxis(ib + side * np.arange(K)[:, None], -1, 0).copy()
-    rows = max(1, block // (K * max(nb, side)))
+    nb, side, q = len(ib), lut.side, lut.q
+    dtype = chunk_sum_dtype(lut, L)
+    if outer and dtype is not None:
+        table = lut.values.astype(dtype).reshape(side, side)
+        lut.query_count += na * nb * K * L * L
+        # (L, nb, K) columns k * side + ib of a block's partial rows, flattened (rows, K * side)
+        cols = np.moveaxis(ib + side * np.arange(K)[:, None], -1, 0).copy()
+        rows = max(1, block // (K * max(nb, side)))
+        for r in range(0, na, rows):
+            ra = ia[r:r + rows]
+            P = _horner(q, (table[ra[..., i]] for i in reversed(range(L)))).reshape(len(ra), -1)
+            # np.take on a flat axis, several times faster than P[:, cols[j]]
+            yield r, _horner(q, (np.take(P, cols[j], axis=1) for j in reversed(range(L))))
+        return
+    # contiguous layer-major row offsets (L, na, K) and columns (L, nb, K), or all pairs
+    ra, rb = (np.moveaxis(i, -1, 0).copy() for i in (ia * side, ib))
+    if outer:
+        ra, rb = ra[:, :, None], rb[:, None]
+    rows = max(1, block // (L * L * K * (max(nb, 1) if outer else 1)))
     for r in range(0, na, rows):
-        ra = ia[r:r + rows]
-        P = _horner(q, (table[ra[..., i]] for i in reversed(range(L))))
-        P = P.reshape(len(ra), K * side)
-        # np.take on a flat axis, several times faster than P[:, cols[j]]
-        yield r, _horner(q, (np.take(P, cols[j], axis=1) for j in reversed(range(L))))
+        pairs = lut._gather(ra[:, None, r:r + rows] + (rb if outer else rb[:, r:r + rows])[None])
+        pairs = pairs.astype(object if dtype is None else dtype, copy=False)
+        yield r, _horner(q, (_horner(q, pairs[i, ::-1]) for i in reversed(range(L))))
 
 
 def _stacked_digits(tbl, encs) -> np.ndarray:
@@ -214,11 +213,11 @@ def _stacked_digits(tbl, encs) -> np.ndarray:
     return digits
 
 
-def _exact_ip(lut: InnerProductLUT, encs, dither_ids):
-    """Sum of q^(i+j) table[ix_i, iy_j] over two encodings' layers, in Python-int weights."""
+def _exact_ip(lut: InnerProductLUT, encs, dither_ids) -> int:
+    """Sum of q^(i+j) table[ix_i, iy_j] over two encodings' layers: one paired chunk."""
     ix, iy = layer_indices(lut.q, _stacked_digits(lut, encs), dither_ids)
-    e = np.arange(ix.size, dtype=object)
-    return weighted_pair_sum(lut, lut.side * ix[:, None], iy[:, None], lut.q ** (e[:, None] + e))[0]
+    ((_, C),) = chunk_sums(lut, ix[None, None], iy[None, None], False, 1)
+    return int(C[0, 0])
 
 
 def lut_ip(
@@ -230,11 +229,12 @@ def lut_ip(
 
     Both encodings must come from the parameters the table was built for
     (``check_lut`` checks a table against them); digit range and shape are
-    validated against the table.  Returns a Python int for integral-Gram
-    lattices, else a float.
+    validated against the table.  Returns a Python int, exact, when the
+    table's unit is an integer (Z_d and D_n at an integer scale^2), else the
+    exact table sum times the unit as a float.
     """
     total = _exact_ip(lut, (enc_x, enc_y), None)
-    return int(total) if lut.values.dtype.kind == "i" else float(total)
+    return total * int(lut.unit) if float(lut.unit).is_integer() else total * lut.unit
 
 
 def lut_ip_dithered(
@@ -247,70 +247,95 @@ def lut_ip_dithered(
     """Inner product of dithered reconstructions from (M+1)^2 table entries.
 
     The dither ids act as an extra layer with weight 1/q on each side; the
-    sum is accumulated with exact integer weights scaled by q^2 and divided
-    once at the end, so integral-Gram tables stay exact until the final
-    division.
+    sum is exact in integers scaled by q^2, then divided by q^2 and
+    multiplied by the table's unit, the float steps of ``ip_approx``.
     """
-    return float(_exact_ip(lut, (enc_x, enc_y), np.stack([dither_x, dither_y]))) / lut.q**2
+    total = _exact_ip(lut, (enc_x, enc_y), np.stack([dither_x, dither_y]))
+    return float(total) / lut.q**2 * lut.unit
 
 
 def build_one_sided(params: HierarchicalParams, y: np.ndarray) -> OneSidedLUT:
     """Table of inner products of y with every single-layer codebook point."""
     y = _as_vector(y, params.lat.d)
     P = params.lat.point_of(layer_codebook_coords(params))
-    return OneSidedLUT(family=params.lat.family, d=params.lat.d, q=params.q, values=P @ y)
+    return OneSidedLUT(family=params.lat.family, d=params.lat.d, q=params.q, values=P @ y,
+                       scale=params.lat.scale)
 
 
 def one_sided_ip(oslut: OneSidedLUT, enc_x: HierarchicalEncoding) -> float:
-    """Inner product of the table's vector with a reconstruction, M reads."""
+    """Inner product of the table's vector with a reconstruction, M reads.
+
+    The encoding must come from the parameters the table was built for;
+    ``check_lut`` checks a table against them.
+    """
     (ix,) = layer_indices(oslut.q, _stacked_digits(oslut, [enc_x]), None)
     reads = oslut._gather(ix)
     return float(sum(oslut.q**i * v for i, v in enumerate(reads)))
 
 
 def save_lut(lut: InnerProductLUT, path) -> None:
-    """Write the table in the fixed little-endian binary layout."""
-    vt = 0 if lut.values.dtype.kind == "i" else 1
-    header = _HEADER.pack(_MAGIC, 1, FAMILY_IDS[lut.family], lut.d, lut.q, vt, 0, 0)
+    """Write the table as NLL version 2: header, int64 values, CRC-32 of both."""
+    body = _HEADER.pack(_MAGIC, _VERSION, FAMILY_IDS[lut.family], lut.d, lut.q, 0, lut.scale)
+    body += np.ascontiguousarray(lut.values, dtype=_VALUE_TYPES[0]).tobytes()
     with open(path, "wb") as f:
-        f.write(header)
-        f.write(np.ascontiguousarray(lut.values, dtype=_VALUE_TYPES[vt]).tobytes())
+        f.write(body + zlib.crc32(body).to_bytes(4, "little"))
+
+
+def _canonical_v1(values: np.ndarray, lat: Lattice) -> np.ndarray:
+    """Canonical int64 entries of a version 1 table: its scaled products over u.
+
+    Version 1 wrote int64 for Z_d and D_n at an integer scale^2, else float64.
+    """
+    u = lat.integer_gram[1]
+    integral = lat.family != "A" and float(u).is_integer()
+    if (values.dtype.kind == "i") != integral:
+        raise ValueError(f"LUT holds {'real' if integral else 'integer'} values, unlike "
+                         f"version 1 tables of {lat.name} at scale {lat.scale}")
+    if integral:
+        out, rem = np.divmod(values, int(u))
+        if rem.any():
+            raise ValueError(f"version 1 integer LUT is not a multiple of scale^2 = {int(u)}")
+        return out
+    x = values / u
+    out = np.rint(x)
+    if not ((np.abs(x - out) <= 1e-6) & (np.abs(out) < 2.0**62)).all():
+        raise ValueError(f"version 1 real LUT is not an integer multiple of {u}")
+    return out.astype(np.int64)
 
 
 def load_lut(path, params: HierarchicalParams) -> InnerProductLUT:
-    """Read a table and validate its header against params.
+    """Read a table and validate it against params.
 
-    The NLL1 header records no scale: the table takes params' lattice scale,
-    and its value type must be the one ``build_lut`` gives that lattice, so
-    an integer table is refused for a lattice whose Gram matrix is not
-    integral (such as a Z or D lattice at scale 0.37), and a real one for a
-    lattice whose Gram matrix is.
+    A version 2 file is checked against its CRC-32, then its header, scale
+    included.  Version 1 files have neither: the table takes params' scale and
+    is converted by ``_canonical_v1``.
     """
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < _HEADER.size:
         raise ValueError("truncated LUT file")
-    magic, version, fam_id, d, q, vt, _, _ = _HEADER.unpack_from(raw)
+    magic, version, fam_id, d, q, vt, scale = _HEADER.unpack_from(raw)
     if magic != _MAGIC:
         raise ValueError("bad magic, not a LUT file")
-    if version != 1:
+    if version == _VERSION:
+        raw, crc = raw[:-4], raw[-4:]
+        if len(raw) < _HEADER.size or zlib.crc32(raw).to_bytes(4, "little") != crc:
+            raise ValueError("LUT checksum mismatch: corrupt or truncated file")
+    elif version != 1:
         raise ValueError(f"unsupported LUT version {version}")
-    if vt not in _VALUE_TYPES:
+    if vt not in _VALUE_TYPES or (version == _VERSION and vt != 0):
         raise ValueError(f"unknown value type {vt}")
-    families = {v: k for k, v in FAMILY_IDS.items()}
-    family = families.get(fam_id)
+    family = {v: k for k, v in FAMILY_IDS.items()}.get(fam_id)
     lat = params.lat
     if family != lat.family or d != lat.d or q != params.q:
         raise ValueError(
             f"LUT header ({family}{d}, q={q}) does not match params ({lat.name}, q={params.q})"
         )
-    if (vt == 0) != lat.integral_gram:
-        raise ValueError(
-            f"LUT holds {'integer' if vt == 0 else 'real'} values, but {lat.name} at "
-            f"scale {lat.scale} has {'an' if lat.integral_gram else 'no'} integral Gram matrix"
-        )
+    if version == _VERSION and scale != lat.scale:
+        raise ValueError(f"LUT built for scale {scale}, params have scale {lat.scale}")
     values = np.frombuffer(raw, dtype=_VALUE_TYPES[vt], offset=_HEADER.size)
-    expected = q ** (2 * d)
-    if values.size != expected:
-        raise ValueError(f"table holds {values.size} entries, expected {expected}")
-    return InnerProductLUT(family=family, d=d, q=q, values=values.copy(), scale=lat.scale)
+    if values.size != q ** (2 * d):
+        raise ValueError(f"table holds {values.size} entries, expected {q ** (2 * d)}")
+    values = _canonical_v1(values, lat) if version == 1 else values.copy()
+    return InnerProductLUT(family=family, d=d, q=q, values=values, scale=lat.scale,
+                           unit=lat.integer_gram[1])

@@ -3,13 +3,15 @@
 A length-n vector is split into n/d chunks, each quantized independently
 with per-chunk overload scaling.  Inner products between two quantized
 vectors sum per-chunk table lookups weighted by both chunks' scales, with
-an optional shared random rotation and norm bookkeeping in front.
+an optional shared random rotation and norm bookkeeping in front.  Every
+product takes exact integer chunk sums from ``lut.chunk_sums`` and one
+float step (``_combine``): divide by q^2 when dithered, multiply by the
+lattice factor u and both chunk scales, sum over chunks.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import numbers
 import struct
 from dataclasses import dataclass
@@ -18,8 +20,7 @@ import numpy as np
 
 from .codec import HierarchicalParams
 from .lattices import FAMILY_IDS, _as_vector, make_lattice
-from .lut import (InnerProductLUT, check_lut, chunk_sum_dtype, layer_indices,
-                  outer_chunk_sums, weighted_pair_sum)
+from .lut import InnerProductLUT, check_lut, chunk_sums, layer_indices
 from .scaling import ScalingConfig, decode_scaled_many, encode_scaled_many
 from .voronoi import digits_to_index, index_to_digits
 
@@ -287,9 +288,9 @@ def reconstruct_chunks(cfg: PipelineConfig, qv: QuantizedVector) -> np.ndarray:
     )
 
 
-# Elements per row block of either kernel, so each float64 temporary is 1 MiB.
-# On a 2 MiB L2 cache a 1024x128 d4 pair fold ran 1.1-1.6x slower at 2^18, 2x
-# at 2^19, and the partial-row kernel about 1.1x slower at 2^16 or 2^18.
+# Elements per row block of the chunk-sum kernel, so each float64 temporary is
+# 1 MiB.  On a 2 MiB L2 cache a 1024x128 d4 pair fold ran 1.1-1.6x slower at
+# 2^18, 2x at 2^19, and the partial-row gather about 1.1x slower at 2^16 or 2^18.
 _COMBINE_BLOCK = 2**17
 
 
@@ -308,55 +309,32 @@ def _check_config(cfg: PipelineConfig, *quantized) -> None:
         raise ValueError("quantized data does not match the pipeline config")
 
 
-def _combine(cfg, lut, ia, ib, Ta, Tb) -> np.ndarray:
-    """Inner products from layer indices (..., K, L) and retry counts (..., K).
+def _combine(cfg, lut, ia, ib, Ta, Tb, outer: bool) -> np.ndarray:
+    """Inner products, all pairs (na, nb) when ``outer`` else paired (n,), from
+    layer indices (n, K, L) and retry counts (n, K) of the two sides.
 
-    The leading axes of the two sides broadcast: (na, 1) against (1, nb) gives
-    all pairs, (n,) against (n,) gives n paired columns.  Layer l weighs q^l;
-    a dithered chunk sum is divided by q^2.  A chunk sum is exact in int64 when
-    ``chunk_sum_dtype`` finds an exact integer type, else float64, and is taken
-    in one order whatever the shapes or the block.
+    The one float step: an exact chunk sum is divided by q^2 when dithered,
+    multiplied by the lattice factor u, then (sa * sb) * chunk is summed over
+    chunks.  All pairs are built over the side with fewer columns: the table
+    is symmetric and a float product commutes, so the swap changes no bit.
     """
+    if outer and len(ib) < len(ia):
+        return _combine(cfg, lut, ib, ia, Tb, Ta, outer).T.copy()
     check_lut(lut, cfg.params)
-    q = cfg.params.q
-    *lead, K, L = np.broadcast_shapes(ia.shape, ib.shape)
-    e = np.arange(L)
-    w = (np.float64 if chunk_sum_dtype(lut, L) is None else np.int64)(q) ** (e[:, None] + e)
-    # (L, *lead, K) views of contiguous (L, ..., K) copies
-    ra, rb = (np.broadcast_to(np.moveaxis(i, -1, 0).copy(), (L, *lead, K))
-              for i in (ia * lut.side, ib))
-    sa, sb = (np.broadcast_to(cfg.scaling.scale(T), (*lead, K)) for T in (Ta, Tb))
-    rows = max(1, _COMBINE_BLOCK // (L * L * max(1, math.prod(lead[1:])) * K))
-    out = np.empty(lead)
-    for r in range(0, lead[0], rows):
-        chunk = weighted_pair_sum(lut, ra[:, r:r + rows], rb[:, r:r + rows], w)
+    q, u = cfg.params.q, cfg.params.lat.integer_gram[1]
+    sa, sb = (cfg.scaling.scale(T) for T in (Ta, Tb))
+    out = np.empty((len(ia), len(ib)) if outer else len(ia))
+    for r, chunk in chunk_sums(lut, ia, ib, outer, _COMBINE_BLOCK):
+        rows = slice(r, r + len(chunk))
+        if chunk.dtype == object:
+            chunk = chunk.astype(np.float64)
         if cfg.dither_mode != "none":
             chunk = chunk / q**2
-        out[r:r + rows] = (sa[r:r + rows] * sb[r:r + rows] * chunk).sum(-1)
-    return out
-
-
-def _outer_combine(cfg, lut, ia, ib, Ta, Tb) -> np.ndarray:
-    """All column pairs (na, nb) from layer indices (na, K, L), (nb, K, L) and
-    retry counts (na, K), (nb, K), through the integer kernel ``outer_chunk_sums``.
-
-    Partial rows are built over the side with fewer columns: the table is
-    symmetric and a float product commutes, so swapping the sides changes no
-    bit.  Equals ``_combine`` of the same pairs bit for bit: each exact chunk
-    sum meets the same float steps, (sa * sb) * chunk, then a sum over chunks.
-    """
-    if len(ib) < len(ia):
-        return _outer_combine(cfg, lut, ib, ia, Tb, Ta).T.copy()
-    check_lut(lut, cfg.params)
-    sa, sb = (cfg.scaling.scale(T) for T in (Ta, Tb))
-    out = np.empty((len(ia), len(ib)))
-    buf = None
-    for r, chunk in outer_chunk_sums(lut, ia, ib, _COMBINE_BLOCK):
-        if buf is None:
-            buf = np.empty(chunk.shape)
-        prod = np.multiply(sa[r:r + len(chunk), None], sb, out=buf[:len(chunk)])
-        prod *= chunk / cfg.params.q**2 if cfg.dither_mode != "none" else chunk
-        out[r:r + len(chunk)] = prod.sum(-1)
+        if u != 1:
+            chunk = chunk * u
+        prod = sa[rows, None] * sb if outer else sa[rows] * sb[rows]
+        prod *= chunk
+        out[rows] = prod.sum(-1)
     return out
 
 
@@ -373,29 +351,21 @@ def ip_approx(
     """
     _check_config(cfg, qx, qy)
     ix, iy = (layer_indices(cfg.params.q, v.digits, v.dither_ids)[None] for v in (qx, qy))
-    total = float(_combine(cfg, lut, ix, iy, qx.T[None], qy.T[None])[0])
+    total = float(_combine(cfg, lut, ix, iy, qx.T[None], qy.T[None], outer=False)[0])
     if cfg.rotate:
         total *= qx.norm * qy.norm
     return total
 
 
 def _matrix_products(cfg, lut, QA: QuantizedMatrix, QB: QuantizedMatrix, outer: bool):
-    """All column pairs (na, nb) when ``outer``, else paired columns (n,).
-
-    All pairs over an integer table within its headroom take the partial-row
-    kernel; the rest fold every layer pair.
-    """
+    """All column pairs (na, nb) when ``outer``, else paired columns (n,)."""
     _check_config(cfg, QA, QB)
     if not outer and QA.cols != QB.cols:
         raise ValueError("paired matrices need the same number of columns")
-    ea, eb = ((slice(None), None), (None,)) if outer else ((), ())
     ia, ib = (layer_indices(cfg.params.q, Q.digits, Q.dither_ids) for Q in (QA, QB))
-    if outer and chunk_sum_dtype(lut, ia.shape[-1]) is not None:
-        out = _outer_combine(cfg, lut, ia, ib, QA.T, QB.T)
-    else:
-        out = _combine(cfg, lut, ia[ea], ib[eb], QA.T[ea], QB.T[eb])
+    out = _combine(cfg, lut, ia, ib, QA.T, QB.T, outer)
     if cfg.rotate:
-        out *= QA.norms[ea] * QB.norms[eb]
+        out *= QA.norms[:, None] * QB.norms if outer else QA.norms * QB.norms
     return out
 
 
@@ -405,12 +375,11 @@ def matmul_approx(
     """Approximate A^T B for two quantized matrices in one table combine.
 
     Entry (i, j) equals ``ip_approx`` of columns i and j bit for bit.  The
-    LUT's query counter grows by a.cols * b.cols * K * M^2 table entries
-    combined (K (M+1)^2 per entry when dithered).  An integer table whose
-    chunk sums fit int64 is read through partial rows of the matrix with
-    fewer columns: K L q^d entries per column of it plus K L per output
-    entry, in the narrowest exact integer type.  Other tables fold all L^2
-    layer pairs per chunk.  Both matrices must be quantized under settings
+    LUT's query counter grows by a.cols * b.cols * K * L^2 table entries
+    combined (L = M, or M + 1 when dithered).  Chunk sums within int64 read
+    partial rows of the matrix with fewer columns (K L q^d entries per column
+    of it plus K L per output entry); sums past int64 gather all L^2 layer
+    pairs in Python ints.  Both matrices must be quantized under settings
     equal to cfg's, and the table built for cfg's parameters.
     """
     return _matrix_products(cfg, lut, QA, QB, outer=True)
@@ -421,11 +390,12 @@ def paired_ip_approx(
 ) -> np.ndarray:
     """Approximate inner products of column j of A with column j of B, every j.
 
-    The pair fold of ``ip_approx`` on paired columns: entry j equals
+    The pair gather of ``ip_approx`` on paired columns: entry j equals
     ``ip_approx`` of the two columns bit for bit and combines its K M^2 table
-    entries (K (M+1)^2 when dithered).  Partial rows would not pay here: one
-    pair reads L^2 entries, a partial row L q^d.  Both matrices must have the
-    same number of columns and be quantized under settings equal to cfg's.
+    entries (K (M+1)^2 when dithered) in one gather per block.  Partial rows
+    would not pay here: one pair reads L^2 entries, a partial row L q^d.
+    Both matrices must have the same number of columns and be quantized
+    under settings equal to cfg's.
     """
     return _matrix_products(cfg, lut, QA, QB, outer=False)
 

@@ -164,13 +164,15 @@ def test_quantization_commutes_with_scale():
         )
 
 
-def test_integral_gram_needs_an_integer_squared_scale():
-    for name in ("z2", "d4"):
-        assert make_lattice(name).integral_gram
-        assert make_lattice(name, scale=2.0).integral_gram
-        assert not make_lattice(name, scale=0.37).integral_gram
-        assert not make_lattice(name, scale=0.5).integral_gram
-    assert not make_lattice("a2").integral_gram
+def test_gram_is_an_integer_matrix_times_one_factor():
+    # G^T G = u B with B integral: scale^2 for Z and D, scale^2 / 2 for A_2
+    for name in ("z2", "d4", "d8", "a2"):
+        for scale in (0.37, 1.0, 2.0):
+            lat = make_lattice(name, scale=scale)
+            B, u = lat.integer_gram
+            assert B.dtype == np.int64
+            assert u == scale**2 / (2 if name == "a2" else 1)
+            assert np.abs(lat.G.T @ lat.G - u * B).max() <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["z1", "z2", "z3", "d2", "d3", "d4", "d8", "a2"])

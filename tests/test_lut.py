@@ -1,5 +1,7 @@
 """Inner-product lookup tables: construction, decoding sums, serialization."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from hnlq import (
     ScalingConfig,
     build_lut,
     build_one_sided,
+    check_lut,
     digits_to_index,
     dither_point,
     h_decode,
@@ -27,6 +30,7 @@ from hnlq import (
     save_lut,
 )
 from hnlq.codec import layer_codebook_coords
+from hnlq.lattices import FAMILY_IDS
 
 
 def enc_of(digits):
@@ -102,34 +106,78 @@ def test_table_is_symmetric(d4, a2):
 
 
 def test_tables_record_their_scale(tmp_path):
-    for scale, kind in ((1.0, "i"), (2.0, "i"), (0.37, "f")):
-        p = HierarchicalParams(make_lattice("d4", scale=scale), 3, 2)
+    # exact integers on the unscaled lattice; the factor u restores the scaled products
+    for name, scale in (("d4", 1.0), ("d4", 2.0), ("d4", 0.37), ("a2", 1.0), ("a2", 0.37)):
+        p = HierarchicalParams(make_lattice(name, scale=scale), 3, 2)
         lut = build_lut(p)
-        assert (lut.scale, lut.values.dtype.kind) == (scale, kind)
+        assert (lut.scale, lut.values.dtype) == (scale, np.int64)
         P = p.lat.point_of(layer_codebook_coords(p))
-        assert np.abs(lut.values - (P @ P.T).ravel()).max() <= 1e-12 * scale**2
+        assert np.abs(lut.unit * lut.values - (P @ P.T).ravel()).max() <= 1e-12 * scale**2
         save_lut(lut, tmp_path / "t.lut")
-        assert load_lut(tmp_path / "t.lut", p).scale == scale  # taken from params
+        assert load_lut(tmp_path / "t.lut", p).scale == scale  # taken from the file
+        other = HierarchicalParams(make_lattice(name, scale=2 * scale), 3, 2)
+        with pytest.raises(ValueError, match="scale"):
+            load_lut(tmp_path / "t.lut", other)
 
 
 def test_load_refuses_a_value_type_the_lattice_cannot_have(tmp_path, d4, a2):
-    # NLL1 records no scale, so a rounded integer table of d4 at scale 0.37
-    # (which older builds wrote) must not load as exact for that lattice.
-    path = tmp_path / "t.lut"
+    # NLL version 1, written here byte by byte, held the scaled products with no
+    # scale and no CRC: int64 for Z and D at an integer scale^2, float64 otherwise.
+    path = tmp_path / "v1.lut"
+
+    def v1(lat, values):
+        vt = 0 if values.dtype.kind == "i" else 1
+        head = struct.pack("<8I", int.from_bytes(b"NLL1", "little"), 1,
+                           FAMILY_IDS[lat.family], lat.d, 3, vt, 0, 0)
+        path.write_bytes(head + values.astype("<i8" if vt == 0 else "<f8").tobytes())
+        return path
+
+    def products(p):
+        P = p.lat.point_of(layer_codebook_coords(p))
+        return (P @ P.T).ravel()
+
+    plain = HierarchicalParams(d4, 3, 2)
+    double = HierarchicalParams(make_lattice("d4", scale=2.0), 3, 2)
     scaled = HierarchicalParams(make_lattice("d4", scale=0.37), 3, 2)
-    save_lut(build_lut(HierarchicalParams(d4, 3, 2)), path)
-    with pytest.raises(ValueError, match="integer"):
-        load_lut(path, scaled)
-    save_lut(build_lut(scaled), path)
-    with pytest.raises(ValueError, match="real"):
-        load_lut(path, HierarchicalParams(d4, 3, 2))
-    assert load_lut(path, scaled).values.dtype.kind == "f"
     pa = HierarchicalParams(a2, 3, 2)
-    rounded = build_lut(pa)
-    rounded.values = np.rint(rounded.values).astype(np.int64)
-    save_lut(rounded, path)
+    # int tables divide exactly by scale^2; real ones by u, then round
+    for p in (plain, double):
+        back = load_lut(v1(p.lat, np.rint(products(p)).astype(np.int64)), p)
+        assert np.array_equal(back.values, build_lut(p).values)
+    for p in (scaled, pa):
+        back = load_lut(v1(p.lat, products(p)), p)
+        assert np.array_equal(back.values, build_lut(p).values)
+        assert back.scale == p.lat.scale
+    # a rounded integer table of d4 at scale 0.37 (which older builds wrote)
     with pytest.raises(ValueError, match="integer"):
-        load_lut(path, pa)
+        load_lut(v1(d4, build_lut(plain).values), scaled)
+    with pytest.raises(ValueError, match="real"):
+        load_lut(v1(d4, products(scaled)), plain)
+    with pytest.raises(ValueError, match="integer"):
+        load_lut(v1(a2, np.rint(products(pa)).astype(np.int64)), pa)
+    # entries that are no integer multiple of u
+    with pytest.raises(ValueError, match="multiple"):
+        load_lut(v1(d4, build_lut(plain).values), double)
+    for bad in (1e-3, np.nan):
+        off = products(scaled)
+        off[5] += bad
+        with pytest.raises(ValueError, match="multiple"):
+            load_lut(v1(d4, off), scaled)
+
+
+def test_every_flipped_bit_of_a_table_file_is_refused(tmp_path, z1):
+    p = HierarchicalParams(z1, 3, 2)
+    path, bad = tmp_path / "t.lut", tmp_path / "bad.lut"
+    save_lut(build_lut(p), path)
+    raw = path.read_bytes()
+    assert len(raw) == 108  # header 32, 9 int64 values, CRC-32
+    for bit in range(8 * len(raw)):
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        bad.write_bytes(flipped)
+        with pytest.raises(ValueError):
+            load_lut(bad, p)
+    assert np.array_equal(load_lut(path, p).values, build_lut(p).values)
 
 
 def test_build_guard():
@@ -311,6 +359,14 @@ def test_one_sided_table_and_trace(z1):
     assert not os0.values.any()
     with pytest.raises(ValueError):
         build_one_sided(p, np.zeros(2))
+
+
+def test_one_sided_tables_record_their_scale(d4):
+    p = HierarchicalParams(d4, 3, 2)
+    oslut = build_one_sided(p, np.ones(4))
+    check_lut(oslut, p)
+    with pytest.raises(ValueError, match="scale"):
+        check_lut(oslut, HierarchicalParams(make_lattice("d4", scale=0.37), 3, 2))
 
 
 def test_one_sided_matches_direct(d4):

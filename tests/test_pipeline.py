@@ -42,9 +42,9 @@ def pipe(n=16, q=4, M=2, beta0=0.35, lat=None, alpha=1.0 / 3.0, **kw):
 def cols_spanning_blocks(cfg, cols_b, outer=True):
     """Columns of A that fill two row blocks of the table combine and part of a third.
 
-    All pairs (``outer``) over an integer table within headroom take blocks of
-    partial rows (rows, K, q^d) and chunk sums (rows, cols_b, K); the pair fold
-    takes blocks of every layer pair (rows, L, L, cols_b, K).
+    All pairs (``outer``) within int64 headroom take blocks of partial rows
+    (rows, K, q^d) and chunk sums (rows, cols_b, K); the pair gather takes
+    blocks of every layer pair (rows, L, L, cols_b, K).
     """
     L = cfg.params.M + (cfg.dither_mode != "none")
     if outer and chunk_sum_dtype(build_lut(cfg.params), L) is not None:
@@ -553,29 +553,29 @@ def test_matmul_rejects_other_config(base, other):
         matmul_approx(cfg, lut, QB, QA)
 
 
-def spy_outer_kernel(monkeypatch):
-    """Record the dtype of every block the partial-row kernel yields."""
+def spy_kernel(monkeypatch):
+    """Record the dtype of every block the chunk-sum kernel yields."""
     dtypes = []
 
     def spied(*args):
-        for r, chunk in lut_mod.outer_chunk_sums(*args):
+        for r, chunk in lut_mod.chunk_sums(*args):
             dtypes.append(chunk.dtype)
             yield r, chunk
 
-    monkeypatch.setattr(pipeline, "outer_chunk_sums", spied)
+    monkeypatch.setattr(pipeline, "chunk_sums", spied)
     return dtypes
 
 
 FIXED2 = {"dither_mode": "fixed", "dither_ids": np.array([3, 9])}
-# (lattice, q, M, config, n, cols of B, the chunk sums' type or None for the pair fold);
-# B is the wider side on the partial-row cases, so A's partial rows span the blocks
+# (lattice, q, M, config, n, cols of B, the chunk sums' type: object for Python ints,
+# which gather all layer pairs); B is the wider side, so A's blocks span the rows
 KERNEL_TYPES = {
     "int16 d4 q=4 M=2": ("d4", 4, 2, {}, 32, 8, np.int16),
     "int32 d4 q=4 M=3 fixed": ("d4", 4, 3, KERNEL_CASES["fixed"], 32, 8, np.int32),
     "int32 z2 q=16 M=2": ("z2", 16, 2, {}, 16, 8, np.int32),
     "int64 z2 q=16 M=3 fixed": ("z2", 16, 3, FIXED2, 16, 8, np.int64),
-    "float fold z2 q=16 M=8": ("z2", 16, 8, {}, 16, 4, None),
-    "float a2 q=4 M=2": ("a2", 4, 2, {}, 16, 16, None),
+    "python-int z2 q=16 M=8": ("z2", 16, 8, {}, 2, 12, object),
+    "int16 a2 q=4 M=2": ("a2", 4, 2, {}, 32, 32, np.int16),
 }
 
 
@@ -585,22 +585,23 @@ def test_outer_kernel_at_every_dtype_boundary(case, monkeypatch):
     # across two row blocks and part of a third, on each side of every type bound
     name, q, M, kw, n, cols_b, dtype = case
     monkeypatch.setattr(pipeline, "_COMBINE_BLOCK", 2**12)
-    dtypes = spy_outer_kernel(monkeypatch)
+    dtypes = spy_kernel(monkeypatch)
     cfg = pipe(n=n, lat=make_lattice(name), q=q, M=M, beta0=0.02 * q, **kw)
     lut = build_lut(cfg.params)
     cols_a = cols_spanning_blocks(cfg, cols_b)
-    assert dtype is None or cols_a < cols_b
+    assert cols_a < cols_b
     rng = np.random.default_rng(21)
     QA = quantize_matrix(cfg, rng.standard_normal((n, cols_a)))
     QB = quantize_matrix(cfg, rng.standard_normal((n, cols_b)))
     G = matmul_approx(cfg, lut, QA, QB)
-    assert dtypes == ([np.dtype(dtype)] * 3 if dtype else [])
+    assert dtypes == [np.dtype(dtype)] * 3
     L = M + (cfg.dither_mode != "none")
     assert lut.query_count == cols_a * cols_b * cfg.chunks * L * L
-    if dtype:
-        # B^T A builds its partial rows over A too, the side with fewer columns
-        assert np.array_equal(matmul_approx(cfg, lut, QB, QA), G.T)
-        assert dtypes == [np.dtype(dtype)] * 6
+    # B^T A takes its blocks over A too, the side with fewer columns
+    assert np.array_equal(matmul_approx(cfg, lut, QB, QA), G.T)
+    assert dtypes == [np.dtype(dtype)] * 6
+    empty = quantize_matrix(cfg, np.zeros((n, 0)))
+    assert matmul_approx(cfg, lut, empty, empty).shape == (0, 0)
     for i in range(cols_a):
         for j in range(cols_b):
             assert G[i, j] == ip_approx(cfg, lut, QA.column(i), QB.column(j))
@@ -608,20 +609,23 @@ def test_outer_kernel_at_every_dtype_boundary(case, monkeypatch):
     assert np.linalg.norm(G - want) <= 1e-12 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("name, scale", [("d4", 0.37), ("z2", 0.37), ("d4", 2.0)])
+@pytest.mark.parametrize("name, scale", [("d4", 0.37), ("z2", 0.37), ("d4", 2.0),
+                                         ("a2", 1.0), ("a2", 0.37)])
 def test_scaled_tables_give_the_dense_product(name, scale, monkeypatch):
-    # a table is integral only when scale^2 is: at 0.37 a rounded table was 0.25 off
-    dtypes = spy_outer_kernel(monkeypatch)
+    # every table holds exact integers on the unscaled lattice, whose factor u
+    # (scale^2, halved for A_2) meets the chunk scales: a table rounded at
+    # scale 0.37 was 0.25 off
+    dtypes = spy_kernel(monkeypatch)
     lat = make_lattice(name, scale=scale)
     cfg = pipe(n=64, lat=lat, beta0=0.2 * scale)
     lut = build_lut(cfg.params)
     assert lut.scale == scale
-    assert (lut.values.dtype.kind == "i") == (scale == 2.0)
+    assert lut.values.dtype == np.int64
     rng = np.random.default_rng(3)
     QA = quantize_matrix(cfg, rng.standard_normal((64, 6)))
     QB = quantize_matrix(cfg, rng.standard_normal((64, 5)))
     G = matmul_approx(cfg, lut, QA, QB)
-    assert bool(dtypes) == (scale == 2.0)
+    assert dtypes and all(t.kind == "i" for t in dtypes)
     want = dense_products(cfg, QA, QB)
     assert np.linalg.norm(G - want) <= 1e-9 * np.linalg.norm(want)
 
