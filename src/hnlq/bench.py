@@ -90,7 +90,6 @@ class ExperimentConfig:
     schemes: tuple[str, ...] = SCHEMES
     qs: tuple[int, ...] = (3, 4, 5, 6)
     ms: tuple[int, ...] = (2,)
-    d: int | None = None
     n: int = 512
     samples: int = 1000
     alpha: float = 1.0 / 3.0
@@ -99,7 +98,6 @@ class ExperimentConfig:
     dither: str = "fixed"
     dither_seed: int = 0
     rotate: bool = False
-    max_retries: int = 60
 
     def __post_init__(self):
         for s in self.schemes:
@@ -109,9 +107,6 @@ class ExperimentConfig:
             raise ValueError("beta0 must be a number or 'auto'")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
-
-    def make_lat(self):
-        return make_lattice(self.lattice, self.d)
 
 
 @dataclass(frozen=True)
@@ -196,7 +191,6 @@ def calibrate_beta0(
     grid=DEFAULT_BETA0_GRID,
     *,
     alpha: float = 1.0 / 3.0,
-    max_retries: int = 60,
     seed: int = 0,
 ) -> float:
     """Grid-search the base scale on a deterministic Gaussian pilot.
@@ -226,8 +220,7 @@ def calibrate_beta0(
     X = rng.standard_normal((pilot_n, eff.lat.d))
 
     def score(b):
-        scfg = ScalingConfig(beta0=b, alpha=alpha, max_retries=max_retries)
-        dist, T = _vector_mse(eff, scfg, X)
+        dist, T = _vector_mse(eff, ScalingConfig(beta0=b, alpha=alpha), X)
         return empirical_rate(eff, T) + 0.5 * math.log2(dist)
 
     scores = [score(b) for b in grid]
@@ -257,12 +250,10 @@ def _dr_point(cfg: ExperimentConfig, scheme: str, base: HierarchicalParams, meas
     """One sweep cell: choose beta0, ``measure(eff, scfg) -> (distortion, T)``, emit a point."""
     eff = effective_params(scheme, base)
     if cfg.beta0 == "auto":
-        b0 = calibrate_beta0(
-            scheme, base, seed=cfg.seed, alpha=cfg.alpha, max_retries=cfg.max_retries
-        )
+        b0 = calibrate_beta0(scheme, base, alpha=cfg.alpha, seed=cfg.seed)
     else:
         b0 = float(cfg.beta0)
-    dist, T = measure(eff, ScalingConfig(beta0=b0, alpha=cfg.alpha, max_retries=cfg.max_retries))
+    dist, T = measure(eff, ScalingConfig(beta0=b0, alpha=cfg.alpha))
     rate = empirical_rate(eff, T)
     return DRPoint(
         scheme=scheme,
@@ -288,7 +279,7 @@ def run_dr_vector(cfg: ExperimentConfig) -> list[DRPoint]:
     from a substream keyed by the seed and the cell, so scheme comparisons
     are paired.
     """
-    lat = cfg.make_lat()
+    lat = make_lattice(cfg.lattice)
     points = []
     for q in cfg.qs:
         for M in cfg.ms:
@@ -311,7 +302,7 @@ def run_dr_ip(cfg: ExperimentConfig) -> list[DRPoint]:
     distortion is the mean squared error over pairs divided by n.  All
     (q, M) cells see the same pairs.
     """
-    lat = cfg.make_lat()
+    lat = make_lattice(cfg.lattice)
     d = lat.d
     if cfg.n % d:
         raise ValueError("n must be a multiple of the lattice dimension")
@@ -400,7 +391,6 @@ def verify_lemmas(
     *,
     samples: int = 10_000,
     seed: int = 0,
-    enumeration_guard: int = codec.ENUMERATION_GUARD,
 ) -> dict:
     """Machine-readable pass/fail report for the codec identities.
 
@@ -418,7 +408,7 @@ def verify_lemmas(
                 exact = check_exactness(params, samples, seed)
                 entry["exactness"] = exact
                 ok = exact["ok"]
-                if params.codebook_size <= enumeration_guard and codec._key_layout(params):
+                if params.codebook_size <= codec.ENUMERATION_GUARD and codec._key_layout(params):
                     rep = verify_sandwich(params)
                     entry["sandwich"] = {
                         "inner_ok": rep.inner_ok,

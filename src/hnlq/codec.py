@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 ENUMERATION_GUARD = 2**24
-# Largest inner-product table, q^(2d) entries; lut.build_lut's default guard.
+# Largest inner-product table, q^(2d) entries, that lut.build_lut builds.
 LUT_GUARD = 2**28
 # Layer codebooks up to the side of the largest table are cached per params
 # and decoded by gathering rows; larger ones (e.g. Z^16, q = 16) run the

@@ -62,9 +62,9 @@ class Lattice:
         d: ambient dimension.
         G: generator matrix, columns are basis vectors (includes scale).
         G_inv: inverse generator.
-        eps: tie-breaking perturbation added inside every nearest-neighbor
-            call.  Applied in the unscaled frame, so quantization commutes
-            exactly with rescaling the lattice.
+        eps: ``default_tie_breaker(d)``, the perturbation added inside every
+            nearest-neighbor call.  Applied in the unscaled frame, so
+            quantization commutes exactly with rescaling the lattice.
         scale: scalar multiplying the canonical generator.
     """
 
@@ -209,13 +209,7 @@ def _canonical_generator(family: str, d: int) -> np.ndarray:
     return np.array([[1.0, 0.5], [0.0, math.sqrt(3.0) / 2.0]])
 
 
-def make_lattice(
-    name: str,
-    d: int | None = None,
-    *,
-    scale: float = 1.0,
-    eps: np.ndarray | None = None,
-) -> Lattice:
+def make_lattice(name: str, d: int | None = None, *, scale: float = 1.0) -> Lattice:
     """Construct a lattice by name.
 
     Args:
@@ -223,7 +217,6 @@ def make_lattice(
             "d4", "a2" (case-insensitive).
         d: dimension, required when the name carries no suffix.
         scale: positive scalar applied to the canonical generator.
-        eps: override for the tie-breaking perturbation (shape (d,)).
 
     Returns:
         An immutable Lattice.
@@ -253,11 +246,7 @@ def make_lattice(
     G_inv = np.linalg.inv(G)
     if not np.allclose(G @ G_inv, np.eye(d), atol=1e-12):
         raise ValueError("generator inversion failed")
-    if eps is None:
-        eps = default_tie_breaker(d)
-    eps = np.asarray(eps, dtype=np.float64)
-    if eps.shape != (d,):
-        raise ValueError(f"eps must have shape ({d},)")
+    eps = default_tie_breaker(d)
     for a in (G, G_inv, eps):
         a.flags.writeable = False
     return Lattice(family=family, d=d, G=G, G_inv=G_inv, eps=eps, scale=float(scale))

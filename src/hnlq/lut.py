@@ -101,15 +101,15 @@ class OneSidedLUT:
         return self.values[idx]
 
 
-def build_lut(params: HierarchicalParams, guard: int = LUT_GUARD) -> InnerProductLUT:
+def build_lut(params: HierarchicalParams) -> InnerProductLUT:
     """Build the full q^(2d)-entry inner product table, C B C^T over the layer
     codebook coordinates C, in int64 with no rounding.
 
-    Raises ValueError when q^(2d) exceeds the guard.
+    Raises ValueError when q^(2d) exceeds ``codec.LUT_GUARD``.
     """
     q, lat = params.q, params.lat
-    if q ** (2 * lat.d) > guard:
-        raise ValueError(f"table too large: q^(2d) = {q ** (2 * lat.d)} exceeds {guard}")
+    if q ** (2 * lat.d) > LUT_GUARD:
+        raise ValueError(f"table too large: q^(2d) = {q ** (2 * lat.d)} exceeds {LUT_GUARD}")
     B, u = lat.integer_gram
     C = layer_codebook_coords(params)
     return InnerProductLUT(family=lat.family, d=lat.d, q=q, values=(C @ B @ C.T).reshape(-1),

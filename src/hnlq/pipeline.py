@@ -51,8 +51,10 @@ class PipelineConfig:
         params: hierarchical codec parameters (d divides n).
         scaling: overload scaling configuration.
         n: full vector length, a multiple of the lattice dimension.
-        rotate: apply a shared random rotation and normalize each vector,
-            recording its norm for exact rescaling of inner products.
+        rotate: apply a shared random rotation and scale each vector to norm
+            sqrt(n), so its coordinates have unit variance, the frame beta0 is
+            calibrated in; the recorded norm rescales inner products by
+            norm_a norm_b / n.
         rotation_seed: seed of the shared rotation, in [-2^63, 2^63).
         dither_mode: "none", "fixed" (one digit id for every chunk) or
             "random" (per column/chunk ids from a counter-based SplitMix64
@@ -106,7 +108,8 @@ class PipelineConfig:
 class QuantizedVector:
     """One quantized column: its config, per-chunk digits, retry counts and dither ids.
 
-    ``norm`` is recorded only when the pipeline rotates and normalizes.
+    ``norm``, the column's norm before rotation, is recorded only when the
+    pipeline rotates.
     """
 
     cfg: PipelineConfig
@@ -231,7 +234,7 @@ def _column_dither_ids(cfg: PipelineConfig, first_col: int, cols: int) -> np.nda
 
 
 def _encode_columns(cfg: PipelineConfig, A: np.ndarray, first_col: int = 0) -> QuantizedMatrix:
-    """Rotate/normalize columns of A (n, cols) and encode all chunks.
+    """Rotate columns of A (n, cols) to norm sqrt(n) and encode all chunks.
 
     Column j takes the dither ids of column first_col + j.
     """
@@ -248,8 +251,7 @@ def _encode_columns(cfg: PipelineConfig, A: np.ndarray, first_col: int = 0) -> Q
         S = random_rotation(cfg.n, cfg.rotation_seed)
         norms = np.linalg.norm(A, axis=0)
         Y = S @ A
-        safe = np.where(norms > 0, norms, 1.0)
-        Y = Y / safe
+        Y *= np.sqrt(cfg.n) / np.where(norms > 0, norms, 1.0)
     ids = _column_dither_ids(cfg, first_col, cols)
     # A fixed id is one point for every chunk: the encoder broadcasts it.
     digits, T = encode_scaled_many(
@@ -279,8 +281,9 @@ def quantize_vector(cfg: PipelineConfig, x: np.ndarray, col: int = 0) -> Quantiz
 def reconstruct_chunks(cfg: PipelineConfig, qv: QuantizedVector) -> np.ndarray:
     """Decode every chunk of a quantized column, shape (K, d).
 
-    These live in the rotated, normalized frame when the pipeline rotates;
-    they are the exact vectors whose pairwise inner products ip_approx sums.
+    These live in the rotated frame, where the column has norm sqrt(n), when
+    the pipeline rotates; they are the exact vectors whose pairwise inner
+    products ip_approx sums before rescaling by norm_x norm_y / n.
     """
     _check_config(cfg, qv)
     return decode_scaled_many(
@@ -298,7 +301,7 @@ def _code_key(cfg: PipelineConfig) -> tuple:
     """The settings quantized codes depend on; ``max_retries`` only bounds encoding."""
     lat, sc = cfg.params.lat, cfg.scaling
     ids = None if cfg.dither_ids is None else cfg.dither_ids.tolist()
-    return (lat.family, lat.d, lat.scale, lat.eps.tolist(), cfg.params.q, cfg.params.M,
+    return (lat.family, lat.d, lat.scale, cfg.params.q, cfg.params.M,
             sc.beta0, sc.alpha, cfg.n, cfg.rotate, cfg.rotation_seed,
             cfg.dither_mode, ids, cfg.dither_seed)
 
@@ -344,16 +347,16 @@ def ip_approx(
     """Approximate inner product of two quantized columns via table lookups.
 
     Sums, over chunks, the looked-up inner product of the two chunk
-    reconstructions times both chunks' scales, then multiplies by the
-    recorded norms when the pipeline rotates.  Combines K M^2 table entries
-    (K (M+1)^2 when dithered) in one pair gather; both columns must be
-    quantized under cfg, and the table built for cfg's parameters.
+    reconstructions times both chunks' scales, then, when the pipeline
+    rotates, by norm_x norm_y / n from the recorded norms.  Combines K M^2
+    table entries (K (M+1)^2 when dithered) in one pair gather; both columns
+    must be quantized under cfg, and the table built for cfg's parameters.
     """
     _check_config(cfg, qx, qy)
     ix, iy = (layer_indices(cfg.params.q, v.digits, v.dither_ids)[None] for v in (qx, qy))
     total = float(_combine(cfg, lut, ix, iy, qx.T[None], qy.T[None], outer=False)[0])
     if cfg.rotate:
-        total *= qx.norm * qy.norm
+        total *= qx.norm * qy.norm / cfg.n
     return total
 
 
@@ -365,7 +368,7 @@ def _matrix_products(cfg, lut, QA: QuantizedMatrix, QB: QuantizedMatrix, outer: 
     ia, ib = (layer_indices(cfg.params.q, Q.digits, Q.dither_ids) for Q in (QA, QB))
     out = _combine(cfg, lut, ia, ib, QA.T, QB.T, outer)
     if cfg.rotate:
-        out *= QA.norms[:, None] * QB.norms if outer else QA.norms * QB.norms
+        out *= (QA.norms[:, None] * QB.norms if outer else QA.norms * QB.norms) / cfg.n
     return out
 
 
@@ -425,9 +428,13 @@ def save_quantized_matrix(qm: QuantizedMatrix, path) -> None:
     in a short trailer right after the header; random ids are re-derived from
     the seed on load.  So a matrix whose ids differ from the ones its config
     gives (a version 1 random-mode file, or edited ids) is refused with
-    ValueError.
+    ValueError, and so is a lattice scale other than 1, which the header
+    does not record.
     """
     cfg = qm.cfg
+    if cfg.params.lat.scale != 1:
+        raise ValueError(f"lattice scale {cfg.params.lat.scale} is not recorded in "
+                         "the file, which would load at scale 1")
     if not np.array_equal(_column_dither_ids(cfg, 0, qm.cols), qm.dither_ids):
         raise ValueError("dither ids differ from the ones the config gives, "
                          "so the file would load different ids")
@@ -464,11 +471,12 @@ def save_quantized_matrix(qm: QuantizedMatrix, path) -> None:
             f.write(np.ascontiguousarray(qm.norms, dtype="<f8").tobytes())
 
 
-def load_quantized_matrix(path, *, max_retries: int = 60) -> QuantizedMatrix:
+def load_quantized_matrix(path) -> QuantizedMatrix:
     """Read a quantized matrix; reconstructs the pipeline config from the header.
 
-    ``max_retries`` is not serialized (it only matters when encoding) and
-    can be supplied for the reconstructed config, so that its top rung is finite.
+    ``max_retries`` is not serialized (it only matters when encoding); the
+    reconstructed config takes the default 60, so a ladder whose top rung
+    leaves the float range is refused.
 
     There is no checksum; a flipped bit loads or raises ValueError.  Not checked:
     alpha, beta0, both seeds, T bytes, norms, digit records kept below q^d, and
@@ -508,7 +516,7 @@ def load_quantized_matrix(path, *, max_retries: int = 60) -> QuantizedMatrix:
     params = HierarchicalParams(lat, q, M)
     cfg = PipelineConfig(
         params=params,
-        scaling=ScalingConfig(beta0=beta0, alpha=alpha, max_retries=max_retries),
+        scaling=ScalingConfig(beta0=beta0, alpha=alpha),
         n=n,
         rotate=rotate == 1,
         rotation_seed=rotation_seed,

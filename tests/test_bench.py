@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from hnlq import HierarchicalParams, ScalingConfig, bench, cli, load_lut, make_lattice
+from hnlq import HierarchicalParams, ScalingConfig, bench, load_lut, make_lattice
 from hnlq.bench import (
     CSV_COLUMNS,
     DEFAULT_BETA0_GRID,
@@ -341,8 +341,7 @@ def test_cli_dr_ip(tmp_path):
 def test_cli_calibrate(tmp_path):
     out = tmp_path / "cal.csv"
     rc = main([
-        "calibrate", "--q", "4", "--m", "2", "--samples", "400",
-        "--out", str(out),
+        "calibrate", "--q", "4", "--m", "2", "--out", str(out),
     ])
     assert rc == 0
     header, line = out.read_text().strip().split("\n")
@@ -352,18 +351,16 @@ def test_cli_calibrate(tmp_path):
     assert float(b0) in DEFAULT_BETA0_GRID
 
 
-def test_cli_calibrate_full_flag(tmp_path, monkeypatch):
-    pilots = []
-
-    def calibrate(*args, pilot_n, **kwargs):
-        pilots.append(pilot_n)
-        return 0.5
-
-    monkeypatch.setattr(cli, "calibrate_beta0", calibrate)
-    out = str(tmp_path / "cal.csv")
-    assert main(["calibrate", "--samples", "40", "--out", out]) == 0
-    assert main(["calibrate", "--samples", "40", "--full", "--out", out]) == 0
-    assert pilots == [40, 5000]
+def test_cli_calibrate_prints_the_sweeps_beta0(tmp_path):
+    cell = ["--lattice", "d4", "--q", "8", "--m", "2"]
+    cal, sweep = tmp_path / "cal.csv", tmp_path / "v.csv"
+    assert main(["calibrate", *cell, "--out", str(cal)]) == 0
+    (row,) = csv.DictReader(io.StringIO(cal.read_text()))
+    assert row["beta0"] == "0.0425907435542388"
+    assert main(["dr-vector", *cell, "--scheme", "hierarchical", "--samples", "20",
+                 "--out", str(sweep)]) == 0
+    (point,) = parse_csv(sweep.read_text())
+    assert point["beta0"] == row["beta0"]
 
 
 def test_cli_verify_lemmas(tmp_path):

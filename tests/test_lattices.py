@@ -52,8 +52,6 @@ def test_make_lattice_rejects_unsupported():
         make_lattice("z2", scale=0.0)
     with pytest.raises(ValueError):
         make_lattice("z2", scale=-1.0)
-    with pytest.raises(ValueError):
-        make_lattice("z2", eps=np.zeros(3))
 
 
 def test_family_ids_are_frozen():

@@ -182,8 +182,6 @@ def test_every_flipped_bit_of_a_table_file_is_refused(tmp_path, z1):
 
 def test_build_guard():
     with pytest.raises(ValueError):
-        build_lut(HierarchicalParams(make_lattice("z2"), 4, 2), guard=255)
-    with pytest.raises(ValueError):
         build_lut(HierarchicalParams(make_lattice("z8"), 4, 2))  # 4^16 entries
 
 

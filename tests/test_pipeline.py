@@ -27,6 +27,7 @@ from hnlq import (
     save_quantized_matrix,
 )
 from hnlq import lut as lut_mod
+from hnlq.bench import calibrate_beta0
 from hnlq import pipeline
 from hnlq.lut import check_lut, chunk_sum_dtype
 from hnlq.scaling import encode_scaled_many
@@ -62,7 +63,7 @@ def dense_products(cfg, QA, QB):
             for Q in (QA, QB))
     G = X @ Y.T
     if cfg.rotate:
-        G *= QA.norms[:, None] * QB.norms
+        G *= QA.norms[:, None] * QB.norms / cfg.n
     return G
 
 
@@ -71,7 +72,7 @@ def direct_ip(cfg, qx, qy):
     ry = reconstruct_chunks(cfg, qy)
     total = float(np.einsum("kd,kd->", rx, ry))
     if cfg.rotate:
-        total *= qx.norm * qy.norm
+        total *= qx.norm * qy.norm / cfg.n
     return total
 
 
@@ -188,6 +189,25 @@ def test_ip_matches_oracle_with_dither_and_rotation():
             got = ip_approx(cfg, lut, qx, qy)
             want = direct_ip(cfg, qx, qy)
             assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("name", ["d4", "a2"])
+def test_rotation_keeps_the_calibrated_frame(name):
+    # Rotated columns are scaled to norm sqrt(n): unit-variance coordinates, the
+    # frame beta0 is calibrated in, so rotating leaves the distortion near the
+    # unrotated one instead of quantizing every chunk to zero.
+    rng = np.random.default_rng(31)
+    X, Y = rng.standard_normal((2, 64, 100))
+    exact = np.einsum("ij,ij->j", X, Y)
+    dist = []
+    lat = make_lattice(name)
+    beta0 = calibrate_beta0("hierarchical", HierarchicalParams(lat, 4, 2))
+    for rotate in (False, True):
+        cfg = pipe(n=64, beta0=beta0, lat=lat, rotate=rotate)
+        got = paired_ip_approx(cfg, build_lut(cfg.params), quantize_matrix(cfg, X),
+                               quantize_matrix(cfg, Y))
+        dist.append(((got - exact) ** 2).mean() / 64)
+    assert 0.5 <= dist[1] / dist[0] <= 2.0
 
 
 def test_single_chunk_reduces_to_lut_ip():
@@ -727,10 +747,12 @@ def test_save_load_roundtrip(tmp_path):
             assert np.array_equal(back.dither_ids, qm.dither_ids)
         save_quantized_matrix(back, path)
         assert path.read_bytes() == first  # byte-identical re-save
+        # the reloaded matrix matches its original in every setting the products compare
+        lut = build_lut(cfg.params)
+        assert matmul_approx(cfg, lut, qm, back).shape == (cols, cols)
         if cols == 0:
             continue
         # identical products through the reloaded matrix
-        lut = build_lut(cfg.params)
         a = ip_approx(cfg, lut, qm.column(0), qm.column(1))
         b = ip_approx(back.cfg, lut, back.column(0), back.column(1))
         assert a == b
@@ -818,6 +840,15 @@ def test_save_refuses_edited_fixed_ids(tmp_path):
     plain.dither_ids = np.zeros((2, 2, 4), dtype=np.int64)
     with pytest.raises(ValueError, match="dither ids"):
         save_quantized_matrix(plain, tmp_path / "p.qm")
+
+
+def test_save_refuses_a_lattice_scale(tmp_path):
+    # the header records no lattice scale, so the file would load at scale 1
+    cfg = pipe(n=8, lat=make_lattice("d4", scale=0.37))
+    qm = quantize_matrix(cfg, np.random.default_rng(24).standard_normal((8, 2)))
+    with pytest.raises(ValueError, match="scale"):
+        save_quantized_matrix(qm, tmp_path / "m.qm")
+    assert not (tmp_path / "m.qm").exists()
 
 
 def exact_inputs(n, cols):
