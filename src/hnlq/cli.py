@@ -26,8 +26,6 @@ from .codec import HierarchicalParams
 from .lattices import make_lattice
 from .lut import build_lut, save_lut
 
-FULL_SAMPLES = 5000
-
 
 def _beta0(text: str):
     return text if text == "auto" else float(text)
@@ -53,8 +51,6 @@ def _sweep_flags(p: argparse.ArgumentParser, *, samples: int, **cells):
     _cell_flags(p, **cells)
     p.add_argument("--samples", type=int, default=samples,
                    help=f"sample count (default {samples})")
-    p.add_argument("--full", action="store_true",
-                   help=f"use the full sample count of {FULL_SAMPLES}")
     p.add_argument("--beta0", type=_beta0, default="auto",
                    help="base scale, a number or 'auto' (default auto)")
 
@@ -106,8 +102,6 @@ def _experiment_config(args) -> ExperimentConfig:
     """The sweep's config from every ExperimentConfig field the subcommand has a flag for."""
     names = {f.name for f in dataclasses.fields(ExperimentConfig)}
     kw = {k: tuple(v) if isinstance(v, list) else v for k, v in vars(args).items() if k in names}
-    if args.full:
-        kw["samples"] = FULL_SAMPLES
     return ExperimentConfig(**kw)
 
 

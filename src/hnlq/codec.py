@@ -17,21 +17,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattices import Lattice, LatticePoint, _as_vector, in_scaled_voronoi_many
+from .lattices import Lattice, in_scaled_voronoi_many
 from .voronoi import VoronoiCodeParams, digit_grid, digits_to_index, vc_decode_many
 
 __all__ = [
     "HierarchicalParams",
-    "HierarchicalEncoding",
     "SandwichReport",
-    "h_encode",
     "h_encode_many",
-    "h_decode",
-    "h_decode_exact",
-    "h_decode_partial",
-    "h_decode_partial_exact",
     "decode_coords_many",
-    "q_circ",
     "q_circ_many",
     "layer_codebook_coords",
     "enumerate_codebook",
@@ -94,14 +87,6 @@ class HierarchicalParams:
         return pts
 
 
-@dataclass(frozen=True, eq=False)
-class HierarchicalEncoding:
-    """Digit layers, shape (M, d), finest layer first, plus overload flag."""
-
-    digits: np.ndarray
-    overload: bool
-
-
 def nesting_radius_ratio(q: int, M: int) -> float:
     """Relative slack of the codebook region: (1 - q^(1-M)) / (q - 1)."""
     return (1.0 - float(q) ** (1 - M)) / (q - 1)
@@ -154,12 +139,6 @@ def h_encode_many(params: HierarchicalParams, X: np.ndarray) -> tuple[np.ndarray
     return digits, ov
 
 
-def h_encode(params: HierarchicalParams, x: np.ndarray) -> HierarchicalEncoding:
-    """Encode one vector of shape (d,)."""
-    digits, overload = h_encode_many(params, _as_vector(x, params.lat.d))
-    return HierarchicalEncoding(digits=digits, overload=bool(overload))
-
-
 def _layer_coords(params: HierarchicalParams, digits: np.ndarray) -> np.ndarray:
     """Coset representative coordinates of digit rows (..., d), exact int64.
 
@@ -204,32 +183,6 @@ def decode_coords_many(
     return acc
 
 
-def h_decode_exact(params: HierarchicalParams, enc: HierarchicalEncoding) -> LatticePoint:
-    """Full reconstruction as a lattice point with exact coordinates."""
-    c = decode_coords_many(params, enc.digits)
-    return LatticePoint(coords=c, point=params.lat.point_of(c))
-
-
-def h_decode(params: HierarchicalParams, enc: HierarchicalEncoding) -> np.ndarray:
-    """Full reconstruction as a real vector."""
-    return h_decode_exact(params, enc).point
-
-
-def h_decode_partial_exact(
-    params: HierarchicalParams, enc: HierarchicalEncoding, t: int
-) -> LatticePoint:
-    """Sum of the coarsest t layers (m = M-t .. M-1), exact coordinates."""
-    if int(t) != t or not 1 <= t <= params.M:
-        raise ValueError(f"t must be in 1..{params.M}")
-    c = decode_coords_many(params, enc.digits, layers=slice(params.M - t, params.M))
-    return LatticePoint(coords=c, point=params.lat.point_of(c))
-
-
-def h_decode_partial(params: HierarchicalParams, enc: HierarchicalEncoding, t: int) -> np.ndarray:
-    """Coarse reconstruction from the last t digit layers, as a real vector."""
-    return h_decode_partial_exact(params, enc, t).point
-
-
 def q_circ_many(params: HierarchicalParams, X: np.ndarray, m: int) -> np.ndarray:
     """Coordinates of the m-fold coarsened quantization of rows of X.
 
@@ -246,12 +199,6 @@ def q_circ_many(params: HierarchicalParams, X: np.ndarray, m: int) -> np.ndarray
     for _ in range(m):
         t = lat.nearest_coords(lat.point_of(t) / q)
     return t * q**m
-
-
-def q_circ(params: HierarchicalParams, x: np.ndarray, m: int) -> LatticePoint:
-    """Single-vector form of q_circ_many."""
-    c = q_circ_many(params, _as_vector(x, params.lat.d), m)
-    return LatticePoint(coords=c, point=params.lat.point_of(c))
 
 
 def layer_codebook_coords(params: HierarchicalParams) -> np.ndarray:

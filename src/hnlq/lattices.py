@@ -16,12 +16,9 @@ import numpy as np
 
 __all__ = [
     "Lattice",
-    "LatticePoint",
     "default_tie_breaker",
     "make_lattice",
-    "nn_quantize",
     "coords_of",
-    "in_scaled_voronoi",
     "in_scaled_voronoi_many",
     "second_moment",
 ]
@@ -40,17 +37,6 @@ def default_tie_breaker(d: int) -> np.ndarray:
     """
     k = np.arange(1, d + 1, dtype=np.float64)
     return np.mod(1e-7 * k * math.pi, 1e-6)
-
-
-@dataclass(frozen=True, eq=False)
-class LatticePoint:
-    """A lattice point, carried both as generator coordinates and as a vector.
-
-    ``point == G @ coords`` up to float round-off; coords are exact integers.
-    """
-
-    coords: np.ndarray
-    point: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,17 +246,6 @@ def _as_vector(x, n: int) -> np.ndarray:
     return x
 
 
-def nn_quantize(lat: Lattice, x: np.ndarray) -> LatticePoint:
-    """Nearest lattice point of a single vector, with deterministic ties.
-
-    Unchecked: |x| / scale >= 2^62 is outside its contract (INT64_MIN
-    coordinates, RuntimeWarning); the checked entry point is
-    ``scaling.encode_scaled_many``.
-    """
-    c = lat.nearest_coords(_as_vector(x, lat.d))
-    return LatticePoint(coords=c, point=lat.point_of(c))
-
-
 def coords_of(lat: Lattice, p: np.ndarray) -> np.ndarray:
     """Generator coordinates of a vector that must be a lattice point.
 
@@ -282,18 +257,6 @@ def coords_of(lat: Lattice, p: np.ndarray) -> np.ndarray:
     if np.linalg.norm(lat.G @ c - p) > 1e-6:
         raise ValueError("not a lattice point")
     return c
-
-
-def in_scaled_voronoi(lat: Lattice, x: np.ndarray, s: float) -> bool:
-    """Whether x lies in s times the base Voronoi cell (tie-broken).
-
-    Unchecked: |x| / (s scale) >= 2^62 is outside its contract (INT64_MIN
-    coordinates, RuntimeWarning); the checked entry point is
-    ``scaling.encode_scaled_many``.
-    """
-    if not s > 0:
-        raise ValueError("scale factor must be positive")
-    return not lat.nearest_coords(_as_vector(x, lat.d) / s).any()
 
 
 def in_scaled_voronoi_many(lat: Lattice, X: np.ndarray, s: float) -> np.ndarray:

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .codec import LUT_GUARD, HierarchicalEncoding, HierarchicalParams, layer_codebook_coords
+from .codec import LUT_GUARD, HierarchicalParams, layer_codebook_coords
 from .lattices import FAMILY_IDS, Lattice, _as_vector
 from .voronoi import digits_to_index, index_to_digits
 
@@ -205,52 +205,46 @@ def chunk_sums(
         yield r, _horner(q, (_horner(q, pairs[i, ::-1]) for i in reversed(range(L))))
 
 
-def _stacked_digits(tbl, encs) -> np.ndarray:
-    """Digits (len(encs), M, d) of encodings; np.stack refuses unequal depths."""
-    digits = np.stack([np.asarray(e.digits) for e in encs])
+def _stacked_digits(tbl, digit_arrays) -> np.ndarray:
+    """Digits (n, M, d) of n digit arrays (M, d); np.stack refuses unequal depths."""
+    digits = np.stack(digit_arrays)
     if digits.ndim != 3 or digits.shape[2] != tbl.d:
         raise ValueError(f"digits must have shape (M, {tbl.d})")
     return digits
 
 
-def _exact_ip(lut: InnerProductLUT, encs, dither_ids) -> int:
-    """Sum of q^(i+j) table[ix_i, iy_j] over two encodings' layers: one paired chunk."""
-    ix, iy = layer_indices(lut.q, _stacked_digits(lut, encs), dither_ids)
+def _exact_ip(lut: InnerProductLUT, digit_arrays, dither_ids) -> int:
+    """Sum of q^(i+j) table[ix_i, iy_j] over two digit arrays' layers: one paired chunk."""
+    ix, iy = layer_indices(lut.q, _stacked_digits(lut, digit_arrays), dither_ids)
     ((_, C),) = chunk_sums(lut, ix[None, None], iy[None, None], False, 1)
     return int(C[0, 0])
 
 
-def lut_ip(
-    lut: InnerProductLUT,
-    enc_x: HierarchicalEncoding,
-    enc_y: HierarchicalEncoding,
-):
-    """Inner product of two reconstructions from M^2 table entries.
+def lut_ip(lut: InnerProductLUT, dx: np.ndarray, dy: np.ndarray):
+    """Inner product of the reconstructions of two integer digit arrays (M, d),
+    from M^2 table entries.
 
-    Both encodings must come from the parameters the table was built for
-    (``check_lut`` checks a table against them); digit range and shape are
-    validated against the table.  Returns a Python int, exact, when the
-    table's unit is an integer (Z_d and D_n at an integer scale^2), else the
-    exact table sum times the unit as a float.
+    Both must come from the parameters the table was built for (``check_lut``
+    checks a table against them); digit range and shape are validated
+    against the table.  Returns a Python int, exact, when the table's unit
+    is an integer (Z_d and D_n at an integer scale^2), else the exact table
+    sum times the unit as a float.
     """
-    total = _exact_ip(lut, (enc_x, enc_y), None)
+    total = _exact_ip(lut, (dx, dy), None)
     return total * int(lut.unit) if float(lut.unit).is_integer() else total * lut.unit
 
 
 def lut_ip_dithered(
-    lut: InnerProductLUT,
-    enc_x: HierarchicalEncoding,
-    enc_y: HierarchicalEncoding,
-    dither_x: np.ndarray,
-    dither_y: np.ndarray,
+    lut: InnerProductLUT, dx: np.ndarray, dy: np.ndarray, zx: np.ndarray, zy: np.ndarray
 ) -> float:
-    """Inner product of dithered reconstructions from (M+1)^2 table entries.
+    """Inner product of dithered reconstructions of digit arrays (M, d) with
+    dither ids (d,), from (M+1)^2 table entries.
 
     The dither ids act as an extra layer with weight 1/q on each side; the
     sum is exact in integers scaled by q^2, then divided by q^2 and
     multiplied by the table's unit, the float steps of ``ip_approx``.
     """
-    total = _exact_ip(lut, (enc_x, enc_y), np.stack([dither_x, dither_y]))
+    total = _exact_ip(lut, (dx, dy), np.stack([zx, zy]))
     return float(total) / lut.q**2 * lut.unit
 
 
@@ -262,15 +256,31 @@ def build_one_sided(params: HierarchicalParams, y: np.ndarray) -> OneSidedLUT:
                        scale=params.lat.scale)
 
 
-def one_sided_ip(oslut: OneSidedLUT, enc_x: HierarchicalEncoding) -> float:
-    """Inner product of the table's vector with a reconstruction, M reads.
+def one_sided_ip(oslut: OneSidedLUT, dx: np.ndarray) -> float:
+    """Inner product of the table's vector with the reconstruction of digits
+    (M, d), M reads.
 
-    The encoding must come from the parameters the table was built for;
+    The digits must come from the parameters the table was built for;
     ``check_lut`` checks a table against them.
     """
-    (ix,) = layer_indices(oslut.q, _stacked_digits(oslut, [enc_x]), None)
+    (ix,) = layer_indices(oslut.q, _stacked_digits(oslut, [dx]), None)
     reads = oslut._gather(ix)
     return float(sum(oslut.q**i * v for i, v in enumerate(reads)))
+
+
+def _with_crc(body: bytes) -> bytes:
+    """body followed by its zlib.crc32, 4 bytes little-endian: the trailer of
+    NLL version 2 and NLQM version 3 files."""
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+def _strip_crc(raw: bytes, min_size: int, kind: str) -> bytes:
+    """raw without its CRC-32 trailer; ValueError unless the trailer matches
+    and at least min_size bytes precede it."""
+    body, crc = raw[:-4], raw[-4:]
+    if len(body) < min_size or zlib.crc32(body).to_bytes(4, "little") != crc:
+        raise ValueError(f"{kind} checksum mismatch: corrupt or truncated file")
+    return body
 
 
 def save_lut(lut: InnerProductLUT, path) -> None:
@@ -278,7 +288,7 @@ def save_lut(lut: InnerProductLUT, path) -> None:
     body = _HEADER.pack(_MAGIC, _VERSION, FAMILY_IDS[lut.family], lut.d, lut.q, 0, lut.scale)
     body += np.ascontiguousarray(lut.values, dtype=_VALUE_TYPES[0]).tobytes()
     with open(path, "wb") as f:
-        f.write(body + zlib.crc32(body).to_bytes(4, "little"))
+        f.write(_with_crc(body))
 
 
 def _canonical_v1(values: np.ndarray, lat: Lattice) -> np.ndarray:
@@ -318,9 +328,7 @@ def load_lut(path, params: HierarchicalParams) -> InnerProductLUT:
     if magic != _MAGIC:
         raise ValueError("bad magic, not a LUT file")
     if version == _VERSION:
-        raw, crc = raw[:-4], raw[-4:]
-        if len(raw) < _HEADER.size or zlib.crc32(raw).to_bytes(4, "little") != crc:
-            raise ValueError("LUT checksum mismatch: corrupt or truncated file")
+        raw = _strip_crc(raw, _HEADER.size, "LUT")
     elif version != 1:
         raise ValueError(f"unsupported LUT version {version}")
     if vt not in _VALUE_TYPES or (version == _VERSION and vt != 0):

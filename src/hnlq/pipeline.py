@@ -20,7 +20,7 @@ import numpy as np
 
 from .codec import HierarchicalParams
 from .lattices import FAMILY_IDS, _as_vector, make_lattice
-from .lut import InnerProductLUT, check_lut, chunk_sums, layer_indices
+from .lut import InnerProductLUT, _strip_crc, _with_crc, check_lut, chunk_sums, layer_indices
 from .scaling import ScalingConfig, decode_scaled_many, encode_scaled_many
 from .voronoi import digits_to_index, index_to_digits
 
@@ -405,9 +405,10 @@ def paired_ip_approx(
 
 _QM_MAGIC = int.from_bytes(b"NLQM", "little")
 _QM_HEADER = struct.Struct("<8I2d2I2q")
-# Version 2 derives random-mode dither ids with the SplitMix64 chain; version 1
+# Version 3 appends a CRC-32 of the file to the version 2 layout.  Versions 2
+# and 3 derive random-mode dither ids with the SplitMix64 chain; version 1
 # files, whose ids came from blake2b, are still read.
-_QM_VERSION = 2
+_QM_VERSION = 3
 _DITHER_CODE = {"none": 0, "fixed": 1, "random": 2}
 
 
@@ -424,12 +425,12 @@ def save_quantized_matrix(qm: QuantizedMatrix, path) -> None:
     Header, then per column and chunk each digit vector packed as its
     base-q value (first coordinate most significant) in the minimal whole
     number of little-endian bytes, then one byte of T per chunk, then the
-    per-column norms when rotation is on.  The config's fixed dither id rides
-    in a short trailer right after the header; random ids are re-derived from
-    the seed on load.  So a matrix whose ids differ from the ones its config
-    gives (a version 1 random-mode file, or edited ids) is refused with
-    ValueError, and so is a lattice scale other than 1, which the header
-    does not record.
+    per-column norms when rotation is on, then a CRC-32 of all of it.  The
+    config's fixed dither id rides in a short trailer right after the header;
+    random ids are re-derived from the seed on load.  So a matrix whose ids
+    differ from the ones its config gives (a version 1 random-mode file, or
+    edited ids) is refused with ValueError, and so is a lattice scale other
+    than 1, which the header does not record.
     """
     cfg = qm.cfg
     if cfg.params.lat.scale != 1:
@@ -461,14 +462,14 @@ def save_quantized_matrix(qm: QuantizedMatrix, path) -> None:
     payload = ((vals[..., None].astype(np.uint64) >> shifts) & 0xFF).astype(np.uint8)
     if qm.T.max(initial=0) > 0xFF:
         raise ValueError("retry counts exceed one byte")
+    parts = [header]
+    if cfg.dither_mode == "fixed":
+        parts.append(cfg.dither_ids.astype(np.uint8).tobytes())
+    parts += [payload.tobytes(), qm.T.astype(np.uint8).tobytes()]
+    if cfg.rotate:
+        parts.append(np.ascontiguousarray(qm.norms, dtype="<f8").tobytes())
     with open(path, "wb") as f:
-        f.write(header)
-        if cfg.dither_mode == "fixed":
-            f.write(cfg.dither_ids.astype(np.uint8).tobytes())
-        f.write(payload.tobytes())
-        f.write(qm.T.astype(np.uint8).tobytes())
-        if cfg.rotate:
-            f.write(np.ascontiguousarray(qm.norms, dtype="<f8").tobytes())
+        f.write(_with_crc(b"".join(parts)))
 
 
 def load_quantized_matrix(path) -> QuantizedMatrix:
@@ -478,9 +479,11 @@ def load_quantized_matrix(path) -> QuantizedMatrix:
     reconstructed config takes the default 60, so a ladder whose top rung
     leaves the float range is refused.
 
-    There is no checksum; a flipped bit loads or raises ValueError.  Not checked:
-    alpha, beta0, both seeds, T bytes, norms, digit records kept below q^d, and
-    q, family, dither code or d where the file stays consistent in length.
+    A version 3 file is checked against its CRC-32 before any field but the
+    magic and version.  Versions 1 and 2 have no checksum; a flipped bit loads
+    or raises ValueError.  Not checked there: alpha, beta0, both seeds, T
+    bytes, norms, digit records kept below q^d, and q, family, dither code or
+    d where the file stays consistent in length.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -492,8 +495,10 @@ def load_quantized_matrix(path) -> QuantizedMatrix:
     ) = _QM_HEADER.unpack_from(raw)
     if magic != _QM_MAGIC:
         raise ValueError("bad magic, not a quantized-matrix file")
-    if version not in (1, _QM_VERSION):
+    if version not in (1, 2, _QM_VERSION):
         raise ValueError(f"unsupported version {version}")
+    if version == _QM_VERSION:
+        raw = _strip_crc(raw, _QM_HEADER.size, "quantized-matrix")
     families = {v: k for k, v in FAMILY_IDS.items()}
     if fam_id not in families:
         raise ValueError(f"unknown lattice id {fam_id}")

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import (
-    HierarchicalEncoding,
     HierarchicalParams,
     _dither_points,
     decode_coords_many,
@@ -24,15 +23,11 @@ from .codec import (
     outer_nesting_ratio,
 )
 from .errors import UnencodableError
-from .lattices import _as_vector
 from .voronoi import vc_decode_many  # noqa: F401  (perfbench's tracer wraps this name)
 
 __all__ = [
     "ScalingConfig",
-    "ScaledEncoding",
-    "encode_scaled",
     "encode_scaled_many",
-    "decode_scaled",
     "decode_scaled_many",
     "dither_point",
     "empirical_rate",
@@ -65,15 +60,6 @@ class ScalingConfig:
 
     def scale(self, T: int | np.ndarray) -> float | np.ndarray:
         return self.beta0 * 2.0 ** (self.alpha * T)
-
-
-@dataclass(frozen=True, eq=False)
-class ScaledEncoding:
-    """A non-overloaded encoding, its retry count and optional dither id."""
-
-    enc: HierarchicalEncoding
-    T: int
-    dither_id: np.ndarray | None = None
 
 
 def dither_point(params: HierarchicalParams, b_z: np.ndarray) -> np.ndarray:
@@ -188,19 +174,6 @@ def encode_scaled_many(
     return digits.reshape(X.shape[:-1] + (params.M, lat.d)), T.reshape(X.shape[:-1])
 
 
-def encode_scaled(
-    params: HierarchicalParams,
-    cfg: ScalingConfig,
-    x: np.ndarray,
-    dither_id: np.ndarray | None = None,
-) -> ScaledEncoding:
-    """Encode one vector, growing the scale until nothing overloads."""
-    digits, T = encode_scaled_many(params, cfg, _as_vector(x, params.lat.d)[None], dither_id)
-    enc = HierarchicalEncoding(digits=digits[0], overload=False)
-    did = None if dither_id is None else np.asarray(dither_id, dtype=np.int64)
-    return ScaledEncoding(enc=enc, T=int(T[0]), dither_id=did)
-
-
 def decode_scaled_many(
     params: HierarchicalParams,
     cfg: ScalingConfig,
@@ -216,13 +189,6 @@ def decode_scaled_many(
         pts = pts + Z
     scale = np.asarray(cfg.scale(np.asarray(T)))[..., None]
     return scale * pts
-
-
-def decode_scaled(params: HierarchicalParams, cfg: ScalingConfig, se: ScaledEncoding) -> np.ndarray:
-    """Reconstruct one vector: 2^(alpha T) beta0 (decoded point + dither)."""
-    return decode_scaled_many(
-        params, cfg, se.enc.digits[None], np.array([se.T]), dither_ids=se.dither_id
-    )[0]
 
 
 def entropy_bits(counts) -> float:

@@ -10,12 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattices import Lattice, LatticePoint, nn_quantize
+from .lattices import Lattice
 
 __all__ = [
     "VoronoiCodeParams",
-    "vc_encode",
-    "vc_decode",
     "vc_decode_many",
     "digit_grid",
     "digits_to_index",
@@ -101,21 +99,3 @@ def vc_decode_many(params: VoronoiCodeParams, B: np.ndarray) -> np.ndarray:
     u = lat.nearest_coords(lat.point_of(B) / r)
     return B - r * u
 
-
-def vc_decode(params: VoronoiCodeParams, b: np.ndarray) -> LatticePoint:
-    """Decode one digit vector to its codebook point."""
-    c = vc_decode_many(params, np.asarray(b).reshape(params.lat.d))
-    return LatticePoint(coords=c, point=params.lat.point_of(c))
-
-
-def vc_encode(params: VoronoiCodeParams, x: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Encode a vector: digits of the nearest lattice point mod r, plus overload.
-
-    Overload is true when the digits decode to a different lattice point
-    than the true nearest neighbor, i.e. the nearest neighbor fell outside
-    the codebook region.
-    """
-    t = nn_quantize(params.lat, x)
-    b = np.mod(t.coords, params.r)
-    dec = vc_decode(params, b)
-    return b, bool(np.any(dec.coords != t.coords))

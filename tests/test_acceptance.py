@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from hnlq import (
-    HierarchicalEncoding,
     HierarchicalParams,
     PipelineConfig,
     ScalingConfig,
@@ -144,11 +143,7 @@ def test_03_lut_equals_direct_products():
         py = lat.point_of(decode_coords_many(params, dy))
         want = np.einsum("nd,nd->n", px, py)
         for i in range(n_pairs):
-            got = lut_ip(
-                lut,
-                HierarchicalEncoding(digits=dx[i], overload=False),
-                HierarchicalEncoding(digits=dy[i], overload=False),
-            )
+            got = lut_ip(lut, dx[i], dy[i])
             max_plain = max(max_plain, abs(got - want[i]))
 
     max_dith = 0.0
@@ -167,18 +162,12 @@ def test_03_lut_equals_direct_products():
         py = lat.point_of(decode_coords_many(params, dy)) + zy
         want = np.einsum("nd,nd->n", px, py)
         for i in range(n_pairs):
-            got = lut_ip_dithered(
-                lut,
-                HierarchicalEncoding(digits=dx[i], overload=False),
-                HierarchicalEncoding(digits=dy[i], overload=False),
-                idx[i],
-                idy[i],
-            )
+            got = lut_ip_dithered(lut, dx[i], dy[i], idx[i], idy[i])
             max_dith = max(max_dith, abs(got - want[i]))
 
     params = HierarchicalParams(make_lattice("d4"), 4, 2)
     lut = build_lut(params)
-    e = HierarchicalEncoding(digits=np.zeros((2, 4), dtype=np.int64), overload=False)
+    e = np.zeros((2, 4), dtype=np.int64)
     lut_ip(lut, e, e)
     plain_reads = lut.query_count
     lut_ip_dithered(lut, e, e, np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64))
@@ -338,16 +327,13 @@ def test_09_serialization_round_trips(tmp_path):
     back = load_lut(lut_path, params)
     save_lut(back, lut_path)
     ok = ok and lut_path.read_bytes() == first
-    encs = [
-        HierarchicalEncoding(digits=rng.integers(0, 4, size=(2, 4)), overload=False)
-        for _ in range(200)
-    ]
+    digits = [rng.integers(0, 4, size=(2, 4)) for _ in range(200)]
     same = all(
         lut_ip(lut, a, b) == lut_ip(back, a, b)
-        for a, b in zip(encs[::2], encs[1::2])
+        for a, b in zip(digits[::2], digits[1::2])
     )
     ok = ok and same
-    details.append(f"table bytes stable, {len(encs) // 2} products identical: {same}")
+    details.append(f"table bytes stable, {len(digits) // 2} products identical: {same}")
 
     for tag, kw in (
         ("plain", {}),

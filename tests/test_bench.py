@@ -315,17 +315,6 @@ def test_cli_dr_vector(tmp_path, capsys):
     assert text.startswith(",".join(CSV_COLUMNS))
 
 
-def test_cli_full_flag_overrides_samples(tmp_path):
-    out = tmp_path / "full.csv"
-    rc = main([
-        "dr-vector", "--q", "3", "--m", "1", "--samples", "33", "--full",
-        "--beta0", "0.7", "--scheme", "hierarchical", "--out", str(out),
-    ])
-    assert rc == 0
-    (row,) = parse_csv(out.read_text())
-    assert row["samples"] == "5000"
-
-
 def test_cli_dr_ip(tmp_path):
     out = tmp_path / "ip.csv"
     rc = main([

@@ -5,26 +5,16 @@ import pytest
 
 from conftest import float_chain_encode, oracle_nearest
 from hnlq import (
-    HierarchicalEncoding,
     HierarchicalParams,
     Lattice,
     UnencodableError,
     VoronoiCodeParams,
     enumerate_codebook,
-    h_decode,
-    h_decode_exact,
-    h_decode_partial,
-    h_decode_partial_exact,
-    h_encode,
     h_encode_many,
     make_lattice,
     nesting_radius_ratio,
     outer_nesting_ratio,
-    nn_quantize,
-    q_circ,
     reduced_nesting_ratio,
-    vc_decode,
-    vc_encode,
     verify_sandwich,
 )
 from hnlq.codec import (
@@ -53,50 +43,46 @@ def test_params_validation(z2):
         HierarchicalParams(z2, 3.5, 2)
 
 
+def decode(p, digits, t=None):
+    """Reconstruction of digits (..., M, d) from the coarsest t layers (default all)."""
+    layers = None if t is None else slice(p.M - t, p.M)
+    return p.lat.point_of(decode_coords_many(p, np.asarray(digits, dtype=np.int64), layers))
+
+
 def test_scalar_encode_traces(z1):
     p = HierarchicalParams(z1, 3, 2)
-    enc = h_encode(p, np.array([3.7]))
-    assert np.array_equal(enc.digits, [[1], [1]])
-    assert not enc.overload
-    enc = h_encode(p, np.array([5.3]))
-    assert np.array_equal(enc.digits, [[2], [2]])
-    assert enc.overload
-    enc = h_encode(p, np.zeros(1))
-    assert not enc.digits.any()
-    assert not enc.overload
+    digits, overload = h_encode_many(p, np.array([3.7]))
+    assert np.array_equal(digits, [[1], [1]])
+    assert not overload
+    digits, overload = h_encode_many(p, np.array([5.3]))
+    assert np.array_equal(digits, [[2], [2]])
+    assert overload
+    digits, overload = h_encode_many(p, np.zeros(1))
+    assert not digits.any()
+    assert not overload
 
 
 def test_scalar_decode_traces(z1):
     p = HierarchicalParams(z1, 3, 2)
-
-    def mk(digits):
-        return HierarchicalEncoding(
-            digits=np.array(digits, dtype=np.int64), overload=False
-        )
-
-    assert np.array_equal(h_decode(p, mk([[1], [1]])), [4.0])  # 1 + 3*1
-    assert np.array_equal(h_decode(p, mk([[2], [2]])), [-4.0])  # -1 + 3*(-1)
-    assert np.array_equal(h_decode(p, mk([[0], [0]])), [0.0])
+    assert np.array_equal(decode(p, [[1], [1]]), [4.0])  # 1 + 3*1
+    assert np.array_equal(decode(p, [[2], [2]]), [-4.0])  # -1 + 3*(-1)
+    assert np.array_equal(decode(p, [[0], [0]]), [0.0])
 
 
 def test_partial_decode_trace(z1):
     p = HierarchicalParams(z1, 3, 2)
-    enc = h_encode(p, np.array([3.7]))
-    assert np.array_equal(h_decode_partial(p, enc, 1), [3.0])  # coarsest layer
-    assert np.array_equal(h_decode_partial(p, enc, 2), h_decode(p, enc))
-    with pytest.raises(ValueError):
-        h_decode_partial(p, enc, 0)
-    with pytest.raises(ValueError):
-        h_decode_partial(p, enc, 3)
+    digits, _ = h_encode_many(p, np.array([3.7]))
+    assert np.array_equal(decode(p, digits, 1), [3.0])  # coarsest layer
+    assert np.array_equal(decode(p, digits, 2), decode(p, digits))
 
 
 def test_q_circ_traces(z1):
     p = HierarchicalParams(z1, 3, 2)
-    assert np.array_equal(q_circ(p, np.array([3.7]), 0).point, [4.0])
-    assert np.array_equal(q_circ(p, np.array([5.3]), 2).point, [9.0])
-    assert np.array_equal(q_circ(p, np.zeros(1), 3).point, [0.0])
+    assert np.array_equal(z1.point_of(q_circ_many(p, np.array([3.7]), 0)), [4.0])
+    assert np.array_equal(z1.point_of(q_circ_many(p, np.array([5.3]), 2)), [9.0])
+    assert np.array_equal(z1.point_of(q_circ_many(p, np.zeros(1), 3)), [0.0])
     with pytest.raises(ValueError):
-        q_circ(p, np.zeros(1), -1)
+        q_circ_many(p, np.zeros(1), -1)
 
 
 def test_digit_shape_and_range(d4):
@@ -118,14 +104,15 @@ def test_digit_shape_and_range(d4):
 
 
 def test_encode_many_matches_scalar(any_lat):
+    # one row of shape (d,) encodes as the same row of a batch
     p = HierarchicalParams(any_lat, 3, 2)
     rng = np.random.default_rng(17)
     X = rng.standard_normal((60, any_lat.d)) * 1.5
     digits, overload = h_encode_many(p, X)
     for x, db, ob in zip(X, digits, overload):
-        enc = h_encode(p, x)
-        assert np.array_equal(enc.digits, db)
-        assert enc.overload == bool(ob)
+        row_digits, row_overload = h_encode_many(p, x)
+        assert np.array_equal(row_digits, db)
+        assert row_overload.shape == () and row_overload == ob
 
 
 def test_telescoping_identity(any_lat):
@@ -191,7 +178,7 @@ def test_encode_runs_the_quantizer_once_per_call(monkeypatch):
         calls.clear()
         digits, overload = h_encode_many(p, X)
         assert calls == [200]
-        h_encode(p, X[0])
+        h_encode_many(p, X[0])
         assert len(calls) == 2
         monkeypatch.undo()
         assert np.array_equal(digits, float_chain_encode(p, X)[0])
@@ -246,25 +233,23 @@ def test_layer_points_live_in_single_layer_code(z2):
     digits, _ = h_encode_many(p, X)
     vc = VoronoiCodeParams(z2, 3)
     for m in range(3):
-        pts = z2.point_of(
-            np.stack([vc_decode(vc, db[m]).coords for db in digits])
-        )
+        pts = z2.point_of(vc_decode_many(vc, digits[:, m]))
         assert in_scaled_voronoi_many(z2, pts, 3.0).all()
 
 
 def test_single_layer_matches_voronoi_code(any_lat):
+    # the Voronoi code's encoder: digits of the nearest point mod r, overload
+    # when they decode to another point
     p = HierarchicalParams(any_lat, 4, 1)
     vc = VoronoiCodeParams(any_lat, 4)
     rng = np.random.default_rng(13)
     X = rng.standard_normal((300, any_lat.d)) * 2
-    for x in X:
-        enc = h_encode(p, x)
-        digits, overload = vc_encode(vc, x)
-        assert np.array_equal(enc.digits[0], digits)
-        assert enc.overload == overload
-        assert np.array_equal(
-            h_decode_exact(p, enc).coords, vc_decode(vc, digits).coords
-        )
+    near = any_lat.nearest_coords(X)
+    want = np.mod(near, 4)
+    digits, overload = h_encode_many(p, X)
+    assert np.array_equal(digits[:, 0], want)
+    assert np.array_equal(overload, (vc_decode_many(vc, want) != near).any(axis=-1))
+    assert np.array_equal(decode_coords_many(p, digits), vc_decode_many(vc, want))
 
 
 def test_partial_decode_sums_coarse_layers(d4):
@@ -273,14 +258,13 @@ def test_partial_decode_sums_coarse_layers(d4):
     X = rng.standard_normal((80, 4)) * 4
     digits, _ = h_encode_many(p, X)
     for db in digits:
-        enc = HierarchicalEncoding(digits=db, overload=False)
-        full = h_decode_exact(p, enc).coords
+        full = decode_coords_many(p, db)
         parts = [
             decode_coords_many(p, db, layers=slice(m, m + 1)) for m in range(3)
         ]
         assert np.array_equal(full, parts[0] + parts[1] + parts[2])
         for t in (1, 2, 3):
-            got = h_decode_partial_exact(p, enc, t).coords
+            got = decode_coords_many(p, db, layers=slice(3 - t, 3))
             want = sum(parts[3 - t :])
             assert np.array_equal(got, want)
 
@@ -439,9 +423,7 @@ def test_sandwich_collapses_at_depth_one(z2):
     assert rep.inner_ok and rep.outer_ok
     cb = {tuple(c) for c in enumerate_codebook(p)}
     vc = VoronoiCodeParams(z2, 3)
-    single = {
-        tuple(vc_decode(vc, row).coords) for row in digit_grid(3, 2)
-    }
+    single = {tuple(c) for c in vc_decode_many(vc, digit_grid(3, 2))}
     assert cb == single
 
 

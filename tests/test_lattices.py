@@ -14,12 +14,7 @@ from hnlq import (
     build_one_sided,
     coords_of,
     default_tie_breaker,
-    encode_scaled,
-    h_encode,
-    in_scaled_voronoi,
     make_lattice,
-    nn_quantize,
-    q_circ,
     quantize_vector,
     second_moment,
 )
@@ -74,32 +69,33 @@ def test_tie_breaker_values():
     assert len(np.unique(default_tie_breaker(8))) == 8
 
 
+def nearest_point(lat, x):
+    return lat.point_of(lat.nearest_coords(x))
+
+
 def test_origin_quantizes_to_zero(any_lat):
-    lp = nn_quantize(any_lat, np.zeros(any_lat.d))
-    assert not lp.coords.any()
-    assert np.allclose(lp.point, 0.0)
+    c = any_lat.nearest_coords(np.zeros(any_lat.d))
+    assert not c.any()
+    assert np.allclose(any_lat.point_of(c), 0.0)
 
 
 def test_z2_plain_rounding(z2):
-    lp = nn_quantize(z2, np.array([0.4, -1.2]))
-    assert np.array_equal(lp.coords, [0, -1])
-    assert np.array_equal(lp.point, [0.0, -1.0])
+    c = z2.nearest_coords(np.array([0.4, -1.2]))
+    assert np.array_equal(c, [0, -1])
+    assert np.array_equal(z2.point_of(c), [0.0, -1.0])
 
 
 def test_d4_parity_repair(d4):
     # naive rounding gives (1,0,0,0), odd sum; the repair flips the worst
     # coordinate back and lands on the origin
-    lp = nn_quantize(d4, np.array([0.6, 0.0, 0.0, 0.0]))
-    assert np.allclose(lp.point, 0.0)
-    lp = nn_quantize(d4, np.array([0.6, 0.55, 0.0, 0.0]))
-    assert np.allclose(lp.point, [1.0, 1.0, 0.0, 0.0])
+    assert np.allclose(nearest_point(d4, np.array([0.6, 0.0, 0.0, 0.0])), 0.0)
+    assert np.allclose(nearest_point(d4, np.array([0.6, 0.55, 0.0, 0.0])), [1.0, 1.0, 0.0, 0.0])
 
 
 def test_a2_prefers_hex_neighbor(a2):
     # (0.5, 0.5) is closer to the basis point (0.5, sqrt(3)/2) than to
     # either of the Z2-style candidates (0,0) / (1,0)
-    lp = nn_quantize(a2, np.array([0.5, 0.5]))
-    assert np.allclose(lp.point, [0.5, math.sqrt(3.0) / 2.0])
+    assert np.allclose(nearest_point(a2, np.array([0.5, 0.5])), [0.5, math.sqrt(3.0) / 2.0])
 
 
 def test_a2_two_coset_rounding_matches_bruteforce(a2):
@@ -201,8 +197,6 @@ def test_gauge_values(z1, d4, a2):
 def test_dimension_mismatch_raises(d4):
     with pytest.raises(ValueError):
         d4.nearest_coords(np.zeros(3))
-    with pytest.raises(ValueError):
-        nn_quantize(d4, np.zeros((2, 4)))
 
 
 def test_coords_roundtrip(z3, d4, a2):
@@ -224,30 +218,25 @@ def test_point_of_is_exact_on_integer_lattices(d4):
 
 
 def test_in_scaled_voronoi_examples(z1, d4):
-    assert in_scaled_voronoi(z1, np.array([0.49]), 1.0)
-    assert not in_scaled_voronoi(z1, np.array([0.51]), 1.0)
+    assert in_scaled_voronoi_many(z1, np.array([0.49]), 1.0)
+    assert not in_scaled_voronoi_many(z1, np.array([0.51]), 1.0)
     # 2.6/4 = 0.65 rounds to 1, so the point sits outside 4 cells
-    assert not in_scaled_voronoi(z1, np.array([2.6]), 4.0)
-    assert in_scaled_voronoi(z1, np.array([2.6]), 6.0)
+    assert not in_scaled_voronoi_many(z1, np.array([2.6]), 4.0)
+    assert in_scaled_voronoi_many(z1, np.array([2.6]), 6.0)
     x = np.full(4, 0.4)
-    assert in_scaled_voronoi(d4, x, 1.0) == (not oracle_nearest(d4, x).any())
+    assert in_scaled_voronoi_many(d4, x, 1.0) == (not oracle_nearest(d4, x).any())
     with pytest.raises(ValueError):
-        in_scaled_voronoi(z1, np.array([0.0]), 0.0)
+        in_scaled_voronoi_many(z1, np.array([0.0]), 0.0)
     with pytest.raises(ValueError):
-        in_scaled_voronoi(z1, np.array([0.0]), -2.0)
+        in_scaled_voronoi_many(z1, np.array([0.0]), -2.0)
 
 
 def test_vector_entry_points_name_the_expected_shape(d4):
     p = HierarchicalParams(d4, 3, 2)
     cfg = PipelineConfig(params=p, scaling=ScalingConfig(beta0=0.5), n=8)
     calls = [
-        (4, lambda x: nn_quantize(d4, x)),
         (4, lambda x: coords_of(d4, x)),
-        (4, lambda x: in_scaled_voronoi(d4, x, 1.0)),
-        (4, lambda x: h_encode(p, x)),
-        (4, lambda x: q_circ(p, x, 1)),
         (4, lambda x: build_one_sided(p, x)),
-        (4, lambda x: encode_scaled(p, cfg.scaling, x)),
         (8, lambda x: quantize_vector(cfg, x)),
     ]
     for n, call in calls:
@@ -264,8 +253,8 @@ def test_in_scaled_voronoi_many_consistent(any_lat):
         got = in_scaled_voronoi_many(any_lat, X, s)
         assert got.dtype == bool
         assert got.shape == (120,)
-        for x, g in zip(X, got):
-            assert g == in_scaled_voronoi(any_lat, x, s)
+        for x, g in zip(X, got):  # one row of shape (d,) as the same row of a batch
+            assert g == in_scaled_voronoi_many(any_lat, x, s)
 
 
 def test_second_moment_z_is_one_twelfth(z1, z2):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hnlq import (
-    HierarchicalEncoding,
     HierarchicalParams,
     InnerProductLUT,
     OneSidedLUT,
@@ -17,8 +16,7 @@ from hnlq import (
     check_lut,
     digits_to_index,
     dither_point,
-    h_decode,
-    h_encode,
+    h_encode_many,
     index_to_digits,
     ip_approx,
     load_lut,
@@ -29,16 +27,22 @@ from hnlq import (
     quantize_vector,
     save_lut,
 )
-from hnlq.codec import layer_codebook_coords
+from hnlq.codec import decode_coords_many, layer_codebook_coords
 from hnlq.lattices import FAMILY_IDS
 
 
-def enc_of(digits):
-    return HierarchicalEncoding(digits=np.array(digits, dtype=np.int64), overload=False)
+def digits_of(digits):
+    return np.array(digits, dtype=np.int64)
 
 
-def random_encodings(rng, q, M, d, n):
-    return [enc_of(rng.integers(0, q, size=(M, d))) for _ in range(n)]
+def random_digits(rng, q, M, d, n):
+    """n digit arrays (M, d), one draw each."""
+    return [rng.integers(0, q, size=(M, d)) for _ in range(n)]
+
+
+def point(p, digits):
+    """The reconstruction of digits (M, d) as a vector."""
+    return p.lat.point_of(decode_coords_many(p, digits))
 
 
 def test_digit_indexing():
@@ -82,9 +86,9 @@ def test_float_digits_are_refused(z1):
     with pytest.raises(ValueError, match="integers"):
         digits_to_index(np.array([1.0, 2.0]), 3)
     lut = build_lut(HierarchicalParams(z1, 3, 2))
-    fractional = HierarchicalEncoding(digits=np.array([[1.9], [1.2]]), overload=False)
+    fractional = np.array([[1.9], [1.2]])
     with pytest.raises(ValueError, match="integers"):
-        lut_ip(lut, fractional, enc_of([[1], [1]]))
+        lut_ip(lut, fractional, digits_of([[1], [1]]))
 
 
 def test_build_scalar_table(z1):
@@ -188,10 +192,10 @@ def test_build_guard():
 def test_ip_trace(z1):
     p = HierarchicalParams(z1, 3, 2)
     lut = build_lut(p)
-    got = lut_ip(lut, enc_of([[1], [1]]), enc_of([[1], [0]]))
+    got = lut_ip(lut, digits_of([[1], [1]]), digits_of([[1], [0]]))
     assert got == 4  # 1*1 + 3*0 + 3*1 + 9*0
     assert isinstance(got, int)
-    assert lut_ip(lut, enc_of([[1], [1]]), enc_of([[0], [0]])) == 0
+    assert lut_ip(lut, digits_of([[1], [1]]), digits_of([[0], [0]])) == 0
 
 
 def test_ip_matches_direct_reconstruction(d4, z3, a2):
@@ -200,10 +204,10 @@ def test_ip_matches_direct_reconstruction(d4, z3, a2):
         p = HierarchicalParams(lat, 3, 2)
         lut = build_lut(p)
         for ex, ey in zip(
-            random_encodings(rng, 3, 2, lat.d, 200),
-            random_encodings(rng, 3, 2, lat.d, 200),
+            random_digits(rng, 3, 2, lat.d, 200),
+            random_digits(rng, 3, 2, lat.d, 200),
         ):
-            want = float(np.dot(h_decode(p, ex), h_decode(p, ey)))
+            want = float(np.dot(point(p, ex), point(p, ey)))
             got = float(lut_ip(lut, ex, ey))
             if tol == 0:
                 assert got == np.rint(want) == want
@@ -216,11 +220,11 @@ def test_ip_symmetry_and_norm(d4):
     lut = build_lut(p)
     rng = np.random.default_rng(51)
     for ex, ey in zip(
-        random_encodings(rng, 4, 2, 4, 100), random_encodings(rng, 4, 2, 4, 100)
+        random_digits(rng, 4, 2, 4, 100), random_digits(rng, 4, 2, 4, 100)
     ):
         assert lut_ip(lut, ex, ey) == lut_ip(lut, ey, ex)
         n2 = lut_ip(lut, ex, ex)
-        assert n2 == int(np.rint(np.dot(h_decode(p, ex), h_decode(p, ex))))
+        assert n2 == int(np.rint(np.dot(point(p, ex), point(p, ex))))
         assert n2 >= 0
 
 
@@ -228,9 +232,9 @@ def test_ip_is_bilinear_in_the_reconstruction(d4):
     p = HierarchicalParams(d4, 3, 2)
     lut = build_lut(p)
     rng = np.random.default_rng(52)
-    ex, ey, ey2 = random_encodings(rng, 3, 2, 4, 3)
+    ex, ey, ey2 = random_digits(rng, 3, 2, 4, 3)
     lhs = lut_ip(lut, ex, ey) + lut_ip(lut, ex, ey2)
-    rhs = np.dot(h_decode(p, ex), h_decode(p, ey) + h_decode(p, ey2))
+    rhs = np.dot(point(p, ex), point(p, ey) + point(p, ey2))
     assert lhs == int(np.rint(rhs))
 
 
@@ -238,7 +242,7 @@ def test_query_counters(d4):
     p2 = HierarchicalParams(d4, 3, 2)
     lut = build_lut(p2)
     rng = np.random.default_rng(53)
-    ex, ey = random_encodings(rng, 3, 2, 4, 2)
+    ex, ey = random_digits(rng, 3, 2, 4, 2)
     assert lut.query_count == 0
     lut_ip(lut, ex, ey)
     assert lut.query_count == 4
@@ -247,7 +251,7 @@ def test_query_counters(d4):
 
     p3 = HierarchicalParams(d4, 3, 3)
     lut3 = build_lut(p3)
-    (ex3,) = random_encodings(rng, 3, 3, 4, 1)
+    (ex3,) = random_digits(rng, 3, 3, 4, 1)
     lut_ip(lut3, ex3, ex3)
     assert lut3.query_count == 9
 
@@ -267,7 +271,7 @@ def test_each_product_is_one_gather(d4, monkeypatch):
     p = HierarchicalParams(d4, 3, 3)
     lut = build_lut(p)
     rng = np.random.default_rng(59)
-    ex, ey = random_encodings(rng, 3, 3, 4, 2)
+    ex, ey = random_digits(rng, 3, 3, 4, 2)
     lut_ip(lut, ex, ey)
     lut_ip_dithered(lut, ex, ey, np.array([1, 0, 2, 1]), np.array([0, 2, 1, 0]))
     one_sided_ip(build_one_sided(p, np.array([1.0, -2.0, 0.5, 3.0])), ex)
@@ -278,25 +282,25 @@ def test_ip_validates_shapes(d4):
     p = HierarchicalParams(d4, 3, 2)
     lut = build_lut(p)
     rng = np.random.default_rng(54)
-    ex, ey = random_encodings(rng, 3, 2, 4, 2)
+    ex, ey = random_digits(rng, 3, 2, 4, 2)
     with pytest.raises(ValueError):
-        lut_ip(lut, ex, enc_of(rng.integers(0, 3, size=(1, 4))))  # depth mismatch
+        lut_ip(lut, ex, digits_of(rng.integers(0, 3, size=(1, 4))))  # depth mismatch
     with pytest.raises(ValueError):
-        lut_ip(lut, ex, enc_of(rng.integers(0, 3, size=(2, 3))))  # wrong dim
+        lut_ip(lut, ex, digits_of(rng.integers(0, 3, size=(2, 3))))  # wrong dim
     with pytest.raises(ValueError):
-        lut_ip(lut, ex, enc_of([[0, 0, 0, 3], [0, 0, 0, 0]]))  # digit range
+        lut_ip(lut, ex, digits_of([[0, 0, 0, 3], [0, 0, 0, 0]]))  # digit range
 
 
 def test_dithered_trace(z1):
     p = HierarchicalParams(z1, 4, 1)
     lut = build_lut(p)
-    got = lut_ip_dithered(lut, enc_of([[1]]), enc_of([[1]]), np.array([1]), np.array([3]))
+    got = lut_ip_dithered(lut, digits_of([[1]]), digits_of([[1]]), np.array([1]), np.array([3]))
     assert got == 1.25 * 0.75  # (1 + 1/4) * (1 - 1/4)
 
 
 def test_dithered_refuses_misshapen_ids(d4):
     lut = build_lut(HierarchicalParams(d4, 3, 2))
-    ex, ey = random_encodings(np.random.default_rng(56), 3, 2, 4, 2)
+    ex, ey = random_digits(np.random.default_rng(56), 3, 2, 4, 2)
     # each side takes one id of shape (d,)
     short, wide = np.array([1, 0, 2]), np.array([[1, 0, 2, 1]] * 2)
     for ids in (short, wide):
@@ -310,7 +314,7 @@ def test_dithered_reduces_to_plain_with_zero_ids(d4):
     rng = np.random.default_rng(55)
     z0 = np.zeros(4, dtype=np.int64)
     for ex, ey in zip(
-        random_encodings(rng, 3, 2, 4, 50), random_encodings(rng, 3, 2, 4, 50)
+        random_digits(rng, 3, 2, 4, 50), random_digits(rng, 3, 2, 4, 50)
     ):
         assert lut_ip_dithered(lut, ex, ey, z0, z0) == float(lut_ip(lut, ex, ey))
 
@@ -320,10 +324,10 @@ def test_dithered_matches_direct(d4):
     lut = build_lut(p)
     rng = np.random.default_rng(56)
     for _ in range(200):
-        ex, ey = random_encodings(rng, 4, 2, 4, 2)
+        ex, ey = random_digits(rng, 4, 2, 4, 2)
         idx, idy = rng.integers(0, 4, size=(2, 4))
         zx, zy = dither_point(p, idx), dither_point(p, idy)
-        want = float(np.dot(h_decode(p, ex) + zx, h_decode(p, ey) + zy))
+        want = float(np.dot(point(p, ex) + zx, point(p, ey) + zy))
         assert abs(lut_ip_dithered(lut, ex, ey, idx, idy) - want) <= 1e-9
 
 
@@ -342,7 +346,7 @@ def test_one_chunk_dithered_ip_is_ip_approx(name):
         qy = quantize_vector(cfg, rng.uniform(-4, 4, lat.d), col + 40)
         assert qx.T[0] == qy.T[0] == 0
         want = ip_approx(cfg, lut, qx, qy)
-        got = lut_ip_dithered(lut, enc_of(qx.digits[0]), enc_of(qy.digits[0]),
+        got = lut_ip_dithered(lut, qx.digits[0], qy.digits[0],
                               qx.dither_ids[0], qy.dither_ids[0])
         assert got == want
 
@@ -351,7 +355,7 @@ def test_one_sided_table_and_trace(z1):
     p = HierarchicalParams(z1, 3, 2)
     os = build_one_sided(p, np.array([2.5]))
     assert np.array_equal(os.values, [0.0, 2.5, -2.5])
-    x = h_encode(p, np.array([3.7]))
+    x, _ = h_encode_many(p, np.array([3.7]))
     assert one_sided_ip(os, x) == 10.0  # 2.5 + 3*2.5
     os0 = build_one_sided(p, np.array([0.0]))
     assert not os0.values.any()
@@ -373,8 +377,8 @@ def test_one_sided_matches_direct(d4):
     y = rng.standard_normal(4)
     os = build_one_sided(p, y)
     assert os.values.shape == (81,)
-    for ex in random_encodings(rng, 3, 2, 4, 200):
-        want = float(np.dot(y, h_decode(p, ex)))
+    for ex in random_digits(rng, 3, 2, 4, 200):
+        want = float(np.dot(y, point(p, ex)))
         assert abs(one_sided_ip(os, ex) - want) <= 1e-9
 
 
@@ -392,8 +396,8 @@ def test_save_load_roundtrip(tmp_path, d4, a2):
         assert path.read_bytes() == first  # byte-identical re-save
         rng = np.random.default_rng(58)
         for ex, ey in zip(
-            random_encodings(rng, 3, 2, lat.d, 50),
-            random_encodings(rng, 3, 2, lat.d, 50),
+            random_digits(rng, 3, 2, lat.d, 50),
+            random_digits(rng, 3, 2, lat.d, 50),
         ):
             assert lut_ip(back, ex, ey) == lut_ip(lut, ex, ey)
 

@@ -1,18 +1,17 @@
 """Product-code pipeline: rotation, chunked encoding, table-driven products."""
 
 import hashlib
+import zlib
 
 import numpy as np
 import pytest
 
 from hnlq import (
-    HierarchicalEncoding,
     HierarchicalParams,
     PipelineConfig,
     ScalingConfig,
     UnencodableError,
     build_lut,
-    h_decode,
     ip_approx,
     load_quantized_matrix,
     lut_ip,
@@ -28,8 +27,9 @@ from hnlq import (
 )
 from hnlq import lut as lut_mod
 from hnlq.bench import calibrate_beta0
+from hnlq.codec import decode_coords_many
 from hnlq import pipeline
-from hnlq.lut import check_lut, chunk_sum_dtype
+from hnlq.lut import _with_crc, check_lut, chunk_sum_dtype
 from hnlq.scaling import encode_scaled_many
 
 
@@ -217,11 +217,7 @@ def test_single_chunk_reduces_to_lut_ip():
     for _ in range(50):
         qx = quantize_vector(cfg, rng.standard_normal(4))
         qy = quantize_vector(cfg, rng.standard_normal(4))
-        raw = lut_ip(
-            lut,
-            HierarchicalEncoding(digits=qx.digits[0], overload=False),
-            HierarchicalEncoding(digits=qy.digits[0], overload=False),
-        )
+        raw = lut_ip(lut, qx.digits[0], qy.digits[0])
         want = float(
             cfg.scaling.scale(int(qx.T[0])) * cfg.scaling.scale(int(qy.T[0])) * raw
         )
@@ -665,9 +661,9 @@ def test_tables_of_another_scale_are_refused():
         check_lut(unscaled, cfg.params)
     lut = build_lut(cfg.params)
     check_lut(lut, cfg.params)
-    enc = HierarchicalEncoding(digits=QA.digits[0, 0], overload=False)
-    point = h_decode(cfg.params, enc)
-    assert lut_ip(lut, enc, enc) == pytest.approx(float(point @ point))
+    digits = QA.digits[0, 0]
+    point = cfg.params.lat.point_of(decode_coords_many(cfg.params, digits))
+    assert lut_ip(lut, digits, digits) == pytest.approx(float(point @ point))
 
 
 def test_products_exact_beyond_int64():
@@ -684,12 +680,12 @@ def test_products_exact_beyond_int64():
     want = X @ X.T
     assert np.linalg.norm(G - want) <= 1e-9 * np.linalg.norm(want)
     assert G[0, 1] == ip_approx(cfg, lut, QA.column(0), QA.column(1))
-    enc = HierarchicalEncoding(digits=QA.digits[tuple(top[0])], overload=False)
-    x = h_decode(cfg.params, enc)
-    raw = lut_ip(lut, enc, enc)
+    digits = QA.digits[tuple(top[0])]
+    x = cfg.params.lat.point_of(decode_coords_many(cfg.params, digits))
+    raw = lut_ip(lut, digits, digits)
     assert abs(raw - x @ x) <= 1e-12 * (x @ x)
     zero = np.zeros(4, dtype=np.int64)
-    assert lut_ip_dithered(lut, enc, enc, zero, zero) == float(raw)
+    assert lut_ip_dithered(lut, digits, digits, zero, zero) == float(raw)
 
 
 def test_matrix_column_quantization_matches_vector():
@@ -793,11 +789,11 @@ def test_version1_random_file_loads_read_only(tmp_path):
     with pytest.raises(ValueError, match="dither ids"):
         save_quantized_matrix(qm, tmp_path / "v2.qm")
     assert not (tmp_path / "v2.qm").exists()
-    # Quantized afresh, the same input gets version 2 ids and saves.
+    # Quantized afresh, the same input gets version 2 ids and saves as version 3.
     fresh = quantize_matrix(qm.cfg, V1_A2_INPUT)
     assert not np.array_equal(fresh.dither_ids, qm.dither_ids)
     save_quantized_matrix(fresh, path)
-    assert path.read_bytes()[4] == 2
+    assert path.read_bytes()[4] == 3
     assert np.array_equal(load_quantized_matrix(path).dither_ids, fresh.dither_ids)
 
 
@@ -806,13 +802,16 @@ def test_version2_changes_only_the_version_word(tmp_path, mode):
     v1 = bytes.fromhex(V1_A2_FILES[mode])
     path = tmp_path / "m.qm"
     save_quantized_matrix(quantize_matrix(v1_a2_config(mode), V1_A2_INPUT), path)
-    v2 = path.read_bytes()
-    assert v2[4] == 2 and v2[:4] + b"\x01" + v2[5:] == v1
-    # the version 1 file loads to the same matrix and re-saves as version 2
-    path.write_bytes(v1)
-    old = load_quantized_matrix(path)
-    save_quantized_matrix(old, path)
-    assert path.read_bytes() == v2
+    v3 = path.read_bytes()
+    # version 3 is the version 2 layout plus a CRC-32 of it
+    assert v3[4] == 3 and v3[-4:] == zlib.crc32(v3[:-4]).to_bytes(4, "little")
+    v2 = v3[:4] + b"\x02" + v3[5:-4]
+    assert v2[:4] + b"\x01" + v2[5:] == v1
+    # the version 1 and 2 files load to the same matrix and re-save as version 3
+    for old in (v1, v2):
+        path.write_bytes(old)
+        save_quantized_matrix(load_quantized_matrix(path), path)
+        assert path.read_bytes() == v3
 
 
 def test_save_refuses_edited_random_ids(tmp_path):
@@ -857,21 +856,45 @@ def exact_inputs(n, cols):
 
 
 def test_nlqm_files_are_pinned(tmp_path):
-    # sha256 of small version 2 files in random and fixed mode: a change to the
-    # dither ids, their points or the encoder shows up here
+    # sha256 of small files in random and fixed mode, as version 2 (the version 3
+    # file without its CRC and with version word 2) and as version 3: a change to
+    # the dither ids, their points or the encoder shows up here
     pinned = [
         ("a2", 8, 0.05, 8, {"dither_mode": "random", "dither_seed": 11},
-         "a07b226bf95ac1ad9e026654c9f0eb4bc7df2e0730babd15d939534b78797442"),
+         "a07b226bf95ac1ad9e026654c9f0eb4bc7df2e0730babd15d939534b78797442",
+         "011aa3f0b3d92131ca9e8ccfd31f75124c16a4759b8b781e43261fa3c50d9f81"),
         ("d4", 4, 0.3, 16, {"dither_mode": "fixed", "dither_ids": np.array([1, 0, 3, 2])},
-         "1beccb1e98e35f04500319a52ff46e71be6c7511e181dadba97c73119ec59609"),
+         "1beccb1e98e35f04500319a52ff46e71be6c7511e181dadba97c73119ec59609",
+         "2ef5b9600d2f7ee08b1d0b45950bae21775b80134a41184c51d5a9e1e1b4d120"),
     ]
-    for name, q, beta0, n, kw, want in pinned:
+    for name, q, beta0, n, kw, want_v2, want_v3 in pinned:
         cfg = pipe(n=n, q=q, beta0=beta0, lat=make_lattice(name), **kw)
         qm = quantize_matrix(cfg, exact_inputs(n, 3))
         assert qm.T.any()  # some chunks retried
         path = tmp_path / f"{name}.qm"
         save_quantized_matrix(qm, path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == want
+        v3 = path.read_bytes()
+        assert hashlib.sha256(v3).hexdigest() == want_v3
+        assert hashlib.sha256(v3[:4] + b"\x02" + v3[5:-4]).hexdigest() == want_v2
+
+
+def test_nlqm_header_flips_that_keep_the_length_are_refused(tmp_path):
+    # Without a checksum both files below loaded as another matrix.
+    path = tmp_path / "m.qm"
+    # bit 1 of d: a zero d4 q=3 M=1 n=12 matrix has the length of a D6 one
+    save_quantized_matrix(quantize_matrix(pipe(n=12, q=3, M=1), np.zeros((12, 1))), path)
+    raw = bytearray(path.read_bytes())
+    raw[12] ^= 0b10
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match="checksum"):
+        load_quantized_matrix(path)
+    # any n with no columns gives the same length: bit 2 of n turns 12 into 8
+    save_quantized_matrix(quantize_matrix(pipe(n=12), np.zeros((12, 0))), path)
+    raw = bytearray(path.read_bytes())
+    raw[16] ^= 0b100
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match="checksum"):
+        load_quantized_matrix(path)
 
 
 def test_load_validates_file(tmp_path, monkeypatch):
@@ -894,7 +917,7 @@ def test_load_validates_file(tmp_path, monkeypatch):
         load_quantized_matrix(bad)
 
     corrupt = bytearray(raw)
-    corrupt[4] = 3  # version
+    corrupt[4] = 4  # version
     bad.write_bytes(corrupt)
     with pytest.raises(ValueError):
         load_quantized_matrix(bad)
@@ -916,10 +939,10 @@ def test_load_validates_file(tmp_path, monkeypatch):
     # z2, q=3: one-byte records hold the values 0..8, so 200 is corrupt
     small = quantize_matrix(pipe(n=2, q=3, lat=make_lattice("z2")), np.zeros((2, 1)))
     save_quantized_matrix(small, path)
-    corrupt = bytearray(path.read_bytes())
+    corrupt = bytearray(path.read_bytes()[:-4])  # a valid CRC follows the edit
     assert corrupt[-3:-1] == b"\x00\x00"  # the two layer records, then one T byte
     corrupt[-2] = 200
-    bad.write_bytes(corrupt)
+    bad.write_bytes(_with_crc(bytes(corrupt)))
     with pytest.raises(ValueError, match="out of range"):
         load_quantized_matrix(bad)
 
@@ -946,6 +969,7 @@ def test_load_validates_file(tmp_path, monkeypatch):
     fields = list(pipeline._QM_HEADER.unpack_from(raw))
     for d, q in ((1600, 2), (2**32 - 1, 3), (65, 2), (4, 1), (4, 0)):
         fields[3], fields[6] = d, q
-        bad.write_bytes(pipeline._QM_HEADER.pack(*fields) + raw[pipeline._QM_HEADER.size:])
+        body = pipeline._QM_HEADER.pack(*fields) + raw[pipeline._QM_HEADER.size:-4]
+        bad.write_bytes(_with_crc(body))
         with pytest.raises(ValueError):
             load_quantized_matrix(bad)

@@ -1,6 +1,6 @@
-"""Property tests: NLQM files round-trip, reject truncation and load or raise
-ValueError after a bit flip; decode telescopes; the integer layer chain encodes
-as re-quantizing every layer does."""
+"""Property tests: NLQM files round-trip, reject truncation and any bit flip
+(version 3) or load or raise ValueError after one (version 2); decode
+telescopes; the integer layer chain encodes as re-quantizing every layer does."""
 
 import math
 
@@ -22,6 +22,7 @@ from hnlq import (
     save_quantized_matrix,
 )
 from hnlq.codec import LAYER_CODEBOOK_MAX, decode_coords_many, q_circ_many
+from hnlq.lut import _with_crc
 from hnlq.pipeline import DITHER_MODES
 
 LATTICES = ("z1", "z2", "a2", "d4")
@@ -77,6 +78,17 @@ def test_every_truncated_nlqm_is_rejected(qm, nlqm_path):
             load_quantized_matrix(nlqm_path)
 
 
+@given(qm=quantized_matrices(), data=st.data())
+def test_a_flipped_bit_of_a_version3_nlqm_is_refused(qm, data, nlqm_path):
+    save_quantized_matrix(qm, nlqm_path)
+    raw = bytearray(nlqm_path.read_bytes())
+    bit = data.draw(st.integers(0, 8 * len(raw) - 1))
+    raw[bit // 8] ^= 1 << (bit % 8)
+    nlqm_path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError):
+        load_quantized_matrix(nlqm_path)
+
+
 # The three files of the flip measurement: (lattice, q, n, rotate, dither mode).
 FLIP_FILES = (("d4", 4, 16, False, "fixed"), ("a2", 8, 8, True, "random"),
               ("z2", 5, 8, False, "none"))
@@ -97,7 +109,8 @@ def test_a_flipped_nlqm_bit_loads_or_raises_value_error(file, cols, seed, data, 
     )
     A = np.random.default_rng(seed).standard_normal((n, cols))
     save_quantized_matrix(quantize_matrix(cfg, A), nlqm_path)
-    raw = bytearray(nlqm_path.read_bytes())
+    raw = bytearray(nlqm_path.read_bytes()[:-4])  # version 2: no CRC
+    raw[4] = 2
     bit = data.draw(st.integers(0, 8 * len(raw) - 1))
     raw[bit // 8] ^= 1 << (bit % 8)
     nlqm_path.write_bytes(bytes(raw))
@@ -112,9 +125,9 @@ def test_a_rotate_flag_other_than_0_or_1_is_refused(nlqm_path):
     cfg = PipelineConfig(params=HierarchicalParams(make_lattice("z2"), 5, 2),
                          scaling=ScalingConfig(beta0=0.4), n=8, rotate=True)
     save_quantized_matrix(quantize_matrix(cfg, np.ones((8, 2))), nlqm_path)
-    raw = bytearray(nlqm_path.read_bytes())
+    raw = bytearray(nlqm_path.read_bytes()[:-4])
     raw[48] = 3  # the rotate flag, a uint32 after the two doubles
-    nlqm_path.write_bytes(bytes(raw))
+    nlqm_path.write_bytes(_with_crc(bytes(raw)))
     with pytest.raises(ValueError, match="rotate flag"):
         load_quantized_matrix(nlqm_path)
 

@@ -12,19 +12,16 @@ from hnlq import (
     PipelineConfig,
     ScalingConfig,
     UnencodableError,
-    decode_scaled,
     dither_point,
     empirical_rate,
-    encode_scaled,
-    h_decode,
     h_encode_many,
-    in_scaled_voronoi,
     make_lattice,
     outer_nesting_ratio,
     quantize_matrix,
 )
 from hnlq import bench, codec, scaling
 from hnlq.codec import LAYER_CODEBOOK_MAX, _layer_coords, decode_coords_many
+from hnlq.lattices import in_scaled_voronoi_many
 from hnlq.scaling import decode_scaled_many, encode_scaled_many, entropy_bits
 from hnlq.voronoi import VoronoiCodeParams, digit_grid
 
@@ -62,11 +59,11 @@ def test_scalar_retry_trace(z1):
     # one shrink: 5.3/2^(1/3) quantizes to 4
     p = HierarchicalParams(z1, 3, 2)
     cfg = ScalingConfig(beta0=1.0, alpha=1.0 / 3.0)
-    se = encode_scaled(p, cfg, np.array([5.3]))
-    assert se.T == 1
-    assert not se.enc.overload
-    assert np.array_equal(h_decode(p, se.enc), [4.0])
-    out = decode_scaled(p, cfg, se)
+    digits, T = encode_scaled_many(p, cfg, np.array([5.3]))
+    assert T == 1
+    assert not h_encode_many(p, np.array([5.3]) / cfg.scale(int(T)))[1]
+    assert np.array_equal(z1.point_of(decode_coords_many(p, digits)), [4.0])
+    out = decode_scaled_many(p, cfg, digits, T)
     assert np.allclose(out, [2.0 ** (1.0 / 3.0) * 4.0], atol=1e-12)
     assert abs(out[0] - 5.0397) < 1e-3
 
@@ -74,10 +71,10 @@ def test_scalar_retry_trace(z1):
 def test_zero_needs_no_retries(d4):
     p = HierarchicalParams(d4, 3, 2)
     cfg = ScalingConfig(beta0=0.5)
-    se = encode_scaled(p, cfg, np.zeros(4))
-    assert se.T == 0
-    assert not se.enc.digits.any()
-    assert np.allclose(decode_scaled(p, cfg, se), 0.0)
+    digits, T = encode_scaled_many(p, cfg, np.zeros(4))
+    assert T == 0
+    assert not digits.any()
+    assert np.allclose(decode_scaled_many(p, cfg, digits, T), 0.0)
 
 
 def test_retry_count_is_minimal(d4):
@@ -98,7 +95,7 @@ def test_unencodable_when_budget_exhausted(z1):
     p = HierarchicalParams(z1, 2, 1)
     cfg = ScalingConfig(beta0=1e-3, alpha=0.01, max_retries=5)
     with pytest.raises(UnencodableError):
-        encode_scaled(p, cfg, np.array([1e6]))
+        encode_scaled_many(p, cfg, np.array([1e6]))
 
 
 def retry_every_row(params, cfg, X):
@@ -268,7 +265,7 @@ def test_dither_points_stay_in_base_cell(d4, a2):
         p = HierarchicalParams(lat, 3, 2)
         for row in digit_grid(3, lat.d):
             z = dither_point(p, row)
-            assert in_scaled_voronoi(lat, z, 1.0)
+            assert in_scaled_voronoi_many(lat, z, 1.0)
 
 
 def test_dither_shifts_the_encoder_input(d4):
@@ -277,14 +274,14 @@ def test_dither_shifts_the_encoder_input(d4):
     rng = np.random.default_rng(5)
     x = rng.standard_normal(4)
     ids = np.array([1, 3, 0, 2])
-    se = encode_scaled(p, cfg, x, dither_id=ids)
+    digits, T = encode_scaled_many(p, cfg, x, dither_ids=ids)
     z = dither_point(p, ids)
-    dg, ov = h_encode_many(p, x[None] / cfg.scale(se.T) - z)
+    dg, ov = h_encode_many(p, x[None] / cfg.scale(int(T)) - z)
     assert not ov[0]
-    assert np.array_equal(se.enc.digits, dg[0])
+    assert np.array_equal(digits, dg[0])
     # decoding adds the dither back before rescaling
-    out = decode_scaled(p, cfg, se)
-    want = cfg.scale(se.T) * (h_decode(p, se.enc) + z)
+    out = decode_scaled_many(p, cfg, digits, T, dither_ids=ids)
+    want = cfg.scale(int(T)) * (d4.point_of(decode_coords_many(p, digits)) + z)
     assert np.allclose(out, want, atol=1e-12)
 
 
@@ -359,20 +356,20 @@ def test_batch_decode_matches_scalar(d4):
     X = rng.standard_normal((50, 4))
     digits, T = encode_scaled_many(p, cfg, X)
     batch = decode_scaled_many(p, cfg, digits, T)
-    for i in range(50):
-        se = encode_scaled(p, cfg, X[i])
-        assert se.T == T[i]
-        assert np.array_equal(batch[i], decode_scaled(p, cfg, se))
+    for i in range(50):  # one row of shape (d,) as the same row of a batch
+        row_digits, row_T = encode_scaled_many(p, cfg, X[i])
+        assert row_T.shape == () and row_T == T[i]
+        assert np.array_equal(batch[i], decode_scaled_many(p, cfg, row_digits, row_T))
 
 
 def test_encoding_is_deterministic(d4):
     p = HierarchicalParams(d4, 3, 2)
     cfg = ScalingConfig(beta0=0.3)
     x = np.array([1.7, -0.4, 2.2, 0.9])
-    a = encode_scaled(p, cfg, x)
-    b = encode_scaled(p, cfg, x)
-    assert a.T == b.T
-    assert np.array_equal(a.enc.digits, b.enc.digits)
+    a_digits, a_T = encode_scaled_many(p, cfg, x)
+    b_digits, b_T = encode_scaled_many(p, cfg, x)
+    assert a_T == b_T
+    assert np.array_equal(a_digits, b_digits)
 
 
 def test_entropy_bits():

@@ -1,0 +1,29 @@
+"""The files around the library: README examples and the benchmark tracer's hooks."""
+
+import importlib
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_readme_python_blocks_run():
+    # in order and in one namespace, as a reader pastes them
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, flags=re.M | re.S)
+    assert len(blocks) >= 2
+    namespace = {"__name__": "readme"}
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i}", "exec"), namespace)
+
+
+def test_every_name_the_tracer_wraps_resolves(monkeypatch):
+    # perfbench/tracing.py swaps these attributes for wrappers during a traced
+    # run; a renamed or deleted one would fail only there.  Imported, not run.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    sites = [(owner, attr) for _layer, owners, _count in tracing.LAYERS for owner, attr in owners]
+    assert sites
+    for owner, attr in sites:
+        # class attributes through __dict__, as the tracer reads them
+        assert callable(vars(owner).get(attr)), f"{owner.__name__}.{attr} does not resolve"

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import oracle_nearest
-from hnlq import VoronoiCodeParams, make_lattice, vc_decode, vc_encode
+from hnlq import HierarchicalParams, VoronoiCodeParams, h_encode_many, make_lattice
 from hnlq.voronoi import digit_grid, vc_decode_many
 from hnlq.lattices import in_scaled_voronoi_many
+
+
+def one_layer_encode(p, X):
+    """A Voronoi code's encoder: the one-layer hierarchical code's digits and overload."""
+    digits, overload = h_encode_many(HierarchicalParams(p.lat, p.r, 1), X)
+    return digits[..., 0, :], overload
 
 
 def test_params_validation(z2):
@@ -32,16 +38,16 @@ def test_digit_grid_order_and_shape():
 
 def test_scalar_code_examples(z1):
     p = VoronoiCodeParams(z1, 4)
-    digits, overload = vc_encode(p, np.array([1.3]))
+    digits, overload = one_layer_encode(p, np.array([1.3]))
     assert np.array_equal(digits, [1])
     assert not overload
-    assert np.array_equal(vc_decode(p, np.array([1])).point, [1.0])
+    assert np.array_equal(z1.point_of(vc_decode_many(p, np.array([1]))), [1.0])
     # 3 decodes to -1: the coset representative nearest the origin
-    assert np.array_equal(vc_decode(p, np.array([3])).point, [-1.0])
-    digits, overload = vc_encode(p, np.array([2.8]))
+    assert np.array_equal(z1.point_of(vc_decode_many(p, np.array([3]))), [-1.0])
+    digits, overload = one_layer_encode(p, np.array([2.8]))
     assert np.array_equal(digits, [3])
     assert overload
-    digits, overload = vc_encode(p, np.array([0.0]))
+    digits, overload = one_layer_encode(p, np.array([0.0]))
     assert np.array_equal(digits, [0])
     assert not overload
 
@@ -62,7 +68,7 @@ def test_codewords_reencode_to_themselves(z2, d4):
         p = VoronoiCodeParams(lat, r)
         grid = digit_grid(r, lat.d)
         for row, coords in zip(grid, vc_decode_many(p, grid)):
-            digits, overload = vc_encode(p, lat.point_of(coords))
+            digits, overload = one_layer_encode(p, lat.point_of(coords))
             assert not overload
             assert np.array_equal(digits, row)
 
@@ -73,20 +79,21 @@ def test_encode_decode_consistency(z2, d4):
         p = VoronoiCodeParams(lat, r)
         X = rng.standard_normal((500, lat.d)) * 2.0
         for x in X:
-            digits, overload = vc_encode(p, x)
+            digits, overload = one_layer_encode(p, x)
             near = oracle_nearest(lat, x)
             assert np.array_equal(digits, np.mod(near, r))
-            dec = vc_decode(p, digits)
-            assert overload == bool((dec.coords != near).any())
+            dec = vc_decode_many(p, digits)
+            assert overload == bool((dec != near).any())
             if not overload:
-                assert np.allclose(dec.point, lat.point_of(near), atol=1e-12)
+                assert np.allclose(lat.point_of(dec), lat.point_of(near), atol=1e-12)
 
 
 def test_decode_many_matches_scalar(d4):
+    # one digit row of shape (d,) decodes as the same row of a batch
     p = VoronoiCodeParams(d4, 3)
     grid = digit_grid(3, 4)
     batch = vc_decode_many(p, grid)
-    single = np.stack([vc_decode(p, row).coords for row in grid])
+    single = np.stack([vc_decode_many(p, row) for row in grid])
     assert np.array_equal(batch, single)
 
 
@@ -101,7 +108,7 @@ def test_digit_validation(z2):
     with pytest.raises(ValueError):
         vc_decode_many(p, np.array([[0, 0, 0]]))  # wrong dimension
     with pytest.raises(ValueError):
-        vc_encode(p, np.zeros(3))
+        one_layer_encode(p, np.zeros(3))
 
 
 def test_scale_covariance():
@@ -110,10 +117,11 @@ def test_scale_covariance():
     scaled = VoronoiCodeParams(make_lattice("d4", scale=0.25), 4)
     X = rng.standard_normal((200, 4))
     for x in X:
-        db, ob = vc_encode(base, x)
-        ds, os_ = vc_encode(scaled, 0.25 * x)
+        db, ob = one_layer_encode(base, x)
+        ds, os_ = one_layer_encode(scaled, 0.25 * x)
         assert np.array_equal(db, ds)
         assert ob == os_
         assert np.allclose(
-            vc_decode(scaled, ds).point, 0.25 * vc_decode(base, db).point
+            scaled.lat.point_of(vc_decode_many(scaled, ds)),
+            0.25 * base.lat.point_of(vc_decode_many(base, db)),
         )
