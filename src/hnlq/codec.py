@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .lattices import Lattice, in_scaled_voronoi_many
-from .voronoi import VoronoiCodeParams, digit_grid, digits_to_index, vc_decode_many
+from .voronoi import VoronoiCodeParams, digit_dtype, digit_grid, digits_to_index, vc_decode_many
 
 __all__ = [
     "HierarchicalParams",
@@ -109,6 +109,9 @@ def outer_nesting_ratio(q: int, M: int) -> int:
 def h_encode_many(params: HierarchicalParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Encode rows of X (..., d); returns digits (..., M, d) and overload (...).
 
+    The digits have type ``voronoi.digit_dtype(q)``: M d bytes per row for
+    q <= 256.  They are unsigned, so cast them before subtracting.
+
     Only layer 0 runs the nearest-point quantizer.  Layer m + 1 quantizes
     lambda_m / q, which depends only on the coset of lambda_m mod qL: it is
     (c - rep(c mod q)) / q in generator coordinates, with rep the layer
@@ -122,7 +125,7 @@ def h_encode_many(params: HierarchicalParams, X: np.ndarray) -> tuple[np.ndarray
     """
     q = params.q
     c = params.lat.nearest_coords(X)
-    digits = np.empty(c.shape[:-1] + (params.M, params.lat.d), dtype=np.int64)
+    digits = np.empty(c.shape[:-1] + (params.M, params.lat.d), dtype=digit_dtype(q))
     for m in range(params.M):
         # c mod q as c - q (c // q): numpy's integer // by a scalar is several
         # times faster than its %.  Contiguous b also checks and indexes faster

@@ -22,7 +22,7 @@ from .codec import HierarchicalParams
 from .lattices import FAMILY_IDS, _as_vector, make_lattice
 from .lut import InnerProductLUT, _strip_crc, _with_crc, check_lut, chunk_sums, layer_indices
 from .scaling import ScalingConfig, decode_scaled_many, encode_scaled_many
-from .voronoi import digits_to_index, index_to_digits
+from .voronoi import _check_digits, digit_dtype, digits_to_index, index_to_digits
 
 __all__ = [
     "DITHER_MODES",
@@ -59,7 +59,8 @@ class PipelineConfig:
         dither_mode: "none", "fixed" (one digit id for every chunk) or
             "random" (per column/chunk ids from a counter-based SplitMix64
             hash of (dither_seed, column, chunk); see ``_dither_digit_ids``).
-        dither_ids: the fixed digit id, required when dither_mode="fixed".
+        dither_ids: the fixed digit id, required when dither_mode="fixed":
+            integer digits in [0, q), kept read-only in ``digit_dtype(q)``.
         dither_seed: seed for the "random" mode, in [-2^63, 2^63) like
             rotation_seed (files store both as int64); a negative seed is
             taken mod 2^64.
@@ -86,9 +87,10 @@ class PipelineConfig:
             ids = np.asarray(self.dither_ids)
             if ids.shape != (self.params.lat.d,):
                 raise ValueError("fixed dither needs one digit id of shape (d,)")
-            if ids.min() < 0 or ids.max() >= self.params.q:
-                raise ValueError("fixed dither digits out of range")
-            object.__setattr__(self, "dither_ids", ids.astype(np.int64))
+            q = self.params.q
+            ids = _check_digits(ids, q, self.params.lat.d).astype(digit_dtype(q))
+            ids.setflags(write=False)  # every fixed-mode matrix holds a view of it
+            object.__setattr__(self, "dither_ids", ids)
         elif self.dither_ids is not None:
             raise ValueError("dither_ids only applies to the fixed mode")
         # Every non-zero coset of L/2L holds both lambda and -lambda, so every
@@ -108,6 +110,7 @@ class PipelineConfig:
 class QuantizedVector:
     """One quantized column: its config, per-chunk digits, retry counts and dither ids.
 
+    The arrays are views of a ``QuantizedMatrix`` column, with its types.
     ``norm``, the column's norm before rotation, is recorded only when the
     pipeline rotates.
     """
@@ -121,7 +124,15 @@ class QuantizedVector:
 
 @dataclass(eq=False)
 class QuantizedMatrix:
-    """A column-quantized matrix plus the configuration that produced it."""
+    """A column-quantized matrix plus the configuration that produced it.
+
+    Digits and dither ids have type ``voronoi.digit_dtype(q)`` (uint8 for
+    q <= 256) and T has ``cfg.scaling.retry_dtype`` (uint8 for max_retries
+    <= 254), so a chunk holds M d + 1 bytes, plus d of random dither ids; a
+    fixed id is a read-only broadcast view of the config's one id.  All are
+    unsigned: cast them before subtracting.  Products and files accept the
+    same values in any integer type.
+    """
 
     cfg: PipelineConfig
     digits: np.ndarray  # (cols, K, M, d)
@@ -189,7 +200,7 @@ def _low_digits(vals: np.ndarray, q: int, d: int) -> np.ndarray:
 
 def _dither_digit_ids(cfg: PipelineConfig, col, K: int) -> np.ndarray | None:
     """Per-chunk dither ids (K, d) of column ``col``, or (..., K, d) of an array of
-    columns, or None.
+    columns, or None.  A fixed id is a read-only view of the config's one id.
 
     Random-mode chunk k takes the low digits of
     mix(mix(mix(seed gamma) + (col + 1) gamma) + (k + 1) gamma) mod 2^64, seed
@@ -201,7 +212,7 @@ def _dither_digit_ids(cfg: PipelineConfig, col, K: int) -> np.ndarray | None:
         return None
     shape = np.shape(col) + (K, d)
     if cfg.dither_mode == "fixed":
-        return np.broadcast_to(cfg.dither_ids, shape).copy()
+        return np.broadcast_to(cfg.dither_ids, shape)
     # uint64 arrays, never numpy scalars: array products wrap without a warning.
     col = int(col) % 2**64 if np.ndim(col) == 0 else col
     z = np.array(col).astype(np.uint64).reshape(-1, 1)
@@ -462,6 +473,8 @@ def save_quantized_matrix(qm: QuantizedMatrix, path) -> None:
     payload = ((vals[..., None].astype(np.uint64) >> shifts) & 0xFF).astype(np.uint8)
     if qm.T.max(initial=0) > 0xFF:
         raise ValueError("retry counts exceed one byte")
+    if cfg.dither_mode == "fixed" and cfg.dither_ids.max() > 0xFF:
+        raise ValueError("fixed dither id digits exceed one byte")
     parts = [header]
     if cfg.dither_mode == "fixed":
         parts.append(cfg.dither_ids.astype(np.uint8).tobytes())
@@ -515,7 +528,7 @@ def load_quantized_matrix(path) -> QuantizedMatrix:
     off = _QM_HEADER.size
     fixed_ids = None
     if mode == "fixed":
-        fixed_ids = np.frombuffer(raw, dtype=np.uint8, count=d, offset=off).astype(np.int64)
+        fixed_ids = np.frombuffer(raw, dtype=np.uint8, count=d, offset=off)
         off += d
     lat = make_lattice(families[fam_id], d)
     params = HierarchicalParams(lat, q, M)
@@ -538,9 +551,9 @@ def load_quantized_matrix(path) -> QuantizedMatrix:
         axis=-1, dtype=np.uint64
     )
     digits = index_to_digits(vals, q, d)
-    T = np.frombuffer(raw, dtype=np.uint8, count=cols * K, offset=off).astype(np.int64)
+    T = np.frombuffer(raw, dtype=np.uint8, count=cols * K, offset=off)
+    T = T.astype(cfg.scaling.retry_dtype).reshape(cols, K)
     off += cols * K
-    T = T.reshape(cols, K)
     norms = None
     if rotate:
         norms = np.frombuffer(raw, dtype="<f8", count=cols, offset=off).copy()
@@ -548,7 +561,7 @@ def load_quantized_matrix(path) -> QuantizedMatrix:
     if off != len(raw):
         raise ValueError("trailing bytes in quantized-matrix file")
     if version == 1 and mode == "random":
-        ids = np.array([_v1_dither_digit_ids(cfg, c, K) for c in range(cols)], dtype=np.int64)
+        ids = np.array([_v1_dither_digit_ids(cfg, c, K) for c in range(cols)], dtype=digit_dtype(q))
         ids = ids.reshape(cols, K, d)
     else:
         ids = _column_dither_ids(cfg, 0, cols)

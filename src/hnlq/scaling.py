@@ -61,6 +61,13 @@ class ScalingConfig:
     def scale(self, T: int | np.ndarray) -> float | np.ndarray:
         return self.beta0 * 2.0 ** (self.alpha * T)
 
+    @property
+    def retry_dtype(self) -> np.dtype:
+        """Type of the retry counts T: the smallest unsigned one that holds
+        max_retries + 1, the count a row reaches when it fails the top rung,
+        so T + 1 never wraps.  uint8 up to max_retries = 254."""
+        return np.min_scalar_type(int(self.max_retries) + 1)
+
 
 def dither_point(params: HierarchicalParams, b_z: np.ndarray) -> np.ndarray:
     """Dither vector for digit id b_z: a single-layer codebook point over q.
@@ -99,7 +106,10 @@ def encode_scaled_many(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Encode rows of X (N, d) with per-row retry counts.
 
-    Returns (digits (N, M, d), T (N,)).  Raises ValueError on non-finite
+    Returns (digits (N, M, d), T (N,)), the digits of type
+    ``voronoi.digit_dtype(q)`` and T of ``cfg.retry_dtype``: M d + 1 bytes
+    per row for q <= 256 and max_retries <= 254.  Both are unsigned, so cast
+    them before subtracting.  Raises ValueError on non-finite
     input and UnencodableError when some row still overloads at
     T = max_retries.  A row whose scaled lattice coordinates could leave
     int64 overloads at that scale without being quantized; if one still
@@ -125,7 +135,7 @@ def encode_scaled_many(
     n = flatX.shape[0]
     # |coordinates| <= max|x| * max row sum of |G^-1|; 2^62 leaves room for the dither.
     reach = 2.0**62 / float(np.abs(lat.G_inv).sum(axis=1).max())
-    T = np.zeros(n, dtype=np.int64)
+    T = np.zeros(n, dtype=cfg.retry_dtype)
     if top >= reach * cfg.beta0:  # some row could leave int64: start past those rungs
         with np.errstate(over="ignore"):  # a reach past the float range fits every row
             T[:] = np.searchsorted(reach * scales, np.abs(flatX).max(axis=-1), side="right")

@@ -15,6 +15,7 @@ from .lattices import Lattice
 __all__ = [
     "VoronoiCodeParams",
     "vc_decode_many",
+    "digit_dtype",
     "digit_grid",
     "digits_to_index",
     "index_to_digits",
@@ -34,6 +35,20 @@ class VoronoiCodeParams:
         object.__setattr__(self, "r", int(self.r))
 
 
+def digit_dtype(q: int) -> np.dtype:
+    """Smallest unsigned integer type that holds every base-q digit, q - 1.
+
+    uint8 up to q = 256, then uint16, uint32 and uint64: every quantized digit
+    and dither id is held in it, one byte per digit for q <= 256.  Unsigned
+    digits wrap under subtraction, so cast them before signed arithmetic.
+    Raises ValueError when q - 1 passes 2^64 - 1.
+    """
+    t = np.min_scalar_type(int(q) - 1)
+    if t.kind != "u":
+        raise ValueError(f"base-{q} digits fit no unsigned 64-bit type")
+    return t
+
+
 def digit_grid(q: int, d: int) -> np.ndarray:
     """All q^d digit vectors in [0, q)^d, first coordinate most significant.
 
@@ -51,28 +66,34 @@ def _check_digits(b: np.ndarray, r: int, d: int) -> np.ndarray:
         raise ValueError("digits must be integers")
     if b.min(initial=0) < 0 or b.max(initial=0) >= r:
         raise ValueError(f"digits out of range [0, {r})")
-    return b.astype(np.int64, copy=False)
+    return b
 
 
 def digits_to_index(b: np.ndarray, q: int) -> int | np.ndarray:
     """Base-q value of a digit vector, first coordinate most significant.
 
-    Accepts integer digits (..., d) in [0, q) and returns int64 of shape
-    (...), or uint64 when q^d > 2^63.  Raises ValueError when q^d > 2^64.
+    Accepts integer digits (..., d) in [0, q) of any integer type and returns
+    int64 of shape (...), or uint64 when q^d > 2^63.  Raises ValueError when
+    q^d > 2^64.
     """
     b = _check_digits(b, q, np.shape(b)[-1])
     d = b.shape[-1]
-    if q**d <= 2**63:
-        idx = b @ q ** np.arange(d - 1, -1, -1)
-    elif q**d <= 2**64:
-        idx = b.astype(np.uint64) @ np.array([q**k for k in range(d - 1, -1, -1)], dtype=np.uint64)
-    else:
+    if q**d > 2**64:
         raise ValueError(f"q^d = {q}^{d} indices do not fit 64 bits")
+    # Horner's rule in the index type, one column at a time, so narrow digits
+    # are never widened as a whole; every partial value stays below q^d.
+    itype = np.int64 if q**d <= 2**63 else np.uint64
+    idx = b[..., 0].astype(itype)
+    for i in range(1, d):
+        idx *= q
+        idx += b[..., i].astype(itype, copy=False)
     return int(idx) if idx.ndim == 0 else idx
 
 
 def index_to_digits(idx, q: int, d: int) -> np.ndarray:
-    """Inverse of digits_to_index: indices (...) to int64 digit vectors (..., d).
+    """Inverse of digits_to_index: indices (...) to digit vectors (..., d) of
+    type ``digit_dtype(q)``, d bytes per vector for q <= 256 (unsigned: cast
+    them before subtracting).
 
     Unpacks in int64, or in uint64 when q^d > 2^63, so every index in
     [0, min(q^d, 2^64)) is accepted.
@@ -81,7 +102,7 @@ def index_to_digits(idx, q: int, d: int) -> np.ndarray:
     if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= min(q**d, 2**64)):
         raise ValueError("index out of range")
     v = idx.astype(np.int64 if q**d <= 2**63 else np.uint64)
-    out = np.empty(idx.shape + (d,), dtype=np.int64)
+    out = np.empty(idx.shape + (d,), dtype=digit_dtype(q))
     for i in range(d - 1, -1, -1):
         out[..., i] = v % q
         v //= q
@@ -97,5 +118,6 @@ def vc_decode_many(params: VoronoiCodeParams, B: np.ndarray) -> np.ndarray:
     lat, r = params.lat, params.r
     B = _check_digits(B, r, lat.d)
     u = lat.nearest_coords(lat.point_of(B) / r)
-    return B - r * u
+    # in int64 for every digit type: uint64 digits minus int64 would give float64
+    return np.subtract(B, r * u, dtype=np.int64)
 

@@ -31,6 +31,7 @@ from hnlq.codec import decode_coords_many
 from hnlq import pipeline
 from hnlq.lut import _with_crc, check_lut, chunk_sum_dtype
 from hnlq.scaling import encode_scaled_many
+from hnlq.voronoi import digit_dtype
 
 
 def pipe(n=16, q=4, M=2, beta0=0.35, lat=None, alpha=1.0 / 3.0, **kw):
@@ -119,6 +120,14 @@ def test_config_validation():
             params=params, scaling=sc, n=8,
             dither_mode="none", dither_ids=np.array([1, 1, 1, 1]),
         )
+
+
+def test_fixed_dither_ids_must_be_integer_digits():
+    # non-integer ids used to be truncated to [1, 0, 0, 0] and [2, 0, 1, 0]
+    for ids in (np.array([1.5, 0, 0, 0]), [2.9, 0, 1, 0]):
+        with pytest.raises(ValueError, match="integers"):
+            pipe(n=8, dither_mode="fixed", dither_ids=ids)
+    assert pipe(n=8, dither_mode="fixed", dither_ids=[2, 0, 1, 0]).dither_ids.tolist() == [2, 0, 1, 0]
 
 
 @pytest.mark.parametrize("name", ["rotation_seed", "dither_seed"])
@@ -397,7 +406,7 @@ def test_column_dither_ids_match_the_reference_chain():
                 for cols in (1, 3, 17):
                     ids = pipeline._column_dither_ids(cfg, first_col, cols)
                     assert ids.shape == (cols, cfg.chunks, lat.d)
-                    assert ids.dtype == np.int64
+                    assert ids.dtype == digit_dtype(q) == np.uint8
                     want = [splitmix_ids(seed, first_col + j, cfg.chunks, q, lat.d)
                             for j in range(cols)]
                     assert ids.tolist() == want
@@ -824,6 +833,23 @@ def test_save_refuses_edited_random_ids(tmp_path):
         save_quantized_matrix(qm, tmp_path / "m.qm")
 
 
+def test_save_refuses_fixed_ids_past_one_byte(tmp_path):
+    # the file holds one byte per id digit: 700 used to be written as 188 and
+    # load a matrix decoding up to 0.0049 away from this one
+    cfg = pipe(n=4, q=1000, M=1, beta0=0.01, lat=make_lattice("z1"), dither_mode="fixed",
+               dither_ids=np.array([700]))
+    qm = quantize_matrix(cfg, np.random.default_rng(24).standard_normal((4, 3)))
+    with pytest.raises(ValueError, match="one byte"):
+        save_quantized_matrix(qm, tmp_path / "m.qm")
+    assert not (tmp_path / "m.qm").exists()
+    # an id digit of 255 still fits
+    ok = pipe(n=4, q=1000, M=1, beta0=0.01, lat=make_lattice("z1"), dither_mode="fixed",
+              dither_ids=np.array([255]))
+    qm = quantize_matrix(ok, np.random.default_rng(24).standard_normal((4, 3)))
+    save_quantized_matrix(qm, tmp_path / "ok.qm")
+    assert load_quantized_matrix(tmp_path / "ok.qm").cfg.dither_ids.tolist() == [255]
+
+
 def test_save_refuses_edited_fixed_ids(tmp_path):
     # a fixed-mode file stores the config's id, so edited ids would not load back
     cfg = pipe(n=8, dither_mode="fixed", dither_ids=np.array([1, 0, 3, 2]))
@@ -931,7 +957,7 @@ def test_load_validates_file(tmp_path, monkeypatch):
     with pytest.raises(ValueError):
         load_quantized_matrix(bad)
 
-    qm.T = qm.T.copy()
+    qm.T = qm.T.astype(np.uint16)  # as max_retries > 254 gives
     qm.T[0, 0] = 300  # would not fit the one-byte T records
     with pytest.raises(ValueError):
         save_quantized_matrix(qm, path)
