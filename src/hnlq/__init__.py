@@ -20,16 +20,13 @@ from .lattices import (
 )
 from .lut import (
     InnerProductLUT,
-    OneSidedLUT,
     build_lut,
-    build_one_sided,
     check_lut,
     digits_to_index,
     index_to_digits,
     load_lut,
     lut_ip,
     lut_ip_dithered,
-    one_sided_ip,
     save_lut,
 )
 from .pipeline import (
@@ -59,7 +56,6 @@ __all__ = [
     "HierarchicalParams",
     "InnerProductLUT",
     "Lattice",
-    "OneSidedLUT",
     "PipelineConfig",
     "QuantizedMatrix",
     "QuantizedVector",
@@ -68,7 +64,6 @@ __all__ = [
     "UnencodableError",
     "VoronoiCodeParams",
     "build_lut",
-    "build_one_sided",
     "check_lut",
     "coords_of",
     "default_tie_breaker",
@@ -87,7 +82,6 @@ __all__ = [
     "matmul_approx",
     "nesting_radius_ratio",
     "outer_nesting_ratio",
-    "one_sided_ip",
     "paired_ip_approx",
     "quantize_matrix",
     "quantize_vector",

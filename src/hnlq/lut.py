@@ -25,28 +25,24 @@ from functools import cached_property
 import numpy as np
 
 from .codec import LUT_GUARD, HierarchicalParams, layer_codebook_coords
-from .lattices import FAMILY_IDS, Lattice, _as_vector
+from .lattices import FAMILY_IDS
 from .voronoi import digits_to_index, index_to_digits
 
 __all__ = [
     "InnerProductLUT",
-    "OneSidedLUT",
     "digits_to_index",
     "index_to_digits",
     "build_lut",
     "lut_ip",
     "lut_ip_dithered",
-    "build_one_sided",
-    "one_sided_ip",
     "save_lut",
     "load_lut",
 ]
 
 _MAGIC = int.from_bytes(b"NLL1", "little")
-# magic, version, family, d, q, value type, lattice scale (version 1: two reserved words)
+# magic, version, family, d, q, value type (0: int64, the only one), lattice scale
 _HEADER = struct.Struct("<6Id")
 _VERSION = 2
-_VALUE_TYPES = {0: np.dtype("<i8"), 1: np.dtype("<f8")}
 
 
 @dataclass(eq=False)
@@ -85,22 +81,6 @@ class InnerProductLUT:
         return self.values[flat_idx]
 
 
-@dataclass(eq=False)
-class OneSidedLUT:
-    """Per-query table: inner products of one fixed vector with the layer codebook."""
-
-    family: str
-    d: int
-    q: int
-    values: np.ndarray
-    scale: float = 1.0
-    query_count: int = field(default=0, compare=False)
-
-    def _gather(self, idx: np.ndarray) -> np.ndarray:
-        self.query_count += idx.size
-        return self.values[idx]
-
-
 def build_lut(params: HierarchicalParams) -> InnerProductLUT:
     """Build the full q^(2d)-entry inner product table, C B C^T over the layer
     codebook coordinates C, in int64 with no rounding.
@@ -116,8 +96,8 @@ def build_lut(params: HierarchicalParams) -> InnerProductLUT:
                            scale=lat.scale, unit=u)
 
 
-def check_lut(lut: InnerProductLUT | OneSidedLUT, params: HierarchicalParams) -> None:
-    """Refuse a full or one-sided table built for another lattice, scale or base than params'."""
+def check_lut(lut: InnerProductLUT, params: HierarchicalParams) -> None:
+    """Refuse a table built for another lattice, scale or base than params'."""
     lat = params.lat
     if (lut.family, lut.d, lut.scale, lut.q) != (lat.family, lat.d, lat.scale, params.q):
         raise ValueError(
@@ -205,17 +185,12 @@ def chunk_sums(
         yield r, _horner(q, (_horner(q, pairs[i, ::-1]) for i in reversed(range(L))))
 
 
-def _stacked_digits(tbl, digit_arrays) -> np.ndarray:
-    """Digits (n, M, d) of n digit arrays (M, d); np.stack refuses unequal depths."""
-    digits = np.stack(digit_arrays)
-    if digits.ndim != 3 or digits.shape[2] != tbl.d:
-        raise ValueError(f"digits must have shape (M, {tbl.d})")
-    return digits
-
-
 def _exact_ip(lut: InnerProductLUT, digit_arrays, dither_ids) -> int:
     """Sum of q^(i+j) table[ix_i, iy_j] over two digit arrays' layers: one paired chunk."""
-    ix, iy = layer_indices(lut.q, _stacked_digits(lut, digit_arrays), dither_ids)
+    digits = np.stack(digit_arrays)  # refuses unequal depths
+    if digits.ndim != 3 or digits.shape[2] != lut.d:
+        raise ValueError(f"digits must have shape (M, {lut.d})")
+    ix, iy = layer_indices(lut.q, digits, dither_ids)
     ((_, C),) = chunk_sums(lut, ix[None, None], iy[None, None], False, 1)
     return int(C[0, 0])
 
@@ -248,26 +223,6 @@ def lut_ip_dithered(
     return float(total) / lut.q**2 * lut.unit
 
 
-def build_one_sided(params: HierarchicalParams, y: np.ndarray) -> OneSidedLUT:
-    """Table of inner products of y with every single-layer codebook point."""
-    y = _as_vector(y, params.lat.d)
-    P = params.lat.point_of(layer_codebook_coords(params))
-    return OneSidedLUT(family=params.lat.family, d=params.lat.d, q=params.q, values=P @ y,
-                       scale=params.lat.scale)
-
-
-def one_sided_ip(oslut: OneSidedLUT, dx: np.ndarray) -> float:
-    """Inner product of the table's vector with the reconstruction of digits
-    (M, d), M reads.
-
-    The digits must come from the parameters the table was built for;
-    ``check_lut`` checks a table against them.
-    """
-    (ix,) = layer_indices(oslut.q, _stacked_digits(oslut, [dx]), None)
-    reads = oslut._gather(ix)
-    return float(sum(oslut.q**i * v for i, v in enumerate(reads)))
-
-
 def _with_crc(body: bytes) -> bytes:
     """body followed by its zlib.crc32, 4 bytes little-endian: the trailer of
     NLL version 2 and NLQM version 3 files."""
@@ -286,39 +241,16 @@ def _strip_crc(raw: bytes, min_size: int, kind: str) -> bytes:
 def save_lut(lut: InnerProductLUT, path) -> None:
     """Write the table as NLL version 2: header, int64 values, CRC-32 of both."""
     body = _HEADER.pack(_MAGIC, _VERSION, FAMILY_IDS[lut.family], lut.d, lut.q, 0, lut.scale)
-    body += np.ascontiguousarray(lut.values, dtype=_VALUE_TYPES[0]).tobytes()
+    body += np.ascontiguousarray(lut.values, dtype="<i8").tobytes()
     with open(path, "wb") as f:
         f.write(_with_crc(body))
 
 
-def _canonical_v1(values: np.ndarray, lat: Lattice) -> np.ndarray:
-    """Canonical int64 entries of a version 1 table: its scaled products over u.
-
-    Version 1 wrote int64 for Z_d and D_n at an integer scale^2, else float64.
-    """
-    u = lat.integer_gram[1]
-    integral = lat.family != "A" and float(u).is_integer()
-    if (values.dtype.kind == "i") != integral:
-        raise ValueError(f"LUT holds {'real' if integral else 'integer'} values, unlike "
-                         f"version 1 tables of {lat.name} at scale {lat.scale}")
-    if integral:
-        out, rem = np.divmod(values, int(u))
-        if rem.any():
-            raise ValueError(f"version 1 integer LUT is not a multiple of scale^2 = {int(u)}")
-        return out
-    x = values / u
-    out = np.rint(x)
-    if not ((np.abs(x - out) <= 1e-6) & (np.abs(out) < 2.0**62)).all():
-        raise ValueError(f"version 1 real LUT is not an integer multiple of {u}")
-    return out.astype(np.int64)
-
-
 def load_lut(path, params: HierarchicalParams) -> InnerProductLUT:
-    """Read a table and validate it against params.
+    """Read an NLL version 2 table and validate it against params.
 
-    A version 2 file is checked against its CRC-32, then its header, scale
-    included.  Version 1 files have neither: the table takes params' scale and
-    is converted by ``_canonical_v1``.
+    The file is checked against its CRC-32, then its header, scale included.
+    Other versions, version 1 among them, are refused with ValueError.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -327,11 +259,10 @@ def load_lut(path, params: HierarchicalParams) -> InnerProductLUT:
     magic, version, fam_id, d, q, vt, scale = _HEADER.unpack_from(raw)
     if magic != _MAGIC:
         raise ValueError("bad magic, not a LUT file")
-    if version == _VERSION:
-        raw = _strip_crc(raw, _HEADER.size, "LUT")
-    elif version != 1:
+    if version != _VERSION:
         raise ValueError(f"unsupported LUT version {version}")
-    if vt not in _VALUE_TYPES or (version == _VERSION and vt != 0):
+    raw = _strip_crc(raw, _HEADER.size, "LUT")
+    if vt != 0:
         raise ValueError(f"unknown value type {vt}")
     family = {v: k for k, v in FAMILY_IDS.items()}.get(fam_id)
     lat = params.lat
@@ -339,11 +270,10 @@ def load_lut(path, params: HierarchicalParams) -> InnerProductLUT:
         raise ValueError(
             f"LUT header ({family}{d}, q={q}) does not match params ({lat.name}, q={params.q})"
         )
-    if version == _VERSION and scale != lat.scale:
+    if scale != lat.scale:
         raise ValueError(f"LUT built for scale {scale}, params have scale {lat.scale}")
-    values = np.frombuffer(raw, dtype=_VALUE_TYPES[vt], offset=_HEADER.size)
+    values = np.frombuffer(raw, dtype="<i8", offset=_HEADER.size)
     if values.size != q ** (2 * d):
         raise ValueError(f"table holds {values.size} entries, expected {q ** (2 * d)}")
-    values = _canonical_v1(values, lat) if version == 1 else values.copy()
-    return InnerProductLUT(family=family, d=d, q=q, values=values, scale=lat.scale,
+    return InnerProductLUT(family=family, d=d, q=q, values=values.copy(), scale=lat.scale,
                            unit=lat.integer_gram[1])

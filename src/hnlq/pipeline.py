@@ -11,7 +11,6 @@ lattice factor u and both chunk scales, sum over chunks.
 
 from __future__ import annotations
 
-import hashlib
 import numbers
 import struct
 from dataclasses import dataclass
@@ -51,17 +50,18 @@ class PipelineConfig:
         params: hierarchical codec parameters (d divides n).
         scaling: overload scaling configuration.
         n: full vector length, a multiple of the lattice dimension.
-        rotate: apply a shared random rotation and scale each vector to norm
-            sqrt(n), so its coordinates have unit variance, the frame beta0 is
-            calibrated in; the recorded norm rescales inner products by
-            norm_a norm_b / n.
-        rotation_seed: seed of the shared rotation, in [-2^63, 2^63).
+        rotate: True to apply a shared random rotation and scale each vector
+            to norm sqrt(n), so its coordinates have unit variance, the frame
+            beta0 is calibrated in; the recorded norm rescales inner products
+            by norm_a norm_b / n.  A value equal to True or False is kept as
+            that bool; any other is refused.
+        rotation_seed: integer seed of the shared rotation, in [-2^63, 2^63).
         dither_mode: "none", "fixed" (one digit id for every chunk) or
             "random" (per column/chunk ids from a counter-based SplitMix64
             hash of (dither_seed, column, chunk); see ``_dither_digit_ids``).
         dither_ids: the fixed digit id, required when dither_mode="fixed":
             integer digits in [0, q), kept read-only in ``digit_dtype(q)``.
-        dither_seed: seed for the "random" mode, in [-2^63, 2^63) like
+        dither_seed: integer seed for the "random" mode, in [-2^63, 2^63) like
             rotation_seed (files store both as int64); a negative seed is
             taken mod 2^64.
     """
@@ -79,8 +79,12 @@ class PipelineConfig:
         if not isinstance(self.n, numbers.Integral) or self.n < 1 or self.n % self.params.lat.d:
             raise ValueError("n must be a positive multiple of the lattice dimension")
         for name in ("rotation_seed", "dither_seed"):
-            if not -(2**63) <= getattr(self, name) < 2**63:
-                raise ValueError(f"{name} must lie in [-2^63, 2^63)")
+            seed = getattr(self, name)
+            if not isinstance(seed, numbers.Integral) or not -(2**63) <= seed < 2**63:
+                raise ValueError(f"{name} must be an integer in [-2^63, 2^63)")
+        if self.rotate not in (False, True):
+            raise ValueError(f"rotate must be True or False, got {self.rotate!r}")
+        object.__setattr__(self, "rotate", bool(self.rotate))
         if self.dither_mode not in DITHER_MODES:
             raise ValueError(f"dither_mode must be one of {DITHER_MODES}")
         if self.dither_mode == "fixed":
@@ -221,18 +225,6 @@ def _dither_digit_ids(cfg: PipelineConfig, col, K: int) -> np.ndarray | None:
     z += _mix64(int(cfg.dither_seed) * _GAMMA & _MASK64)
     z = _mix64(z) + np.arange(1, K + 1, dtype=np.uint64) * _GAMMA
     return _low_digits(_mix64(z), q, d).reshape(shape)
-
-
-_V1_DITHER_KEY = struct.Struct("<qqq")  # seed, column, chunk
-
-
-def _v1_dither_digit_ids(cfg: PipelineConfig, col: int, K: int) -> np.ndarray:
-    """Random-mode ids (K, d) of NLQM version 1 files: one keyed blake2b per chunk."""
-    digests = b"".join(
-        hashlib.blake2b(_V1_DITHER_KEY.pack(cfg.dither_seed, col, k), digest_size=8).digest()
-        for k in range(K)
-    )
-    return _low_digits(np.frombuffer(digests, dtype="<u8"), cfg.params.q, cfg.params.lat.d)
 
 
 def _column_dither_ids(cfg: PipelineConfig, first_col: int, cols: int) -> np.ndarray | None:
@@ -416,9 +408,8 @@ def paired_ip_approx(
 
 _QM_MAGIC = int.from_bytes(b"NLQM", "little")
 _QM_HEADER = struct.Struct("<8I2d2I2q")
-# Version 3 appends a CRC-32 of the file to the version 2 layout.  Versions 2
-# and 3 derive random-mode dither ids with the SplitMix64 chain; version 1
-# files, whose ids came from blake2b, are still read.
+# Version 3 appends a CRC-32 of the file to the version 2 layout; both derive
+# random-mode dither ids with the SplitMix64 chain.  Version 1 is not read.
 _QM_VERSION = 3
 _DITHER_CODE = {"none": 0, "fixed": 1, "random": 2}
 
@@ -439,9 +430,9 @@ def save_quantized_matrix(qm: QuantizedMatrix, path) -> None:
     per-column norms when rotation is on, then a CRC-32 of all of it.  The
     config's fixed dither id rides in a short trailer right after the header;
     random ids are re-derived from the seed on load.  So a matrix whose ids
-    differ from the ones its config gives (a version 1 random-mode file, or
-    edited ids) is refused with ValueError, and so is a lattice scale other
-    than 1, which the header does not record.
+    differ from the ones its config gives (edited ids) is refused with
+    ValueError, and so is a lattice scale other than 1, which the header does
+    not record.
     """
     cfg = qm.cfg
     if cfg.params.lat.scale != 1:
@@ -492,11 +483,13 @@ def load_quantized_matrix(path) -> QuantizedMatrix:
     reconstructed config takes the default 60, so a ladder whose top rung
     leaves the float range is refused.
 
-    A version 3 file is checked against its CRC-32 before any field but the
-    magic and version.  Versions 1 and 2 have no checksum; a flipped bit loads
-    or raises ValueError.  Not checked there: alpha, beta0, both seeds, T
-    bytes, norms, digit records kept below q^d, and q, family, dither code or
-    d where the file stays consistent in length.
+    Versions 2 and 3 load; any other, version 1 among them, raises
+    ValueError.  A version 3 file is checked against its CRC-32 before any
+    field but the magic and version.  Version 2 is the same layout without
+    the checksum; a flipped bit loads or raises ValueError.  Not checked
+    there: alpha, beta0, both seeds, T bytes, norms, digit records kept below
+    q^d, and q, family, dither code or d where the file stays consistent in
+    length.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -508,7 +501,7 @@ def load_quantized_matrix(path) -> QuantizedMatrix:
     ) = _QM_HEADER.unpack_from(raw)
     if magic != _QM_MAGIC:
         raise ValueError("bad magic, not a quantized-matrix file")
-    if version not in (1, 2, _QM_VERSION):
+    if version not in (2, _QM_VERSION):
         raise ValueError(f"unsupported version {version}")
     if version == _QM_VERSION:
         raw = _strip_crc(raw, _QM_HEADER.size, "quantized-matrix")
@@ -560,9 +553,5 @@ def load_quantized_matrix(path) -> QuantizedMatrix:
         off += cols * 8
     if off != len(raw):
         raise ValueError("trailing bytes in quantized-matrix file")
-    if version == 1 and mode == "random":
-        ids = np.array([_v1_dither_digit_ids(cfg, c, K) for c in range(cols)], dtype=digit_dtype(q))
-        ids = ids.reshape(cols, K, d)
-    else:
-        ids = _column_dither_ids(cfg, 0, cols)
+    ids = _column_dither_ids(cfg, 0, cols)
     return QuantizedMatrix(cfg=cfg, digits=digits, T=T, norms=norms, dither_ids=ids)

@@ -11,7 +11,6 @@ from hnlq import (
     HierarchicalParams,
     PipelineConfig,
     ScalingConfig,
-    build_one_sided,
     coords_of,
     default_tie_breaker,
     make_lattice,
@@ -236,7 +235,6 @@ def test_vector_entry_points_name_the_expected_shape(d4):
     cfg = PipelineConfig(params=p, scaling=ScalingConfig(beta0=0.5), n=8)
     calls = [
         (4, lambda x: coords_of(d4, x)),
-        (4, lambda x: build_one_sided(p, x)),
         (8, lambda x: quantize_vector(cfg, x)),
     ]
     for n, call in calls:

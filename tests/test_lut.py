@@ -1,34 +1,26 @@
 """Inner-product lookup tables: construction, decoding sums, serialization."""
 
-import struct
-
 import numpy as np
 import pytest
 
 from hnlq import (
     HierarchicalParams,
     InnerProductLUT,
-    OneSidedLUT,
     PipelineConfig,
     ScalingConfig,
     build_lut,
-    build_one_sided,
-    check_lut,
     digits_to_index,
     dither_point,
-    h_encode_many,
     index_to_digits,
     ip_approx,
     load_lut,
     lut_ip,
     lut_ip_dithered,
     make_lattice,
-    one_sided_ip,
     quantize_vector,
     save_lut,
 )
 from hnlq.codec import decode_coords_many, layer_codebook_coords
-from hnlq.lattices import FAMILY_IDS
 
 
 def digits_of(digits):
@@ -124,51 +116,6 @@ def test_tables_record_their_scale(tmp_path):
             load_lut(tmp_path / "t.lut", other)
 
 
-def test_load_refuses_a_value_type_the_lattice_cannot_have(tmp_path, d4, a2):
-    # NLL version 1, written here byte by byte, held the scaled products with no
-    # scale and no CRC: int64 for Z and D at an integer scale^2, float64 otherwise.
-    path = tmp_path / "v1.lut"
-
-    def v1(lat, values):
-        vt = 0 if values.dtype.kind == "i" else 1
-        head = struct.pack("<8I", int.from_bytes(b"NLL1", "little"), 1,
-                           FAMILY_IDS[lat.family], lat.d, 3, vt, 0, 0)
-        path.write_bytes(head + values.astype("<i8" if vt == 0 else "<f8").tobytes())
-        return path
-
-    def products(p):
-        P = p.lat.point_of(layer_codebook_coords(p))
-        return (P @ P.T).ravel()
-
-    plain = HierarchicalParams(d4, 3, 2)
-    double = HierarchicalParams(make_lattice("d4", scale=2.0), 3, 2)
-    scaled = HierarchicalParams(make_lattice("d4", scale=0.37), 3, 2)
-    pa = HierarchicalParams(a2, 3, 2)
-    # int tables divide exactly by scale^2; real ones by u, then round
-    for p in (plain, double):
-        back = load_lut(v1(p.lat, np.rint(products(p)).astype(np.int64)), p)
-        assert np.array_equal(back.values, build_lut(p).values)
-    for p in (scaled, pa):
-        back = load_lut(v1(p.lat, products(p)), p)
-        assert np.array_equal(back.values, build_lut(p).values)
-        assert back.scale == p.lat.scale
-    # a rounded integer table of d4 at scale 0.37 (which older builds wrote)
-    with pytest.raises(ValueError, match="integer"):
-        load_lut(v1(d4, build_lut(plain).values), scaled)
-    with pytest.raises(ValueError, match="real"):
-        load_lut(v1(d4, products(scaled)), plain)
-    with pytest.raises(ValueError, match="integer"):
-        load_lut(v1(a2, np.rint(products(pa)).astype(np.int64)), pa)
-    # entries that are no integer multiple of u
-    with pytest.raises(ValueError, match="multiple"):
-        load_lut(v1(d4, build_lut(plain).values), double)
-    for bad in (1e-3, np.nan):
-        off = products(scaled)
-        off[5] += bad
-        with pytest.raises(ValueError, match="multiple"):
-            load_lut(v1(d4, off), scaled)
-
-
 def test_every_flipped_bit_of_a_table_file_is_refused(tmp_path, z1):
     p = HierarchicalParams(z1, 3, 2)
     path, bad = tmp_path / "t.lut", tmp_path / "bad.lut"
@@ -255,27 +202,22 @@ def test_query_counters(d4):
     lut_ip(lut3, ex3, ex3)
     assert lut3.query_count == 9
 
-    os = build_one_sided(p3, np.array([1.0, -2.0, 0.5, 3.0]))
-    one_sided_ip(os, ex3)
-    assert os.query_count == 3
-
 
 def test_each_product_is_one_gather(d4, monkeypatch):
     calls = []
-    for cls in (InnerProductLUT, OneSidedLUT):
-        def counted(self, idx, gather=cls._gather):
-            calls.append(idx.size)
-            return gather(self, idx)
 
-        monkeypatch.setattr(cls, "_gather", counted)
+    def counted(self, idx, gather=InnerProductLUT._gather):
+        calls.append(idx.size)
+        return gather(self, idx)
+
+    monkeypatch.setattr(InnerProductLUT, "_gather", counted)
     p = HierarchicalParams(d4, 3, 3)
     lut = build_lut(p)
     rng = np.random.default_rng(59)
     ex, ey = random_digits(rng, 3, 3, 4, 2)
     lut_ip(lut, ex, ey)
     lut_ip_dithered(lut, ex, ey, np.array([1, 0, 2, 1]), np.array([0, 2, 1, 0]))
-    one_sided_ip(build_one_sided(p, np.array([1.0, -2.0, 0.5, 3.0])), ex)
-    assert calls == [9, 16, 3]
+    assert calls == [9, 16]
 
 
 def test_ip_validates_shapes(d4):
@@ -349,37 +291,6 @@ def test_one_chunk_dithered_ip_is_ip_approx(name):
         got = lut_ip_dithered(lut, qx.digits[0], qy.digits[0],
                               qx.dither_ids[0], qy.dither_ids[0])
         assert got == want
-
-
-def test_one_sided_table_and_trace(z1):
-    p = HierarchicalParams(z1, 3, 2)
-    os = build_one_sided(p, np.array([2.5]))
-    assert np.array_equal(os.values, [0.0, 2.5, -2.5])
-    x, _ = h_encode_many(p, np.array([3.7]))
-    assert one_sided_ip(os, x) == 10.0  # 2.5 + 3*2.5
-    os0 = build_one_sided(p, np.array([0.0]))
-    assert not os0.values.any()
-    with pytest.raises(ValueError):
-        build_one_sided(p, np.zeros(2))
-
-
-def test_one_sided_tables_record_their_scale(d4):
-    p = HierarchicalParams(d4, 3, 2)
-    oslut = build_one_sided(p, np.ones(4))
-    check_lut(oslut, p)
-    with pytest.raises(ValueError, match="scale"):
-        check_lut(oslut, HierarchicalParams(make_lattice("d4", scale=0.37), 3, 2))
-
-
-def test_one_sided_matches_direct(d4):
-    p = HierarchicalParams(d4, 3, 2)
-    rng = np.random.default_rng(57)
-    y = rng.standard_normal(4)
-    os = build_one_sided(p, y)
-    assert os.values.shape == (81,)
-    for ex in random_digits(rng, 3, 2, 4, 200):
-        want = float(np.dot(y, point(p, ex)))
-        assert abs(one_sided_ip(os, ex) - want) <= 1e-9
 
 
 def test_save_load_roundtrip(tmp_path, d4, a2):

@@ -1,6 +1,7 @@
 """Product-code pipeline: rotation, chunked encoding, table-driven products."""
 
 import hashlib
+import struct
 import zlib
 
 import numpy as np
@@ -13,6 +14,7 @@ from hnlq import (
     UnencodableError,
     build_lut,
     ip_approx,
+    load_lut,
     load_quantized_matrix,
     lut_ip,
     lut_ip_dithered,
@@ -28,6 +30,7 @@ from hnlq import (
 from hnlq import lut as lut_mod
 from hnlq.bench import calibrate_beta0
 from hnlq.codec import decode_coords_many
+from hnlq.lattices import FAMILY_IDS
 from hnlq import pipeline
 from hnlq.lut import _with_crc, check_lut, chunk_sum_dtype
 from hnlq.scaling import encode_scaled_many
@@ -133,14 +136,26 @@ def test_fixed_dither_ids_must_be_integer_digits():
 @pytest.mark.parametrize("name", ["rotation_seed", "dither_seed"])
 def test_seeds_must_fit_int64(name, tmp_path):
     # Files store both seeds as int64, so a seed outside it is refused up front
-    # rather than quantized with and then unsaveable.
-    for bad in (2**64 + 5, 2**63, -(2**63) - 1):
+    # rather than quantized with and then unsaveable.  A float seed is refused
+    # too: dither_seed=1.5 used to quantize with seed 1's ids, then fail to save
+    # with struct.error, and rotation_seed=2.5 to fail only at quantize time.
+    for bad in (2**64 + 5, 2**63, -(2**63) - 1, 1.5, 2.5, np.float64(3.0)):
         with pytest.raises(ValueError, match=name):
             pipe(n=8, dither_mode="random", **{name: bad})
-    for ok in (2**63 - 1, -(2**63)):
+    for ok in (2**63 - 1, -(2**63), np.int64(4), np.uint8(9)):
         cfg = pipe(n=8, dither_mode="random", **{name: ok})
         save_quantized_matrix(quantize_matrix(cfg, np.ones((8, 2))), tmp_path / "m.qm")
         assert getattr(load_quantized_matrix(tmp_path / "m.qm").cfg, name) == ok
+
+
+def test_rotate_must_equal_a_bool():
+    # a truthy rotate ("no", 2) used to rotate, then load back as rotate=True,
+    # a config the matrix no longer matched; a bool is what the file records
+    for bad in ("no", 2, None, 0.5):
+        with pytest.raises(ValueError, match="rotate must be True or False"):
+            pipe(n=8, rotate=bad)
+    for flag, want in ((1, True), (np.bool_(True), True), (0, False), (np.bool_(False), False)):
+        assert pipe(n=8, rotate=flag).rotate is want
 
 
 def test_quantize_vector_shapes():
@@ -329,20 +344,6 @@ def test_random_dither_ids_are_reproducible():
     c = quantize_vector(cfg, x, col=6)
     assert not np.array_equal(a.dither_ids, c.dither_ids)
     assert a.dither_ids.min() >= 0 and a.dither_ids.max() < 4
-
-
-def test_random_dither_ids_are_pinned():
-    # Files store only the seed, so these ids are part of the NLQM version 1 format.
-    pinned = [
-        ("a2", 8, 7, 3, [[2, 0], [4, 5]]),
-        ("d4", 4, 5, 2, [[1, 3, 3, 0], [3, 2, 1, 1]]),
-        ("z16", 16, 1, 0, [[5, 6, 7, 7, 8, 6, 15, 10, 9, 8, 9, 15, 12, 15, 9, 1],
-                           [9, 2, 4, 1, 2, 1, 6, 14, 7, 13, 1, 14, 10, 2, 0, 2]]),  # q^d = 2^64
-    ]
-    for name, q, seed, col, want in pinned:
-        lat = make_lattice(name)
-        cfg = pipe(n=2 * lat.d, q=q, lat=lat, dither_mode="random", dither_seed=seed)
-        assert pipeline._v1_dither_digit_ids(cfg, col, 2).tolist() == want
 
 
 def splitmix_ids(seed, col, K, q, d):
@@ -763,64 +764,55 @@ def test_save_load_roundtrip(tmp_path):
         assert a == b
 
 
-# NLQM version 1 files of a2 q=8 M=2, n=4, two columns, beta0 0.35, written
-# before version 2: random dither with seed -7, no dither, and fixed ids [3, 5].
-V1_A2_FILES = {
-    "random": "4e4c514d01000000030000000200000004000000020000000800000002000000"
-              "555555555555d53f666666666666d63f00000000020000000000000000000000"
-              "f9ffffffffffffff3c0018391038381800000007",
-    "none": "4e4c514d01000000030000000200000004000000020000000800000002000000"
+# NLQM version 2 files of a2 q=8 M=2, n=4, two columns, beta0 0.35: no dither,
+# and fixed ids [3, 5].
+V2_A2_FILES = {
+    "none": "4e4c514d02000000030000000200000004000000020000000800000002000000"
             "555555555555d53f666666666666d63f00000000000000000000000000000000"
             "00000000000000003c00183910383f1800000007",
-    "fixed": "4e4c514d01000000030000000200000004000000020000000800000002000000"
+    "fixed": "4e4c514d02000000030000000200000004000000020000000800000002000000"
              "555555555555d53f666666666666d63f00000000010000000000000000000000"
              "000000000000000003053c0011391038301800000007",
 }
-V1_A2_INPUT = np.array([[0.3, -2.0], [1.1, 0.05], [-0.4, 40.0], [2.5, -0.7]])
+V2_A2_INPUT = np.array([[0.3, -2.0], [1.1, 0.05], [-0.4, 40.0], [2.5, -0.7]])
 
 
-def v1_a2_config(mode):
-    kw = {"random": {"dither_seed": -7}, "fixed": {"dither_ids": np.array([3, 5])}}
+def v2_a2_config(mode):
+    kw = {"fixed": {"dither_ids": np.array([3, 5])}}
     return pipe(n=4, q=8, lat=make_lattice("a2"), dither_mode=mode, **kw.get(mode, {}))
-
-
-def test_version1_random_file_loads_read_only(tmp_path):
-    path = tmp_path / "v1.qm"
-    path.write_bytes(bytes.fromhex(V1_A2_FILES["random"]))
-    qm = load_quantized_matrix(path)
-    assert qm.digits.tolist() == [[[[7, 4], [0, 0]], [[3, 0], [7, 1]]],
-                                  [[[2, 0], [7, 0]], [[7, 0], [3, 0]]]]
-    assert qm.T.tolist() == [[0, 0], [0, 7]]
-    # the ids of version 1, re-derived from the seed with blake2b
-    assert qm.dither_ids.tolist() == [[[1, 7], [6, 2]], [[1, 7], [1, 6]]]
-    assert qm.cfg.dither_seed == -7
-    # A version 2 file would load the SplitMix64 ids instead, so it is not written.
-    with pytest.raises(ValueError, match="dither ids"):
-        save_quantized_matrix(qm, tmp_path / "v2.qm")
-    assert not (tmp_path / "v2.qm").exists()
-    # Quantized afresh, the same input gets version 2 ids and saves as version 3.
-    fresh = quantize_matrix(qm.cfg, V1_A2_INPUT)
-    assert not np.array_equal(fresh.dither_ids, qm.dither_ids)
-    save_quantized_matrix(fresh, path)
-    assert path.read_bytes()[4] == 3
-    assert np.array_equal(load_quantized_matrix(path).dither_ids, fresh.dither_ids)
 
 
 @pytest.mark.parametrize("mode", ["none", "fixed"])
 def test_version2_changes_only_the_version_word(tmp_path, mode):
-    v1 = bytes.fromhex(V1_A2_FILES[mode])
+    v2 = bytes.fromhex(V2_A2_FILES[mode])
     path = tmp_path / "m.qm"
-    save_quantized_matrix(quantize_matrix(v1_a2_config(mode), V1_A2_INPUT), path)
+    save_quantized_matrix(quantize_matrix(v2_a2_config(mode), V2_A2_INPUT), path)
     v3 = path.read_bytes()
     # version 3 is the version 2 layout plus a CRC-32 of it
     assert v3[4] == 3 and v3[-4:] == zlib.crc32(v3[:-4]).to_bytes(4, "little")
-    v2 = v3[:4] + b"\x02" + v3[5:-4]
-    assert v2[:4] + b"\x01" + v2[5:] == v1
-    # the version 1 and 2 files load to the same matrix and re-save as version 3
-    for old in (v1, v2):
-        path.write_bytes(old)
-        save_quantized_matrix(load_quantized_matrix(path), path)
-        assert path.read_bytes() == v3
+    assert v3[:4] + b"\x02" + v3[5:-4] == v2
+    # the version 2 file loads to the same matrix and re-saves as version 3
+    path.write_bytes(v2)
+    save_quantized_matrix(load_quantized_matrix(path), path)
+    assert path.read_bytes() == v3
+
+
+def test_version1_files_are_refused(tmp_path):
+    # NLQM version 1 had the version 2 layout, with blake2b random-mode ids
+    path = tmp_path / "m.qm"
+    for v2 in V2_A2_FILES.values():
+        path.write_bytes(bytes.fromhex(v2)[:4] + b"\x01" + bytes.fromhex(v2)[5:])
+        with pytest.raises(ValueError, match="unsupported"):
+            load_quantized_matrix(path)
+    # NLL version 1: two reserved words where version 2 has the scale, then the
+    # int64 scaled products, no CRC
+    p = HierarchicalParams(make_lattice("d4"), 3, 2)
+    head = struct.pack("<8I", int.from_bytes(b"NLL1", "little"), 1, FAMILY_IDS["D"], 4, 3,
+                       0, 0, 0)
+    path = tmp_path / "t.lut"
+    path.write_bytes(head + build_lut(p).values.astype("<i8").tobytes())
+    with pytest.raises(ValueError, match="unsupported"):
+        load_lut(path, p)
 
 
 def test_save_refuses_edited_random_ids(tmp_path):
