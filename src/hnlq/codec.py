@@ -119,7 +119,7 @@ def h_encode_many(params: HierarchicalParams, X: np.ndarray) -> tuple[np.ndarray
     overload test are exact int64 steps.  Past |x| of about 1e9 the digits
     of rows that already overload may differ from re-quantizing each layer
     in floating point, whose tie-breaker falls below float resolution there;
-    the overload flag does not.  Unchecked: |x| / scale >= 2^62 is outside
+    the overload flag does not.  Unchecked: |x| >= 2^62 is outside
     its contract (INT64_MIN coordinates, RuntimeWarning); the checked entry
     point is ``scaling.encode_scaled_many``.
     """
@@ -191,7 +191,7 @@ def q_circ_many(params: HierarchicalParams, X: np.ndarray, m: int) -> np.ndarray
 
     Applies the nearest-neighbor quantizer at scales 1, q, ..., q^m in
     sequence; m = 0 is plain quantization.  Returns int64 (..., d).
-    Unchecked: |x| / scale >= 2^62 is outside its contract (INT64_MIN
+    Unchecked: |x| >= 2^62 is outside its contract (INT64_MIN
     coordinates, RuntimeWarning); the checked entry point is
     ``scaling.encode_scaled_many``.
     """

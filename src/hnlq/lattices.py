@@ -41,17 +41,15 @@ def default_tie_breaker(d: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Lattice:
-    """One of the supported lattices, scaled by a positive factor.
+    """One of the supported lattices, in its canonical form.
 
     Attributes:
         family: "Z", "D" or "A" (A is the hexagonal lattice, d = 2).
         d: ambient dimension.
-        G: generator matrix, columns are basis vectors (includes scale).
+        G: generator matrix, columns are basis vectors.
         G_inv: inverse generator.
         eps: ``default_tie_breaker(d)``, the perturbation added inside every
-            nearest-neighbor call.  Applied in the unscaled frame, so
-            quantization commutes exactly with rescaling the lattice.
-        scale: scalar multiplying the canonical generator.
+            nearest-neighbor call.
     """
 
     family: str
@@ -59,7 +57,6 @@ class Lattice:
     G: np.ndarray
     G_inv: np.ndarray
     eps: np.ndarray
-    scale: float = 1.0
 
     @property
     def name(self) -> str:
@@ -69,14 +66,13 @@ class Lattice:
     def integer_gram(self) -> tuple[np.ndarray, float]:
         """(B, u): an int64 matrix B and a factor u with G.T @ G = u B.
 
-        B is the canonical Gram matrix and u = scale^2 for Z_d and D_n; for A_2,
-        B = [[2, 1], [1, 2]], twice the canonical one, and u = scale^2 / 2.
+        B is the Gram matrix and u = 1 for Z_d and D_n; for A_2, B = [[2, 1],
+        [1, 2]], twice the Gram matrix, and u = 1/2.
         """
         k = 2 if self.family == "A" else 1
-        G0 = _canonical_generator(self.family, self.d)
-        B = np.rint(k * G0.T @ G0).astype(np.int64)
+        B = np.rint(k * self.G.T @ self.G).astype(np.int64)
         B.flags.writeable = False
-        return B, self.scale**2 / k
+        return B, 1.0 / k
 
     def point_of(self, coords: np.ndarray) -> np.ndarray:
         """Map generator coordinates (..., d) to vectors (..., d)."""
@@ -85,11 +81,10 @@ class Lattice:
     def nearest_coords(self, x: np.ndarray) -> np.ndarray:
         """Generator coordinates of the nearest lattice point, batched.
 
-        Accepts shape (..., d) and returns int64 of the same shape.  The
-        tie breaker is added after removing the scale, i.e. the result is
-        argmin over c of ||x/scale + eps - G0 @ c|| with G0 = G/scale.
+        Accepts shape (..., d) and returns int64 of the same shape: argmin
+        over c of ||x + eps - G @ c||.
 
-        Unchecked: |x| / scale >= 2^62 is outside its contract and may give
+        Unchecked: |x| >= 2^62 is outside its contract and may give
         INT64_MIN coordinates with a RuntimeWarning.  The checked entry point
         is ``scaling.encode_scaled_many``.
         """
@@ -100,8 +95,7 @@ class Lattice:
             )
         if self.family == "D":
             return self._nearest_coords_d(x)
-        y = x / self.scale
-        y += self.eps
+        y = x + self.eps
         if self.family == "Z":
             return np.rint(y).astype(np.int64)
         return self._nearest_coords_a2(y)
@@ -112,7 +106,7 @@ class Lattice:
         The cell is {x : |<x, v>| <= |v|^2 / 2} over its relevant vectors v
         (Conway and Sloane): the roots +-e_i +- e_j for D_n, the six minimal
         vectors for A_2 and +-e_i for Z_d.  So the gauge is the max over v of
-        2 |<x, v>| / |v|^2, with the scale removed.  The tie breaker plays no
+        2 |<x, v>| / |v|^2.  The tie breaker plays no
         part; a gauge past the float range is inf.
         """
         x = np.asarray(x, dtype=np.float64)
@@ -124,7 +118,7 @@ class Lattice:
 
     @cached_property
     def _gauge_weights(self) -> np.ndarray:
-        """Columns 2 v / (scale |v|^2), one per pair +-v of relevant vectors."""
+        """Columns 2 v / |v|^2, one per pair +-v of relevant vectors."""
         eye = np.eye(self.d)
         if self.family == "Z":
             V = eye
@@ -132,8 +126,8 @@ class Lattice:
             V = np.array([eye[i] + s * eye[j] for i in range(self.d)
                           for j in range(i + 1, self.d) for s in (1, -1)]).T
         else:  # A_2: both basis vectors and their difference
-            V = (self.G / self.scale) @ np.array([[1.0, 0.0, -1.0], [0.0, 1.0, 1.0]])
-        return 2.0 * V / (self.scale * (V * V).sum(axis=0))
+            V = self.G @ np.array([[1.0, 0.0, -1.0], [0.0, 1.0, 1.0]])
+        return 2.0 * V / (V * V).sum(axis=0)
 
     def _nearest_coords_d(self, x: np.ndarray) -> np.ndarray:
         # Round every coordinate; if the sum is odd, re-round the coordinate
@@ -144,8 +138,7 @@ class Lattice:
         # into the rounded floats, which stay exact integers.
         d = self.d
         x2 = x.reshape(-1, d)
-        delta = np.divide(x2.T, self.scale, out=np.empty((d, x2.shape[0])))
-        delta += self.eps[:, None]
+        delta = np.add(x2.T, self.eps[:, None], out=np.empty((d, x2.shape[0])))
         f = np.rint(delta)
         delta -= f
         odd = np.flatnonzero(f.astype(np.int64).sum(axis=0) & 1)
@@ -155,9 +148,9 @@ class Lattice:
             k[err[i] > best] = i
             np.maximum(best, err[i], out=best)
         f[k, odd] += np.where(delta[k, odd] >= 0, 1.0, -1.0)
-        # Generator coordinates: G0_inv has half-integer entries, product is
+        # Generator coordinates: G_inv has half-integer entries, product is
         # an exact integer for any D_n point of sane magnitude.
-        c = f.T @ (self.G_inv * self.scale).T
+        c = f.T @ self.G_inv.T
         return np.rint(c, out=c).astype(np.int64).reshape(x.shape)
 
     def _nearest_coords_a2(self, y: np.ndarray) -> np.ndarray:
@@ -166,17 +159,17 @@ class Lattice:
         # Points (i, sqrt3 j) and (i + 1/2, sqrt3 (j + 1/2)) have generator
         # coordinates (i - j, 2j) and (i - j, 2j + 1).
         r3 = math.sqrt(3.0)
-        x0, x1 = y[..., 0], y[..., 1]
-        u = x1 / r3
-        i0, j0 = np.rint(x0), np.rint(u)
-        i1, j1 = np.rint(x0 - 0.5), np.rint(u - 0.5)
+        x0, x1 = y.reshape(-1, 2).T  # 1-d, so a single row has arrays to update in place
+        i, j = np.rint(x0), np.rint(x1 / r3)
+        i1, j1 = np.rint(x0 - 0.5), np.rint(x1 / r3 - 0.5)
         # A square overflows only past |y| ~ 1e170, where the int64 cast fails anyway.
         with np.errstate(over="ignore"):
-            d0 = (x0 - i0) ** 2 + (x1 - r3 * j0) ** 2
-            d1 = (x0 - i1 - 0.5) ** 2 + (x1 - r3 * (j1 + 0.5)) ** 2
-        shifted = d1 < d0
-        i, j = np.where(shifted, i1, i0), np.where(shifted, j1, j0)
-        return np.stack([i - j, 2 * j + shifted], axis=-1).astype(np.int64)
+            shifted = ((x0 - i1 - 0.5) ** 2 + (x1 - r3 * (j1 + 0.5)) ** 2
+                       < (x0 - i) ** 2 + (x1 - r3 * j) ** 2)
+        np.copyto(i, i1, where=shifted)
+        np.copyto(j, j1, where=shifted)
+        c = np.stack([i - j, 2 * j + shifted], axis=-1, dtype=np.int64, casting="unsafe")
+        return c.reshape(y.shape)
 
 
 def _canonical_generator(family: str, d: int) -> np.ndarray:
@@ -195,14 +188,13 @@ def _canonical_generator(family: str, d: int) -> np.ndarray:
     return np.array([[1.0, 0.5], [0.0, math.sqrt(3.0) / 2.0]])
 
 
-def make_lattice(name: str, d: int | None = None, *, scale: float = 1.0) -> Lattice:
+def make_lattice(name: str, d: int | None = None) -> Lattice:
     """Construct a lattice by name.
 
     Args:
         name: family tag, optionally with a dimension suffix: "z", "z2",
             "d4", "a2" (case-insensitive).
         d: dimension, required when the name carries no suffix.
-        scale: positive scalar applied to the canonical generator.
 
     Returns:
         An immutable Lattice.
@@ -225,22 +217,26 @@ def make_lattice(name: str, d: int | None = None, *, scale: float = 1.0) -> Latt
         raise ValueError("D_n needs n >= 2")
     if family == "A" and d != 2:
         raise ValueError("the hexagonal lattice is two-dimensional")
-    if not scale > 0:
-        raise ValueError("scale must be positive")
-
-    G = _canonical_generator(family, d) * scale
+    G = _canonical_generator(family, d)
     G_inv = np.linalg.inv(G)
     if not np.allclose(G @ G_inv, np.eye(d), atol=1e-12):
         raise ValueError("generator inversion failed")
     eps = default_tie_breaker(d)
     for a in (G, G_inv, eps):
         a.flags.writeable = False
-    return Lattice(family=family, d=d, G=G, G_inv=G_inv, eps=eps, scale=float(scale))
+    return Lattice(family=family, d=d, G=G, G_inv=G_inv, eps=eps)
+
+
+def _as_float(x) -> np.ndarray:
+    """x as a float64 array; ValueError for complex x, whose imaginary part a cast drops."""
+    if np.iscomplexobj(x):
+        raise ValueError("cannot quantize complex values")
+    return np.asarray(x, dtype=np.float64)
 
 
 def _as_vector(x, n: int) -> np.ndarray:
-    """x as a float64 array of shape (n,); ValueError for any other shape."""
-    x = np.asarray(x, dtype=np.float64)
+    """x as a float64 array of shape (n,); ValueError for any other shape or complex x."""
+    x = _as_float(x)
     if x.shape != (n,):
         raise ValueError(f"expected shape ({n},), got {x.shape}")
     return x
@@ -262,7 +258,7 @@ def coords_of(lat: Lattice, p: np.ndarray) -> np.ndarray:
 def in_scaled_voronoi_many(lat: Lattice, X: np.ndarray, s: float) -> np.ndarray:
     """Batched membership test, X of shape (..., d) -> bool (...).
 
-    Unchecked: |x| / (s scale) >= 2^62 is outside its contract (INT64_MIN
+    Unchecked: |x| / s >= 2^62 is outside its contract (INT64_MIN
     coordinates, RuntimeWarning); the checked entry point is
     ``scaling.encode_scaled_many``.
     """

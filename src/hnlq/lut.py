@@ -7,9 +7,9 @@ exactly M^2 table entries regardless of depth.  A table's ``query_count``
 counts those entries: L^2 per product of two L-layer chunks (L = M, or
 M + 1 with the dither layer), whichever gather reads them.
 
-Every table holds exact int64 inner products on the unscaled canonical
-lattice, times 2 for A_2 (``Lattice.integer_gram``'s B); the lattice's one
-float factor u (scale^2, halved for A_2) is applied with the chunk scales.
+Every table holds exact int64 inner products on the canonical lattice,
+times 2 for A_2 (``Lattice.integer_gram``'s B); the lattice's one float
+factor u (1, or 1/2 for A_2) is applied with the chunk scales.
 One kernel, ``chunk_sums``, combines the entries into exact integer chunk
 sums for every product.
 """
@@ -40,7 +40,8 @@ __all__ = [
 ]
 
 _MAGIC = int.from_bytes(b"NLL1", "little")
-# magic, version, family, d, q, value type (0: int64, the only one), lattice scale
+# magic, version, family, d, q, value type (0: int64, the only one), a float64
+# slot that always reads 1.0 (``load_lut`` refuses any other value)
 _HEADER = struct.Struct("<6Id")
 _VERSION = 2
 
@@ -50,16 +51,15 @@ class InnerProductLUT:
     """Flat int64 table of all single-layer pairwise inner products over ``unit``.
 
     Entry i * q^d + j times ``unit`` (``Lattice.integer_gram``'s u) is the
-    inner product of layer codebook points i and j of the lattice scaled by
-    ``scale``.  ``query_count`` tallies the table entries combined by the
-    products, L^2 per chunk pair of L layers each; it is diagnostic state.
+    inner product of layer codebook points i and j.  ``query_count`` tallies
+    the table entries combined by the products, L^2 per chunk pair of L
+    layers each; it is diagnostic state.
     """
 
     family: str
     d: int
     q: int
     values: np.ndarray
-    scale: float = 1.0
     unit: float = 1.0
     query_count: int = field(default=0, compare=False)
 
@@ -93,16 +93,16 @@ def build_lut(params: HierarchicalParams) -> InnerProductLUT:
     B, u = lat.integer_gram
     C = layer_codebook_coords(params)
     return InnerProductLUT(family=lat.family, d=lat.d, q=q, values=(C @ B @ C.T).reshape(-1),
-                           scale=lat.scale, unit=u)
+                           unit=u)
 
 
 def check_lut(lut: InnerProductLUT, params: HierarchicalParams) -> None:
-    """Refuse a table built for another lattice, scale or base than params'."""
+    """Refuse a table built for another lattice or base than params'."""
     lat = params.lat
-    if (lut.family, lut.d, lut.scale, lut.q) != (lat.family, lat.d, lat.scale, params.q):
+    if (lut.family, lut.d, lut.q) != (lat.family, lat.d, params.q):
         raise ValueError(
-            f"LUT ({lut.family}{lut.d} at scale {lut.scale}, q={lut.q}) does not match "
-            f"params ({lat.name} at scale {lat.scale}, q={params.q})"
+            f"LUT ({lut.family}{lut.d}, q={lut.q}) does not match "
+            f"params ({lat.name}, q={params.q})"
         )
 
 
@@ -202,7 +202,7 @@ def lut_ip(lut: InnerProductLUT, dx: np.ndarray, dy: np.ndarray):
     Both must come from the parameters the table was built for (``check_lut``
     checks a table against them); digit range and shape are validated
     against the table.  Returns a Python int, exact, when the table's unit
-    is an integer (Z_d and D_n at an integer scale^2), else the exact table
+    is an integer (Z_d and D_n), else the exact table
     sum times the unit as a float.
     """
     total = _exact_ip(lut, (dx, dy), None)
@@ -240,7 +240,7 @@ def _strip_crc(raw: bytes, min_size: int, kind: str) -> bytes:
 
 def save_lut(lut: InnerProductLUT, path) -> None:
     """Write the table as NLL version 2: header, int64 values, CRC-32 of both."""
-    body = _HEADER.pack(_MAGIC, _VERSION, FAMILY_IDS[lut.family], lut.d, lut.q, 0, lut.scale)
+    body = _HEADER.pack(_MAGIC, _VERSION, FAMILY_IDS[lut.family], lut.d, lut.q, 0, 1.0)
     body += np.ascontiguousarray(lut.values, dtype="<i8").tobytes()
     with open(path, "wb") as f:
         f.write(_with_crc(body))
@@ -249,14 +249,14 @@ def save_lut(lut: InnerProductLUT, path) -> None:
 def load_lut(path, params: HierarchicalParams) -> InnerProductLUT:
     """Read an NLL version 2 table and validate it against params.
 
-    The file is checked against its CRC-32, then its header, scale included.
-    Other versions, version 1 among them, are refused with ValueError.
+    The file is checked against its CRC-32, then its header, whose float slot
+    must read 1.0.  Other versions, version 1 among them, raise ValueError.
     """
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < _HEADER.size:
         raise ValueError("truncated LUT file")
-    magic, version, fam_id, d, q, vt, scale = _HEADER.unpack_from(raw)
+    magic, version, fam_id, d, q, vt, slot = _HEADER.unpack_from(raw)
     if magic != _MAGIC:
         raise ValueError("bad magic, not a LUT file")
     if version != _VERSION:
@@ -270,10 +270,9 @@ def load_lut(path, params: HierarchicalParams) -> InnerProductLUT:
         raise ValueError(
             f"LUT header ({family}{d}, q={q}) does not match params ({lat.name}, q={params.q})"
         )
-    if scale != lat.scale:
-        raise ValueError(f"LUT built for scale {scale}, params have scale {lat.scale}")
+    if slot != 1.0:
+        raise ValueError(f"LUT header slot reads {slot}, expected 1.0")
     values = np.frombuffer(raw, dtype="<i8", offset=_HEADER.size)
     if values.size != q ** (2 * d):
         raise ValueError(f"table holds {values.size} entries, expected {q ** (2 * d)}")
-    return InnerProductLUT(family=family, d=d, q=q, values=values.copy(), scale=lat.scale,
-                           unit=lat.integer_gram[1])
+    return InnerProductLUT(family=family, d=d, q=q, values=values.copy(), unit=lat.integer_gram[1])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import HierarchicalParams
-from .lattices import FAMILY_IDS, _as_vector, make_lattice
+from .lattices import FAMILY_IDS, _as_float, _as_vector, make_lattice
 from .lut import InnerProductLUT, _strip_crc, _with_crc, check_lut, chunk_sums, layer_indices
 from .scaling import ScalingConfig, decode_scaled_many, encode_scaled_many
 from .voronoi import _check_digits, digit_dtype, digits_to_index, index_to_digits
@@ -265,8 +265,8 @@ def _encode_columns(cfg: PipelineConfig, A: np.ndarray, first_col: int = 0) -> Q
 
 
 def quantize_matrix(cfg: PipelineConfig, A: np.ndarray) -> QuantizedMatrix:
-    """Quantize every column of A (n, cols)."""
-    A = np.asarray(A, dtype=np.float64)
+    """Quantize every column of real A (n, cols); complex A raises ValueError."""
+    A = _as_float(A)
     if A.ndim != 2:
         raise ValueError("expected a 2-d array")
     return _encode_columns(cfg, A)
@@ -277,7 +277,10 @@ def quantize_vector(cfg: PipelineConfig, x: np.ndarray, col: int = 0) -> Quantiz
 
     The result is what ``quantize_matrix(cfg, A).column(col)`` gives when
     column ``col`` of A is x: ``col`` selects the "random" mode's dither ids.
+    A ``col`` that is not an integer, or a complex x, raises ValueError.
     """
+    if not isinstance(col, numbers.Integral):
+        raise ValueError(f"col must be an integer, got {col!r}")
     return _encode_columns(cfg, _as_vector(x, cfg.n)[:, None], first_col=col).column(0)
 
 
@@ -304,7 +307,7 @@ def _code_key(cfg: PipelineConfig) -> tuple:
     """The settings quantized codes depend on; ``max_retries`` only bounds encoding."""
     lat, sc = cfg.params.lat, cfg.scaling
     ids = None if cfg.dither_ids is None else cfg.dither_ids.tolist()
-    return (lat.family, lat.d, lat.scale, cfg.params.q, cfg.params.M,
+    return (lat.family, lat.d, cfg.params.q, cfg.params.M,
             sc.beta0, sc.alpha, cfg.n, cfg.rotate, cfg.rotation_seed,
             cfg.dither_mode, ids, cfg.dither_seed)
 
@@ -431,13 +434,9 @@ def save_quantized_matrix(qm: QuantizedMatrix, path) -> None:
     config's fixed dither id rides in a short trailer right after the header;
     random ids are re-derived from the seed on load.  So a matrix whose ids
     differ from the ones its config gives (edited ids) is refused with
-    ValueError, and so is a lattice scale other than 1, which the header does
-    not record.
+    ValueError.
     """
     cfg = qm.cfg
-    if cfg.params.lat.scale != 1:
-        raise ValueError(f"lattice scale {cfg.params.lat.scale} is not recorded in "
-                         "the file, which would load at scale 1")
     if not np.array_equal(_column_dither_ids(cfg, 0, qm.cols), qm.dither_ids):
         raise ValueError("dither ids differ from the ones the config gives, "
                          "so the file would load different ids")
@@ -459,9 +458,9 @@ def save_quantized_matrix(qm: QuantizedMatrix, path) -> None:
         cfg.dither_seed,
     )
     nrec = _digit_record_bytes(q, d)
-    vals = digits_to_index(qm.digits, q)  # (cols, K, M)
-    shifts = 8 * np.arange(nrec, dtype=np.uint64)
-    payload = ((vals[..., None].astype(np.uint64) >> shifts) & 0xFF).astype(np.uint8)
+    # the nrec low bytes of each value, little-endian, with no copy on a little-endian machine
+    vals = digits_to_index(qm.digits, q)[..., None]
+    payload = vals.astype(vals.dtype.newbyteorder("<"), copy=False).view(np.uint8)[..., :nrec]
     if qm.T.max(initial=0) > 0xFF:
         raise ValueError("retry counts exceed one byte")
     if cfg.dither_mode == "fixed" and cfg.dither_ids.max() > 0xFF:
@@ -539,11 +538,11 @@ def load_quantized_matrix(path) -> QuantizedMatrix:
     count = cols * K * M * nrec
     payload = np.frombuffer(raw, dtype=np.uint8, count=count, offset=off)
     off += count
-    shifts = 8 * np.arange(nrec, dtype=np.uint64)
-    vals = (payload.reshape(cols, K, M, nrec).astype(np.uint64) << shifts).sum(
-        axis=-1, dtype=np.uint64
-    )
-    digits = index_to_digits(vals, q, d)
+    # each record zero-padded to 8 bytes and read as one little-endian value
+    rec = np.zeros((cols, K, M, 8), dtype=np.uint8)
+    rec[..., :nrec] = payload.reshape(cols, K, M, nrec)
+    digits = index_to_digits(rec.view("<u8")[..., 0], q, d)  # refuses records >= q^d
+    del rec  # 8 bytes a record: freed before the dither ids are derived
     T = np.frombuffer(raw, dtype=np.uint8, count=cols * K, offset=off)
     T = T.astype(cfg.scaling.retry_dtype).reshape(cols, K)
     off += cols * K

@@ -23,6 +23,7 @@ from .codec import (
     outer_nesting_ratio,
 )
 from .errors import UnencodableError
+from .lattices import _as_float
 from .voronoi import vc_decode_many  # noqa: F401  (perfbench's tracer wraps this name)
 
 __all__ = [
@@ -109,10 +110,10 @@ def encode_scaled_many(
     Returns (digits (N, M, d), T (N,)), the digits of type
     ``voronoi.digit_dtype(q)`` and T of ``cfg.retry_dtype``: M d + 1 bytes
     per row for q <= 256 and max_retries <= 254.  Both are unsigned, so cast
-    them before subtracting.  Raises ValueError on non-finite
+    them before subtracting.  Raises ValueError on non-finite or complex
     input and UnencodableError when some row still overloads at
-    T = max_retries.  A row whose scaled lattice coordinates could leave
-    int64 overloads at that scale without being quantized; if one still
+    T = max_retries.  A row whose lattice coordinates at a rung could leave
+    int64 overloads at that rung without being quantized; if one still
     could at T = max_retries, the error is raised before any encoding.
 
     Each row runs its own ladder, and one pass encodes every unfinished row
@@ -122,7 +123,7 @@ def encode_scaled_many(
     skipped either way overloads, so digits and T are those of trying each
     rung in turn.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = _as_float(X)
     lat = params.lat
     flatX = X.reshape(-1, lat.d)
     top = np.abs(flatX).max(initial=0.0)
@@ -152,7 +153,7 @@ def encode_scaled_many(
     #   g(x) / s = g(l + (y + e - l) - e + z) <= (B + 1 + [dithered]) (1 + eta).
     # At any rung where g(x) exceeds s times that bound the row overloads.
     bound = (outer_nesting_ratio(params.q, params.M) + 1 + (flatZ is not None)) * (
-        1.0 + float(lat.gauge(lat.scale * lat.eps))
+        1.0 + float(lat.gauge(lat.eps))
     )
     # The first pass encodes every row at its start rung.
     sub = flatX / scales[T][:, None]

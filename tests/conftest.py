@@ -29,7 +29,7 @@ def _offset_grid(d: int, radius: int) -> np.ndarray:
 def oracle_nearest(lat, x) -> np.ndarray:
     """Integer coordinates of the nearest lattice point, by enumeration."""
     x = np.asarray(x, dtype=float)
-    y = x / lat.scale + lat.eps
+    y = x + lat.eps
     if lat.family == "Z":
         cand = np.rint(y).astype(np.int64) + _offset_grid(lat.d, 1)
         pts = cand.astype(float)
@@ -39,13 +39,10 @@ def oracle_nearest(lat, x) -> np.ndarray:
         cand = cand[cand.sum(axis=1) % 2 == 0]
         pts = cand.astype(float)
         # generator coordinates solved exactly per candidate point
-        G0_inv = lat.G_inv * lat.scale
-        coords = np.rint(pts @ G0_inv.T).astype(np.int64)
+        coords = np.rint(pts @ lat.G_inv.T).astype(np.int64)
     else:
-        G0 = lat.G / lat.scale
-        G0_inv = lat.G_inv * lat.scale
-        coords = np.rint(G0_inv @ y).astype(np.int64) + _offset_grid(2, 3)
-        pts = coords @ G0.T
+        coords = np.rint(lat.G_inv @ y).astype(np.int64) + _offset_grid(2, 3)
+        pts = coords @ lat.G.T
     best = int(np.argmin(((y - pts) ** 2).sum(axis=1)))
     return coords[best]
 

@@ -130,11 +130,8 @@ def test_telescoping_identity(any_lat):
         assert np.array_equal(overload, coarse.any(axis=-1))
 
 
-CHAIN_LATTICES = {
-    **{name: make_lattice(name) for name in ("z1", "z2", "z16", "d2", "d3", "d4", "d8", "a2")},
-    "d4@0.37": make_lattice("d4", scale=0.37),
-    "a2@2.5": make_lattice("a2", scale=2.5),
-}
+CHAIN_LATTICES = {name: make_lattice(name)
+                  for name in ("z1", "z2", "z16", "d2", "d3", "d4", "d8", "a2")}
 CHAIN_QS = (2, 3, 4, 5, 8, 16)
 
 
@@ -148,7 +145,7 @@ def test_integer_chain_matches_float_chain(lat):
     for q in CHAIN_QS:
         for M in (1, 2, 3, 4):
             p = HierarchicalParams(lat, q, M)
-            spread = q**M * lat.scale
+            spread = q**M
             C = rng.integers(-3 * q**M, 3 * q**M + 1, (40, lat.d))
             X = np.concatenate(
                 [rng.standard_normal((40, lat.d)) * s * spread for s in (0.05, 0.3, 1.0, 3.0)]
@@ -425,14 +422,3 @@ def test_sandwich_collapses_at_depth_one(z2):
     vc = VoronoiCodeParams(z2, 3)
     single = {tuple(c) for c in vc_decode_many(vc, digit_grid(3, 2))}
     assert cb == single
-
-
-def test_encode_scale_covariance():
-    rng = np.random.default_rng(30)
-    base = HierarchicalParams(make_lattice("d4"), 3, 2)
-    scaled = HierarchicalParams(make_lattice("d4", scale=0.5), 3, 2)
-    X = rng.standard_normal((150, 4)) * 2
-    db, ob = h_encode_many(base, X)
-    ds, os_ = h_encode_many(scaled, 0.5 * X)
-    assert np.array_equal(db, ds)
-    assert np.array_equal(ob, os_)

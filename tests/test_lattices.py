@@ -42,10 +42,6 @@ def test_make_lattice_rejects_unsupported():
         make_lattice("d1")
     with pytest.raises(ValueError):
         make_lattice("z0")
-    with pytest.raises(ValueError):
-        make_lattice("z2", scale=0.0)
-    with pytest.raises(ValueError):
-        make_lattice("z2", scale=-1.0)
 
 
 def test_family_ids_are_frozen():
@@ -127,7 +123,7 @@ def test_nearest_on_constructed_ties(any_lat):
         np.full(d, 0.5),
         np.full(d, -0.5),
         np.arange(d) + 0.5,
-        np.full(d, 1.5) * any_lat.scale,
+        np.full(d, 1.5),
     ]
     for x in ties:
         assert np.array_equal(
@@ -146,26 +142,14 @@ def test_batched_decode_equals_scalar(any_lat):
     assert np.array_equal(cube.reshape(40, any_lat.d), batch)
 
 
-def test_quantization_commutes_with_scale():
-    rng = np.random.default_rng(3)
-    for name in ("z2", "d4", "a2"):
-        base = make_lattice(name)
-        scaled = make_lattice(name, scale=0.37)
-        X = rng.standard_normal((200, base.d))
-        assert np.array_equal(
-            scaled.nearest_coords(0.37 * X), base.nearest_coords(X)
-        )
-
-
 def test_gram_is_an_integer_matrix_times_one_factor():
-    # G^T G = u B with B integral: scale^2 for Z and D, scale^2 / 2 for A_2
+    # G^T G = u B with B integral: u = 1 for Z and D, 1/2 for A_2
     for name in ("z2", "d4", "d8", "a2"):
-        for scale in (0.37, 1.0, 2.0):
-            lat = make_lattice(name, scale=scale)
-            B, u = lat.integer_gram
-            assert B.dtype == np.int64
-            assert u == scale**2 / (2 if name == "a2" else 1)
-            assert np.abs(lat.G.T @ lat.G - u * B).max() <= 1e-12
+        lat = make_lattice(name)
+        B, u = lat.integer_gram
+        assert B.dtype == np.int64
+        assert u == 1 / (2 if name == "a2" else 1)
+        assert np.abs(lat.G.T @ lat.G - u * B).max() <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["z1", "z2", "z3", "d2", "d3", "d4", "d8", "a2"])
@@ -177,8 +161,6 @@ def test_gauge_is_the_least_scale_of_the_cell_holding_x(name):
     assert in_scaled_voronoi_many(lat, X, 1.0).tolist() == (g < 1).tolist()
     assert in_scaled_voronoi_many(lat, X / g[:, None], 1.0 + 1e-3).all()
     assert not in_scaled_voronoi_many(lat, X / g[:, None], 1.0 - 1e-3).any()
-    scaled = make_lattice(name, scale=0.37)
-    assert np.allclose(scaled.gauge(0.37 * X), g, rtol=1e-14, atol=0)
     assert lat.gauge(X.reshape(3, 100, lat.d)).shape == (3, 100)
     assert lat.gauge(X[0]).shape == ()
 

@@ -1,5 +1,8 @@
 """Inner-product lookup tables: construction, decoding sums, serialization."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -96,24 +99,31 @@ def test_build_scalar_table(z1):
 
 def test_table_is_symmetric(d4, a2):
     for lat in (d4, a2):
-        lut = build_lut(HierarchicalParams(lat, 3, 2))
+        p = HierarchicalParams(lat, 3, 2)
+        lut = build_lut(p)
         square = lut.values.reshape(lut.side, lut.side)
         assert np.array_equal(square, square.T)
+        # exact integers; the factor u (1/2 for A_2) gives the layer points' products
+        P = lat.point_of(layer_codebook_coords(p))
+        assert np.abs(lut.unit * lut.values - (P @ P.T).ravel()).max() <= 1e-12
 
 
-def test_tables_record_their_scale(tmp_path):
-    # exact integers on the unscaled lattice; the factor u restores the scaled products
-    for name, scale in (("d4", 1.0), ("d4", 2.0), ("d4", 0.37), ("a2", 1.0), ("a2", 0.37)):
-        p = HierarchicalParams(make_lattice(name, scale=scale), 3, 2)
-        lut = build_lut(p)
-        assert (lut.scale, lut.values.dtype) == (scale, np.int64)
-        P = p.lat.point_of(layer_codebook_coords(p))
-        assert np.abs(lut.unit * lut.values - (P @ P.T).ravel()).max() <= 1e-12 * scale**2
-        save_lut(lut, tmp_path / "t.lut")
-        assert load_lut(tmp_path / "t.lut", p).scale == scale  # taken from the file
-        other = HierarchicalParams(make_lattice(name, scale=2 * scale), 3, 2)
-        with pytest.raises(ValueError, match="scale"):
-            load_lut(tmp_path / "t.lut", other)
+# NLL version 2 of z1 q = 3: magic "NLL1", version 2, family 1, d 1, q 3, value
+# type 0, the float64 slot 1.0, the nine int64 products of the points 0, 1, -1,
+# then the CRC-32.
+Z1_Q3_NLL = bytes.fromhex(
+    "4e4c4c31" "02000000" "01000000" "01000000" "03000000" "00000000" "000000000000f03f"
+    + "0000000000000000" * 4 + "0100000000000000" "ffffffffffffffff"
+    + "0000000000000000" "ffffffffffffffff" "0100000000000000"
+    + "4cf0fd9d"
+)
+
+
+def test_table_files_are_pinned(tmp_path, z1):
+    p = HierarchicalParams(z1, 3, 1)
+    save_lut(build_lut(p), tmp_path / "t.lut")
+    assert (tmp_path / "t.lut").read_bytes() == Z1_Q3_NLL
+    assert load_lut(tmp_path / "t.lut", p).values.tolist() == [0, 0, 0, 0, 1, -1, 0, -1, 1]
 
 
 def test_every_flipped_bit_of_a_table_file_is_refused(tmp_path, z1):
@@ -350,3 +360,8 @@ def test_load_validates_header(tmp_path, d4, z2):
     bad.write_bytes(raw + b"\x00" * 8)
     with pytest.raises(ValueError):
         load_lut(bad, p)  # length mismatch
+
+    body = raw[:24] + struct.pack("<d", 2.0) + raw[32:-4]
+    bad.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
+    with pytest.raises(ValueError, match="slot"):
+        load_lut(bad, p)  # a valid checksum over a float slot other than 1.0

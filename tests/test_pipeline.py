@@ -158,6 +158,18 @@ def test_rotate_must_equal_a_bool():
         assert pipe(n=8, rotate=flag).rotate is want
 
 
+def test_quantize_vector_col_must_be_an_integer():
+    # col=1.5 used to take column 1's random-mode dither ids without a word
+    cfg = pipe(n=8, dither_mode="random", dither_seed=3)
+    x = np.random.default_rng(12).standard_normal(8)
+    for bad in (1.5, np.float64(1.0), "1", None):
+        with pytest.raises(ValueError, match="col must be an integer"):
+            quantize_vector(cfg, x, col=bad)
+    want = quantize_matrix(cfg, np.stack([x, x], axis=1)).column(1).dither_ids
+    for ok in (1, np.int64(1), np.uint8(1)):
+        assert np.array_equal(quantize_vector(cfg, x, col=ok).dither_ids, want)
+
+
 def test_quantize_vector_shapes():
     cfg = pipe(n=16)
     rng = np.random.default_rng(1)
@@ -264,8 +276,18 @@ def test_ip_validates_inputs():
     lut = build_lut(cfg.params)
     rng = np.random.default_rng(10)
     qx = quantize_vector(cfg, rng.standard_normal(8))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not match"):
         ip_approx(cfg, lut_wrong, qx, qx)
+    QA = quantize_matrix(cfg, rng.standard_normal((8, 2)))
+    for product in (matmul_approx, paired_ip_approx):
+        with pytest.raises(ValueError, match="does not match"):
+            product(cfg, lut_wrong, QA, QA)
+    # lut_ip takes no params: a caller holding them checks the table first
+    with pytest.raises(ValueError, match="does not match"):
+        check_lut(lut_wrong, cfg.params)
+    check_lut(lut, cfg.params)
+    with pytest.raises(ValueError, match="does not match"):
+        check_lut(build_lut(HierarchicalParams(make_lattice("z4"), 4, 2)), cfg.params)
     other = pipe(n=16)
     qz = quantize_vector(other, rng.standard_normal(16))
     with pytest.raises(ValueError):
@@ -320,6 +342,19 @@ def test_non_finite_input_is_rejected():
                 quantize_vector(c, x)
             with pytest.raises(ValueError, match="non-finite"):
                 quantize_matrix(c, np.stack([np.ones(8), x], axis=1))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    lambda cfg, x: encode_scaled_many(cfg.params, cfg.scaling, x.reshape(2, 4)),
+    lambda cfg, x: quantize_vector(cfg, x),
+    lambda cfg, x: quantize_matrix(cfg, x[:, None]),
+], ids=["encode_scaled_many", "quantize_vector", "quantize_matrix"])
+def test_complex_input_is_rejected(call):
+    # a float cast keeps the real part with only a ComplexWarning
+    for cfg in (pipe(n=8), pipe(n=8, rotate=True)):
+        with pytest.raises(ValueError, match="complex"):
+            call(cfg, np.full(8, 1 + 2j))
 
 
 def test_unencodable_propagates():
@@ -550,7 +585,6 @@ FIXED = {"dither_mode": "fixed", "dither_ids": np.array([1, 1, 1, 1])}
 RANDOM = {"dither_mode": "random", "dither_seed": 0}
 CONFIG_FIELDS = {
     "lattice": ({}, {"lat": make_lattice("z4")}),
-    "lattice scale": ({}, {"lat": make_lattice("d4", scale=2.0)}),
     "q": ({}, {"q": 3}),
     "M": ({}, {"M": 3}),
     "beta0": ({}, {"beta0": 0.3}),
@@ -633,47 +667,6 @@ def test_outer_kernel_at_every_dtype_boundary(case, monkeypatch):
             assert G[i, j] == ip_approx(cfg, lut, QA.column(i), QB.column(j))
     want = dense_products(cfg, QA, QB)
     assert np.linalg.norm(G - want) <= 1e-12 * np.linalg.norm(want)
-
-
-@pytest.mark.parametrize("name, scale", [("d4", 0.37), ("z2", 0.37), ("d4", 2.0),
-                                         ("a2", 1.0), ("a2", 0.37)])
-def test_scaled_tables_give_the_dense_product(name, scale, monkeypatch):
-    # every table holds exact integers on the unscaled lattice, whose factor u
-    # (scale^2, halved for A_2) meets the chunk scales: a table rounded at
-    # scale 0.37 was 0.25 off
-    dtypes = spy_kernel(monkeypatch)
-    lat = make_lattice(name, scale=scale)
-    cfg = pipe(n=64, lat=lat, beta0=0.2 * scale)
-    lut = build_lut(cfg.params)
-    assert lut.scale == scale
-    assert lut.values.dtype == np.int64
-    rng = np.random.default_rng(3)
-    QA = quantize_matrix(cfg, rng.standard_normal((64, 6)))
-    QB = quantize_matrix(cfg, rng.standard_normal((64, 5)))
-    G = matmul_approx(cfg, lut, QA, QB)
-    assert dtypes and all(t.kind == "i" for t in dtypes)
-    want = dense_products(cfg, QA, QB)
-    assert np.linalg.norm(G - want) <= 1e-9 * np.linalg.norm(want)
-
-
-def test_tables_of_another_scale_are_refused():
-    cfg = pipe(n=8, lat=make_lattice("d4", scale=0.37), beta0=0.1)
-    unscaled = build_lut(pipe(n=8).params)
-    rng = np.random.default_rng(4)
-    QA = quantize_matrix(cfg, rng.standard_normal((8, 2)))
-    for product in (matmul_approx, paired_ip_approx):
-        with pytest.raises(ValueError, match="scale"):
-            product(cfg, unscaled, QA, QA)
-    with pytest.raises(ValueError, match="scale"):
-        ip_approx(cfg, unscaled, QA.column(0), QA.column(1))
-    # lut_ip takes no params: a caller holding them checks the table first
-    with pytest.raises(ValueError, match="scale"):
-        check_lut(unscaled, cfg.params)
-    lut = build_lut(cfg.params)
-    check_lut(lut, cfg.params)
-    digits = QA.digits[0, 0]
-    point = cfg.params.lat.point_of(decode_coords_many(cfg.params, digits))
-    assert lut_ip(lut, digits, digits) == pytest.approx(float(point @ point))
 
 
 def test_products_exact_beyond_int64():
@@ -857,15 +850,6 @@ def test_save_refuses_edited_fixed_ids(tmp_path):
     plain.dither_ids = np.zeros((2, 2, 4), dtype=np.int64)
     with pytest.raises(ValueError, match="dither ids"):
         save_quantized_matrix(plain, tmp_path / "p.qm")
-
-
-def test_save_refuses_a_lattice_scale(tmp_path):
-    # the header records no lattice scale, so the file would load at scale 1
-    cfg = pipe(n=8, lat=make_lattice("d4", scale=0.37))
-    qm = quantize_matrix(cfg, np.random.default_rng(24).standard_normal((8, 2)))
-    with pytest.raises(ValueError, match="scale"):
-        save_quantized_matrix(qm, tmp_path / "m.qm")
-    assert not (tmp_path / "m.qm").exists()
 
 
 def exact_inputs(n, cols):

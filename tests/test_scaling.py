@@ -185,17 +185,18 @@ def _same_outcome(got, want):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("name,scale", [
+@pytest.mark.parametrize("name,s", [
     ("z1", 1.0), ("z2", 1.0), ("z16", 1.0), ("d2", 1.0), ("d3", 1.0), ("d4", 1.0),
     ("d8", 1.0), ("a2", 1.0), ("d4", 0.37),
 ])
-def test_start_rungs_keep_the_full_ladder_outcome(name, scale):
+def test_start_rungs_keep_the_full_ladder_outcome(name, s):
     # Starting rows past their int64 and gauge rungs must give the digits, T
     # and error text of trying every rung in turn: on Gaussian rows, on
     # codewords and on points of B V's boundary at a known rung (the rows the
-    # gauge bound is tightest on), and on rows at 1e19 and 1e300.
-    lat = make_lattice(name, scale=scale)
-    rng = np.random.default_rng([5, lat.d, int(scale * 100)])
+    # gauge bound is tightest on), and on rows at 1e19 and 1e300.  Every base
+    # step is multiplied by s, so s = 0.37 runs ladders of off-grid steps.
+    lat = make_lattice(name)
+    rng = np.random.default_rng([5, lat.d, int(s * 100)])
     for q in (3, 4, 8, 16):
         for M in (1, 2, 3, 4):
             p = HierarchicalParams(lat, q, M)
@@ -205,7 +206,7 @@ def test_start_rungs_keep_the_full_ladder_outcome(name, scale):
             g = lat.gauge(cw)
             edge = cw[g > 0] * (B / g[g > 0])[:, None]
             for beta0, t0 in ((0.01, 4), (0.3, 0)):
-                cfg = ScalingConfig(beta0=beta0)
+                cfg = ScalingConfig(beta0=beta0 * s)
                 X = np.concatenate([gauss, cw * cfg.scale(t0), edge * cfg.scale(t0)])
                 fixed = rng.integers(0, q, lat.d)
                 per_row = rng.integers(0, q, (len(X), lat.d))
@@ -215,7 +216,7 @@ def test_start_rungs_keep_the_full_ladder_outcome(name, scale):
                     assert _same_outcome(got, want), (q, M, beta0, ids)
             for mag in (1e19, 1e300):
                 for alpha in (1.0 / 3.0, 17.0):
-                    cfg = ScalingConfig(beta0=1.0, alpha=alpha)
+                    cfg = ScalingConfig(beta0=s, alpha=alpha)
                     X = gauss * mag
                     want = _outcome(lambda: full_ladder_encode(p, cfg, X))
                     assert _same_outcome(_outcome(lambda: encode_scaled_many(p, cfg, X)), want)

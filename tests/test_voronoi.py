@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import oracle_nearest
-from hnlq import HierarchicalParams, VoronoiCodeParams, h_encode_many, make_lattice
+from hnlq import HierarchicalParams, VoronoiCodeParams, h_encode_many
 from hnlq.voronoi import digit_grid, vc_decode_many
 from hnlq.lattices import in_scaled_voronoi_many
 
@@ -111,17 +111,3 @@ def test_digit_validation(z2):
         one_layer_encode(p, np.zeros(3))
 
 
-def test_scale_covariance():
-    rng = np.random.default_rng(9)
-    base = VoronoiCodeParams(make_lattice("d4"), 4)
-    scaled = VoronoiCodeParams(make_lattice("d4", scale=0.25), 4)
-    X = rng.standard_normal((200, 4))
-    for x in X:
-        db, ob = one_layer_encode(base, x)
-        ds, os_ = one_layer_encode(scaled, 0.25 * x)
-        assert np.array_equal(db, ds)
-        assert ob == os_
-        assert np.allclose(
-            scaled.lat.point_of(vc_decode_many(scaled, ds)),
-            0.25 * base.lat.point_of(vc_decode_many(base, db)),
-        )
