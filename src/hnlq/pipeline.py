@@ -20,7 +20,7 @@ import numpy as np
 from .codec import HierarchicalParams
 from .lattices import FAMILY_IDS, _as_float, _as_vector, make_lattice
 from .lut import InnerProductLUT, _strip_crc, _with_crc, check_lut, chunk_sums, layer_indices
-from .scaling import ScalingConfig, decode_scaled_many, encode_scaled_many
+from .scaling import ScalingConfig, _blocks, _blockwise, decode_scaled_many, encode_scaled_many
 from .voronoi import _check_digits, digit_dtype, digits_to_index, index_to_digits
 
 __all__ = [
@@ -228,12 +228,18 @@ def _dither_digit_ids(cfg: PipelineConfig, col, K: int) -> np.ndarray | None:
 
 
 def _column_dither_ids(cfg: PipelineConfig, first_col: int, cols: int) -> np.ndarray | None:
-    """Dither ids (cols, K, d) of columns first_col, first_col + 1, ..., or None."""
+    """Dither ids (cols, K, d) of columns first_col, first_col + 1, ..., or None.
+
+    Random ids are derived in the codec's blocks of columns (``scaling._blocks``).
+    """
     if cfg.dither_mode == "none":
         return None
     # Columns are taken mod 2^64, so the uint64 column numbers may wrap past 2^64 - 1.
     col = np.arange(cols, dtype=np.uint64) + int(first_col) % 2**64
-    return _dither_digit_ids(cfg, col, cfg.chunks)
+    if cfg.dither_mode == "fixed":
+        return _dither_digit_ids(cfg, col, cfg.chunks)
+    return _blockwise(lambda c: _dither_digit_ids(cfg, col[c], cfg.chunks), _blocks(cols, cfg.n),
+                      (cols, cfg.chunks, cfg.params.lat.d), digit_dtype(cfg.params.q))
 
 
 def _encode_columns(cfg: PipelineConfig, A: np.ndarray, first_col: int = 0) -> QuantizedMatrix:
@@ -458,9 +464,6 @@ def save_quantized_matrix(qm: QuantizedMatrix, path) -> None:
         cfg.dither_seed,
     )
     nrec = _digit_record_bytes(q, d)
-    # the nrec low bytes of each value, little-endian, with no copy on a little-endian machine
-    vals = digits_to_index(qm.digits, q)[..., None]
-    payload = vals.astype(vals.dtype.newbyteorder("<"), copy=False).view(np.uint8)[..., :nrec]
     if qm.T.max(initial=0) > 0xFF:
         raise ValueError("retry counts exceed one byte")
     if cfg.dither_mode == "fixed" and cfg.dither_ids.max() > 0xFF:
@@ -468,11 +471,24 @@ def save_quantized_matrix(qm: QuantizedMatrix, path) -> None:
     parts = [header]
     if cfg.dither_mode == "fixed":
         parts.append(cfg.dither_ids.astype(np.uint8).tobytes())
-    parts += [payload.tobytes(), qm.T.astype(np.uint8).tobytes()]
+    for c in _blocks(qm.cols, cfg.n):
+        # the nrec low bytes of each value, little-endian, with no copy on a little-endian machine
+        vals = digits_to_index(qm.digits[c], q)[..., None]
+        parts.append(vals.astype(vals.dtype.newbyteorder("<"), copy=False)
+                     .view(np.uint8)[..., :nrec].tobytes())
+    parts.append(qm.T.astype(np.uint8).tobytes())
     if cfg.rotate:
         parts.append(np.ascontiguousarray(qm.norms, dtype="<f8").tobytes())
     with open(path, "wb") as f:
         f.write(_with_crc(b"".join(parts)))
+
+
+def _unpack_records(payload: np.ndarray, q: int, d: int) -> np.ndarray:
+    """Digit vectors (..., d) of little-endian records (..., nrec); refuses records >= q^d."""
+    # each record zero-padded to 8 bytes and read as one little-endian value
+    rec = np.zeros(payload.shape[:-1] + (8,), dtype=np.uint8)
+    rec[..., :payload.shape[-1]] = payload
+    return index_to_digits(rec.view("<u8")[..., 0], q, d)
 
 
 def load_quantized_matrix(path) -> QuantizedMatrix:
@@ -537,12 +553,10 @@ def load_quantized_matrix(path) -> QuantizedMatrix:
     K = cfg.chunks
     count = cols * K * M * nrec
     payload = np.frombuffer(raw, dtype=np.uint8, count=count, offset=off)
+    payload = payload.reshape(cols, K, M, nrec)
     off += count
-    # each record zero-padded to 8 bytes and read as one little-endian value
-    rec = np.zeros((cols, K, M, 8), dtype=np.uint8)
-    rec[..., :nrec] = payload.reshape(cols, K, M, nrec)
-    digits = index_to_digits(rec.view("<u8")[..., 0], q, d)  # refuses records >= q^d
-    del rec  # 8 bytes a record: freed before the dither ids are derived
+    digits = _blockwise(lambda c: _unpack_records(payload[c], q, d), _blocks(cols, n),
+                        (cols, K, M, d), digit_dtype(q))
     T = np.frombuffer(raw, dtype=np.uint8, count=cols * K, offset=off)
     T = T.astype(cfg.scaling.retry_dtype).reshape(cols, K)
     off += cols * K

@@ -80,13 +80,15 @@ def digits_to_index(b: np.ndarray, q: int) -> int | np.ndarray:
     d = b.shape[-1]
     if q**d > 2**64:
         raise ValueError(f"q^d = {q}^{d} indices do not fit 64 bits")
-    # Horner's rule in the index type, one column at a time, so narrow digits
-    # are never widened as a whole; every partial value stays below q^d.
+    # Horner's rule in place in the index type, one column at a time: the add
+    # casts each digit column in small buffers, so no column is widened as a
+    # whole.  The digits lie in [0, q), so the cast from any integer type is
+    # exact, and every partial value stays below q^d.
     itype = np.int64 if q**d <= 2**63 else np.uint64
     idx = b[..., 0].astype(itype)
     for i in range(1, d):
         idx *= q
-        idx += b[..., i].astype(itype, copy=False)
+        np.add(idx, b[..., i], out=idx, dtype=itype, casting="unsafe")
     return int(idx) if idx.ndim == 0 else idx
 
 
@@ -103,8 +105,8 @@ def index_to_digits(idx, q: int, d: int) -> np.ndarray:
         raise ValueError("index out of range")
     v = idx.astype(np.int64 if q**d <= 2**63 else np.uint64)
     out = np.empty(idx.shape + (d,), dtype=digit_dtype(q))
-    for i in range(d - 1, -1, -1):
-        out[..., i] = v % q
+    for i in range(d - 1, -1, -1):  # each digit cast into place in small buffers
+        np.remainder(v, q, out=out[..., i], dtype=v.dtype, casting="unsafe")
         v //= q
     return out
 

@@ -8,6 +8,8 @@ encoder's integer layer chain is checked against re-quantizing every layer,
 and the per-row retry ladder against trying every rung in turn.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -106,6 +108,17 @@ def full_ladder_encode(params, cfg, X, dither_ids=None):
             f"{active.size} vector(s) still overload after {cfg.max_retries} retries"
         )
     return digits.reshape(X.shape[:-1] + (params.M, params.lat.d)), T.reshape(X.shape[:-1])
+
+
+def traced_peak_mib(fn):
+    """(fn(), the tracemalloc peak of the call above what was live before it, in MiB)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

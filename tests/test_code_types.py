@@ -8,6 +8,7 @@ same values in int64.
 import numpy as np
 import pytest
 
+from conftest import traced_peak_mib
 from hnlq import (
     HierarchicalParams,
     PipelineConfig,
@@ -28,7 +29,7 @@ from hnlq import (
     save_quantized_matrix,
 )
 from hnlq.scaling import decode_scaled_many, encode_scaled_many
-from hnlq.voronoi import digit_dtype
+from hnlq.voronoi import digit_dtype, digits_to_index
 
 
 def test_digit_dtype_is_the_smallest_unsigned_type_holding_q_minus_1():
@@ -131,3 +132,15 @@ def test_int64_codes_give_the_same_bytes(mode, rotate, tmp_path):
     save_quantized_matrix(QA, tmp_path / "narrow.nlqm")
     save_quantized_matrix(WA, tmp_path / "wide.nlqm")
     assert (tmp_path / "narrow.nlqm").read_bytes() == (tmp_path / "wide.nlqm").read_bytes()
+
+
+def test_index_packing_widens_no_digit_column():
+    # Horner's rule adds each uint8 column into the int64 index in place, and
+    # unpacking casts each digit into place: (128, 256, 2, 4) digits peak near
+    # the 0.5 MiB of indices they give, where an int64 temporary per column
+    # (or per digit when unpacking) peaked at 1.00 MiB (1.25 MiB).
+    b = np.random.default_rng(36).integers(0, 4, (128, 256, 2, 4)).astype(np.uint8)
+    idx, pack_peak = traced_peak_mib(lambda: digits_to_index(b, 4))
+    back, unpack_peak = traced_peak_mib(lambda: index_to_digits(idx, 4, 4))
+    assert np.array_equal(back, b)
+    assert pack_peak <= 0.75 and unpack_peak <= 1.0, (pack_peak, unpack_peak)

@@ -363,6 +363,33 @@ def test_batch_decode_matches_scalar(d4):
         assert np.array_equal(batch[i], decode_scaled_many(p, cfg, row_digits, row_T))
 
 
+def test_decode_refuses_a_bad_retry_count(d4):
+    # T must be a non-negative integer per row: a short T would broadcast over
+    # every row, -1 or 0.5 would decode at rungs no encoder gives
+    p = HierarchicalParams(d4, 4, 2)
+    cfg = ScalingConfig(beta0=0.4)
+    digits, T = encode_scaled_many(p, cfg, np.random.default_rng(10).standard_normal((6, 4)))
+    for bad in (T[:1], np.array(0), T[:, None], np.full(6, -1), T.astype(np.float64),
+                np.full(6, 0.5), np.zeros(6, dtype=bool)):
+        with pytest.raises(ValueError, match="T must"):
+            decode_scaled_many(p, cfg, digits, bad)
+    assert np.array_equal(decode_scaled_many(p, cfg, digits, T.astype(np.int64)),
+                          decode_scaled_many(p, cfg, digits, T))
+    with pytest.raises(ValueError, match="T must"):
+        decode_scaled_many(p, cfg, digits[0], T[:1])  # one row takes T of shape ()
+    assert decode_scaled_many(p, cfg, digits[0], int(T[0])).shape == (4,)
+
+
+def test_encode_refuses_another_trailing_axis_before_encoding(d4, monkeypatch):
+    p = HierarchicalParams(d4, 4, 2)
+    calls = []
+    monkeypatch.setattr(scaling, "h_encode_many", lambda *a: calls.append(1))
+    for shape in ((6, 8), (6, 2), (4, 1), ()):
+        with pytest.raises(ValueError, match="d = 4"):
+            encode_scaled_many(p, ScalingConfig(beta0=0.4), np.ones(shape))
+    assert calls == []
+
+
 def test_encoding_is_deterministic(d4):
     p = HierarchicalParams(d4, 3, 2)
     cfg = ScalingConfig(beta0=0.3)
