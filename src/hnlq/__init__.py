@@ -45,7 +45,6 @@ from .pipeline import (
 )
 from .scaling import (
     ScalingConfig,
-    dither_point,
     empirical_rate,
 )
 from .voronoi import VoronoiCodeParams
@@ -68,7 +67,6 @@ __all__ = [
     "coords_of",
     "default_tie_breaker",
     "digits_to_index",
-    "dither_point",
     "empirical_rate",
     "enumerate_codebook",
     "h_encode_many",

@@ -166,6 +166,29 @@ def _dither_points(params: HierarchicalParams, ids: np.ndarray) -> np.ndarray:
     return np.take(table, digits_to_index(ids, params.q), axis=0)
 
 
+def _dither_rows(d: int, batch: tuple, dither_ids, f):
+    """The codec's one reading of dither ids for rows of shape batch: a
+    function rows -> f of the ids of the rows ``rows`` (any index into the
+    batch axes), shaped as those rows; without ids it gives None.
+
+    Ids come as one id (d,) for every row, or as the rows' ids (*batch, d).
+    Ids whose batch axes all have stride 0 or length 1 (the read-only
+    broadcast view a fixed-mode matrix holds) are one id too: f of it is
+    computed once and broadcast.  Per-row ids are indexed at ``rows`` only,
+    never copied whole.  Any other shape raises ValueError.
+    """
+    if dither_ids is None:
+        return lambda rows: None
+    ids = np.asarray(dither_ids)
+    if ids.shape not in ((d,), batch + (d,)):
+        raise ValueError(f"dither ids must have shape ({d},) or {batch + (d,)}, got {ids.shape}")
+    ids = np.broadcast_to(ids, batch + (d,))
+    if ids.size and all(n == 1 or s == 0 for n, s in zip(batch, ids.strides)):
+        one = f(ids[(0,) * len(batch)])
+        return lambda rows: np.broadcast_to(one, ids[rows].shape[:-1] + np.shape(one))
+    return lambda rows: f(ids[rows])
+
+
 def decode_coords_many(
     params: HierarchicalParams, digits: np.ndarray, layers: slice | None = None
 ) -> np.ndarray:

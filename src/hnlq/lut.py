@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .codec import LUT_GUARD, HierarchicalParams, layer_codebook_coords
+from .codec import LUT_GUARD, HierarchicalParams, _dither_rows, layer_codebook_coords
 from .lattices import FAMILY_IDS
 from .voronoi import digits_to_index, index_to_digits
 
@@ -107,14 +107,18 @@ def check_lut(lut: InnerProductLUT, params: HierarchicalParams) -> None:
 
 
 def layer_indices(q: int, digits: np.ndarray, dither_ids: np.ndarray | None) -> np.ndarray:
-    """Table indices (..., L) of digits (..., M, d); dither ids (..., d) become layer 0."""
+    """Table indices (..., L) of digits (..., M, d); dither ids become layer 0.
+
+    The ids take the codec's three forms (``codec._dither_rows``): None, one
+    id (d,) for every row, whose index is computed once and broadcast, or the
+    rows' ids (..., d).
+    """
     idx = digits_to_index(digits, q)
-    if dither_ids is None:
-        return idx
-    want = np.shape(digits)[:-2] + np.shape(digits)[-1:]
-    if np.shape(dither_ids) != want:
-        raise ValueError(f"dither ids must have shape {want}, got {np.shape(dither_ids)}")
-    return np.concatenate([digits_to_index(dither_ids, q)[..., None], idx], axis=-1)
+    # in idx's type: digits_to_index gives one id's index as a Python int
+    dither = _dither_rows(np.shape(digits)[-1], np.shape(digits)[:-2], dither_ids,
+                          lambda i: np.asarray(digits_to_index(i, q), dtype=idx.dtype))
+    z = dither(...)
+    return idx if z is None else np.concatenate([z[..., None], idx], axis=-1)
 
 
 _CHUNK_TYPES = tuple(map(np.dtype, (np.int16, np.int32, np.int64)))

@@ -55,15 +55,15 @@ class PipelineConfig:
             beta0 is calibrated in; the recorded norm rescales inner products
             by norm_a norm_b / n.  A value equal to True or False is kept as
             that bool; any other is refused.
-        rotation_seed: integer seed of the shared rotation, in [-2^63, 2^63).
+        rotation_seed: integer seed of the shared rotation, in [-2^63, 2^63)
+            (files store it as int64); a negative seed is taken mod 2^64.
         dither_mode: "none", "fixed" (one digit id for every chunk) or
             "random" (per column/chunk ids from a counter-based SplitMix64
             hash of (dither_seed, column, chunk); see ``_dither_digit_ids``).
         dither_ids: the fixed digit id, required when dither_mode="fixed":
             integer digits in [0, q), kept read-only in ``digit_dtype(q)``.
-        dither_seed: integer seed for the "random" mode, in [-2^63, 2^63) like
-            rotation_seed (files store both as int64); a negative seed is
-            taken mod 2^64.
+        dither_seed: integer seed for the "random" mode, in [-2^63, 2^63) and
+            taken mod 2^64, like rotation_seed.
     """
 
     params: HierarchicalParams
@@ -166,9 +166,10 @@ def random_rotation(n: int, seed: int) -> np.ndarray:
     """Deterministic Haar-distributed orthogonal matrix.
 
     QR of an i.i.d. Gaussian matrix with the R diagonal's signs folded in,
-    which makes the factorization unique and the distribution uniform.
+    which makes the factorization unique and the distribution uniform.  The
+    generator is seeded with seed mod 2^64, so every integer seed works.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(int(seed) % 2**64)
     A = rng.standard_normal((n, n))
     Q, R = np.linalg.qr(A)
     return Q * np.sign(np.diag(R))
@@ -262,11 +263,7 @@ def _encode_columns(cfg: PipelineConfig, A: np.ndarray, first_col: int = 0) -> Q
         Y = S @ A
         Y *= np.sqrt(cfg.n) / np.where(norms > 0, norms, 1.0)
     ids = _column_dither_ids(cfg, first_col, cols)
-    # A fixed id is one point for every chunk: the encoder broadcasts it.
-    digits, T = encode_scaled_many(
-        cfg.params, cfg.scaling, Y.T.reshape(cols, K, d),
-        dither_ids=cfg.dither_ids if cfg.dither_mode == "fixed" else ids,
-    )
+    digits, T = encode_scaled_many(cfg.params, cfg.scaling, Y.T.reshape(cols, K, d), ids)
     return QuantizedMatrix(cfg=cfg, digits=digits, T=T, norms=norms, dither_ids=ids)
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from .codec import (
     HierarchicalParams,
     _dither_points,
+    _dither_rows,
     decode_coords_many,
     h_encode_many,
     outer_nesting_ratio,
@@ -31,7 +32,6 @@ __all__ = [
     "ScalingConfig",
     "encode_scaled_many",
     "decode_scaled_many",
-    "dither_point",
     "empirical_rate",
     "entropy_bits",
 ]
@@ -71,50 +71,6 @@ class ScalingConfig:
         return np.min_scalar_type(int(self.max_retries) + 1)
 
 
-def dither_point(params: HierarchicalParams, b_z: np.ndarray) -> np.ndarray:
-    """Dither vector for digit id b_z: a single-layer codebook point over q.
-
-    Always lies inside the base Voronoi cell (up to the tie-break).
-    """
-    b_z = np.asarray(b_z)
-    if b_z.shape != (params.lat.d,):
-        raise ValueError(f"dither id must have shape ({params.lat.d},)")
-    return _dither_points(params, b_z)
-
-
-def _resolve_dither(params, X_shape, dither_ids):
-    """Dither points for rows of X_shape (..., d), or None; one id (d,) serves
-    every row, so its point is computed once and broadcast."""
-    if dither_ids is None:
-        return None
-    ids = np.asarray(dither_ids)
-    if ids.ndim == 1:
-        return np.broadcast_to(dither_point(params, ids), X_shape)
-    if ids.shape != X_shape[:-1] + (params.lat.d,):
-        raise ValueError("dither ids must broadcast to the batch shape")
-    return _dither_points(params, ids)
-
-
-def _row_ids(params, batch_shape, dither_ids):
-    """Dither ids checked against a batch: None, one id (d,) for every row, or
-    the rows' ids flattened to (N, d)."""
-    if dither_ids is None:
-        return None
-    ids = np.asarray(dither_ids)
-    if ids.ndim == 1:
-        return ids
-    if ids.shape != batch_shape + (params.lat.d,):
-        raise ValueError("dither ids must broadcast to the batch shape")
-    return ids.reshape(-1, params.lat.d)
-
-
-def _block_dither(params, ids, rows: slice):
-    """Dither points (rows, d) of a block of rows from ``_row_ids``'s ids, or None."""
-    if ids is not None and ids.ndim > 1:
-        ids = ids[rows]
-    return _resolve_dither(params, (rows.stop - rows.start, params.lat.d), ids)
-
-
 # Elements (rows x d) of the float input per row block of the codec: encode,
 # decode, random dither ids and NLQM records, so each float64 temporary of a
 # block is 512 KiB.  On a 2 MiB L2 cache, quantizing the store-a2 matrix
@@ -127,20 +83,22 @@ _CODEC_BLOCK = 2**16
 
 def _blocks(n: int, per: int) -> list[slice]:
     """Slices covering range(n) in blocks of _CODEC_BLOCK elements, ``per`` to
-    an item (at least one item a block); one empty block when n = 0."""
+    an item (at least one item a block); one empty block when n = 0.  The
+    codec's items are the entries of an array's leading axis."""
     step = max(1, _CODEC_BLOCK // per)
     return [slice(i, min(i + step, n)) for i in range(0, max(n, 1), step)]
 
 
 def _blockwise(fn, blocks: list[slice], shape: tuple, dtype) -> np.ndarray:
-    """fn(block) of every block, stacked along axis 0 into an array of shape and
-    dtype.  A single block's result is returned as it is: a call that fits one
-    block allocates nothing more than one unblocked call."""
+    """fn(block) of every block, reshaped into entries ``block`` of axis 0 of an
+    array of shape and dtype.  A single block's result is returned as it is,
+    reshaped: a call that fits one block allocates nothing more than one
+    unblocked call."""
     if len(blocks) == 1:
-        return fn(blocks[0])
+        return fn(blocks[0]).reshape(shape)
     out = np.empty(shape, dtype=dtype)
     for b in blocks:
-        out[b] = fn(b)
+        out[b] = fn(b).reshape(out[b].shape)
     return out
 
 
@@ -155,9 +113,9 @@ def encode_scaled_many(
     X: np.ndarray,
     dither_ids: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Encode rows of X (N, d) with per-row retry counts.
+    """Encode rows of X (..., d) with per-row retry counts.
 
-    Returns (digits (N, M, d), T (N,)), the digits of type
+    Returns (digits (..., M, d), T (...)), the digits of type
     ``voronoi.digit_dtype(q)`` and T of ``cfg.retry_dtype``: M d + 1 bytes
     per row for q <= 256 and max_retries <= 254.  Both are unsigned, so cast
     them before subtracting.  Raises ValueError on non-finite or complex
@@ -172,27 +130,33 @@ def encode_scaled_many(
     if that overloads, it jumps to the first rung at which the outer
     inclusion of the codebook lets it fit (``Lattice.gauge``).  Every rung
     skipped either way overloads, so digits and T are those of trying each
-    rung in turn.  Rows are independent, so they run in blocks of
-    ``_CODEC_BLOCK`` elements; errors count the rows of every block.
+    rung in turn.  Rows are independent, so they run in blocks of entries of
+    X's leading axis, about ``_CODEC_BLOCK`` elements (at least one entry) a
+    block, each block's rows taken from X on their own: a strided X, as the
+    transposed columns ``quantize_matrix`` passes, is never copied whole.
+    Errors count the rows of every block.
+
+    ``dither_ids`` is None, one id (d,) for every row, or the rows' ids
+    (..., d) (``codec._dither_rows``): one id's point is computed once and
+    broadcast, per-row ids are looked up block by block.
     """
     X = _as_float(X)
     lat = params.lat
     if X.shape[-1:] != (lat.d,):
         raise ValueError(f"rows must have trailing axis d = {lat.d}, got shape {X.shape}")
-    flatX = X.reshape(-1, lat.d)
-    top = np.abs(flatX).max(initial=0.0)
+    top = np.abs(X).max(initial=0.0)
     if not np.isfinite(top):
         raise ValueError("cannot encode non-finite values")
-    ids = _row_ids(params, X.shape[:-1], dither_ids)
+    rows = X if X.ndim > 1 else X[None]  # blocks run over its leading axis
+    dither = _dither_rows(lat.d, rows.shape[:-1], dither_ids, lambda i: _dither_points(params, i))
     # Rung t is cfg.scale of the Python int t, the float a scalar call gives.
     scales = np.array([cfg.scale(t) for t in range(cfg.max_retries + 1)])
-    n = flatX.shape[0]
     # |coordinates| <= max|x| * max row sum of |G^-1|; 2^62 leaves room for the dither.
     reach = 2.0**62 / float(np.abs(lat.G_inv).sum(axis=1).max())
-    T = np.zeros(n, dtype=cfg.retry_dtype)
+    T = np.zeros(rows.shape[:-1], dtype=cfg.retry_dtype)
     if top >= reach * cfg.beta0:  # some row could leave int64: start past those rungs
         with np.errstate(over="ignore"):  # a reach past the float range fits every row
-            T[:] = np.searchsorted(reach * scales, np.abs(flatX).max(axis=-1), side="right")
+            T[:] = np.searchsorted(reach * scales, np.abs(rows).max(axis=-1), side="right")
         lost = np.count_nonzero(T >= scales.size)
         if lost:
             raise UnencodableError(f"{lost} vector(s) still overload after {cfg.max_retries} retries")
@@ -205,18 +169,20 @@ def encode_scaled_many(
     # A row that does not overload decodes to l, a codeword, so
     #   g(x) / s = g(l + (y + e - l) - e + z) <= (B + 1 + [dithered]) (1 + eta).
     # At any rung where g(x) exceeds s times that bound the row overloads.
-    bound = (outer_nesting_ratio(params.q, params.M) + 1 + (ids is not None)) * (
+    bound = (outer_nesting_ratio(params.q, params.M) + 1 + (dither_ids is not None)) * (
         1.0 + float(lat.gauge(lat.eps))
     )
     failures = []
 
-    def encode(rows):
-        digits, failed = _encode_block(params, scales, bound, flatX[rows], T[rows],
-                                       _block_dither(params, ids, rows))
+    def encode(b):
+        # T[b] of the contiguous T is a view, so the block's final rungs land in T.
+        digits, failed = _encode_block(params, scales, bound, rows[b].reshape(-1, lat.d),
+                                       T[b].reshape(-1), dither(b))
         failures.append(failed)
         return digits
 
-    digits = _blockwise(encode, _blocks(n, lat.d), (n, params.M, lat.d), digit_dtype(params.q))
+    digits = _blockwise(encode, _blocks(len(rows), math.prod(rows.shape[1:])),
+                        T.shape + (params.M, lat.d), digit_dtype(params.q))
     failed = sum(failures)
     if failed:
         raise UnencodableError(f"{failed} vector(s) still overload after {cfg.max_retries} retries")
@@ -225,7 +191,8 @@ def encode_scaled_many(
 
 def _encode_block(params, scales, bound, X, T, Z):
     """Encode rows X (rows, d) from their start rungs T (rows,), which become
-    their final rungs in place; Z is their dither points (rows, d) or None.
+    their final rungs in place; Z is their dither points (rows x d values in
+    any shape) or None.
     Returns digits (rows, M, d) and the count of rows that still overload at
     the top rung.
 
@@ -235,6 +202,7 @@ def _encode_block(params, scales, bound, X, T, Z):
     """
     sub = X / scales[T][:, None]
     if Z is not None:
+        Z = Z.reshape(X.shape)
         sub -= Z
     digits, ov = h_encode_many(params, sub)
     active = np.flatnonzero(ov)
@@ -272,7 +240,8 @@ def decode_scaled_many(
 
     T must be a non-negative integer array of shape ``digits.shape[:-2]``
     (shape () for one row); anything else raises ValueError.  Rows decode in
-    blocks of ``_CODEC_BLOCK`` elements.
+    blocks of entries of the leading axis, as ``encode_scaled_many`` encodes
+    them, and take ``dither_ids`` in its three forms.
     """
     digits = np.asarray(digits)
     M, d = params.M, params.lat.d
@@ -285,20 +254,22 @@ def decode_scaled_many(
                          f"got {T.dtype} of shape {T.shape}")
     if T.min(initial=0) < 0:
         raise ValueError("T must not be negative")
-    ids = _row_ids(params, batch, dither_ids)
-    flat, flatT = digits.reshape(-1, M, d), T.reshape(-1)
+    if not batch:
+        digits, T = digits[None], T[None]
+    dither = _dither_rows(d, T.shape, dither_ids, lambda i: _dither_points(params, i))
     out = _blockwise(
-        lambda rows: _decode_block(params, cfg, flat[rows], flatT[rows],
-                                   _block_dither(params, ids, rows)),
-        _blocks(flatT.size, d), (flatT.size, d), np.float64)
+        lambda b: _decode_block(params, cfg, digits[b].reshape(-1, M, d), T[b].reshape(-1),
+                                dither(b)),
+        _blocks(len(T), math.prod(T.shape[1:]) * d), T.shape + (d,), np.float64)
     return out.reshape(batch + (d,))
 
 
 def _decode_block(params, cfg, digits, T, Z):
-    """Rows (rows, d) of digits (rows, M, d), T (rows,) and dither points Z or None."""
+    """Rows (rows, d) of digits (rows, M, d), T (rows,) and the rows' dither
+    points Z (rows x d values in any shape) or None."""
     pts = params.lat.point_of(decode_coords_many(params, digits))
     if Z is not None:
-        pts = pts + Z
+        pts = pts + Z.reshape(pts.shape)
     return np.asarray(cfg.scale(T))[..., None] * pts
 
 

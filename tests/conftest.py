@@ -15,7 +15,7 @@ import pytest
 from hypothesis import settings
 
 from hnlq import UnencodableError, h_encode_many, make_lattice
-from hnlq.scaling import _resolve_dither
+from hnlq.codec import _dither_points
 
 # Property tests draw the same examples on every run unless a run asks for
 # another profile (``--hypothesis-profile=default`` draws fresh ones).
@@ -78,7 +78,8 @@ def full_ladder_encode(params, cfg, X, dither_ids=None):
     top = np.abs(flatX).max(initial=0.0)
     if not np.isfinite(top):
         raise ValueError("cannot encode non-finite values")
-    Z = _resolve_dither(params, X.shape, dither_ids)
+    # one id (d,) or per-row ids (..., d): the points broadcast to the rows
+    Z = None if dither_ids is None else np.broadcast_to(_dither_points(params, dither_ids), X.shape)
     flatZ = None if Z is None else Z.reshape(-1, params.lat.d)
     reach = 2.0**62 / float(np.abs(params.lat.G_inv).sum(axis=1).max())
     mag = np.abs(flatX).max(axis=-1)

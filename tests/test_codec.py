@@ -20,6 +20,7 @@ from hnlq import (
 from hnlq.codec import (
     ENUMERATION_GUARD,
     LAYER_CODEBOOK_MAX,
+    _dither_points,
     _layer_coords,
     decode_coords_many,
     layer_codebook_coords,
@@ -27,7 +28,7 @@ from hnlq.codec import (
 )
 from hnlq import codec, scaling
 from hnlq.lattices import in_scaled_voronoi_many
-from hnlq.scaling import ScalingConfig, decode_scaled_many, dither_point, encode_scaled_many
+from hnlq.scaling import ScalingConfig, decode_scaled_many, encode_scaled_many
 from hnlq.voronoi import digit_grid, vc_decode_many
 
 
@@ -305,7 +306,7 @@ def test_layer_decode_gathers_the_direct_decode(name, qs):
         ids = D[:, 0]
         Z = lat.point_of(reps[:, 0]) / q
         for row, z in zip(ids[:20], Z):
-            assert np.array_equal(dither_point(p, row), z)
+            assert np.array_equal(_dither_points(p, row), z)
         # dithered encode and decode see the same dither points
         X = rng.standard_normal((300, lat.d))
         digits, T = encode_scaled_many(p, cfg, X, dither_ids=ids)
@@ -323,7 +324,7 @@ def test_layer_decode_gathers_the_direct_decode(name, qs):
             with pytest.raises(ValueError):
                 decode_coords_many(p, bad)
         with pytest.raises(ValueError):
-            dither_point(p, np.full(lat.d, q))
+            _dither_points(p, np.full(lat.d, q))
 
 
 def test_enumerate_scalar_codebooks(z1):

@@ -13,7 +13,6 @@ from hnlq import (
     ScalingConfig,
     build_lut,
     digits_to_index,
-    dither_point,
     index_to_digits,
     ip_approx,
     load_lut,
@@ -23,7 +22,7 @@ from hnlq import (
     quantize_vector,
     save_lut,
 )
-from hnlq.codec import decode_coords_many, layer_codebook_coords
+from hnlq.codec import _dither_points, decode_coords_many, layer_codebook_coords
 
 
 def digits_of(digits):
@@ -278,7 +277,7 @@ def test_dithered_matches_direct(d4):
     for _ in range(200):
         ex, ey = random_digits(rng, 4, 2, 4, 2)
         idx, idy = rng.integers(0, 4, size=(2, 4))
-        zx, zy = dither_point(p, idx), dither_point(p, idy)
+        zx, zy = _dither_points(p, idx), _dither_points(p, idy)
         want = float(np.dot(point(p, ex) + zx, point(p, ey) + zy))
         assert abs(lut_ip_dithered(lut, ex, ey, idx, idy) - want) <= 1e-9
 

@@ -1,5 +1,6 @@
 """Product-code pipeline: rotation, chunked encoding, table-driven products."""
 
+import dataclasses
 import hashlib
 import struct
 import zlib
@@ -28,12 +29,13 @@ from hnlq import (
     save_quantized_matrix,
 )
 from hnlq import lut as lut_mod
+from hnlq import scaling
 from hnlq.bench import calibrate_beta0
-from hnlq.codec import decode_coords_many
+from hnlq.codec import LUT_GUARD, decode_coords_many
 from hnlq.lattices import FAMILY_IDS
 from hnlq import pipeline
 from hnlq.lut import _with_crc, check_lut, chunk_sum_dtype
-from hnlq.scaling import encode_scaled_many
+from hnlq.scaling import decode_scaled_many, encode_scaled_many
 from hnlq.voronoi import digit_dtype
 
 
@@ -92,6 +94,19 @@ def test_rotation_is_orthogonal():
     rng = np.random.default_rng(2)
     x = rng.standard_normal(16)
     assert abs(np.linalg.norm(a @ x) - np.linalg.norm(x)) < 1e-9
+
+
+def test_negative_rotation_seed_quantizes_and_round_trips(tmp_path):
+    # PipelineConfig accepts seeds in [-2^63, 2^63); rotation_seed=-1 used to
+    # fail only when quantizing, inside numpy: "expected non-negative integer".
+    cfg = pipe(n=16, rotate=True, rotation_seed=-1)
+    assert np.array_equal(random_rotation(16, -1), random_rotation(16, 2**64 - 1))
+    Q = quantize_matrix(cfg, np.random.default_rng(18).standard_normal((16, 3)))
+    save_quantized_matrix(Q, tmp_path / "m.nlqm")
+    L = load_quantized_matrix(tmp_path / "m.nlqm")
+    assert L.cfg.rotation_seed == -1
+    for got, want in ((L.digits, Q.digits), (L.T, Q.T), (L.norms, Q.norms)):
+        assert np.array_equal(got, want)
 
 
 def test_config_validation():
@@ -465,6 +480,48 @@ def test_fixed_dither_id_shared_across_chunks():
     rng = np.random.default_rng(13)
     qv = quantize_vector(cfg, rng.standard_normal(16))
     assert np.array_equal(qv.dither_ids, np.tile(ids, (4, 1)))
+
+
+@pytest.mark.parametrize("name, q", [("d4", 4), ("a2", 8), ("z16", 16)])
+def test_fixed_dither_id_is_looked_up_once(name, q, monkeypatch):
+    # A fixed-mode matrix holds its one id as a stride-0 broadcast (cols, K, d).
+    # Decode, reconstruct_chunks and layer_indices look up one (d,) point or
+    # index for it, and give what the same ids copied out per row give, bit for
+    # bit, as does every product.  z16 q=16 is above LAYER_CODEBOOK_MAX.
+    lat = make_lattice(name)
+    cfg = pipe(n=4 * lat.d, q=q, lat=lat, beta0=0.3, dither_mode="fixed",
+               dither_ids=np.arange(1, lat.d + 1) % q)
+    rng = np.random.default_rng(17)
+    QA, QB = (quantize_matrix(cfg, rng.standard_normal((cfg.n, 6)) * 0.15 * q**2)
+              for _ in range(2))
+    assert QA.T.any() and QA.dither_ids.strides[:2] == (0, 0)
+    RA, RB = (dataclasses.replace(Q, dither_ids=Q.dither_ids.copy()) for Q in (QA, QB))
+    p, d = cfg.params, lat.d
+
+    looked_up = []
+    points, index = scaling._dither_points, lut_mod.digits_to_index
+    monkeypatch.setattr(scaling, "_dither_points",
+                        lambda params, ids: looked_up.append(np.shape(ids)) or points(params, ids))
+    decoded = decode_scaled_many(p, cfg.scaling, QA.digits, QA.T, QA.dither_ids)
+    chunks = reconstruct_chunks(cfg, QA.column(2))
+    assert looked_up == [(d,), (d,)]
+    monkeypatch.setattr(lut_mod, "digits_to_index",
+                        lambda b, q: looked_up.append(np.shape(b)) or index(b, q))
+    indices = lut_mod.layer_indices(q, QA.digits, QA.dither_ids)
+    assert looked_up[2:] == [QA.digits.shape, (d,)]
+    monkeypatch.undo()
+
+    want = decode_scaled_many(p, cfg.scaling, RA.digits, RA.T, RA.dither_ids)
+    assert np.array_equal(decoded, want)
+    assert np.array_equal(chunks, reconstruct_chunks(cfg, RA.column(2)))
+    want = lut_mod.layer_indices(q, RA.digits, RA.dither_ids)
+    assert indices.dtype == want.dtype and np.array_equal(indices, want)
+    if q ** (2 * d) <= LUT_GUARD:  # z16 q=16 has no table
+        lut = build_lut(p)
+        for product in (matmul_approx, paired_ip_approx):
+            assert np.array_equal(product(cfg, lut, QA, QB), product(cfg, lut, RA, RB))
+        assert ip_approx(cfg, lut, QA.column(1), QB.column(4)) == ip_approx(
+            cfg, lut, RA.column(1), RB.column(4))
 
 
 KERNEL_CASES = {

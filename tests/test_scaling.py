@@ -12,7 +12,6 @@ from hnlq import (
     PipelineConfig,
     ScalingConfig,
     UnencodableError,
-    dither_point,
     empirical_rate,
     h_encode_many,
     make_lattice,
@@ -20,7 +19,13 @@ from hnlq import (
     quantize_matrix,
 )
 from hnlq import bench, codec, scaling
-from hnlq.codec import LAYER_CODEBOOK_MAX, _layer_coords, decode_coords_many
+from hnlq.codec import (
+    LAYER_CODEBOOK_MAX,
+    _dither_points,
+    _dither_rows,
+    _layer_coords,
+    decode_coords_many,
+)
 from hnlq.lattices import in_scaled_voronoi_many
 from hnlq.scaling import decode_scaled_many, encode_scaled_many, entropy_bits
 from hnlq.voronoi import VoronoiCodeParams, digit_grid
@@ -252,20 +257,18 @@ def test_calibration_skips_rungs_that_must_overload(monkeypatch):
 
 def test_dither_point_values(z1):
     p = HierarchicalParams(z1, 4, 1)
-    assert np.array_equal(dither_point(p, np.array([0])), [0.0])
-    assert np.array_equal(dither_point(p, np.array([1])), [0.25])
-    assert np.array_equal(dither_point(p, np.array([3])), [-0.25])
+    assert np.array_equal(_dither_points(p, np.array([0])), [0.0])
+    assert np.array_equal(_dither_points(p, np.array([1])), [0.25])
+    assert np.array_equal(_dither_points(p, np.array([3])), [-0.25])
     with pytest.raises(ValueError):
-        dither_point(p, np.array([4]))
-    with pytest.raises(ValueError):
-        dither_point(p, np.array([1, 1]))
+        _dither_points(p, np.array([4]))
 
 
 def test_dither_points_stay_in_base_cell(d4, a2):
     for lat in (d4, a2):
         p = HierarchicalParams(lat, 3, 2)
         for row in digit_grid(3, lat.d):
-            z = dither_point(p, row)
+            z = _dither_points(p, row)
             assert in_scaled_voronoi_many(lat, z, 1.0)
 
 
@@ -276,7 +279,7 @@ def test_dither_shifts_the_encoder_input(d4):
     x = rng.standard_normal(4)
     ids = np.array([1, 3, 0, 2])
     digits, T = encode_scaled_many(p, cfg, x, dither_ids=ids)
-    z = dither_point(p, ids)
+    z = _dither_points(p, ids)
     dg, ov = h_encode_many(p, x[None] / cfg.scale(int(T)) - z)
     assert not ov[0]
     assert np.array_equal(digits, dg[0])
@@ -328,10 +331,11 @@ def test_dither_point_table_is_the_per_row_points(name, q):
     for i in rows:  # one row at a time, so no batched product is shared
         want = lat.point_of(_layer_coords(p, grid[i])) / q
         assert np.array_equal(table[i], want)
-        assert np.array_equal(dither_point(p, grid[i]), want)
+        assert np.array_equal(_dither_points(p, grid[i]), want)
     batch = lat.point_of(_layer_coords(p, grid[rows])) / q
     assert np.array_equal(table[rows], batch)
-    assert np.array_equal(scaling._resolve_dither(p, (40, lat.d), grid[rows]), batch)
+    points = _dither_rows(lat.d, (40,), grid[rows], lambda i: _dither_points(p, i))
+    assert np.array_equal(points(...), batch)
 
 
 def test_dither_points_above_the_codebook_cache(monkeypatch):
@@ -343,11 +347,11 @@ def test_dither_points_above_the_codebook_cache(monkeypatch):
     calls = []
     real = codec.vc_decode_many
     monkeypatch.setattr(codec, "vc_decode_many", lambda *a: calls.append(1) or real(*a))
-    got = scaling._resolve_dither(p, (30, 8), ids)
+    got = _dither_rows(8, (30,), ids, lambda i: _dither_points(p, i))(...)
     assert calls == [1]
     want = np.array([lat.point_of(real(VoronoiCodeParams(lat, 4), row)) / 4 for row in ids])
     assert np.array_equal(got, want)
-    assert np.array_equal(dither_point(p, ids[3]), want[3])
+    assert np.array_equal(_dither_points(p, ids[3]), want[3])
 
 
 def test_batch_decode_matches_scalar(d4):
