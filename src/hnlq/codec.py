@@ -18,7 +18,14 @@ from functools import cached_property
 import numpy as np
 
 from .lattices import Lattice, in_scaled_voronoi_many
-from .voronoi import VoronoiCodeParams, digit_dtype, digit_grid, digits_to_index, vc_decode_many
+from .voronoi import (
+    LAYER_CODEBOOK_MAX,
+    VoronoiCodeParams,
+    digit_dtype,
+    digit_grid,
+    digits_to_index,
+    vc_decode_many,
+)
 
 __all__ = [
     "HierarchicalParams",
@@ -35,12 +42,9 @@ __all__ = [
 ]
 
 ENUMERATION_GUARD = 2**24
-# Largest inner-product table, q^(2d) entries, that lut.build_lut builds.
-LUT_GUARD = 2**28
-# Layer codebooks up to the side of the largest table are cached per params
-# and decoded by gathering rows; larger ones (e.g. Z^16, q = 16) run the
-# quantizer per row.
-LAYER_CODEBOOK_MAX = math.isqrt(LUT_GUARD)
+# Largest inner-product table, q^(2d) entries, that lut.build_lut builds:
+# the square of the largest cached layer codebook.
+LUT_GUARD = LAYER_CODEBOOK_MAX**2
 
 
 @dataclass(frozen=True, eq=False)

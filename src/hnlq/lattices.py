@@ -164,12 +164,33 @@ class Lattice:
         i1, j1 = np.rint(x0 - 0.5), np.rint(x1 / r3 - 0.5)
         # A square overflows only past |y| ~ 1e170, where the int64 cast fails anyway.
         with np.errstate(over="ignore"):
-            shifted = ((x0 - i1 - 0.5) ** 2 + (x1 - r3 * (j1 + 0.5)) ** 2
-                       < (x0 - i) ** 2 + (x1 - r3 * j) ** 2)
+            # (x0 - i1 - 0.5)^2 + (x1 - r3 (j1 + 0.5))^2 < (x0 - i)^2 + (x1 - r3 j)^2,
+            # each float step in this order, into three reused buffers (out=):
+            # the same floats, and so the same ties, with fewer temporaries.
+            near1 = np.subtract(x0, i1)
+            near1 -= 0.5
+            np.square(near1, out=near1)
+            t = np.add(j1, 0.5)
+            t *= r3
+            np.subtract(x1, t, out=t)
+            np.square(t, out=t)
+            near1 += t
+            near0 = np.subtract(x0, i)
+            np.square(near0, out=near0)
+            np.multiply(j, r3, out=t)
+            np.subtract(x1, t, out=t)
+            np.square(t, out=t)
+            near0 += t
+            shifted = near1 < near0
+        del near0, near1, t  # freed before the output is allocated
         np.copyto(i, i1, where=shifted)
         np.copyto(j, j1, where=shifted)
-        c = np.stack([i - j, 2 * j + shifted], axis=-1, dtype=np.int64, casting="unsafe")
-        return c.reshape(y.shape)
+        c = np.empty(y.shape, dtype=np.int64)
+        c2 = c.reshape(-1, 2)
+        np.subtract(i, j, out=c2[:, 0], casting="unsafe")
+        j *= 2
+        np.add(j, shifted, out=c2[:, 1], casting="unsafe")
+        return c
 
 
 def _canonical_generator(family: str, d: int) -> np.ndarray:

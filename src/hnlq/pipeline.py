@@ -482,6 +482,8 @@ def save_quantized_matrix(qm: QuantizedMatrix, path) -> None:
 
 def _unpack_records(payload: np.ndarray, q: int, d: int) -> np.ndarray:
     """Digit vectors (..., d) of little-endian records (..., nrec); refuses records >= q^d."""
+    if payload.shape[-1] == 1:  # one-byte records are the indices themselves
+        return index_to_digits(payload[..., 0], q, d)
     # each record zero-padded to 8 bytes and read as one little-endian value
     rec = np.zeros(payload.shape[:-1] + (8,), dtype=np.uint8)
     rec[..., :payload.shape[-1]] = payload

@@ -7,10 +7,17 @@ each represented by the coset member inside r times the Voronoi cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .lattices import Lattice
+
+# Largest q^d whose digit vectors ``index_to_digits`` gathers from a cached
+# table, and whose layer codebook ``codec`` caches per params and decodes by
+# gathering rows: the side of the largest inner-product table.  Above it
+# (e.g. Z^16, q = 16) both compute per row.
+LAYER_CODEBOOK_MAX = 2**14
 
 __all__ = [
     "VoronoiCodeParams",
@@ -58,6 +65,14 @@ def digit_grid(q: int, d: int) -> np.ndarray:
     return np.stack(axes, axis=-1).reshape(-1, d)
 
 
+@lru_cache(maxsize=64)
+def _digit_table(q: int, d: int) -> np.ndarray:
+    """Read-only ``digit_grid(q, d)`` in ``digit_dtype(q)``, for q^d <= LAYER_CODEBOOK_MAX."""
+    table = digit_grid(q, d).astype(digit_dtype(q))
+    table.setflags(write=False)
+    return table
+
+
 def _check_digits(b: np.ndarray, r: int, d: int) -> np.ndarray:
     b = np.asarray(b)
     if b.shape[-1] != d:
@@ -93,16 +108,22 @@ def digits_to_index(b: np.ndarray, q: int) -> int | np.ndarray:
 
 
 def index_to_digits(idx, q: int, d: int) -> np.ndarray:
-    """Inverse of digits_to_index: indices (...) to digit vectors (..., d) of
-    type ``digit_dtype(q)``, d bytes per vector for q <= 256 (unsigned: cast
-    them before subtracting).
+    """Inverse of digits_to_index: integer indices (...) to a new array of digit
+    vectors (..., d) of type ``digit_dtype(q)``, d bytes per vector for q <= 256
+    (unsigned: cast them before subtracting).
 
-    Unpacks in int64, or in uint64 when q^d > 2^63, so every index in
-    [0, min(q^d, 2^64)) is accepted.
+    Up to q^d = LAYER_CODEBOOK_MAX the digits are rows gathered from a cached
+    table.  Above it they are unpacked in int64, or in uint64 when q^d > 2^63,
+    so every index in [0, min(q^d, 2^64)) is accepted.  Indices of a
+    non-integer type (float, bool) or out of range raise ValueError.
     """
     idx = np.asarray(idx)
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError("indices must have an integer type")
     if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= min(q**d, 2**64)):
         raise ValueError("index out of range")
+    if q**d <= LAYER_CODEBOOK_MAX:
+        return np.take(_digit_table(q, d), idx, axis=0)
     v = idx.astype(np.int64 if q**d <= 2**63 else np.uint64)
     out = np.empty(idx.shape + (d,), dtype=digit_dtype(q))
     for i in range(d - 1, -1, -1):  # each digit cast into place in small buffers

@@ -22,7 +22,9 @@ from hnlq import (
     quantize_vector,
     save_lut,
 )
+from hnlq import voronoi
 from hnlq.codec import _dither_points, decode_coords_many, layer_codebook_coords
+from hnlq.voronoi import LAYER_CODEBOOK_MAX, digit_dtype, digit_grid
 
 
 def digits_of(digits):
@@ -59,6 +61,62 @@ def test_digit_indexing():
     for bad in ([-1, 0], [0, 9]):
         with pytest.raises(ValueError):
             index_to_digits(np.array(bad), 3, 2)
+    # non-integer indices are refused, not truncated, below and above the table bound
+    for bad in (np.array([3.7, 15.99]), np.array([True, False]), 3.0, np.array([1 + 0j])):
+        for q, d in ((4, 2), (16, 16)):
+            with pytest.raises(ValueError, match="integer"):
+                index_to_digits(bad, q, d)
+
+
+def loop_digits(idx, q, d):
+    """Base-q digits of each index by Python divmod, first digit most significant."""
+    out = []
+    for v in np.asarray(idx).ravel().tolist():
+        row = []
+        for _ in range(d):
+            v, r = divmod(v, q)
+            row.append(r)
+        out.append(row[::-1])
+    return np.array(out, dtype=np.int64).reshape(np.shape(idx) + (d,))
+
+
+# (q, d) on both sides of LAYER_CODEBOOK_MAX = 2^14: 2^14 and 128^2 gather
+# from the digit table, 2^15 and 129^2 unpack by division.
+@pytest.mark.parametrize("q, d", [(2, 14), (2, 15), (128, 2), (129, 2)])
+def test_digit_table_matches_the_loop(q, d, monkeypatch):
+    tables = []
+    real = voronoi._digit_table
+    monkeypatch.setattr(voronoi, "_digit_table", lambda *a: tables.append(a) or real(*a))
+    top = q**d
+    rng = np.random.default_rng(q * d)
+    for dtype in (np.int64, np.uint64, np.uint16, np.int32):
+        idx = np.concatenate([[0, top - 1], rng.integers(0, top, 500)]).astype(dtype)
+        got = index_to_digits(idx.reshape(2, -1), q, d)
+        assert got.dtype == digit_dtype(q) and got.shape == (2, idx.size // 2, d)
+        assert np.array_equal(got.reshape(-1, d), loop_digits(idx, q, d))
+        one = index_to_digits(idx[-1], q, d)  # 0-d index: one digit vector
+        assert one.shape == (d,) and np.array_equal(one, loop_digits(idx[-1], q, d))
+        assert index_to_digits(idx[:0], q, d).shape == (0, d)
+        # an index past the end is a ValueError, not numpy's IndexError from the gather
+        for bad in (np.array([top], dtype=np.int64), np.array([-1])):
+            with pytest.raises(ValueError, match="out of range"):
+                index_to_digits(bad, q, d)
+    assert bool(tables) == (top <= LAYER_CODEBOOK_MAX)
+    # the same digits from the division loop the larger codes take
+    monkeypatch.setattr(voronoi, "LAYER_CODEBOOK_MAX", 0)
+    idx = rng.integers(0, top, 1000)
+    assert np.array_equal(index_to_digits(idx, q, d), loop_digits(idx, q, d))
+
+
+def test_digit_table_results_are_fresh_arrays():
+    table = voronoi._digit_table(3, 2)
+    assert not table.flags.writeable and np.array_equal(table, digit_grid(3, 2))
+    for idx in (np.array([5, 6]), np.int64(5), 5):
+        got = index_to_digits(idx, 3, 2)
+        assert got.flags.writeable and not np.shares_memory(got, table)
+        got[...] = 0
+    assert np.array_equal(voronoi._digit_table(3, 2), digit_grid(3, 2))
+    assert np.array_equal(index_to_digits(np.array([5, 6]), 3, 2), [[1, 2], [2, 0]])
 
 
 def test_digit_indexing_past_int64():

@@ -814,6 +814,27 @@ def test_save_load_roundtrip(tmp_path):
         assert a == b
 
 
+@pytest.mark.parametrize("name, q, nrec", [("a2", 8, 1), ("d4", 5, 2)])
+def test_save_load_save_by_record_size(name, q, nrec, tmp_path):
+    # a2 q=8 (q^d = 64) packs one-byte records, read back as the indices
+    # themselves; d4 q=5 (q^d = 625) two-byte ones, zero-padded when read
+    assert pipeline._digit_record_bytes(q, make_lattice(name).d) == nrec
+    A = np.random.default_rng(q).standard_normal((16, 5)) * 1.5
+    for mode in ("none", "random"):
+        cfg = pipe(n=16, q=q, lat=make_lattice(name), dither_mode=mode, dither_seed=8)
+        qm = quantize_matrix(cfg, A)
+        path = tmp_path / f"{name}-{mode}.nlqm"
+        save_quantized_matrix(qm, path)
+        first = path.read_bytes()
+        back = load_quantized_matrix(path)
+        assert back.digits.dtype == qm.digits.dtype and np.array_equal(back.digits, qm.digits)
+        assert np.array_equal(back.T, qm.T)
+        if mode == "random":
+            assert np.array_equal(back.dither_ids, qm.dither_ids)
+        save_quantized_matrix(back, path)
+        assert path.read_bytes() == first
+
+
 # NLQM version 2 files of a2 q=8 M=2, n=4, two columns, beta0 0.35: no dither,
 # and fixed ids [3, 5].
 V2_A2_FILES = {
