@@ -3,7 +3,6 @@
 from .codec import (
     HierarchicalParams,
     SandwichReport,
-    enumerate_codebook,
     h_encode_many,
     nesting_radius_ratio,
     outer_nesting_ratio,
@@ -13,10 +12,8 @@ from .codec import (
 from .errors import UnencodableError
 from .lattices import (
     Lattice,
-    coords_of,
     default_tie_breaker,
     make_lattice,
-    second_moment,
 )
 from .lut import (
     InnerProductLUT,
@@ -25,8 +22,6 @@ from .lut import (
     digits_to_index,
     index_to_digits,
     load_lut,
-    lut_ip,
-    lut_ip_dithered,
     save_lut,
 )
 from .pipeline import (
@@ -47,7 +42,6 @@ from .scaling import (
     ScalingConfig,
     empirical_rate,
 )
-from .voronoi import VoronoiCodeParams
 
 __version__ = "0.1.0"
 
@@ -61,21 +55,16 @@ __all__ = [
     "SandwichReport",
     "ScalingConfig",
     "UnencodableError",
-    "VoronoiCodeParams",
     "build_lut",
     "check_lut",
-    "coords_of",
     "default_tie_breaker",
     "digits_to_index",
     "empirical_rate",
-    "enumerate_codebook",
     "h_encode_many",
     "index_to_digits",
     "ip_approx",
     "load_lut",
     "load_quantized_matrix",
-    "lut_ip",
-    "lut_ip_dithered",
     "make_lattice",
     "matmul_approx",
     "nesting_radius_ratio",
@@ -88,6 +77,5 @@ __all__ = [
     "reduced_nesting_ratio",
     "save_lut",
     "save_quantized_matrix",
-    "second_moment",
     "verify_sandwich",
 ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from .codec import (
 )
 from .lattices import make_lattice
 from .lut import build_lut
-from .pipeline import PipelineConfig, paired_ip_approx, quantize_matrix
+from .pipeline import DITHER_MODES, PipelineConfig, paired_ip_approx, quantize_matrix
 from .pipeline import ip_approx  # noqa: F401  (perfbench's tracer wraps this name)
 from .scaling import (
     ScalingConfig,
@@ -51,7 +52,6 @@ __all__ = [
     "shannon_rate_gap",
     "gamma_rate_gap",
     "points_to_csv",
-    "write_csv",
 ]
 
 SCHEMES = ("hierarchical", "voronoi", "voronoi-reduced")
@@ -107,6 +107,10 @@ class ExperimentConfig:
             raise ValueError("beta0 must be a number or 'auto'")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if self.dither not in DITHER_MODES:
+            raise ValueError(f"dither must be one of {DITHER_MODES}, got {self.dither!r}")
 
 
 @dataclass(frozen=True)
@@ -215,6 +219,8 @@ def calibrate_beta0(
         raise ValueError("empty beta0 grid")
     if pilot_n < 1:
         raise ValueError("pilot_n must be at least 1")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     eff = effective_params(scheme, params)
     rng = np.random.default_rng([seed, 0xB0])
     X = rng.standard_normal((pilot_n, eff.lat.d))
@@ -459,8 +465,3 @@ def points_to_csv(points: list[DRPoint]) -> str:
         ]
         rows.append(",".join(cells))
     return "\n".join(rows) + "\n"
-
-
-def write_csv(points: list[DRPoint], path) -> None:
-    with open(path, "w", newline="") as f:
-        f.write(points_to_csv(points))

@@ -20,7 +20,6 @@ import numpy as np
 from .lattices import Lattice, in_scaled_voronoi_many
 from .voronoi import (
     LAYER_CODEBOOK_MAX,
-    VoronoiCodeParams,
     digit_dtype,
     digit_grid,
     digits_to_index,
@@ -34,7 +33,6 @@ __all__ = [
     "decode_coords_many",
     "q_circ_many",
     "layer_codebook_coords",
-    "enumerate_codebook",
     "verify_sandwich",
     "nesting_radius_ratio",
     "reduced_nesting_ratio",
@@ -77,7 +75,7 @@ class HierarchicalParams:
         """Read-only (q^d, d) layer codebook, or None when q^d > LAYER_CODEBOOK_MAX."""
         if self.q**self.lat.d > LAYER_CODEBOOK_MAX:
             return None
-        cb = vc_decode_many(VoronoiCodeParams(self.lat, self.q), digit_grid(self.q, self.lat.d))
+        cb = vc_decode_many(self.lat, self.q, digit_grid(self.q, self.lat.d))
         cb.setflags(write=False)
         return cb
 
@@ -155,7 +153,7 @@ def _layer_coords(params: HierarchicalParams, digits: np.ndarray) -> np.ndarray:
     """
     cb = params._layer_codebook
     if cb is None:
-        return vc_decode_many(VoronoiCodeParams(params.lat, params.q), digits)
+        return vc_decode_many(params.lat, params.q, digits)
     if np.shape(digits)[-1] != params.lat.d:
         raise ValueError(f"digit vector must have trailing axis {params.lat.d}")
     return np.take(cb, digits_to_index(digits, params.q), axis=0)
@@ -260,20 +258,6 @@ def _iter_codebook_coords(params: HierarchicalParams):
         yield LC[i][None, :] + tail
 
 
-def enumerate_codebook(params: HierarchicalParams) -> np.ndarray:
-    """All q^(dM) codebook coordinates, one row per digit combination.
-
-    Raises ValueError when the codebook exceeds the enumeration guard of
-    2^24 points.  Points are returned as integer generator coordinates;
-    map through ``params.lat.point_of`` for vectors.
-    """
-    if params.codebook_size > ENUMERATION_GUARD:
-        raise ValueError(
-            f"enumeration too large: q^(dM) = {params.codebook_size} exceeds {ENUMERATION_GUARD}"
-        )
-    return np.concatenate(list(_iter_codebook_coords(params)), axis=0)
-
-
 def _key_layout(params: HierarchicalParams) -> tuple[int, int] | None:
     """(lo, width): codeword coordinates lie in [lo, lo + 2^width).
 
@@ -344,11 +328,10 @@ def verify_sandwich(params: HierarchicalParams) -> SandwichReport:
     # L / s_inner L), so enumerating cosets enumerates the inner region.
     # s_inner = ((q-2) q^M + q) / (q-1) >= 2 for every q >= 2, M >= 1.
     inner_ok = True
-    vc_small = VoronoiCodeParams(lat, s_inner)
     grid = digit_grid(s_inner, d)
     chunk_rows = 1 << 18
     for start in range(0, grid.shape[0], chunk_rows):
-        reps = vc_decode_many(vc_small, grid[start : start + chunk_rows])
+        reps = vc_decode_many(lat, s_inner, grid[start : start + chunk_rows])
         rk = _pack_coords(reps, lo, width)
         pos = np.searchsorted(keys, rk)
         found = keys[np.minimum(pos, keys.size - 1)] == rk

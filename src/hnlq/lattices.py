@@ -18,9 +18,7 @@ __all__ = [
     "Lattice",
     "default_tie_breaker",
     "make_lattice",
-    "coords_of",
     "in_scaled_voronoi_many",
-    "second_moment",
 ]
 
 # Numeric ids used by the binary file headers.
@@ -263,19 +261,6 @@ def _as_vector(x, n: int) -> np.ndarray:
     return x
 
 
-def coords_of(lat: Lattice, p: np.ndarray) -> np.ndarray:
-    """Generator coordinates of a vector that must be a lattice point.
-
-    Raises ValueError when p is further than 1e-6 from round(G_inv @ p)
-    mapped back to the lattice.
-    """
-    p = _as_vector(p, lat.d)
-    c = np.rint(lat.G_inv @ p).astype(np.int64)
-    if np.linalg.norm(lat.G @ c - p) > 1e-6:
-        raise ValueError("not a lattice point")
-    return c
-
-
 def in_scaled_voronoi_many(lat: Lattice, X: np.ndarray, s: float) -> np.ndarray:
     """Batched membership test, X of shape (..., d) -> bool (...).
 
@@ -287,29 +272,3 @@ def in_scaled_voronoi_many(lat: Lattice, X: np.ndarray, s: float) -> np.ndarray:
         raise ValueError("scale factor must be positive")
     X = np.asarray(X, dtype=np.float64)
     return ~lat.nearest_coords(X / s).any(axis=-1)
-
-
-def second_moment(
-    lat: Lattice,
-    num_samples: int = 100_000,
-    seed: int = 0,
-    *,
-    with_stderr: bool = False,
-):
-    """Monte-Carlo per-dimension second moment of the Voronoi cell.
-
-    Draws points uniform over the fundamental parallelepiped G [0,1)^d,
-    quantizes, and averages ||error||^2 / d.  With ``with_stderr`` returns
-    (estimate, standard error of the mean).
-    """
-    if num_samples < 2:
-        raise ValueError("need at least two samples")
-    rng = np.random.default_rng(seed)
-    U = rng.random((num_samples, lat.d)) @ lat.G.T
-    Z = U - lat.point_of(lat.nearest_coords(U))
-    v = np.einsum("ij,ij->i", Z, Z) / lat.d
-    est = float(v.mean())
-    if with_stderr:
-        se = float(v.std(ddof=1) / math.sqrt(num_samples))
-        return est, se
-    return est

@@ -33,8 +33,6 @@ __all__ = [
     "digits_to_index",
     "index_to_digits",
     "build_lut",
-    "lut_ip",
-    "lut_ip_dithered",
     "save_lut",
     "load_lut",
 ]
@@ -48,19 +46,18 @@ _VERSION = 2
 
 @dataclass(eq=False)
 class InnerProductLUT:
-    """Flat int64 table of all single-layer pairwise inner products over ``unit``.
+    """Flat int64 table of all single-layer pairwise inner products.
 
-    Entry i * q^d + j times ``unit`` (``Lattice.integer_gram``'s u) is the
-    inner product of layer codebook points i and j.  ``query_count`` tallies
-    the table entries combined by the products, L^2 per chunk pair of L
-    layers each; it is diagnostic state.
+    Entry i * q^d + j times ``Lattice.integer_gram``'s u (1, or 1/2 for A_2)
+    is the inner product of layer codebook points i and j.  ``query_count``
+    tallies the table entries combined by the products, L^2 per chunk pair
+    of L layers each; it is diagnostic state.
     """
 
     family: str
     d: int
     q: int
     values: np.ndarray
-    unit: float = 1.0
     query_count: int = field(default=0, compare=False)
 
     @property
@@ -90,10 +87,9 @@ def build_lut(params: HierarchicalParams) -> InnerProductLUT:
     q, lat = params.q, params.lat
     if q ** (2 * lat.d) > LUT_GUARD:
         raise ValueError(f"table too large: q^(2d) = {q ** (2 * lat.d)} exceeds {LUT_GUARD}")
-    B, u = lat.integer_gram
+    B = lat.integer_gram[0]
     C = layer_codebook_coords(params)
-    return InnerProductLUT(family=lat.family, d=lat.d, q=q, values=(C @ B @ C.T).reshape(-1),
-                           unit=u)
+    return InnerProductLUT(family=lat.family, d=lat.d, q=q, values=(C @ B @ C.T).reshape(-1))
 
 
 def check_lut(lut: InnerProductLUT, params: HierarchicalParams) -> None:
@@ -121,6 +117,11 @@ def layer_indices(q: int, digits: np.ndarray, dither_ids: np.ndarray | None) -> 
     return idx if z is None else np.concatenate([z[..., None], idx], axis=-1)
 
 
+# Elements per row block of the chunk-sum kernel, so each float64 temporary is
+# 1 MiB.  On a 2 MiB L2 cache a 1024x128 d4 pair fold ran 1.1-1.6x slower at
+# 2^18, 2x at 2^19, and the partial-row gather about 1.1x slower at 2^16 or 2^18.
+_COMBINE_BLOCK = 2**17
+
 _CHUNK_TYPES = tuple(map(np.dtype, (np.int16, np.int32, np.int64)))
 
 
@@ -146,7 +147,7 @@ def _horner(q: int, terms) -> np.ndarray:
 
 
 def chunk_sums(
-    lut: InnerProductLUT, ia: np.ndarray, ib: np.ndarray, outer: bool, block: int
+    lut: InnerProductLUT, ia: np.ndarray, ib: np.ndarray, outer: bool
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Exact chunk sums sum_(i, j) q^(i+j) table[ia_i, ib_j] of layer indices
     ia (na, K, L) and ib (nb, K, L), as (r, C) for row blocks of A from row r.
@@ -154,8 +155,8 @@ def chunk_sums(
     C is (rows, nb, K) for all pairs (``outer``), else (rows, K) for column a
     against column a, in the narrowest type ``chunk_sum_dtype`` proves exact,
     else Python ints: no order of the sums changes a bit.  A block holds
-    about ``block`` elements of its largest temporary, and at least one row.
-    Counts K L^2 table entries per chunk pair.
+    about ``_COMBINE_BLOCK`` elements of its largest temporary, and at least
+    one row.  Counts K L^2 table entries per chunk pair.
 
     All pairs in an integer type sum partial rows P[a, k] = sum_i q^i
     table[ia[r + a, k, i]] by Horner's rule, then gather sum_j q^j P[a, k,
@@ -171,7 +172,7 @@ def chunk_sums(
         lut.query_count += na * nb * K * L * L
         # (L, nb, K) columns k * side + ib of a block's partial rows, flattened (rows, K * side)
         cols = np.moveaxis(ib + side * np.arange(K)[:, None], -1, 0).copy()
-        rows = max(1, block // (K * max(nb, side)))
+        rows = max(1, _COMBINE_BLOCK // (K * max(nb, side)))
         for r in range(0, na, rows):
             ra = ia[r:r + rows]
             P = _horner(q, (table[ra[..., i]] for i in reversed(range(L)))).reshape(len(ra), -1)
@@ -182,49 +183,11 @@ def chunk_sums(
     ra, rb = (np.moveaxis(i, -1, 0).copy() for i in (ia * side, ib))
     if outer:
         ra, rb = ra[:, :, None], rb[:, None]
-    rows = max(1, block // (L * L * K * (max(nb, 1) if outer else 1)))
+    rows = max(1, _COMBINE_BLOCK // (L * L * K * (max(nb, 1) if outer else 1)))
     for r in range(0, na, rows):
         pairs = lut._gather(ra[:, None, r:r + rows] + (rb if outer else rb[:, r:r + rows])[None])
         pairs = pairs.astype(object if dtype is None else dtype, copy=False)
         yield r, _horner(q, (_horner(q, pairs[i, ::-1]) for i in reversed(range(L))))
-
-
-def _exact_ip(lut: InnerProductLUT, digit_arrays, dither_ids) -> int:
-    """Sum of q^(i+j) table[ix_i, iy_j] over two digit arrays' layers: one paired chunk."""
-    digits = np.stack(digit_arrays)  # refuses unequal depths
-    if digits.ndim != 3 or digits.shape[2] != lut.d:
-        raise ValueError(f"digits must have shape (M, {lut.d})")
-    ix, iy = layer_indices(lut.q, digits, dither_ids)
-    ((_, C),) = chunk_sums(lut, ix[None, None], iy[None, None], False, 1)
-    return int(C[0, 0])
-
-
-def lut_ip(lut: InnerProductLUT, dx: np.ndarray, dy: np.ndarray):
-    """Inner product of the reconstructions of two integer digit arrays (M, d),
-    from M^2 table entries.
-
-    Both must come from the parameters the table was built for (``check_lut``
-    checks a table against them); digit range and shape are validated
-    against the table.  Returns a Python int, exact, when the table's unit
-    is an integer (Z_d and D_n), else the exact table
-    sum times the unit as a float.
-    """
-    total = _exact_ip(lut, (dx, dy), None)
-    return total * int(lut.unit) if float(lut.unit).is_integer() else total * lut.unit
-
-
-def lut_ip_dithered(
-    lut: InnerProductLUT, dx: np.ndarray, dy: np.ndarray, zx: np.ndarray, zy: np.ndarray
-) -> float:
-    """Inner product of dithered reconstructions of digit arrays (M, d) with
-    dither ids (d,), from (M+1)^2 table entries.
-
-    The dither ids act as an extra layer with weight 1/q on each side; the
-    sum is exact in integers scaled by q^2, then divided by q^2 and
-    multiplied by the table's unit, the float steps of ``ip_approx``.
-    """
-    total = _exact_ip(lut, (dx, dy), np.stack([zx, zy]))
-    return float(total) / lut.q**2 * lut.unit
 
 
 def _with_crc(body: bytes) -> bytes:
@@ -279,4 +242,4 @@ def load_lut(path, params: HierarchicalParams) -> InnerProductLUT:
     values = np.frombuffer(raw, dtype="<i8", offset=_HEADER.size)
     if values.size != q ** (2 * d):
         raise ValueError(f"table holds {values.size} entries, expected {q ** (2 * d)}")
-    return InnerProductLUT(family=family, d=d, q=q, values=values.copy(), unit=lat.integer_gram[1])
+    return InnerProductLUT(family=family, d=d, q=q, values=values.copy())

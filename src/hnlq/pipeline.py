@@ -300,12 +300,6 @@ def reconstruct_chunks(cfg: PipelineConfig, qv: QuantizedVector) -> np.ndarray:
     )
 
 
-# Elements per row block of the chunk-sum kernel, so each float64 temporary is
-# 1 MiB.  On a 2 MiB L2 cache a 1024x128 d4 pair fold ran 1.1-1.6x slower at
-# 2^18, 2x at 2^19, and the partial-row gather about 1.1x slower at 2^16 or 2^18.
-_COMBINE_BLOCK = 2**17
-
-
 def _code_key(cfg: PipelineConfig) -> tuple:
     """The settings quantized codes depend on; ``max_retries`` only bounds encoding."""
     lat, sc = cfg.params.lat, cfg.scaling
@@ -336,7 +330,7 @@ def _combine(cfg, lut, ia, ib, Ta, Tb, outer: bool) -> np.ndarray:
     q, u = cfg.params.q, cfg.params.lat.integer_gram[1]
     sa, sb = (cfg.scaling.scale(T) for T in (Ta, Tb))
     out = np.empty((len(ia), len(ib)) if outer else len(ia))
-    for r, chunk in chunk_sums(lut, ia, ib, outer, _COMBINE_BLOCK):
+    for r, chunk in chunk_sums(lut, ia, ib, outer):
         rows = slice(r, r + len(chunk))
         if chunk.dtype == object:
             chunk = chunk.astype(np.float64)

@@ -6,7 +6,6 @@ each represented by the coset member inside r times the Voronoi cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -20,26 +19,12 @@ from .lattices import Lattice
 LAYER_CODEBOOK_MAX = 2**14
 
 __all__ = [
-    "VoronoiCodeParams",
     "vc_decode_many",
     "digit_dtype",
     "digit_grid",
     "digits_to_index",
     "index_to_digits",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class VoronoiCodeParams:
-    """Lattice plus integer nesting ratio r >= 2."""
-
-    lat: Lattice
-    r: int
-
-    def __post_init__(self):
-        if int(self.r) != self.r or self.r < 2:
-            raise ValueError("nesting ratio must be an integer >= 2")
-        object.__setattr__(self, "r", int(self.r))
 
 
 def digit_dtype(q: int) -> np.dtype:
@@ -132,15 +117,19 @@ def index_to_digits(idx, q: int, d: int) -> np.ndarray:
     return out
 
 
-def vc_decode_many(params: VoronoiCodeParams, B: np.ndarray) -> np.ndarray:
-    """Coset representatives for digit rows B (..., d), as integer coordinates.
+def vc_decode_many(lat: Lattice, r: int, B: np.ndarray) -> np.ndarray:
+    """Coset representatives for digit rows B (..., d) of the Voronoi code of
+    lat with nesting ratio r, as integer coordinates.
 
     Computes b - r * Q(G b / r) in generator coordinates, i.e. the member
-    of the coset of G b (mod rL) lying in r times the Voronoi cell.
+    of the coset of G b (mod rL) lying in r times the Voronoi cell.  The
+    one-layer hierarchical code of base r is this code.  Raises ValueError
+    unless r is an integer >= 2.
     """
-    lat, r = params.lat, params.r
+    if int(r) != r or r < 2:
+        raise ValueError("nesting ratio must be an integer >= 2")
+    r = int(r)
     B = _check_digits(B, r, lat.d)
     u = lat.nearest_coords(lat.point_of(B) / r)
     # in int64 for every digit type: uint64 digits minus int64 would give float64
     return np.subtract(B, r * u, dtype=np.int64)
-

@@ -5,17 +5,22 @@ candidate search over a box guaranteed to contain the minimizer.  The
 search applies the same deterministic tie-break offset as the production
 code so the two agree everywhere, including on constructed ties.  The
 encoder's integer layer chain is checked against re-quantizing every layer,
-and the per-row retry ladder against trying every rung in turn.
+and the per-row retry ladder against trying every rung in turn.  The paper's
+identities are read through the package's internals: one chunk's table
+inner product, the codebook enumeration and the cell's second moment.
 """
 
+import math
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from hnlq import UnencodableError, h_encode_many, make_lattice
-from hnlq.codec import _dither_points
+from hnlq.codec import _dither_points, _iter_codebook_coords
+from hnlq.lut import chunk_sums, layer_indices
 
 # Property tests draw the same examples on every run unless a run asks for
 # another profile (``--hypothesis-profile=default`` draws fresh ones).
@@ -109,6 +114,47 @@ def full_ladder_encode(params, cfg, X, dither_ids=None):
             f"{active.size} vector(s) still overload after {cfg.max_retries} retries"
         )
     return digits.reshape(X.shape[:-1] + (params.M, params.lat.d)), T.reshape(X.shape[:-1])
+
+
+@lru_cache
+def _gram_factor(family, d):
+    """``Lattice.integer_gram``'s u of the lattice a table was built for."""
+    return make_lattice(f"{family}{d}").integer_gram[1]
+
+
+def lut_ip(lut, dx, dy, zx=None, zy=None):
+    """Inner product of the reconstructions of digit arrays dx, dy (M, d), read
+    from the table as sum_(i, j) q^(i+j) LUT[x_i, y_j] by ``lut.chunk_sums``.
+
+    Without dither ids the exact sum times the lattice factor u: a Python int
+    for Z_d and D_n, a float for A_2.  With ids zx, zy (d,) each side gains
+    them as layer 0, and the exact sum over (M + 1)^2 entries is divided by
+    q^2, then multiplied by u: the float steps of ``pipeline._combine``.
+    """
+    ids = None if zx is None else np.stack([zx, zy])
+    ix, iy = layer_indices(lut.q, np.stack([dx, dy]), ids)
+    ((_, C),) = chunk_sums(lut, ix[None, None], iy[None, None], False)
+    total = int(C[0, 0])
+    u = _gram_factor(lut.family, lut.d)
+    if zx is not None:
+        return float(total) / lut.q**2 * u
+    return total * int(u) if float(u).is_integer() else total * u
+
+
+def enumerate_codebook(params):
+    """All q^(dM) codebook coordinates, one row per digit combination."""
+    return np.concatenate(list(_iter_codebook_coords(params)), axis=0)
+
+
+def second_moment(lat, num_samples, seed, beta=1.0):
+    """(estimate, standard error of the mean) of the per-dimension second
+    moment of the quantizer x -> beta Q(x / beta), on points uniform over
+    beta G [0, 1)^d: at beta = 1, the Voronoi cell's, by Monte Carlo."""
+    rng = np.random.default_rng(seed)
+    U = rng.random((num_samples, lat.d)) @ (beta * lat.G).T
+    Z = U - beta * lat.point_of(lat.nearest_coords(U / beta))
+    v = np.einsum("ij,ij->i", Z, Z) / lat.d
+    return float(v.mean()), float(v.std(ddof=1) / math.sqrt(num_samples))
 
 
 def traced_peak_mib(fn):

@@ -12,23 +12,20 @@ import time
 import numpy as np
 import pytest
 
+from conftest import lut_ip, second_moment
 from hnlq import (
     HierarchicalParams,
     PipelineConfig,
     ScalingConfig,
-    VoronoiCodeParams,
     build_lut,
     h_encode_many,
     ip_approx,
     load_lut,
     load_quantized_matrix,
-    lut_ip,
-    lut_ip_dithered,
     make_lattice,
     quantize_matrix,
     save_lut,
     save_quantized_matrix,
-    second_moment,
     verify_sandwich,
 )
 from hnlq.bench import (
@@ -155,14 +152,13 @@ def test_03_lut_equals_direct_products():
         dy = rng.integers(0, q, size=(n_pairs, 2, 4))
         idx = rng.integers(0, q, size=(n_pairs, 4))
         idy = rng.integers(0, q, size=(n_pairs, 4))
-        vc = VoronoiCodeParams(lat, q)
-        zx = lat.point_of(vc_decode_many(vc, idx)) / q
-        zy = lat.point_of(vc_decode_many(vc, idy)) / q
+        zx = lat.point_of(vc_decode_many(lat, q, idx)) / q
+        zy = lat.point_of(vc_decode_many(lat, q, idy)) / q
         px = lat.point_of(decode_coords_many(params, dx)) + zx
         py = lat.point_of(decode_coords_many(params, dy)) + zy
         want = np.einsum("nd,nd->n", px, py)
         for i in range(n_pairs):
-            got = lut_ip_dithered(lut, dx[i], dy[i], idx[i], idy[i])
+            got = lut_ip(lut, dx[i], dy[i], idx[i], idy[i])
             max_dith = max(max_dith, abs(got - want[i]))
 
     params = HierarchicalParams(make_lattice("d4"), 4, 2)
@@ -170,7 +166,7 @@ def test_03_lut_equals_direct_products():
     e = np.zeros((2, 4), dtype=np.int64)
     lut_ip(lut, e, e)
     plain_reads = lut.query_count
-    lut_ip_dithered(lut, e, e, np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64))
+    lut_ip(lut, e, e, np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64))
     dith_reads = lut.query_count - plain_reads
 
     report(
@@ -288,32 +284,22 @@ def test_07_rates_recompute_from_histograms(vector_sweep, ip_sweep):
     )
 
 
-def scaled_second_moment(lat, beta, num_samples, seed):
-    """(estimate, standard error) of the per-dimension second moment of the
-    quantizer x -> beta Q(x / beta) that every rung of the ladder runs, on
-    points uniform over beta G [0, 1)^d."""
-    rng = np.random.default_rng(seed)
-    U = rng.random((num_samples, lat.d)) @ (beta * lat.G).T
-    Z = U - beta * lat.point_of(lat.nearest_coords(U / beta))
-    v = np.einsum("ij,ij->i", Z, Z) / lat.d
-    return float(v.mean()), float(v.std(ddof=1) / math.sqrt(num_samples))
-
-
 def test_08_second_moment_scaling():
     """Scaling the quantizer's step scales the cell's second moment quadratically."""
     d4 = make_lattice("d4")
-    base, se_base = second_moment(d4, 200_000, seed=11, with_stderr=True)
+    base, se_base = second_moment(d4, 200_000, seed=11)
     ok = True
     details = []
     for k, beta in enumerate((0.5, 2.0)):
-        est, se = scaled_second_moment(d4, beta, 200_000, seed=17 + k)
+        # the quantizer every rung of the ladder runs, at step beta
+        est, se = second_moment(d4, 200_000, seed=17 + k, beta=beta)
         combined = math.hypot(beta**2 * se_base, se)
         dev = abs(est - beta**2 * base) / combined
         ok = ok and dev <= 4.0
         details.append(f"beta={beta}: {dev:.2f} combined SE")
 
     for name in ("z1", "z3"):
-        est, se = second_moment(make_lattice(name), 200_000, seed=23, with_stderr=True)
+        est, se = second_moment(make_lattice(name), 200_000, seed=23)
         dev = abs(est - 1.0 / 12.0) / se
         ok = ok and dev <= 3.0
         details.append(f"{name}: {dev:.2f} SE from 1/12")

@@ -29,7 +29,6 @@ from hnlq.bench import (
     shannon_distortion,
     shannon_rate_gap,
     verify_lemmas,
-    write_csv,
 )
 from hnlq.cli import main
 from hnlq.scaling import entropy_bits
@@ -77,6 +76,16 @@ def test_experiment_config_validation():
         ExperimentConfig(beta0="fast")
     with pytest.raises(ValueError, match="samples"):
         ExperimentConfig(samples=0)
+    for seed in (-1, 1.5):
+        with pytest.raises(ValueError, match="seed"):
+            ExperimentConfig(seed=seed)
+    with pytest.raises(ValueError, match="dither"):
+        ExperimentConfig(dither="bogus")
+    # refused where they enter, before any calibration or sampling runs
+    with pytest.raises(ValueError, match="seed"):
+        calibrate_beta0("hierarchical", HierarchicalParams(make_lattice("d4"), 4, 2), seed=-1)
+    with pytest.raises(ValueError, match="seed"):
+        main(["dr-ip", "--seed", "-1", "--n", "8", "--m", "1", "--samples", "4"])
     assert ExperimentConfig(beta0="auto").beta0 == "auto"
 
 
@@ -141,10 +150,12 @@ def test_csv_is_deterministic():
 
 
 def test_write_csv_matches_text(tmp_path):
+    # the CLI writes a sweep's --out file as points_to_csv's text, byte for byte
     cfg = ExperimentConfig(lattice="z2", qs=(3,), ms=(1,), samples=25, beta0=0.5)
     points = run_dr_vector(cfg)
     path = tmp_path / "out.csv"
-    write_csv(points, path)
+    assert main(["dr-vector", "--lattice", "z2", "--q", "3", "--m", "1", "--samples", "25",
+                 "--beta0", "0.5", "--out", str(path)]) == 0
     assert path.read_bytes().decode() == points_to_csv(points)
 
 

@@ -3,7 +3,7 @@
 Encode, decode, random dither ids and NLQM records are computed block by
 block; every output must equal one unblocked call bit for bit, and errors
 must count the rows of every block.  The constant is patched small here, as
-``test_pipeline.py`` patches ``_COMBINE_BLOCK``.
+``test_pipeline.py`` patches ``lut._COMBINE_BLOCK``.
 """
 
 import zlib

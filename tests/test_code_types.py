@@ -8,7 +8,7 @@ same values in int64.
 import numpy as np
 import pytest
 
-from conftest import traced_peak_mib
+from conftest import lut_ip, traced_peak_mib
 from hnlq import (
     HierarchicalParams,
     PipelineConfig,
@@ -20,8 +20,6 @@ from hnlq import (
     index_to_digits,
     ip_approx,
     load_quantized_matrix,
-    lut_ip,
-    lut_ip_dithered,
     make_lattice,
     matmul_approx,
     paired_ip_approx,
@@ -126,8 +124,8 @@ def test_int64_codes_give_the_same_bytes(mode, rotate, tmp_path):
         if mode == "none":
             got = [lut_ip(lut, P.digits[0, k], R.digits[1, k]) for P, R in ((QA, QB), (WA, WB))]
         else:
-            got = [lut_ip_dithered(lut, P.digits[0, k], R.digits[1, k], P.dither_ids[0, k],
-                                   R.dither_ids[1, k]) for P, R in ((QA, QB), (WA, WB))]
+            got = [lut_ip(lut, P.digits[0, k], R.digits[1, k], P.dither_ids[0, k],
+                          R.dither_ids[1, k]) for P, R in ((QA, QB), (WA, WB))]
         assert type(got[0]) is type(got[1]) and got[0] == got[1]
     save_quantized_matrix(QA, tmp_path / "narrow.nlqm")
     save_quantized_matrix(WA, tmp_path / "wide.nlqm")

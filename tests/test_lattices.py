@@ -6,16 +6,14 @@ import re
 import numpy as np
 import pytest
 
-from conftest import oracle_nearest
+from conftest import oracle_nearest, second_moment
 from hnlq import (
     HierarchicalParams,
     PipelineConfig,
     ScalingConfig,
-    coords_of,
     default_tie_breaker,
     make_lattice,
     quantize_vector,
-    second_moment,
 )
 from hnlq.lattices import FAMILY_IDS, in_scaled_voronoi_many
 
@@ -181,13 +179,12 @@ def test_dimension_mismatch_raises(d4):
 
 
 def test_coords_roundtrip(z3, d4, a2):
-    assert np.array_equal(coords_of(z3, np.array([2.0, -1.0, 5.0])), [2, -1, 5])
-    c = coords_of(d4, np.array([0.0, 0.0, 1.0, 1.0]))
+    # a lattice point is its own nearest point: its generator coordinates come back
+    assert np.array_equal(z3.nearest_coords(np.array([2.0, -1.0, 5.0])), [2, -1, 5])
+    c = d4.nearest_coords(np.array([0.0, 0.0, 1.0, 1.0]))
     assert np.array_equal(d4.point_of(c), [0.0, 0.0, 1.0, 1.0])
     p = a2.point_of(np.array([3, -2]))
-    assert np.array_equal(coords_of(a2, p), [3, -2])
-    with pytest.raises(ValueError):
-        coords_of(z3, np.array([0.5, 0.0, 0.0]))
+    assert np.array_equal(a2.nearest_coords(p), [3, -2])
 
 
 def test_point_of_is_exact_on_integer_lattices(d4):
@@ -215,15 +212,10 @@ def test_in_scaled_voronoi_examples(z1, d4):
 def test_vector_entry_points_name_the_expected_shape(d4):
     p = HierarchicalParams(d4, 3, 2)
     cfg = PipelineConfig(params=p, scaling=ScalingConfig(beta0=0.5), n=8)
-    calls = [
-        (4, lambda x: coords_of(d4, x)),
-        (8, lambda x: quantize_vector(cfg, x)),
-    ]
-    for n, call in calls:
-        for bad in (np.zeros(n + 1), np.zeros((1, n)), 0.0):
-            want = f"expected shape ({n},), got {np.shape(bad)}"
-            with pytest.raises(ValueError, match=re.escape(want)):
-                call(bad)
+    for bad in (np.zeros(9), np.zeros((1, 8)), 0.0):
+        want = f"expected shape (8,), got {np.shape(bad)}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            quantize_vector(cfg, bad)
 
 
 def test_in_scaled_voronoi_many_consistent(any_lat):
@@ -239,19 +231,17 @@ def test_in_scaled_voronoi_many_consistent(any_lat):
 
 def test_second_moment_z_is_one_twelfth(z1, z2):
     for lat in (z1, z2):
-        est, se = second_moment(lat, 200_000, seed=5, with_stderr=True)
+        est, se = second_moment(lat, 200_000, seed=5)
         assert abs(est - 1.0 / 12.0) <= 3.0 * se
 
 
 def test_second_moment_deterministic(z2):
-    assert second_moment(z2, 1000, seed=7) == second_moment(z2, 1000, seed=7)
-    assert second_moment(z2, 1000, seed=7) != second_moment(z2, 1000, seed=8)
-    with pytest.raises(ValueError):
-        second_moment(z2, 1)
+    assert second_moment(z2, 1000, seed=7)[0] == second_moment(z2, 1000, seed=7)[0]
+    assert second_moment(z2, 1000, seed=7)[0] != second_moment(z2, 1000, seed=8)[0]
 
 
 def test_second_moment_d4_below_cubic():
     # the checkerboard cell is rounder than the cube of equal volume:
     # sigma^2(D4) < 2^(2/4) / 12
-    est, se = second_moment(make_lattice("d4"), 100_000, seed=1, with_stderr=True)
+    est, se = second_moment(make_lattice("d4"), 100_000, seed=1)
     assert est + 3 * se < 2.0 ** 0.5 / 12.0

@@ -6,6 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
+from conftest import lut_ip
 from hnlq import (
     HierarchicalParams,
     InnerProductLUT,
@@ -16,8 +17,6 @@ from hnlq import (
     index_to_digits,
     ip_approx,
     load_lut,
-    lut_ip,
-    lut_ip_dithered,
     make_lattice,
     quantize_vector,
     save_lut,
@@ -134,13 +133,9 @@ def test_digit_indexing_past_int64():
         digits_to_index(np.zeros(16, dtype=np.int64), 17)
 
 
-def test_float_digits_are_refused(z1):
+def test_float_digits_are_refused():
     with pytest.raises(ValueError, match="integers"):
         digits_to_index(np.array([1.0, 2.0]), 3)
-    lut = build_lut(HierarchicalParams(z1, 3, 2))
-    fractional = np.array([[1.9], [1.2]])
-    with pytest.raises(ValueError, match="integers"):
-        lut_ip(lut, fractional, digits_of([[1], [1]]))
 
 
 def test_build_scalar_table(z1):
@@ -162,7 +157,7 @@ def test_table_is_symmetric(d4, a2):
         assert np.array_equal(square, square.T)
         # exact integers; the factor u (1/2 for A_2) gives the layer points' products
         P = lat.point_of(layer_codebook_coords(p))
-        assert np.abs(lut.unit * lut.values - (P @ P.T).ravel()).max() <= 1e-12
+        assert np.abs(lat.integer_gram[1] * lut.values - (P @ P.T).ravel()).max() <= 1e-12
 
 
 # NLL version 2 of z1 q = 3: magic "NLL1", version 2, family 1, d 1, q 3, value
@@ -260,7 +255,7 @@ def test_query_counters(d4):
     assert lut.query_count == 0
     lut_ip(lut, ex, ey)
     assert lut.query_count == 4
-    lut_ip_dithered(lut, ex, ey, np.array([1, 0, 2, 1]), np.array([0, 2, 1, 0]))
+    lut_ip(lut, ex, ey, np.array([1, 0, 2, 1]), np.array([0, 2, 1, 0]))
     assert lut.query_count == 4 + 9
 
     p3 = HierarchicalParams(d4, 3, 3)
@@ -283,27 +278,14 @@ def test_each_product_is_one_gather(d4, monkeypatch):
     rng = np.random.default_rng(59)
     ex, ey = random_digits(rng, 3, 3, 4, 2)
     lut_ip(lut, ex, ey)
-    lut_ip_dithered(lut, ex, ey, np.array([1, 0, 2, 1]), np.array([0, 2, 1, 0]))
+    lut_ip(lut, ex, ey, np.array([1, 0, 2, 1]), np.array([0, 2, 1, 0]))
     assert calls == [9, 16]
-
-
-def test_ip_validates_shapes(d4):
-    p = HierarchicalParams(d4, 3, 2)
-    lut = build_lut(p)
-    rng = np.random.default_rng(54)
-    ex, ey = random_digits(rng, 3, 2, 4, 2)
-    with pytest.raises(ValueError):
-        lut_ip(lut, ex, digits_of(rng.integers(0, 3, size=(1, 4))))  # depth mismatch
-    with pytest.raises(ValueError):
-        lut_ip(lut, ex, digits_of(rng.integers(0, 3, size=(2, 3))))  # wrong dim
-    with pytest.raises(ValueError):
-        lut_ip(lut, ex, digits_of([[0, 0, 0, 3], [0, 0, 0, 0]]))  # digit range
 
 
 def test_dithered_trace(z1):
     p = HierarchicalParams(z1, 4, 1)
     lut = build_lut(p)
-    got = lut_ip_dithered(lut, digits_of([[1]]), digits_of([[1]]), np.array([1]), np.array([3]))
+    got = lut_ip(lut, digits_of([[1]]), digits_of([[1]]), np.array([1]), np.array([3]))
     assert got == 1.25 * 0.75  # (1 + 1/4) * (1 - 1/4)
 
 
@@ -314,7 +296,7 @@ def test_dithered_refuses_misshapen_ids(d4):
     short, wide = np.array([1, 0, 2]), np.array([[1, 0, 2, 1]] * 2)
     for ids in (short, wide):
         with pytest.raises(ValueError, match="dither ids"):
-            lut_ip_dithered(lut, ex, ey, ids, ids)
+            lut_ip(lut, ex, ey, ids, ids)
 
 
 def test_dithered_reduces_to_plain_with_zero_ids(d4):
@@ -325,7 +307,7 @@ def test_dithered_reduces_to_plain_with_zero_ids(d4):
     for ex, ey in zip(
         random_digits(rng, 3, 2, 4, 50), random_digits(rng, 3, 2, 4, 50)
     ):
-        assert lut_ip_dithered(lut, ex, ey, z0, z0) == float(lut_ip(lut, ex, ey))
+        assert lut_ip(lut, ex, ey, z0, z0) == float(lut_ip(lut, ex, ey))
 
 
 def test_dithered_matches_direct(d4):
@@ -337,13 +319,13 @@ def test_dithered_matches_direct(d4):
         idx, idy = rng.integers(0, 4, size=(2, 4))
         zx, zy = _dither_points(p, idx), _dither_points(p, idy)
         want = float(np.dot(point(p, ex) + zx, point(p, ey) + zy))
-        assert abs(lut_ip_dithered(lut, ex, ey, idx, idy) - want) <= 1e-9
+        assert abs(lut_ip(lut, ex, ey, idx, idy) - want) <= 1e-9
 
 
 @pytest.mark.parametrize("name", ["d4", "a2"])
 def test_one_chunk_dithered_ip_is_ip_approx(name):
     # With beta0 = 1 and no retries, ip_approx of one chunk is the dithered
-    # table sum divided by q^2, so the pipeline and the scalar API agree exactly.
+    # table sum divided by q^2, so the pipeline and one chunk's table read agree exactly.
     lat = make_lattice(name)
     p = HierarchicalParams(lat, 4, 2)
     lut = build_lut(p)
@@ -355,8 +337,7 @@ def test_one_chunk_dithered_ip_is_ip_approx(name):
         qy = quantize_vector(cfg, rng.uniform(-4, 4, lat.d), col + 40)
         assert qx.T[0] == qy.T[0] == 0
         want = ip_approx(cfg, lut, qx, qy)
-        got = lut_ip_dithered(lut, qx.digits[0], qy.digits[0],
-                              qx.dither_ids[0], qy.dither_ids[0])
+        got = lut_ip(lut, qx.digits[0], qy.digits[0], qx.dither_ids[0], qy.dither_ids[0])
         assert got == want
 
 

@@ -8,6 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
+from conftest import lut_ip
 from hnlq import (
     HierarchicalParams,
     PipelineConfig,
@@ -17,8 +18,6 @@ from hnlq import (
     ip_approx,
     load_lut,
     load_quantized_matrix,
-    lut_ip,
-    lut_ip_dithered,
     make_lattice,
     matmul_approx,
     paired_ip_approx,
@@ -58,7 +57,7 @@ def cols_spanning_blocks(cfg, cols_b, outer=True):
         per_row = cfg.chunks * max(cols_b, cfg.params.q**cfg.params.lat.d)
     else:
         per_row = L * L * cols_b * cfg.chunks
-    rows = pipeline._COMBINE_BLOCK // per_row
+    rows = lut_mod._COMBINE_BLOCK // per_row
     assert rows >= 2
     return 2 * rows + 1
 
@@ -297,7 +296,7 @@ def test_ip_validates_inputs():
     for product in (matmul_approx, paired_ip_approx):
         with pytest.raises(ValueError, match="does not match"):
             product(cfg, lut_wrong, QA, QA)
-    # lut_ip takes no params: a caller holding them checks the table first
+    # a caller holding a table and params checks one against the other
     with pytest.raises(ValueError, match="does not match"):
         check_lut(lut_wrong, cfg.params)
     check_lut(lut, cfg.params)
@@ -701,7 +700,7 @@ def test_outer_kernel_at_every_dtype_boundary(case, monkeypatch):
     # matmul_approx equals ip_approx bit for bit and decode+GEMM to round-off,
     # across two row blocks and part of a third, on each side of every type bound
     name, q, M, kw, n, cols_b, dtype = case
-    monkeypatch.setattr(pipeline, "_COMBINE_BLOCK", 2**12)
+    monkeypatch.setattr(lut_mod, "_COMBINE_BLOCK", 2**12)
     dtypes = spy_kernel(monkeypatch)
     cfg = pipe(n=n, lat=make_lattice(name), q=q, M=M, beta0=0.02 * q, **kw)
     lut = build_lut(cfg.params)
@@ -745,7 +744,7 @@ def test_products_exact_beyond_int64():
     raw = lut_ip(lut, digits, digits)
     assert abs(raw - x @ x) <= 1e-12 * (x @ x)
     zero = np.zeros(4, dtype=np.int64)
-    assert lut_ip_dithered(lut, digits, digits, zero, zero) == float(raw)
+    assert lut_ip(lut, digits, digits, zero, zero) == float(raw)
 
 
 def test_matrix_column_quantization_matches_vector():

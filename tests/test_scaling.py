@@ -28,7 +28,7 @@ from hnlq.codec import (
 )
 from hnlq.lattices import in_scaled_voronoi_many
 from hnlq.scaling import decode_scaled_many, encode_scaled_many, entropy_bits
-from hnlq.voronoi import VoronoiCodeParams, digit_grid
+from hnlq.voronoi import digit_grid
 
 
 def test_config_validation():
@@ -349,7 +349,7 @@ def test_dither_points_above_the_codebook_cache(monkeypatch):
     monkeypatch.setattr(codec, "vc_decode_many", lambda *a: calls.append(1) or real(*a))
     got = _dither_rows(8, (30,), ids, lambda i: _dither_points(p, i))(...)
     assert calls == [1]
-    want = np.array([lat.point_of(real(VoronoiCodeParams(lat, 4), row)) / 4 for row in ids])
+    want = np.array([lat.point_of(real(lat, 4, row)) / 4 for row in ids])
     assert np.array_equal(got, want)
     assert np.array_equal(_dither_points(p, ids[3]), want[3])
 

@@ -27,3 +27,29 @@ def test_every_name_the_tracer_wraps_resolves(monkeypatch):
     for owner, attr in sites:
         # class attributes through __dict__, as the tracer reads them
         assert callable(vars(owner).get(attr)), f"{owner.__name__}.{attr} does not resolve"
+
+
+# Names that left the library, by the module that held them; README's
+# removed-names table gives each replacement.
+REMOVED = {
+    "bench": ("write_csv",),
+    "codec": ("enumerate_codebook",),
+    "lattices": ("coords_of", "second_moment"),
+    "lut": ("_exact_ip", "lut_ip", "lut_ip_dithered"),
+    "voronoi": ("VoronoiCodeParams",),
+}
+
+
+def test_every_public_name_resolves():
+    hnlq = importlib.import_module("hnlq")
+    modules = [hnlq] + [importlib.import_module(f"hnlq.{m.stem}")
+                        for m in sorted((ROOT / "src" / "hnlq").glob("[!_]*.py"))]
+    for mod in modules:
+        names = getattr(mod, "__all__", [])
+        assert len(names) == len(set(names)), f"{mod.__name__}.__all__ repeats a name"
+        for name in names:
+            assert hasattr(mod, name), f"{mod.__name__}.{name} is in __all__ but missing"
+    for home, names in REMOVED.items():
+        for name in names:
+            for mod in (hnlq, importlib.import_module(f"hnlq.{home}")):
+                assert not hasattr(mod, name), f"{mod.__name__}.{name} was removed"

@@ -4,26 +4,24 @@ import numpy as np
 import pytest
 
 from conftest import oracle_nearest
-from hnlq import HierarchicalParams, VoronoiCodeParams, h_encode_many
+from hnlq import HierarchicalParams, h_encode_many
 from hnlq.voronoi import digit_grid, vc_decode_many
 from hnlq.lattices import in_scaled_voronoi_many
 
 
-def one_layer_encode(p, X):
+def one_layer_encode(lat, r, X):
     """A Voronoi code's encoder: the one-layer hierarchical code's digits and overload."""
-    digits, overload = h_encode_many(HierarchicalParams(p.lat, p.r, 1), X)
+    digits, overload = h_encode_many(HierarchicalParams(lat, r, 1), X)
     return digits[..., 0, :], overload
 
 
 def test_params_validation(z2):
-    p = VoronoiCodeParams(z2, 4)
-    assert p.r == 4
-    with pytest.raises(ValueError):
-        VoronoiCodeParams(z2, 1)
-    with pytest.raises(ValueError):
-        VoronoiCodeParams(z2, 0)
-    with pytest.raises(ValueError):
-        VoronoiCodeParams(z2, 2.5)
+    # the nesting ratio is an integer >= 2
+    digits = np.array([[3, 1]])
+    assert np.array_equal(vc_decode_many(z2, 4, digits), [[-1, 1]])
+    for r in (1, 0, 2.5):
+        with pytest.raises(ValueError, match="nesting ratio"):
+            vc_decode_many(z2, r, np.zeros((1, 2), dtype=np.int64))
 
 
 def test_digit_grid_order_and_shape():
@@ -37,25 +35,23 @@ def test_digit_grid_order_and_shape():
 
 
 def test_scalar_code_examples(z1):
-    p = VoronoiCodeParams(z1, 4)
-    digits, overload = one_layer_encode(p, np.array([1.3]))
+    digits, overload = one_layer_encode(z1, 4, np.array([1.3]))
     assert np.array_equal(digits, [1])
     assert not overload
-    assert np.array_equal(z1.point_of(vc_decode_many(p, np.array([1]))), [1.0])
+    assert np.array_equal(z1.point_of(vc_decode_many(z1, 4, np.array([1]))), [1.0])
     # 3 decodes to -1: the coset representative nearest the origin
-    assert np.array_equal(z1.point_of(vc_decode_many(p, np.array([3]))), [-1.0])
-    digits, overload = one_layer_encode(p, np.array([2.8]))
+    assert np.array_equal(z1.point_of(vc_decode_many(z1, 4, np.array([3]))), [-1.0])
+    digits, overload = one_layer_encode(z1, 4, np.array([2.8]))
     assert np.array_equal(digits, [3])
     assert overload
-    digits, overload = one_layer_encode(p, np.array([0.0]))
+    digits, overload = one_layer_encode(z1, 4, np.array([0.0]))
     assert np.array_equal(digits, [0])
     assert not overload
 
 
 def test_codebook_lies_in_scaled_cell(z2, d4):
     for lat, r in ((z2, 3), (d4, 3)):
-        p = VoronoiCodeParams(lat, r)
-        coords = vc_decode_many(p, digit_grid(r, lat.d))
+        coords = vc_decode_many(lat, r, digit_grid(r, lat.d))
         pts = lat.point_of(coords)
         assert pts.shape == (r**lat.d, lat.d)
         assert in_scaled_voronoi_many(lat, pts, float(r)).all()
@@ -65,10 +61,9 @@ def test_codebook_lies_in_scaled_cell(z2, d4):
 
 def test_codewords_reencode_to_themselves(z2, d4):
     for lat, r in ((z2, 3), (d4, 3)):
-        p = VoronoiCodeParams(lat, r)
         grid = digit_grid(r, lat.d)
-        for row, coords in zip(grid, vc_decode_many(p, grid)):
-            digits, overload = one_layer_encode(p, lat.point_of(coords))
+        for row, coords in zip(grid, vc_decode_many(lat, r, grid)):
+            digits, overload = one_layer_encode(lat, r, lat.point_of(coords))
             assert not overload
             assert np.array_equal(digits, row)
 
@@ -76,13 +71,12 @@ def test_codewords_reencode_to_themselves(z2, d4):
 def test_encode_decode_consistency(z2, d4):
     rng = np.random.default_rng(42)
     for lat, r in ((z2, 4), (d4, 3)):
-        p = VoronoiCodeParams(lat, r)
         X = rng.standard_normal((500, lat.d)) * 2.0
         for x in X:
-            digits, overload = one_layer_encode(p, x)
+            digits, overload = one_layer_encode(lat, r, x)
             near = oracle_nearest(lat, x)
             assert np.array_equal(digits, np.mod(near, r))
-            dec = vc_decode_many(p, digits)
+            dec = vc_decode_many(lat, r, digits)
             assert overload == bool((dec != near).any())
             if not overload:
                 assert np.allclose(lat.point_of(dec), lat.point_of(near), atol=1e-12)
@@ -90,24 +84,20 @@ def test_encode_decode_consistency(z2, d4):
 
 def test_decode_many_matches_scalar(d4):
     # one digit row of shape (d,) decodes as the same row of a batch
-    p = VoronoiCodeParams(d4, 3)
     grid = digit_grid(3, 4)
-    batch = vc_decode_many(p, grid)
-    single = np.stack([vc_decode_many(p, row) for row in grid])
+    batch = vc_decode_many(d4, 3, grid)
+    single = np.stack([vc_decode_many(d4, 3, row) for row in grid])
     assert np.array_equal(batch, single)
 
 
 def test_digit_validation(z2):
-    p = VoronoiCodeParams(z2, 3)
     with pytest.raises(ValueError):
-        vc_decode_many(p, np.array([[3, 0]]))  # digit out of range
+        vc_decode_many(z2, 3, np.array([[3, 0]]))  # digit out of range
     with pytest.raises(ValueError):
-        vc_decode_many(p, np.array([[-1, 0]]))
+        vc_decode_many(z2, 3, np.array([[-1, 0]]))
     with pytest.raises(ValueError):
-        vc_decode_many(p, np.array([[0.0, 0.0]]))  # float digits
+        vc_decode_many(z2, 3, np.array([[0.0, 0.0]]))  # float digits
     with pytest.raises(ValueError):
-        vc_decode_many(p, np.array([[0, 0, 0]]))  # wrong dimension
+        vc_decode_many(z2, 3, np.array([[0, 0, 0]]))  # wrong dimension
     with pytest.raises(ValueError):
-        one_layer_encode(p, np.zeros(3))
-
-
+        one_layer_encode(z2, 3, np.zeros(3))
