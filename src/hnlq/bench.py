@@ -107,8 +107,14 @@ class ExperimentConfig:
             raise ValueError("beta0 must be a number or 'auto'")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        # run_dr_ip hands seed to PipelineConfig as rotation_seed and dither_seed
+        # as dither_seed, both int64 fields: refuse them here, before calibrating.
+        if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 2**63:
+            raise ValueError(f"seed must be an integer in [0, 2^63), got {self.seed!r}")
+        if not isinstance(self.dither_seed, numbers.Integral) or not (
+                -(2**63) <= self.dither_seed < 2**63):
+            raise ValueError(
+                f"dither_seed must be an integer in [-2^63, 2^63), got {self.dither_seed!r}")
         if self.dither not in DITHER_MODES:
             raise ValueError(f"dither must be one of {DITHER_MODES}, got {self.dither!r}")
 

@@ -147,45 +147,63 @@ def _horner(q: int, terms) -> np.ndarray:
 
 
 def chunk_sums(
-    lut: InnerProductLUT, ia: np.ndarray, ib: np.ndarray, outer: bool
+    lut: InnerProductLUT, a: tuple, b: tuple, outer: bool
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Exact chunk sums sum_(i, j) q^(i+j) table[ia_i, ib_j] of layer indices
-    ia (na, K, L) and ib (nb, K, L), as (r, C) for row blocks of A from row r.
+    """Exact chunk sums sum_(i, j) q^(i+j) table[x_i, y_j] of codes a and b,
+    as (r, C) for row blocks of a from row r.
 
-    C is (rows, nb, K) for all pairs (``outer``), else (rows, K) for column a
-    against column a, in the narrowest type ``chunk_sum_dtype`` proves exact,
-    else Python ints: no order of the sums changes a bit.  A block holds
-    about ``_COMBINE_BLOCK`` elements of its largest temporary, and at least
-    one row.  Counts K L^2 table entries per chunk pair.
+    Each side is (digits (n, K, M, d), dither ids (n, K, d) or None), and its
+    layer indices x, y (``layer_indices``, L layers) are worked out one block
+    of rows at a time, so a block's temporaries, not the matrices', set the
+    kernel's memory.  C is (rows, nb, K) for all pairs (``outer``), else
+    (rows, K) for column a against column a, in the narrowest type
+    ``chunk_sum_dtype`` proves exact, else Python ints: no order of the sums
+    changes a bit.  A block holds about ``_COMBINE_BLOCK`` elements of its
+    largest temporary, and at least one row.  Counts K L^2 table entries per
+    chunk pair.
 
     All pairs in an integer type sum partial rows P[a, k] = sum_i q^i
-    table[ia[r + a, k, i]] by Horner's rule, then gather sum_j q^j P[a, k,
-    ib[b, k, j]]: L reads per chunk pair, plus L q^d per chunk of A.  The rest
-    gather all L^2 layer pairs of a block (a partial row would read L q^d),
-    cast only those, and take Horner's rule over both layer axes.
+    table[x[r + a, k, i]] by Horner's rule, then gather sum_j q^j P[a, k,
+    y[b, k, j]]: L reads per chunk pair, plus L q^d per chunk of a; the
+    columns of b are laid out for that gather once.  The rest gather all L^2
+    layer pairs of a block (a partial row would read L q^d), cast only those,
+    and take Horner's rule over both layer axes.
     """
-    na, K, L = ia.shape
-    nb, side, q = len(ib), lut.side, lut.q
+    (da, za), (db, zb) = a, b
+    na, K, M = da.shape[:3]
+    L = M + (za is not None)
+    nb, side, q = len(db), lut.side, lut.q
     dtype = chunk_sum_dtype(lut, L)
+
+    def indices(digits, ids, rows):  # a new array (rows, K, L)
+        return layer_indices(q, digits[rows], None if ids is None else ids[rows])
+
     if outer and dtype is not None:
         table = lut.values.astype(dtype).reshape(side, side)
         lut.query_count += na * nb * K * L * L
-        # (L, nb, K) columns k * side + ib of a block's partial rows, flattened (rows, K * side)
-        cols = np.moveaxis(ib + side * np.arange(K)[:, None], -1, 0).copy()
+        # (L, nb, K) columns k * side + y of a block's partial rows, flattened (rows, K * side)
+        cols = indices(db, zb, ...)
+        cols += side * np.arange(K)[:, None]
+        cols = np.moveaxis(cols, -1, 0).copy()
         rows = max(1, _COMBINE_BLOCK // (K * max(nb, side)))
         for r in range(0, na, rows):
-            ra = ia[r:r + rows]
-            P = _horner(q, (table[ra[..., i]] for i in reversed(range(L)))).reshape(len(ra), -1)
+            x = indices(da, za, slice(r, r + rows))
+            P = _horner(q, (table[x[..., i]] for i in reversed(range(L)))).reshape(len(x), -1)
             # np.take on a flat axis, several times faster than P[:, cols[j]]
             yield r, _horner(q, (np.take(P, cols[j], axis=1) for j in reversed(range(L))))
         return
-    # contiguous layer-major row offsets (L, na, K) and columns (L, nb, K), or all pairs
-    ra, rb = (np.moveaxis(i, -1, 0).copy() for i in (ia * side, ib))
-    if outer:
-        ra, rb = ra[:, :, None], rb[:, None]
+    if outer:  # every column of b, layer-major (L, 1, nb, K)
+        y = np.moveaxis(indices(db, zb, ...), -1, 0)[:, None]
     rows = max(1, _COMBINE_BLOCK // (L * L * K * (max(nb, 1) if outer else 1)))
     for r in range(0, na, rows):
-        pairs = lut._gather(ra[:, None, r:r + rows] + (rb if outer else rb[:, r:r + rows])[None])
+        block = slice(r, r + rows)
+        # layer-major row offsets (L, rows, K), and for all pairs a column axis
+        x = np.moveaxis(indices(da, za, block) * side, -1, 0)
+        if outer:
+            x = x[:, :, None]
+        else:
+            y = np.moveaxis(indices(db, zb, block), -1, 0)
+        pairs = lut._gather(np.add(x[:, None], y[None], order="C"))
         pairs = pairs.astype(object if dtype is None else dtype, copy=False)
         yield r, _horner(q, (_horner(q, pairs[i, ::-1]) for i in reversed(range(L))))
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .codec import HierarchicalParams
 from .lattices import FAMILY_IDS, _as_float, _as_vector, make_lattice
-from .lut import InnerProductLUT, _strip_crc, _with_crc, check_lut, chunk_sums, layer_indices
+from .lut import InnerProductLUT, _strip_crc, _with_crc, check_lut, chunk_sums
 from .scaling import ScalingConfig, _blocks, _blockwise, decode_scaled_many, encode_scaled_many
 from .voronoi import _check_digits, digit_dtype, digits_to_index, index_to_digits
 
@@ -315,22 +315,23 @@ def _check_config(cfg: PipelineConfig, *quantized) -> None:
         raise ValueError("quantized data does not match the pipeline config")
 
 
-def _combine(cfg, lut, ia, ib, Ta, Tb, outer: bool) -> np.ndarray:
+def _combine(cfg, lut, a, b, Ta, Tb, outer: bool) -> np.ndarray:
     """Inner products, all pairs (na, nb) when ``outer`` else paired (n,), from
-    layer indices (n, K, L) and retry counts (n, K) of the two sides.
+    codes (digits (n, K, M, d), dither ids (n, K, d) or None) and retry counts
+    (n, K) of the two sides.
 
     The one float step: an exact chunk sum is divided by q^2 when dithered,
     multiplied by the lattice factor u, then (sa * sb) * chunk is summed over
     chunks.  All pairs are built over the side with fewer columns: the table
     is symmetric and a float product commutes, so the swap changes no bit.
     """
-    if outer and len(ib) < len(ia):
-        return _combine(cfg, lut, ib, ia, Tb, Ta, outer).T.copy()
+    if outer and len(Tb) < len(Ta):
+        return _combine(cfg, lut, b, a, Tb, Ta, outer).T.copy()
     check_lut(lut, cfg.params)
     q, u = cfg.params.q, cfg.params.lat.integer_gram[1]
     sa, sb = (cfg.scaling.scale(T) for T in (Ta, Tb))
-    out = np.empty((len(ia), len(ib)) if outer else len(ia))
-    for r, chunk in chunk_sums(lut, ia, ib, outer):
+    out = np.empty((len(Ta), len(Tb)) if outer else len(Ta))
+    for r, chunk in chunk_sums(lut, a, b, outer):
         rows = slice(r, r + len(chunk))
         if chunk.dtype == object:
             chunk = chunk.astype(np.float64)
@@ -356,8 +357,9 @@ def ip_approx(
     must be quantized under cfg, and the table built for cfg's parameters.
     """
     _check_config(cfg, qx, qy)
-    ix, iy = (layer_indices(cfg.params.q, v.digits, v.dither_ids)[None] for v in (qx, qy))
-    total = float(_combine(cfg, lut, ix, iy, qx.T[None], qy.T[None], outer=False)[0])
+    x, y = ((v.digits[None], None if v.dither_ids is None else v.dither_ids[None])
+            for v in (qx, qy))
+    total = float(_combine(cfg, lut, x, y, qx.T[None], qy.T[None], outer=False)[0])
     if cfg.rotate:
         total *= qx.norm * qy.norm / cfg.n
     return total
@@ -368,8 +370,8 @@ def _matrix_products(cfg, lut, QA: QuantizedMatrix, QB: QuantizedMatrix, outer: 
     _check_config(cfg, QA, QB)
     if not outer and QA.cols != QB.cols:
         raise ValueError("paired matrices need the same number of columns")
-    ia, ib = (layer_indices(cfg.params.q, Q.digits, Q.dither_ids) for Q in (QA, QB))
-    out = _combine(cfg, lut, ia, ib, QA.T, QB.T, outer)
+    a, b = ((Q.digits, Q.dither_ids) for Q in (QA, QB))
+    out = _combine(cfg, lut, a, b, QA.T, QB.T, outer)
     if cfg.rotate:
         out *= (QA.norms[:, None] * QB.norms if outer else QA.norms * QB.norms) / cfg.n
     return out

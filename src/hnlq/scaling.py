@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +63,14 @@ class ScalingConfig:
 
     def scale(self, T: int | np.ndarray) -> float | np.ndarray:
         return self.beta0 * 2.0 ** (self.alpha * T)
+
+    @cached_property
+    def _rungs(self) -> np.ndarray:
+        """Read-only scales of rungs 0..max_retries, built once per config.
+        Rung t is ``scale`` of the Python int t, the float a scalar call gives."""
+        rungs = np.array([self.scale(t) for t in range(self.max_retries + 1)])
+        rungs.setflags(write=False)
+        return rungs
 
     @property
     def retry_dtype(self) -> np.dtype:
@@ -149,8 +158,7 @@ def encode_scaled_many(
         raise ValueError("cannot encode non-finite values")
     rows = X if X.ndim > 1 else X[None]  # blocks run over its leading axis
     dither = _dither_rows(lat.d, rows.shape[:-1], dither_ids, lambda i: _dither_points(params, i))
-    # Rung t is cfg.scale of the Python int t, the float a scalar call gives.
-    scales = np.array([cfg.scale(t) for t in range(cfg.max_retries + 1)])
+    scales = cfg._rungs
     # |coordinates| <= max|x| * max row sum of |G^-1|; 2^62 leaves room for the dither.
     reach = 2.0**62 / float(np.abs(lat.G_inv).sum(axis=1).max())
     T = np.zeros(rows.shape[:-1], dtype=cfg.retry_dtype)

@@ -20,7 +20,7 @@ from hypothesis import settings
 
 from hnlq import UnencodableError, h_encode_many, make_lattice
 from hnlq.codec import _dither_points, _iter_codebook_coords
-from hnlq.lut import chunk_sums, layer_indices
+from hnlq.lut import chunk_sums
 
 # Property tests draw the same examples on every run unless a run asks for
 # another profile (``--hypothesis-profile=default`` draws fresh ones).
@@ -131,9 +131,9 @@ def lut_ip(lut, dx, dy, zx=None, zy=None):
     them as layer 0, and the exact sum over (M + 1)^2 entries is divided by
     q^2, then multiplied by u: the float steps of ``pipeline._combine``.
     """
-    ids = None if zx is None else np.stack([zx, zy])
-    ix, iy = layer_indices(lut.q, np.stack([dx, dy]), ids)
-    ((_, C),) = chunk_sums(lut, ix[None, None], iy[None, None], False)
+    x, y = ((np.asarray(b)[None, None], None if z is None else np.asarray(z)[None, None])
+            for b, z in ((dx, zx), (dy, zy)))
+    ((_, C),) = chunk_sums(lut, x, y, False)
     total = int(C[0, 0])
     u = _gram_factor(lut.family, lut.d)
     if zx is not None:

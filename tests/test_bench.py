@@ -69,7 +69,7 @@ def test_effective_params():
         effective_params("bogus", base)
 
 
-def test_experiment_config_validation():
+def test_experiment_config_validation(monkeypatch):
     with pytest.raises(ValueError):
         ExperimentConfig(schemes=("nope",))
     with pytest.raises(ValueError):
@@ -87,6 +87,25 @@ def test_experiment_config_validation():
     with pytest.raises(ValueError, match="seed"):
         main(["dr-ip", "--seed", "-1", "--n", "8", "--m", "1", "--samples", "4"])
     assert ExperimentConfig(beta0="auto").beta0 == "auto"
+    # run_dr_ip passes seed as a rotation_seed and dither_seed as a dither_seed,
+    # both int64 fields of PipelineConfig: refused by name before any calibration
+    with pytest.raises(ValueError, match="^seed"):
+        ExperimentConfig(seed=2**63)
+    for seed in (2**63, -(2**63) - 1, 0.5):
+        with pytest.raises(ValueError, match="^dither_seed"):
+            ExperimentConfig(dither_seed=seed)
+    cfg = ExperimentConfig(seed=2**63 - 1, dither_seed=-(2**63))
+    assert (cfg.seed, cfg.dither_seed) == (2**63 - 1, -(2**63))
+
+    def calibrated(*args, **kw):
+        raise AssertionError("calibrated before refusing the seed")
+
+    monkeypatch.setattr(bench, "calibrate_beta0", calibrated)
+    argv = ["dr-ip", "--q", "4", "--m", "1", "--n", "16", "--samples", "4"]
+    with pytest.raises(ValueError, match="^seed"):
+        main(argv + ["--seed", str(2**63)])
+    with pytest.raises(ValueError, match="^dither_seed"):
+        main(argv + ["--dither", "random", "--dither-seed", str(2**63)])
 
 
 def test_vector_mse_of_zero_input():

@@ -1,9 +1,10 @@
-"""The codec runs in row blocks of ``scaling._CODEC_BLOCK`` elements.
+"""The codec runs in row blocks of ``scaling._CODEC_BLOCK`` elements, and the
+products in row blocks of about ``lut._COMBINE_BLOCK``.
 
 Encode, decode, random dither ids and NLQM records are computed block by
-block; every output must equal one unblocked call bit for bit, and errors
-must count the rows of every block.  The constant is patched small here, as
-``test_pipeline.py`` patches ``lut._COMBINE_BLOCK``.
+block, and so are the layer indices of the products; every output must
+equal one unblocked call bit for bit, and errors must count the rows of
+every block.  The constants are patched small here.
 """
 
 import zlib
@@ -12,14 +13,18 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak_mib
-from hnlq import UnencodableError, bench, scaling
+from hnlq import UnencodableError, bench, lut, pipeline, scaling
 from hnlq.codec import HierarchicalParams
 from hnlq.lattices import make_lattice
+from hnlq.lut import build_lut, chunk_sum_dtype
 from hnlq.pipeline import (
     _QM_HEADER,
     PipelineConfig,
     _column_dither_ids,
+    ip_approx,
     load_quantized_matrix,
+    matmul_approx,
+    paired_ip_approx,
     quantize_matrix,
     save_quantized_matrix,
 )
@@ -228,3 +233,98 @@ def test_store_a2_quantize_peak_is_bounded():
     Q, peak = traced_peak_mib(lambda: quantize_matrix(cfg, X))
     assert Q.digits.shape == (256, 512, 2, 2)
     assert peak <= STORE_A2_QUANTIZE_PEAK_MIB, f"{peak:.2f} MiB"
+
+
+ROWS = 3  # rows of A in a block of the chunk-sum kernel when it is patched small
+WIDE = 3 * ROWS + 3  # columns of B in all-pairs products: B stays the wider side
+
+
+def product_configs():
+    """matrix_configs' dither modes and rotation for each lattice, plus the
+    Python-int path of test_products_exact_beyond_int64 (d4 q=8 M=11)."""
+    cases = {f"{name} {mode}": cfg for name in LATTICES
+             for mode, cfg in matrix_configs(name).items()}
+    cases["d4 q=8 M=11 python ints"] = PipelineConfig(
+        HierarchicalParams(make_lattice("d4"), 8, 11), ScalingConfig(1e-10), 8)
+    return cases
+
+
+def combine_block(cfg, table, outer):
+    """A ``_COMBINE_BLOCK`` at which a kernel block holds ROWS rows of A.
+
+    All pairs within int64 take blocks of partial rows and chunk sums,
+    K max(B.cols, q^d) elements a row; the pair gather takes every layer pair,
+    L^2 K elements a row, times B.cols for all pairs.
+    """
+    L = cfg.params.M + (cfg.dither_mode != "none")
+    K = cfg.chunks
+    if outer and chunk_sum_dtype(table, L) is not None:
+        return ROWS * K * max(WIDE, table.side)
+    return ROWS * L * L * K * (WIDE if outer else 1)
+
+
+@pytest.mark.parametrize("case", product_configs().items(), ids=product_configs().keys())
+def test_blocked_products_equal_one_call(case, monkeypatch):
+    # the layer indices of both sides are worked out block by block: products
+    # and table counts equal one block over all columns, bit for bit
+    _, cfg = case
+    table = build_lut(cfg.params)
+    blocks = []
+    kernel = lut.chunk_sums
+
+    def spied(*args):
+        for r, chunk in kernel(*args):
+            blocks.append(r)
+            yield r, chunk
+
+    monkeypatch.setattr(pipeline, "chunk_sums", spied)
+    for cols in (0, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 2):
+        rng = np.random.default_rng(cols)
+        A, A2 = (rng.standard_normal((cfg.n, cols)) * 3 for _ in range(2))
+        B = rng.standard_normal((cfg.n, WIDE)) * 3
+        runs = []
+        for small in (False, True):
+            monkeypatch.setattr(scaling, "_CODEC_BLOCK", SMALL if small else 2**62)
+            QA, QA2, QB = (quantize_matrix(cfg, M) for M in (A, A2, B))
+            table.query_count = 0
+            out = {}
+            for product, Q, outer in ((paired_ip_approx, QA2, False), (matmul_approx, QB, True)):
+                monkeypatch.setattr(lut, "_COMBINE_BLOCK",
+                                    combine_block(cfg, table, outer) if small else 2**62)
+                blocks.clear()
+                out[product.__name__] = product(cfg, table, QA, Q)
+                # one block unpatched; patched, a block per ROWS columns of A
+                assert len(blocks) == (-(-cols // ROWS) if small else min(cols, 1)), (small, cols)
+            out["matmul B^T A"] = matmul_approx(cfg, table, QB, QA)
+            out["ip_approx"] = np.array([ip_approx(cfg, table, QA.column(j), QA2.column(j))
+                                         for j in range(cols)])
+            out["reads"] = table.query_count
+            runs.append(out)
+        one, blocked = runs
+        for key, want in one.items():
+            got = blocked[key]
+            assert type(got) is type(want) and np.shape(got) == np.shape(want), (key, cols)
+            assert np.array_equal(got, want), (key, cols)
+        assert np.array_equal(one["ip_approx"], one["paired_ip_approx"])
+        assert np.array_equal(one["matmul B^T A"], one["matmul_approx"].T)
+        L = cfg.params.M + (cfg.dither_mode != "none")
+        assert one["reads"] == (cols + 2 * cols * WIDE + cols) * cfg.chunks * L * L
+
+
+# tracemalloc peak of paired_ip_approx on the dr-ip sweep's d4 q=4 M=3
+# fixed-dither 512x500 pair: 11.42 MiB with the layer indices of both whole
+# matrices built first, 4.11 MiB with them worked out block by block.
+PAIRED_PRODUCT_PEAK_MIB = 6.0
+
+
+def test_paired_product_peak_is_bounded():
+    params = HierarchicalParams(make_lattice("d4"), 4, 3)
+    beta0 = bench.calibrate_beta0("hierarchical", params, seed=52)
+    cfg = PipelineConfig(params, ScalingConfig(beta0), 512, dither_mode="fixed",
+                         dither_ids=np.ones(4, dtype=np.int64))
+    rng = np.random.default_rng(52)
+    QX, QY = (quantize_matrix(cfg, rng.standard_normal((512, 500))) for _ in range(2))
+    table = build_lut(params)
+    out, peak = traced_peak_mib(lambda: paired_ip_approx(cfg, table, QX, QY))
+    assert out.shape == (500,) and table.query_count == 500 * 128 * 4 * 4
+    assert peak <= PAIRED_PRODUCT_PEAK_MIB, f"{peak:.2f} MiB"
