@@ -30,6 +30,7 @@ from .pipeline import DITHER_MODES, PipelineConfig, paired_ip_approx, quantize_m
 from .pipeline import ip_approx  # noqa: F401  (perfbench's tracer wraps this name)
 from .scaling import (
     ScalingConfig,
+    _Pilot,
     decode_scaled_many,
     empirical_rate,
     encode_scaled_many,
@@ -229,10 +230,11 @@ def calibrate_beta0(
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     eff = effective_params(scheme, params)
     rng = np.random.default_rng([seed, 0xB0])
-    X = rng.standard_normal((pilot_n, eff.lat.d))
+    # The candidates share the pilot's bound and work arrays, freed on return.
+    pilot = _Pilot(eff, rng.standard_normal((pilot_n, eff.lat.d)))
 
     def score(b):
-        dist, T = _vector_mse(eff, ScalingConfig(beta0=b, alpha=alpha), X)
+        dist, T = pilot.mse(ScalingConfig(beta0=b, alpha=alpha))
         return empirical_rate(eff, T) + 0.5 * math.log2(dist)
 
     scores = [score(b) for b in grid]

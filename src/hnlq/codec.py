@@ -3,7 +3,7 @@
 Encodes a vector as M base-q digit vectors by repeatedly quantizing,
 reducing mod q and shrinking by q.  Only the first quantization runs the
 nearest-point decoder: each later one is exact coset arithmetic through
-the layer codebook (``_layer_coords``).  Layer m of the decoder contributes
+the layer codebook (``_layer_rows``).  Layer m of the decoder contributes
 q^m times a coset representative, so the reconstruction always equals the
 nearest lattice point minus the M-fold coarsened quantization of the
 input; the codebook is exact whenever that coarse term is zero.
@@ -17,9 +17,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattices import Lattice, in_scaled_voronoi_many
+from .lattices import Lattice, _columns, in_scaled_voronoi_many
 from .voronoi import (
     LAYER_CODEBOOK_MAX,
+    _check_digits,
+    _index,
     digit_dtype,
     digit_grid,
     digits_to_index,
@@ -88,6 +90,49 @@ class HierarchicalParams:
         pts.setflags(write=False)
         return pts
 
+    @cached_property
+    def _supports(self) -> np.ndarray | None:
+        """Read-only support of the layer codebook along each signed relevant
+        vector v, the rows of ``lat._signed_weights``: the max over its rows r
+        of 2 <r, v> / |v|^2.  None when there is no cached codebook."""
+        if self._layer_codebook is None:
+            return None
+        points = _columns(self.lat.point_of(self._layer_codebook))
+        S = (self.lat._signed_weights @ points).max(axis=1)
+        S.setflags(write=False)
+        return S
+
+    @cached_property
+    def _fit_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows w_v / b_v, one per signed relevant vector v
+        (``Lattice._signed_weights``, w_v = 2 v / |v|^2), without and with a
+        dither: a row x can encode without overload at scale s only if every
+        entry of (w_v / b_v) . x is at most s (up to float rounding).
+
+        Let e be the tie breaker in the lattice's frame, eta = g(e) its gauge,
+        z the dither (zero without) and y = x / s - z the quantizer's input.
+        Its nearest point l has w_v . (y + e - l) <= 1.  A row that does not
+        overload decodes to l, a codeword sum_{m<M} q^m r_m of layer codebook
+        rows r_m, and a dither is such a row over q.  With S_v the codebook's
+        support along v (``_supports``) and A = 1 + q + ... + q^(M-1),
+          w_v . x / s = w_v . (l + (y + e - l) - e + z)
+                      <= b_v = A S_v + 1 + eta + [dithered] S_v / q.
+        Without a cached codebook S_v is bounded by q (1 + eta), as a layer
+        codebook row lies in q (V - e): b_v = (qA + 1 + [dithered]) (1 + eta).
+        """
+        lat, q, M, S = self.lat, self.q, self.M, self._supports
+        eta = float(lat.gauge(lat.eps))
+        pair = []
+        for dithered in (False, True):
+            if S is None:
+                bounds = (outer_nesting_ratio(q, M) + 1 + dithered) * (1.0 + eta)
+            else:
+                bounds = (q**M - 1) // (q - 1) * S + (1.0 + eta) + (S / q if dithered else 0.0)
+            W = lat._signed_weights / np.reshape(bounds, (-1, 1))
+            W.setflags(write=False)
+            pair.append(W)
+        return tuple(pair)
+
 
 def nesting_radius_ratio(q: int, M: int) -> float:
     """Relative slack of the codebook region: (1 - q^(1-M)) / (q - 1)."""
@@ -117,7 +162,7 @@ def h_encode_many(params: HierarchicalParams, X: np.ndarray) -> tuple[np.ndarray
     Only layer 0 runs the nearest-point quantizer.  Layer m + 1 quantizes
     lambda_m / q, which depends only on the coset of lambda_m mod qL: it is
     (c - rep(c mod q)) / q in generator coordinates, with rep the layer
-    codebook row (``_layer_coords``).  So every later layer and the
+    codebook row (``_layer_rows``).  So every later layer and the
     overload test are exact int64 steps.  Past |x| of about 1e9 the digits
     of rows that already overload may differ from re-quantizing each layer
     in floating point, whose tie-breaker falls below float resolution there;
@@ -128,13 +173,17 @@ def h_encode_many(params: HierarchicalParams, X: np.ndarray) -> tuple[np.ndarray
     q = params.q
     c = params.lat.nearest_coords(X)
     digits = np.empty(c.shape[:-1] + (params.M, params.lat.d), dtype=digit_dtype(q))
+    b, rows = np.empty_like(c), np.empty_like(c)
     for m in range(params.M):
-        # c mod q as c - q (c // q): numpy's integer // by a scalar is several
-        # times faster than its %.  Contiguous b also checks and indexes faster
-        # than the strided digits[..., m, :].
-        b = c - (c // q) * q
+        # c mod q as c - q (c // q), in place: numpy's integer // by a scalar is
+        # several times faster than its %.  Contiguous b also indexes faster
+        # than the strided digits[..., m, :], and lies in [0, q) by
+        # construction, so it is indexed unchecked.
+        np.floor_divide(c, q, out=b)
+        b *= q
+        np.subtract(c, b, out=b)
         digits[..., m, :] = b
-        c -= _layer_coords(params, b)
+        c -= _layer_rows(params, b, rows)
         c //= q
     # Any non-zero coordinate, one column at a time: a reduction over the
     # short trailing axis costs several times more.
@@ -145,18 +194,21 @@ def h_encode_many(params: HierarchicalParams, X: np.ndarray) -> tuple[np.ndarray
 
 
 def _layer_coords(params: HierarchicalParams, digits: np.ndarray) -> np.ndarray:
-    """Coset representative coordinates of digit rows (..., d), exact int64.
+    """Coset representative coordinates of digit rows (..., d), exact int64,
+    after validating the digits (``voronoi._check_digits``)."""
+    return _layer_rows(params, _check_digits(digits, params.q, params.lat.d))
 
-    Gathers rows of the cached layer codebook by base-q index; without a
-    cached codebook it runs the quantizer per row.  Either way the digits
-    are validated once.
+
+def _layer_rows(params: HierarchicalParams, b: np.ndarray, out: np.ndarray | None = None):
+    """Layer codebook rows (..., d) of digits b (..., d) known to lie in [0, q).
+
+    One gather from the cached codebook by base-q index, into ``out`` when
+    given; without a cached codebook the quantizer runs per row (new array).
     """
     cb = params._layer_codebook
     if cb is None:
-        return vc_decode_many(params.lat, params.q, digits)
-    if np.shape(digits)[-1] != params.lat.d:
-        raise ValueError(f"digit vector must have trailing axis {params.lat.d}")
-    return np.take(cb, digits_to_index(digits, params.q), axis=0)
+        return vc_decode_many(params.lat, params.q, b)
+    return np.take(cb, _index(b, params.q), axis=0, out=out)
 
 
 def _dither_points(params: HierarchicalParams, ids: np.ndarray) -> np.ndarray:
@@ -203,11 +255,29 @@ def decode_coords_many(
         raise ValueError(
             f"digits must have trailing shape ({params.M}, {params.lat.d}), got {digits.shape}"
         )
-    reps = _layer_coords(params, digits)
-    rng = range(params.M)[layers] if layers is not None else range(params.M)
-    acc = np.zeros(digits.shape[:-2] + (params.lat.d,), dtype=np.int64)
-    for m in rng:
-        acc += (params.q**m) * reps[..., m, :]
+    _check_digits(digits, params.q, params.lat.d)
+    return _sum_layers(params, digits, range(params.M)[layers] if layers is not None
+                       else range(params.M))
+
+
+def _sum_layers(params: HierarchicalParams, digits: np.ndarray, ms, acc=None, rows=None):
+    """Sum over layers m in ms of q^m times the layer rows of digits (..., M, d)
+    known to lie in [0, q), as int64 (..., d): into ``acc`` when given, with
+    ``rows`` (same shape) for each later layer's gather.
+
+    Horner's rule from the top layer down, one layer's rows at a time: every
+    product and sum is the int64 one of sum_m q^m rows_m, as int64 wraps alike.
+    """
+    ms = sorted(ms, reverse=True)
+    if not ms:
+        return np.zeros(digits.shape[:-2] + (params.lat.d,), dtype=np.int64)
+    acc = _layer_rows(params, digits[..., ms[0], :], acc)
+    rows = np.empty_like(acc) if rows is None else rows
+    for hi, m in zip(ms, ms[1:]):
+        acc *= params.q ** (hi - m)
+        acc += _layer_rows(params, digits[..., m, :], rows)
+    if ms[-1]:
+        acc *= params.q ** ms[-1]
     return acc
 
 

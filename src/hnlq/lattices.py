@@ -111,21 +111,28 @@ class Lattice:
         # One matmul, then a reduction over the leading (relevant-vector) axis:
         # a max over a short trailing axis costs several times more.
         with np.errstate(over="ignore"):
-            p = self._gauge_weights.T @ x.reshape(-1, self.d).T
+            p = self._gauge_weights @ _columns(x)
         return np.abs(p, out=p).max(axis=0).reshape(x.shape[:-1])
 
     @cached_property
     def _gauge_weights(self) -> np.ndarray:
-        """Columns 2 v / |v|^2, one per pair +-v of relevant vectors."""
+        """Rows 2 v / |v|^2, one per pair +-v of relevant vectors."""
         eye = np.eye(self.d)
         if self.family == "Z":
             V = eye
         elif self.family == "D":
             V = np.array([eye[i] + s * eye[j] for i in range(self.d)
-                          for j in range(i + 1, self.d) for s in (1, -1)]).T
+                          for j in range(i + 1, self.d) for s in (1, -1)])
         else:  # A_2: both basis vectors and their difference
-            V = self.G @ np.array([[1.0, 0.0, -1.0], [0.0, 1.0, 1.0]])
-        return 2.0 * V / (V * V).sum(axis=0)
+            V = (self.G @ np.array([[1.0, 0.0, -1.0], [0.0, 1.0, 1.0]])).T
+        return 2.0 * V / (V * V).sum(axis=1)[:, None]
+
+    @cached_property
+    def _signed_weights(self) -> np.ndarray:
+        """Rows 2 v / |v|^2 for every relevant vector v, signed: the rows of
+        ``_gauge_weights`` and then their negatives."""
+        W = self._gauge_weights
+        return np.concatenate([W, -W])
 
     def _nearest_coords_d(self, x: np.ndarray) -> np.ndarray:
         # Round every coordinate; if the sum is odd, re-round the coordinate
@@ -259,6 +266,16 @@ def _as_vector(x, n: int) -> np.ndarray:
     if x.shape != (n,):
         raise ValueError(f"expected shape ({n},), got {x.shape}")
     return x
+
+
+def _columns(x: np.ndarray) -> np.ndarray:
+    """Rows of x (..., d) as the columns of a C-contiguous (d, rows) array.
+
+    Under two OpenBLAS threads a product W @ x.T on the strided transpose
+    took a median 7.9 ms on 16,000 d4 rows (0.30 ms under one thread); on
+    this copy it takes 0.32 ms under either.
+    """
+    return np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)
 
 
 def in_scaled_voronoi_many(lat: Lattice, X: np.ndarray, s: float) -> np.ndarray:

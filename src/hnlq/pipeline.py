@@ -329,7 +329,8 @@ def _combine(cfg, lut, a, b, Ta, Tb, outer: bool) -> np.ndarray:
         return _combine(cfg, lut, b, a, Tb, Ta, outer).T.copy()
     check_lut(lut, cfg.params)
     q, u = cfg.params.q, cfg.params.lat.integer_gram[1]
-    sa, sb = (cfg.scaling.scale(T) for T in (Ta, Tb))
+    scale = cfg.scaling.scale
+    sb = scale(Tb) if outer else None  # all pairs pair every block with all of b
     out = np.empty((len(Ta), len(Tb)) if outer else len(Ta))
     for r, chunk in chunk_sums(lut, a, b, outer):
         rows = slice(r, r + len(chunk))
@@ -339,7 +340,8 @@ def _combine(cfg, lut, a, b, Ta, Tb, outer: bool) -> np.ndarray:
             chunk = chunk / q**2
         if u != 1:
             chunk = chunk * u
-        prod = sa[rows, None] * sb if outer else sa[rows] * sb[rows]
+        # a block's scales from its own T: the floats of scaling all of T at once
+        prod = scale(Ta[rows])[:, None] * sb if outer else scale(Ta[rows]) * scale(Tb[rows])
         prod *= chunk
         out[rows] = prod.sum(-1)
     return out

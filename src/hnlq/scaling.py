@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,12 +20,12 @@ from .codec import (
     HierarchicalParams,
     _dither_points,
     _dither_rows,
+    _sum_layers,
     decode_coords_many,
     h_encode_many,
-    outer_nesting_ratio,
 )
 from .errors import UnencodableError
-from .lattices import _as_float
+from .lattices import _as_float, _columns
 from .voronoi import digit_dtype
 from .voronoi import vc_decode_many  # noqa: F401  (perfbench's tracer wraps this name)
 
@@ -64,13 +64,10 @@ class ScalingConfig:
     def scale(self, T: int | np.ndarray) -> float | np.ndarray:
         return self.beta0 * 2.0 ** (self.alpha * T)
 
-    @cached_property
+    @property
     def _rungs(self) -> np.ndarray:
-        """Read-only scales of rungs 0..max_retries, built once per config.
-        Rung t is ``scale`` of the Python int t, the float a scalar call gives."""
-        rungs = np.array([self.scale(t) for t in range(self.max_retries + 1)])
-        rungs.setflags(write=False)
-        return rungs
+        """Read-only scales of rungs 0..max_retries (``_ladder``)."""
+        return _ladder(self.beta0, self.alpha, self.max_retries)
 
     @property
     def retry_dtype(self) -> np.dtype:
@@ -78,6 +75,18 @@ class ScalingConfig:
         max_retries + 1, the count a row reaches when it fails the top rung,
         so T + 1 never wraps.  uint8 up to max_retries = 254."""
         return np.min_scalar_type(int(self.max_retries) + 1)
+
+
+@lru_cache(maxsize=256, typed=True)
+def _ladder(beta0, alpha, max_retries: int) -> np.ndarray:
+    """Read-only rung scales of every config with these fields (of these
+    types), built once: calibration scores a new config per candidate, and
+    every cell of a sweep scores the same grid.  Rung t is ``scale`` of the
+    Python int t, the float a scalar call gives."""
+    cfg = ScalingConfig(beta0, alpha, max_retries)
+    rungs = np.array([cfg.scale(t) for t in range(max_retries + 1)])
+    rungs.setflags(write=False)
+    return rungs
 
 
 # Elements (rows x d) of the float input per row block of the codec: encode,
@@ -111,9 +120,15 @@ def _blockwise(fn, blocks: list[slice], shape: tuple, dtype) -> np.ndarray:
     return out
 
 
-# Relative allowance for float rounding in the gauge, in x / scale and in the
-# decoders, none of which comes near one part in 1e9 of the threshold.
+# Relative allowance for float rounding in the start bound, in x / scale and
+# in the decoders, none of which comes near one part in 1e9 of the threshold.
 _GAUGE_RTOL = 1e-9
+# Before its first pass a block probes every _PROBE-th row for rows that the
+# bound moves past their start rung, and bounds every row when more than a
+# quarter of the probe moves.  The bound on a row costs 0.2-0.27 of an encode
+# pass of it for d4 q=4 M=2-3 and a2 q=8, up to 0.44-0.68 for d4 M=1, z2 M=1
+# and d8 (8,000 rows, best of 30), and a row it moves is one encode saved.
+_PROBE = 16
 
 
 def encode_scaled_many(
@@ -135,15 +150,16 @@ def encode_scaled_many(
     before any encoding.
 
     Each row runs its own ladder, and one pass encodes every unfinished row
-    at its current rung.  A row starts at the first rung within int64 reach;
-    if that overloads, it jumps to the first rung at which the outer
-    inclusion of the codebook lets it fit (``Lattice.gauge``).  Every rung
-    skipped either way overloads, so digits and T are those of trying each
-    rung in turn.  Rows are independent, so they run in blocks of entries of
-    X's leading axis, about ``_CODEC_BLOCK`` elements (at least one entry) a
-    block, each block's rows taken from X on their own: a strided X, as the
-    transposed columns ``quantize_matrix`` passes, is never copied whole.
-    Errors count the rows of every block.
+    at its current rung.  A row starts at the first rung within int64 reach,
+    or later where the layer codebook's support along each relevant vector
+    rules that rung out (``HierarchicalParams._fit_weights``; tried only
+    where a probe says it pays); if its start overloads, it jumps to the first rung that bound
+    allows.  Every rung skipped either way overloads, so digits and T are
+    those of trying each rung in turn.  Rows are independent, so they run in
+    blocks of entries of X's leading axis, about ``_CODEC_BLOCK`` elements
+    (at least one entry) a block, each block's rows taken from X on their
+    own: a strided X, as the transposed columns ``quantize_matrix`` passes,
+    is never copied whole.  Errors count the rows of every block.
 
     ``dither_ids`` is None, one id (d,) for every row, or the rows' ids
     (..., d) (``codec._dither_rows``): one id's point is computed once and
@@ -158,6 +174,33 @@ def encode_scaled_many(
         raise ValueError("cannot encode non-finite values")
     rows = X if X.ndim > 1 else X[None]  # blocks run over its leading axis
     dither = _dither_rows(lat.d, rows.shape[:-1], dither_ids, lambda i: _dither_points(params, i))
+    T = _start_rungs(lat, cfg, rows, top)
+    W = params._fit_weights[dither_ids is not None]
+    failures = []
+
+    def encode(b):
+        Xb = rows[b].reshape(-1, lat.d)
+        # T[b] of the contiguous T is a view, so the block's final rungs land in T.
+        digits, failed = _encode_block(params, cfg._rungs, lambda i: _need(W, Xb[i]), Xb,
+                                       T[b].reshape(-1), dither(b))
+        failures.append(failed)
+        return digits
+
+    digits = _blockwise(encode, _blocks(len(rows), math.prod(rows.shape[1:])),
+                        T.shape + (params.M, lat.d), digit_dtype(params.q))
+    _raise_if_failed(cfg, sum(failures))
+    return digits.reshape(X.shape[:-1] + (params.M, lat.d)), T.reshape(X.shape[:-1])
+
+
+def _raise_if_failed(cfg: ScalingConfig, failed: int) -> None:
+    if failed:
+        raise UnencodableError(f"{failed} vector(s) still overload after {cfg.max_retries} retries")
+
+
+def _start_rungs(lat, cfg: ScalingConfig, rows: np.ndarray, top: float) -> np.ndarray:
+    """Rungs (...) at which rows (..., d) with max |entry| top start: the first
+    within int64 reach, 0 for rows far from it.  Raises UnencodableError when
+    some row is past reach at every rung."""
     scales = cfg._rungs
     # |coordinates| <= max|x| * max row sum of |G^-1|; 2^62 leaves room for the dither.
     reach = 2.0**62 / float(np.abs(lat.G_inv).sum(axis=1).max())
@@ -165,60 +208,48 @@ def encode_scaled_many(
     if top >= reach * cfg.beta0:  # some row could leave int64: start past those rungs
         with np.errstate(over="ignore"):  # a reach past the float range fits every row
             T[:] = np.searchsorted(reach * scales, np.abs(rows).max(axis=-1), side="right")
-        lost = np.count_nonzero(T >= scales.size)
-        if lost:
-            raise UnencodableError(f"{lost} vector(s) still overload after {cfg.max_retries} retries")
-
-    # Gauge bound.  Let e be the tie breaker in the lattice's frame, eta = g(e),
-    # z the dither (zero without) and y = x / s - z the quantizer's input.  Its
-    # nearest point l has g(y + e - l) <= 1.  A layer codebook row lies in
-    # q (V - e), so a codeword, sum_m q^m rows, has g <= B (1 + eta) with
-    # B = q + ... + q^M, and so has a dither, a row over q: g(z) <= 1 + eta.
-    # A row that does not overload decodes to l, a codeword, so
-    #   g(x) / s = g(l + (y + e - l) - e + z) <= (B + 1 + [dithered]) (1 + eta).
-    # At any rung where g(x) exceeds s times that bound the row overloads.
-    bound = (outer_nesting_ratio(params.q, params.M) + 1 + (dither_ids is not None)) * (
-        1.0 + float(lat.gauge(lat.eps))
-    )
-    failures = []
-
-    def encode(b):
-        # T[b] of the contiguous T is a view, so the block's final rungs land in T.
-        digits, failed = _encode_block(params, scales, bound, rows[b].reshape(-1, lat.d),
-                                       T[b].reshape(-1), dither(b))
-        failures.append(failed)
-        return digits
-
-    digits = _blockwise(encode, _blocks(len(rows), math.prod(rows.shape[1:])),
-                        T.shape + (params.M, lat.d), digit_dtype(params.q))
-    failed = sum(failures)
-    if failed:
-        raise UnencodableError(f"{failed} vector(s) still overload after {cfg.max_retries} retries")
-    return digits.reshape(X.shape[:-1] + (params.M, lat.d)), T.reshape(X.shape[:-1])
+        _raise_if_failed(cfg, np.count_nonzero(T >= scales.size))
+    return T
 
 
-def _encode_block(params, scales, bound, X, T, Z):
+def _need(W: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Least scale at which each row of X (rows, d) can fit, by the bound W of
+    ``HierarchicalParams._fit_weights``: the max over its rows of
+    (w_v / b_v) . x, inf past the float range.  Rows run in blocks whose
+    products (rows of W x rows) hold _CODEC_BLOCK elements."""
+    need = np.empty(len(X))
+    with np.errstate(over="ignore"):
+        for b in _blocks(len(X), len(W)):
+            np.max(W @ _columns(X[b]), axis=0, out=need[b])
+    return need
+
+
+def _encode_block(params, scales, need, X, T, Z, rung=None, sub=None):
     """Encode rows X (rows, d) from their start rungs T (rows,), which become
     their final rungs in place; Z is their dither points (rows x d values in
-    any shape) or None.
+    any shape) or None, and need(i) is ``_need`` of rows X[i].
     Returns digits (rows, M, d) and the count of rows that still overload at
-    the top rung.
+    the top rung.  The first pass's row scales and input go into ``rung``
+    (rows,) and ``sub`` (rows, d) when given.
 
-    The first pass encodes every row at its start rung.  A row that overloads
-    there jumps to the first rung at which its gauge is within the scale times
-    ``bound``.
+    The first pass encodes every row at its start rung, which the bound
+    first raises when a probe of every _PROBE-th row says that pays.  A row
+    that overloads there jumps to the first later rung that the bound allows.
     """
-    sub = X / scales[T][:, None]
+    fits = scales * (1.0 + _GAUGE_RTOL)
+    probe = np.searchsorted(fits, need(slice(None, None, _PROBE)))
+    if 4 * np.count_nonzero(probe > T[::_PROBE]) > probe.size:
+        # A row that fits no rung starts at the top one, overloads and fails there.
+        np.maximum(T, np.minimum(np.searchsorted(fits, need(slice(None))), scales.size - 1),
+                   out=T, casting="unsafe")
+    sub = np.divide(X, np.take(scales, T, out=rung)[:, None], out=sub)
     if Z is not None:
         Z = Z.reshape(X.shape)
         sub -= Z
     digits, ov = h_encode_many(params, sub)
     active = np.flatnonzero(ov)
-    if active.size:  # the gauge, only for rows that overload at their start
-        with np.errstate(over="ignore"):
-            fit = np.searchsorted(scales * (bound * (1.0 + _GAUGE_RTOL)),
-                                  params.lat.gauge(X[active]))
-        T[active] = np.maximum(T[active] + 1, fit)
+    if active.size:  # the bound, only for rows that overload at their start
+        T[active] = np.maximum(T[active] + 1, np.searchsorted(fits, need(active)))
     failed = 0
     while active.size:
         past = T[active] >= scales.size
@@ -235,6 +266,41 @@ def _encode_block(params, scales, bound, X, T, Z):
         active = active[ov]
         T[active] += 1
     return digits, failed
+
+
+class _Pilot:
+    """Finite rows X (n, d), undithered, that one caller encodes and decodes
+    at many ladders: the beta0 candidates of one ``bench.calibrate_beta0``.
+
+    Holds what every ladder shares: the rows' bound (``_need``) and one
+    (4, n, d) block of work arrays for the first pass's input and for the
+    decode.  They live as long as the object, which its caller drops when
+    done; nothing ``mse`` returns is one of them.
+    """
+
+    def __init__(self, params: HierarchicalParams, X: np.ndarray):
+        self.params, self.X = params, X
+        self.top = np.abs(X).max(initial=0.0)
+        self._bound = _need(params._fit_weights[False], X)
+        self._rung = np.empty(len(X))
+        self._work = np.empty((4,) + X.shape)
+        self._sub, self._pts = self._work[0], self._work[1]
+        self._acc, self._rows = self._work[2].view(np.int64), self._work[3].view(np.int64)
+
+    def mse(self, cfg: ScalingConfig) -> tuple[float, np.ndarray]:
+        """(mean squared error per dimension, T) of X encoded at cfg and
+        decoded: the float and the counts of ``encode_scaled_many`` then
+        ``decode_scaled_many``."""
+        p, X = self.params, self.X
+        T = _start_rungs(p.lat, cfg, X, self.top)
+        digits, failed = _encode_block(p, cfg._rungs, self._bound.__getitem__, X, T, None,
+                                       self._rung, self._sub)
+        _raise_if_failed(cfg, failed)
+        np.copyto(self._sub, _sum_layers(p, digits, range(p.M), self._acc, self._rows))
+        err = np.matmul(self._sub, p.lat.G.T, out=self._pts)  # lat.point_of of the sum
+        np.multiply(np.asarray(cfg.scale(T))[..., None], err, out=err)
+        np.subtract(X, err, out=err)
+        return float(np.einsum("ij,ij->i", err, err).mean() / p.lat.d), T
 
 
 def decode_scaled_many(

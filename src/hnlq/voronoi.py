@@ -80,6 +80,13 @@ def digits_to_index(b: np.ndarray, q: int) -> int | np.ndarray:
     d = b.shape[-1]
     if q**d > 2**64:
         raise ValueError(f"q^d = {q}^{d} indices do not fit 64 bits")
+    idx = _index(b, q)
+    return int(idx) if idx.ndim == 0 else idx
+
+
+def _index(b: np.ndarray, q: int) -> np.ndarray:
+    """``digits_to_index`` of digits known to lie in [0, q), as an array."""
+    d = b.shape[-1]
     # Horner's rule in place in the index type, one column at a time: the add
     # casts each digit column in small buffers, so no column is widened as a
     # whole.  The digits lie in [0, q), so the cast from any integer type is
@@ -89,7 +96,7 @@ def digits_to_index(b: np.ndarray, q: int) -> int | np.ndarray:
     for i in range(1, d):
         idx *= q
         np.add(idx, b[..., i], out=idx, dtype=itype, casting="unsafe")
-    return int(idx) if idx.ndim == 0 else idx
+    return idx
 
 
 def index_to_digits(idx, q: int, d: int) -> np.ndarray:

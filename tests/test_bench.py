@@ -1,16 +1,19 @@
 """Benchmark harness: reference curves, sweeps, CSV contract, CLI."""
 
 import csv
+import gc
 import io
 import json
 import math
 import subprocess
 import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from hnlq import HierarchicalParams, ScalingConfig, bench, load_lut, make_lattice
+from hnlq import HierarchicalParams, ScalingConfig, bench, load_lut, make_lattice, scaling
 from hnlq.bench import (
     CSV_COLUMNS,
     DEFAULT_BETA0_GRID,
@@ -274,9 +277,9 @@ def test_calibration_grid_grows_at_its_own_ratio(monkeypatch):
     # that end per step, at the end's own ratio, and a cell whose argmin is
     # interior scores only the grid.
     seen = []
-    vector_mse = bench._vector_mse
-    monkeypatch.setattr(bench, "_vector_mse",
-                        lambda p, scfg, X: seen.append(scfg.beta0) or vector_mse(p, scfg, X))
+    mse = scaling._Pilot.mse
+    monkeypatch.setattr(scaling._Pilot, "mse",
+                        lambda pilot, scfg: seen.append(scfg.beta0) or mse(pilot, scfg))
     params = HierarchicalParams(make_lattice("z2"), 8, 3)
     got = calibrate_beta0("hierarchical", params, pilot_n=2000, grid=[0.2, 0.4, 0.8])
     assert seen[:3] == [0.2, 0.4, 0.8]
@@ -285,6 +288,62 @@ def test_calibration_grid_grows_at_its_own_ratio(monkeypatch):
     seen.clear()
     calibrate_beta0("hierarchical", HierarchicalParams(make_lattice("d4"), 4, 2), pilot_n=2000)
     assert seen == list(DEFAULT_BETA0_GRID)
+
+
+# Picks at pilot_n = 2000 from before the candidates of one call shared a
+# pilot's bound and work arrays: (lattice, q, M, seed) -> beta0.
+CELL_BETA0 = {("d4", 4, 1, 3): 0.764013974483503, ("d4", 4, 2, 0): 0.1803882569877585,
+              ("d4", 4, 3, 1): 0.05, ("a2", 8, 2, 2): 0.05869820039221152,
+              ("z2", 8, 3, 4): 0.007296466915076014, ("d8", 3, 2, 5): 0.34263158170901736}
+
+
+def _calibrate_cell(cell):
+    name, q, M, seed = cell
+    return calibrate_beta0("hierarchical", HierarchicalParams(make_lattice(name), q, M),
+                           pilot_n=2000, seed=seed)
+
+
+def test_concurrent_calibrations_keep_their_picks():
+    # Every call owns its pilot's work arrays: three threads calibrating the
+    # cells at once, switching often, pick what one thread picks.
+    cells = list(CELL_BETA0) * 2
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            futures = [pool.submit(_calibrate_cell, cell) for cell in cells]
+            got = [f.result(timeout=300) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert got == [CELL_BETA0[cell] for cell in cells]
+
+
+@pytest.mark.parametrize("scheme, name, q, M", [
+    ("hierarchical", "d4", 4, 1), ("hierarchical", "d4", 4, 3), ("hierarchical", "a2", 8, 2),
+    ("hierarchical", "z2", 8, 3), ("voronoi", "d4", 4, 2),  # q^M = 16 > the cached codebook
+])
+def test_calibration_pilot_scores_as_encode_and_decode(scheme, name, q, M, monkeypatch):
+    # Each candidate's (MSE, T) from the pilot's work arrays equals that of
+    # encode_scaled_many then decode_scaled_many bit for bit.  No array the
+    # pilot, the encoder or the decoder returns shares memory with a work
+    # array, and the arrays go when the call returns.
+    refs, mse = [], scaling._Pilot.mse
+
+    def checked(pilot, scfg):
+        dist, T = mse(pilot, scfg)
+        want_dist, want_T = _vector_mse(pilot.params, scfg, pilot.X)
+        assert dist == want_dist and T.dtype == want_T.dtype and np.array_equal(T, want_T)
+        digits, T_ref = scaling.encode_scaled_many(pilot.params, scfg, pilot.X)
+        Xhat = scaling.decode_scaled_many(pilot.params, scfg, digits, T_ref)
+        work = [pilot._work, pilot._rung, pilot._bound]
+        assert not any(np.shares_memory(out, w) for out in (T, digits, T_ref, Xhat) for w in work)
+        refs.append(weakref.ref(pilot))
+        return dist, T
+
+    monkeypatch.setattr(scaling._Pilot, "mse", checked)
+    calibrate_beta0(scheme, HierarchicalParams(make_lattice(name), q, M), pilot_n=1500, seed=9)
+    gc.collect()
+    assert len(refs) >= 24 and all(ref() is None for ref in refs)
 
 
 def test_exactness_check_reports_shape():

@@ -263,6 +263,45 @@ def test_partial_decode_sums_coarse_layers(d4):
             assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("name, q, M", [("d4", 4, 3), ("a2", 8, 4), ("z1", 3, 5), ("z16", 16, 2)])
+def test_horner_decode_is_the_sum_over_layers(name, q, M):
+    # decode_coords_many sums q^m times layer m's rows by Horner's rule, one
+    # gather per layer: every slice of layers gives the int64 sum of the terms
+    # q^m * rows_m, with and without the cached codebook (z16 q=16 has none).
+    lat = make_lattice(name)
+    p = HierarchicalParams(lat, q, M)
+    assert (p._layer_codebook is None) == (name == "z16")
+    D = np.random.default_rng(44).integers(0, q, (5, 7, M, lat.d)).astype(np.uint8)
+    reps = vc_decode_many(lat, q, D)
+    slices = [None, slice(0, 1), slice(1, None), slice(None, None, 2), slice(None, None, -1),
+              slice(M - 1, 0, -2), slice(2, 2), slice(-2, None)]
+    for layers in slices:
+        want = np.zeros((5, 7, lat.d), dtype=np.int64)
+        for m in range(M)[layers if layers is not None else slice(None)]:
+            want += q**m * reps[..., m, :]
+        got = decode_coords_many(p, D, layers)
+        assert got.dtype == np.int64 and np.array_equal(got, want), layers
+
+
+@pytest.mark.parametrize("name, q, low", [("d4", 4, 0.75), ("z2", 8, 0.75), ("a2", 8, 0.875)])
+def test_layer_codebook_support_along_each_relevant_vector(name, q, low):
+    # S_v, the max over layer codebook points r of 2 <r, v> / |v|^2, for each
+    # signed relevant vector v (24 for d4, 6 for a2, 4 for z2): low q on one
+    # side of each pair +-v and q on the other, where the gauge bound allows
+    # q (1 + g(eps)) on both.
+    lat = make_lattice(name)
+    p = HierarchicalParams(lat, q, 2)
+    S = p._supports
+    pts = lat.point_of(layer_codebook_coords(p))
+    assert S.shape == (len(lat._signed_weights),) == ({"d4": 24, "a2": 6, "z2": 4}[name],)
+    assert np.abs(S - (pts @ lat._signed_weights.T).max(axis=0)).max() <= 1e-12
+    pairs = np.sort(S.reshape(2, -1), axis=0) / q
+    assert np.allclose(pairs[0], low, rtol=0, atol=1e-12) and np.allclose(pairs[1], 1.0)
+    with pytest.raises(ValueError):
+        S[0] = 0.0
+    assert HierarchicalParams(make_lattice("d8"), 4, 1)._supports is None  # 4^8 > 2^14
+
+
 def test_layer_codebook_order(z2):
     p = HierarchicalParams(z2, 2, 1)
     got = layer_codebook_coords(p)

@@ -1,6 +1,7 @@
 """Property tests: NLQM files round-trip, reject truncation and any bit flip
 (version 3) or load or raise ValueError after one (version 2); decode
-telescopes; the integer layer chain encodes as re-quantizing every layer does."""
+telescopes; the integer layer chain encodes as re-quantizing every layer does;
+the encoder's start-rung bound never passes a row's first fitting rung."""
 
 import math
 
@@ -21,9 +22,10 @@ from hnlq import (
     quantize_matrix,
     save_quantized_matrix,
 )
-from hnlq.codec import LAYER_CODEBOOK_MAX, decode_coords_many, q_circ_many
+from hnlq.codec import LAYER_CODEBOOK_MAX, _dither_points, decode_coords_many, q_circ_many
 from hnlq.lut import _with_crc
 from hnlq.pipeline import DITHER_MODES
+from hnlq.scaling import _GAUGE_RTOL, _need
 
 LATTICES = ("z1", "z2", "a2", "d4")
 
@@ -163,3 +165,27 @@ def test_integer_chain_matches_float_chain(name, data):
     want_digits, want_overload = float_chain_encode(p, X)
     assert np.array_equal(digits, want_digits)
     assert np.array_equal(overload, want_overload)
+
+
+@given(name=st.sampled_from(LATTICES + ("d3", "d8")), data=st.data())
+def test_the_start_bound_never_passes_the_first_fitting_rung(name, data):
+    # The per-direction bound a row's start rung and jump come from is a
+    # necessary condition for fitting: at no row does it name a rung past the
+    # first one at which quantizing the row succeeds.  Rows are Gaussian and
+    # codewords scaled onto a rung, where the bound is tightest; q ranges
+    # past the cached layer codebook of d8 (q^8 > 2^14 from q = 4).
+    lat = make_lattice(name)
+    q, M = data.draw(st.integers(2, 8)), data.draw(st.integers(1, 3))
+    p = HierarchicalParams(lat, q, M)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    ids = rng.integers(0, q, lat.d) if data.draw(st.booleans()) else None
+    cfg = ScalingConfig(beta0=data.draw(st.floats(0.01, 2.0)), max_retries=30)
+    cw = lat.point_of(decode_coords_many(p, rng.integers(0, q, (16, M, lat.d))))
+    X = np.concatenate([rng.standard_normal((16, lat.d)) * data.draw(st.floats(0.1, 3.0)) * q**M,
+                        cw * cfg.scale(data.draw(st.integers(0, 30)))])
+    z = 0.0 if ids is None else _dither_points(p, ids)
+    first = np.full(len(X), cfg.max_retries + 1)
+    for t in range(cfg.max_retries, -1, -1):
+        first[~h_encode_many(p, X / cfg.scale(t) - z)[1]] = t
+    need = _need(p._fit_weights[ids is not None], X)
+    assert (np.searchsorted(cfg._rungs * (1 + _GAUGE_RTOL), need) <= first).all()
