@@ -27,7 +27,6 @@ from .lut import (
 from .pipeline import (
     PipelineConfig,
     QuantizedMatrix,
-    QuantizedVector,
     ip_approx,
     load_quantized_matrix,
     matmul_approx,
@@ -51,7 +50,6 @@ __all__ = [
     "Lattice",
     "PipelineConfig",
     "QuantizedMatrix",
-    "QuantizedVector",
     "SandwichReport",
     "ScalingConfig",
     "UnencodableError",

@@ -106,8 +106,9 @@ class ExperimentConfig:
                 raise ValueError(f"unknown scheme {s!r}")
         if isinstance(self.beta0, str) and self.beta0 != "auto":
             raise ValueError("beta0 must be a number or 'auto'")
-        if self.samples < 1:
-            raise ValueError("samples must be at least 1")
+        for name, v in (("n", self.n), ("samples", self.samples)):
+            if not isinstance(v, numbers.Integral) or v < 1:
+                raise ValueError(f"{name} must be a positive integer, got {v!r}")
         # run_dr_ip hands seed to PipelineConfig as rotation_seed and dither_seed
         # as dither_seed, both int64 fields: refuse them here, before calibrating.
         if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 2**63:

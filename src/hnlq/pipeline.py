@@ -4,9 +4,9 @@ A length-n vector is split into n/d chunks, each quantized independently
 with per-chunk overload scaling.  Inner products between two quantized
 vectors sum per-chunk table lookups weighted by both chunks' scales, with
 an optional shared random rotation and norm bookkeeping in front.  Every
-product takes exact integer chunk sums from ``lut.chunk_sums`` and one
-float step (``_combine``): divide by q^2 when dithered, multiply by the
-lattice factor u and both chunk scales, sum over chunks.
+product (``_products``) takes exact integer chunk sums from
+``lut.chunk_sums`` and one float step: divide by q^2 when dithered,
+multiply by the lattice factor u and both chunk scales, sum over chunks.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .voronoi import _check_digits, digit_dtype, digits_to_index, index_to_digit
 __all__ = [
     "DITHER_MODES",
     "PipelineConfig",
-    "QuantizedVector",
     "QuantizedMatrix",
     "random_rotation",
     "quantize_vector",
@@ -111,22 +110,6 @@ class PipelineConfig:
 
 
 @dataclass(eq=False)
-class QuantizedVector:
-    """One quantized column: its config, per-chunk digits, retry counts and dither ids.
-
-    The arrays are views of a ``QuantizedMatrix`` column, with its types.
-    ``norm``, the column's norm before rotation, is recorded only when the
-    pipeline rotates.
-    """
-
-    cfg: PipelineConfig
-    digits: np.ndarray  # (K, M, d)
-    T: np.ndarray  # (K,)
-    norm: float | None
-    dither_ids: np.ndarray | None  # (K, d) or None
-
-
-@dataclass(eq=False)
 class QuantizedMatrix:
     """A column-quantized matrix plus the configuration that produced it.
 
@@ -135,7 +118,7 @@ class QuantizedMatrix:
     <= 254), so a chunk holds M d + 1 bytes, plus d of random dither ids; a
     fixed id is a read-only broadcast view of the config's one id.  All are
     unsigned: cast them before subtracting.  Products and files accept the
-    same values in any integer type.
+    same values in any integer type.  A quantized vector is a one-column matrix.
     """
 
     cfg: PipelineConfig
@@ -152,13 +135,14 @@ class QuantizedMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.cfg.n, self.cols)
 
-    def column(self, j: int) -> QuantizedVector:
-        return QuantizedVector(
+    def column(self, j: int) -> QuantizedMatrix:
+        """Column j (negative counts from the end) as a one-column matrix of views."""
+        return QuantizedMatrix(
             cfg=self.cfg,
-            digits=self.digits[j],
-            T=self.T[j],
-            norm=None if self.norms is None else float(self.norms[j]),
-            dither_ids=None if self.dither_ids is None else self.dither_ids[j],
+            digits=self.digits[j, None],
+            T=self.T[j, None],
+            norms=None if self.norms is None else self.norms[j, None],
+            dither_ids=None if self.dither_ids is None else self.dither_ids[j, None],
         )
 
 
@@ -275,29 +259,27 @@ def quantize_matrix(cfg: PipelineConfig, A: np.ndarray) -> QuantizedMatrix:
     return _encode_columns(cfg, A)
 
 
-def quantize_vector(cfg: PipelineConfig, x: np.ndarray, col: int = 0) -> QuantizedVector:
+def quantize_vector(cfg: PipelineConfig, x: np.ndarray, col: int = 0) -> QuantizedMatrix:
     """Quantize a single length-n vector as column ``col`` of a matrix.
 
-    The result is what ``quantize_matrix(cfg, A).column(col)`` gives when
-    column ``col`` of A is x: ``col`` selects the "random" mode's dither ids.
-    A ``col`` that is not an integer, or a complex x, raises ValueError.
+    The one-column result equals ``quantize_matrix(cfg, A).column(col)``
+    when column ``col`` of A is x: ``col`` selects the "random" mode's dither
+    ids.  A ``col`` that is not an integer, or a complex x, raises ValueError.
     """
     if not isinstance(col, numbers.Integral):
         raise ValueError(f"col must be an integer, got {col!r}")
-    return _encode_columns(cfg, _as_vector(x, cfg.n)[:, None], first_col=col).column(0)
+    return _encode_columns(cfg, _as_vector(x, cfg.n)[:, None], first_col=col)
 
 
-def reconstruct_chunks(cfg: PipelineConfig, qv: QuantizedVector) -> np.ndarray:
-    """Decode every chunk of a quantized column, shape (K, d).
+def reconstruct_chunks(cfg: PipelineConfig, Q: QuantizedMatrix) -> np.ndarray:
+    """Decode every chunk of every column of a quantized matrix, shape (cols, K, d).
 
-    These live in the rotated frame, where the column has norm sqrt(n), when
+    These live in the rotated frame, where a column has norm sqrt(n), when
     the pipeline rotates; they are the exact vectors whose pairwise inner
-    products ip_approx sums before rescaling by norm_x norm_y / n.
+    products the table products sum before rescaling by norm_a norm_b / n.
     """
-    _check_config(cfg, qv)
-    return decode_scaled_many(
-        cfg.params, cfg.scaling, qv.digits, qv.T, dither_ids=qv.dither_ids
-    )
+    _check_config(cfg, Q)
+    return decode_scaled_many(cfg.params, cfg.scaling, Q.digits, Q.T, dither_ids=Q.dither_ids)
 
 
 def _code_key(cfg: PipelineConfig) -> tuple:
@@ -310,29 +292,31 @@ def _code_key(cfg: PipelineConfig) -> tuple:
 
 
 def _check_config(cfg: PipelineConfig, *quantized) -> None:
-    """Refuse quantized columns or matrices made under settings other than cfg's."""
+    """Refuse quantized matrices made under settings other than cfg's."""
     if any(_code_key(v.cfg) != _code_key(cfg) for v in quantized):
         raise ValueError("quantized data does not match the pipeline config")
 
 
-def _combine(cfg, lut, a, b, Ta, Tb, outer: bool) -> np.ndarray:
-    """Inner products, all pairs (na, nb) when ``outer`` else paired (n,), from
-    codes (digits (n, K, M, d), dither ids (n, K, d) or None) and retry counts
-    (n, K) of the two sides.
+def _products(cfg, lut, QA: QuantizedMatrix, QB: QuantizedMatrix, outer: bool) -> np.ndarray:
+    """Inner products of all column pairs (na, nb) when ``outer``, else paired (n,).
 
     The one float step: an exact chunk sum is divided by q^2 when dithered,
     multiplied by the lattice factor u, then (sa * sb) * chunk is summed over
-    chunks.  All pairs are built over the side with fewer columns: the table
-    is symmetric and a float product commutes, so the swap changes no bit.
+    chunks and, when rotating, scaled by norm_a norm_b / n.  All pairs are
+    built over the side with fewer columns: the table is symmetric and a
+    float product commutes, so the swap changes no bit.
     """
-    if outer and len(Tb) < len(Ta):
-        return _combine(cfg, lut, b, a, Tb, Ta, outer).T.copy()
+    if outer and QB.cols < QA.cols:
+        return _products(cfg, lut, QB, QA, outer).T.copy()
+    _check_config(cfg, QA, QB)
+    if not outer and QA.cols != QB.cols:
+        raise ValueError("paired matrices need the same number of columns")
     check_lut(lut, cfg.params)
     q, u = cfg.params.q, cfg.params.lat.integer_gram[1]
-    scale = cfg.scaling.scale
+    scale, Ta, Tb = cfg.scaling.scale, QA.T, QB.T
     sb = scale(Tb) if outer else None  # all pairs pair every block with all of b
-    out = np.empty((len(Ta), len(Tb)) if outer else len(Ta))
-    for r, chunk in chunk_sums(lut, a, b, outer):
+    out = np.empty((QA.cols, QB.cols) if outer else QA.cols)
+    for r, chunk in chunk_sums(lut, (QA.digits, QA.dither_ids), (QB.digits, QB.dither_ids), outer):
         rows = slice(r, r + len(chunk))
         if chunk.dtype == object:
             chunk = chunk.astype(np.float64)
@@ -344,39 +328,24 @@ def _combine(cfg, lut, a, b, Ta, Tb, outer: bool) -> np.ndarray:
         prod = scale(Ta[rows])[:, None] * sb if outer else scale(Ta[rows]) * scale(Tb[rows])
         prod *= chunk
         out[rows] = prod.sum(-1)
+    if cfg.rotate:
+        out *= (QA.norms[:, None] * QB.norms if outer else QA.norms * QB.norms) / cfg.n
     return out
 
 
 def ip_approx(
-    cfg: PipelineConfig, lut: InnerProductLUT, qx: QuantizedVector, qy: QuantizedVector
+    cfg: PipelineConfig, lut: InnerProductLUT, qx: QuantizedMatrix, qy: QuantizedMatrix
 ) -> float:
     """Approximate inner product of two quantized columns via table lookups.
 
-    Sums, over chunks, the looked-up inner product of the two chunk
-    reconstructions times both chunks' scales, then, when the pipeline
-    rotates, by norm_x norm_y / n from the recorded norms.  Combines K M^2
-    table entries (K (M+1)^2 when dithered) in one pair gather; both columns
-    must be quantized under cfg, and the table built for cfg's parameters.
+    The paired product of two one-column matrices (any other column count
+    raises ValueError): looked-up chunk inner products times both chunks'
+    scales, summed, then times norm_x norm_y / n when the pipeline rotates.
+    Both must be quantized under cfg, and the table built for cfg's parameters.
     """
-    _check_config(cfg, qx, qy)
-    x, y = ((v.digits[None], None if v.dither_ids is None else v.dither_ids[None])
-            for v in (qx, qy))
-    total = float(_combine(cfg, lut, x, y, qx.T[None], qy.T[None], outer=False)[0])
-    if cfg.rotate:
-        total *= qx.norm * qy.norm / cfg.n
-    return total
-
-
-def _matrix_products(cfg, lut, QA: QuantizedMatrix, QB: QuantizedMatrix, outer: bool):
-    """All column pairs (na, nb) when ``outer``, else paired columns (n,)."""
-    _check_config(cfg, QA, QB)
-    if not outer and QA.cols != QB.cols:
-        raise ValueError("paired matrices need the same number of columns")
-    a, b = ((Q.digits, Q.dither_ids) for Q in (QA, QB))
-    out = _combine(cfg, lut, a, b, QA.T, QB.T, outer)
-    if cfg.rotate:
-        out *= (QA.norms[:, None] * QB.norms if outer else QA.norms * QB.norms) / cfg.n
-    return out
+    if qx.cols != 1 or qy.cols != 1:
+        raise ValueError(f"ip_approx takes one-column matrices, not {qx.cols} and {qy.cols}")
+    return float(_products(cfg, lut, qx, qy, outer=False)[0])
 
 
 def matmul_approx(
@@ -384,15 +353,16 @@ def matmul_approx(
 ) -> np.ndarray:
     """Approximate A^T B for two quantized matrices in one table combine.
 
-    Entry (i, j) equals ``ip_approx`` of columns i and j bit for bit.  The
-    LUT's query counter grows by a.cols * b.cols * K * L^2 table entries
-    combined (L = M, or M + 1 when dithered).  Chunk sums within int64 read
-    partial rows of the matrix with fewer columns (K L q^d entries per column
-    of it plus K L per output entry); sums past int64 gather all L^2 layer
-    pairs in Python ints.  Both matrices must be quantized under settings
-    equal to cfg's, and the table built for cfg's parameters.
+    Entry (i, j) equals ``ip_approx`` of ``QA.column(i)`` and ``QB.column(j)``
+    bit for bit.  The LUT's query counter grows by a.cols * b.cols * K * L^2
+    table entries combined (L = M, or M + 1 when dithered).  Chunk sums
+    within int64 read partial rows of the matrix with fewer columns (K L q^d
+    entries per column of it plus K L per output entry); sums past int64
+    gather all L^2 layer pairs in Python ints.  Both matrices must be
+    quantized under settings equal to cfg's, and the table built for cfg's
+    parameters.
     """
-    return _matrix_products(cfg, lut, QA, QB, outer=True)
+    return _products(cfg, lut, QA, QB, outer=True)
 
 
 def paired_ip_approx(
@@ -401,13 +371,13 @@ def paired_ip_approx(
     """Approximate inner products of column j of A with column j of B, every j.
 
     The pair gather of ``ip_approx`` on paired columns: entry j equals
-    ``ip_approx`` of the two columns bit for bit and combines its K M^2 table
-    entries (K (M+1)^2 when dithered) in one gather per block.  Partial rows
-    would not pay here: one pair reads L^2 entries, a partial row L q^d.
-    Both matrices must have the same number of columns and be quantized
-    under settings equal to cfg's.
+    ``ip_approx`` of ``QA.column(j)`` and ``QB.column(j)`` bit for bit and
+    combines its K M^2 table entries (K (M+1)^2 when dithered) in one gather
+    per block.  Partial rows would not pay here: one pair reads L^2 entries,
+    a partial row L q^d.  Both matrices must have the same number of columns
+    and be quantized under settings equal to cfg's.
     """
-    return _matrix_products(cfg, lut, QA, QB, outer=False)
+    return _products(cfg, lut, QA, QB, outer=False)
 
 
 _QM_MAGIC = int.from_bytes(b"NLQM", "little")

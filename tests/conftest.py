@@ -129,7 +129,7 @@ def lut_ip(lut, dx, dy, zx=None, zy=None):
     Without dither ids the exact sum times the lattice factor u: a Python int
     for Z_d and D_n, a float for A_2.  With ids zx, zy (d,) each side gains
     them as layer 0, and the exact sum over (M + 1)^2 entries is divided by
-    q^2, then multiplied by u: the float steps of ``pipeline._combine``.
+    q^2, then multiplied by u: the float steps of ``pipeline._products``.
     """
     x, y = ((np.asarray(b)[None, None], None if z is None else np.asarray(z)[None, None])
             for b, z in ((dx, zx), (dy, zy)))

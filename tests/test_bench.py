@@ -79,6 +79,10 @@ def test_experiment_config_validation(monkeypatch):
         ExperimentConfig(beta0="fast")
     with pytest.raises(ValueError, match="samples"):
         ExperimentConfig(samples=0)
+    # n=0 used to calibrate first, n=-4 fail in numpy, n=8.0 and samples=2.5 raise TypeError
+    for name, bad in (("n", 0), ("n", -4), ("n", 8.0), ("samples", 2.5), ("samples", -1)):
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer"):
+            ExperimentConfig(**{name: bad})
     for seed in (-1, 1.5):
         with pytest.raises(ValueError, match="seed"):
             ExperimentConfig(seed=seed)
@@ -109,6 +113,8 @@ def test_experiment_config_validation(monkeypatch):
         main(argv + ["--seed", str(2**63)])
     with pytest.raises(ValueError, match="^dither_seed"):
         main(argv + ["--dither", "random", "--dither-seed", str(2**63)])
+    with pytest.raises(ValueError, match="^n must"):
+        main(["dr-ip", "--q", "4", "--m", "1", "--n", "0", "--samples", "4"])
 
 
 def test_vector_mse_of_zero_input():

@@ -335,9 +335,10 @@ def test_one_chunk_dithered_ip_is_ip_approx(name):
     for col in range(40):
         qx = quantize_vector(cfg, rng.uniform(-4, 4, lat.d), col)
         qy = quantize_vector(cfg, rng.uniform(-4, 4, lat.d), col + 40)
-        assert qx.T[0] == qy.T[0] == 0
+        assert qx.T[0, 0] == qy.T[0, 0] == 0
         want = ip_approx(cfg, lut, qx, qy)
-        got = lut_ip(lut, qx.digits[0], qy.digits[0], qx.dither_ids[0], qy.dither_ids[0])
+        (dx, zx), (dy, zy) = ((v.digits[0, 0], v.dither_ids[0, 0]) for v in (qx, qy))
+        got = lut_ip(lut, dx, dy, zx, zy)
         assert got == want
 
 

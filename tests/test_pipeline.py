@@ -64,8 +64,7 @@ def cols_spanning_blocks(cfg, cols_b, outer=True):
 
 def dense_products(cfg, QA, QB):
     """The decode+GEMM oracle: all column pairs of the reconstructions."""
-    X, Y = (np.stack([reconstruct_chunks(cfg, Q.column(j)).ravel() for j in range(Q.cols)])
-            for Q in (QA, QB))
+    X, Y = (reconstruct_chunks(cfg, Q).reshape(Q.cols, cfg.n) for Q in (QA, QB))
     G = X @ Y.T
     if cfg.rotate:
         G *= QA.norms[:, None] * QB.norms / cfg.n
@@ -73,11 +72,10 @@ def dense_products(cfg, QA, QB):
 
 
 def direct_ip(cfg, qx, qy):
-    rx = reconstruct_chunks(cfg, qx)
-    ry = reconstruct_chunks(cfg, qy)
+    rx, ry = (reconstruct_chunks(cfg, v)[0] for v in (qx, qy))
     total = float(np.einsum("kd,kd->", rx, ry))
     if cfg.rotate:
-        total *= qx.norm * qy.norm / cfg.n
+        total *= float(qx.norms[0]) * float(qy.norms[0]) / cfg.n
     return total
 
 
@@ -188,9 +186,10 @@ def test_quantize_vector_shapes():
     cfg = pipe(n=16)
     rng = np.random.default_rng(1)
     qv = quantize_vector(cfg, rng.standard_normal(16))
-    assert qv.digits.shape == (4, 2, 4)
-    assert qv.T.shape == (4,)
-    assert qv.norm is None and qv.dither_ids is None
+    assert qv.shape == (16, 1)
+    assert qv.digits.shape == (1, 4, 2, 4)
+    assert qv.T.shape == (1, 4)
+    assert qv.norms is None and qv.dither_ids is None
     with pytest.raises(ValueError):
         quantize_vector(cfg, rng.standard_normal(15))
 
@@ -208,9 +207,10 @@ def test_rotation_records_norms():
     rng = np.random.default_rng(4)
     x = rng.standard_normal(16) * 2.5
     qv = quantize_vector(cfg, x)
-    assert abs(qv.norm - np.linalg.norm(x)) < 1e-9
+    assert qv.norms.shape == (1,)
+    assert abs(qv.norms[0] - np.linalg.norm(x)) < 1e-9
     qz = quantize_vector(cfg, np.zeros(16))
-    assert qz.norm == 0.0
+    assert qz.norms[0] == 0.0
     assert not qz.digits.any()
 
 
@@ -267,9 +267,9 @@ def test_single_chunk_reduces_to_lut_ip():
     for _ in range(50):
         qx = quantize_vector(cfg, rng.standard_normal(4))
         qy = quantize_vector(cfg, rng.standard_normal(4))
-        raw = lut_ip(lut, qx.digits[0], qy.digits[0])
+        raw = lut_ip(lut, qx.digits[0, 0], qy.digits[0, 0])
         want = float(
-            cfg.scaling.scale(int(qx.T[0])) * cfg.scaling.scale(int(qy.T[0])) * raw
+            cfg.scaling.scale(int(qx.T[0, 0])) * cfg.scaling.scale(int(qy.T[0, 0])) * raw
         )
         got = ip_approx(cfg, lut, qx, qy)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
@@ -296,6 +296,10 @@ def test_ip_validates_inputs():
     for product in (matmul_approx, paired_ip_approx):
         with pytest.raises(ValueError, match="does not match"):
             product(cfg, lut_wrong, QA, QA)
+    # ip_approx takes one-column matrices only
+    for x, y in ((QA, qx), (qx, QA), (QA, QA)):
+        with pytest.raises(ValueError, match="one-column"):
+            ip_approx(cfg, lut, x, y)
     # a caller holding a table and params checks one against the other
     with pytest.raises(ValueError, match="does not match"):
         check_lut(lut_wrong, cfg.params)
@@ -466,11 +470,11 @@ def test_column_dither_ids_match_the_reference_chain():
     QA = quantize_matrix(cfg, A)
     for col in (0, 5):
         qv = quantize_vector(cfg, A[:, col], col=col)
-        assert np.array_equal(qv.dither_ids, QA.dither_ids[col])
-        assert np.array_equal(qv.digits, QA.digits[col])
-        assert np.array_equal(qv.T, QA.T[col])
+        assert np.array_equal(qv.dither_ids[0], QA.dither_ids[col])
+        assert np.array_equal(qv.digits[0], QA.digits[col])
+        assert np.array_equal(qv.T[0], QA.T[col])
     far = quantize_vector(cfg, A[:, 0], col=2**64 - 1)
-    assert far.dither_ids.tolist() == splitmix_ids(-3, 2**64 - 1, 4, 4, 4)
+    assert far.dither_ids[0].tolist() == splitmix_ids(-3, 2**64 - 1, 4, 4, 4)
 
 
 def test_fixed_dither_id_shared_across_chunks():
@@ -478,7 +482,7 @@ def test_fixed_dither_id_shared_across_chunks():
     cfg = pipe(n=16, dither_mode="fixed", dither_ids=ids)
     rng = np.random.default_rng(13)
     qv = quantize_vector(cfg, rng.standard_normal(16))
-    assert np.array_equal(qv.dither_ids, np.tile(ids, (4, 1)))
+    assert np.array_equal(qv.dither_ids, np.tile(ids, (1, 4, 1)))
 
 
 @pytest.mark.parametrize("name, q", [("d4", 4), ("a2", 8), ("z16", 16)])
@@ -735,7 +739,7 @@ def test_products_exact_beyond_int64():
     top = np.argwhere(QA.digits[:, :, -1].any(axis=-1))  # (column, chunk) pairs
     assert len(top)
     G = matmul_approx(cfg, lut, QA, QA)
-    X = np.stack([reconstruct_chunks(cfg, QA.column(j)).ravel() for j in range(3)])
+    X = reconstruct_chunks(cfg, QA).reshape(3, cfg.n)
     want = X @ X.T
     assert np.linalg.norm(G - want) <= 1e-9 * np.linalg.norm(want)
     assert G[0, 1] == ip_approx(cfg, lut, QA.column(0), QA.column(1))
@@ -748,26 +752,36 @@ def test_products_exact_beyond_int64():
 
 
 def test_matrix_column_quantization_matches_vector():
-    # a column quantized inside a matrix equals the standalone vector path
+    # a column quantized inside a matrix equals the standalone vector path;
+    # QuantizedMatrix.column(j) is a one-column matrix of views, j < 0 counting from the end
     rng = np.random.default_rng(17)
     for kw in KERNEL_CASES.values():
         cfg = pipe(n=16, **kw)
         A = rng.standard_normal((16, 3))
         QA = quantize_matrix(cfg, A)
-        for j in range(3):
-            qv = quantize_vector(cfg, A[:, j], col=j)
+        for j in (0, 1, 2, -1, -3):
+            qv = quantize_vector(cfg, A[:, j], col=j % 3)
             col = QA.column(j)
+            assert col.cfg is cfg and col.shape == qv.shape == (16, 1)
+            for field in ("digits", "T", "norms", "dither_ids"):
+                whole, one = getattr(QA, field), getattr(col, field)
+                assert (one is None) == (whole is None) == (getattr(qv, field) is None)
+                if one is not None:
+                    assert one.shape == (1,) + whole.shape[1:] and np.shares_memory(one, whole)
+                    assert np.array_equal(one[0], whole[j])
             assert np.array_equal(qv.digits, col.digits)
             assert np.array_equal(qv.T, col.T)
-            if col.dither_ids is None:
-                assert qv.dither_ids is None
-            else:
+            if col.dither_ids is not None:
                 assert np.array_equal(qv.dither_ids, col.dither_ids)
-            if col.norm is None:
-                assert qv.norm is None
-            else:
+            if col.norms is not None:
                 # the norm's reduction order depends on the column count
-                assert abs(qv.norm - col.norm) <= 1e-12 * col.norm
+                assert abs(qv.norms[0] - col.norms[0]) <= 1e-12 * col.norms[0]
+        for j in (3, -4):
+            with pytest.raises(IndexError):
+                QA.column(j)
+        # one decode of the matrix is the stack of its columns' decodes, bit for bit
+        assert np.array_equal(reconstruct_chunks(cfg, QA), np.concatenate(
+            [reconstruct_chunks(cfg, QA.column(j)) for j in range(3)]))
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -36,6 +36,7 @@ REMOVED = {
     "codec": ("enumerate_codebook",),
     "lattices": ("coords_of", "second_moment"),
     "lut": ("_exact_ip", "lut_ip", "lut_ip_dithered"),
+    "pipeline": ("QuantizedVector",),
     "voronoi": ("VoronoiCodeParams",),
 }
 
