@@ -61,6 +61,11 @@ DEFAULT_BETA0_GRID = tuple(float(b) for b in np.geomspace(0.05, 2.0, 24))
 # Most points calibrate_beta0 adds past the ends of its grid, 96 ratio steps:
 # at the default grid's ratio, down to about 1e-8.
 GRID_EXTENSION_LIMIT = 96
+# calibrate_beta0's coarse pass scores every third grid point, and its window
+# reaches three grid steps either side of their best, to the neighbouring
+# coarse points.  A window of two steps missed the full grid's pick in one of
+# 378 cells (d8 q=4 M=2 voronoi-reduced, seed 1); three missed none.
+_COARSE_STRIDE = 3
 
 CSV_COLUMNS = [
     "scheme",
@@ -205,16 +210,27 @@ def calibrate_beta0(
     alpha: float = 1.0 / 3.0,
     seed: int = 0,
 ) -> float:
-    """Grid-search the base scale on a deterministic Gaussian pilot.
+    """Search the base scale, coarse to fine, on a deterministic Gaussian pilot.
 
     Each candidate is scored by its pilot rate gap: the empirical rate
     (retry entropy included) plus half the log of the pilot MSE.  Raw MSE
     is the wrong objective here; shrinking the base scale keeps lowering
     the error while the retry mechanism silently buys that accuracy with
     rate, so the argmin runs off to the bottom of the grid.  The gap
-    charges for those bits.  Scores are smoothed over adjacent grid points
+    charges for those bits.  Scores are smoothed over adjacent points
     before the argmin so pilot noise cannot wander along the flat valley;
     ties resolve to the smaller candidate.
+
+    The smoothed score has one valley, and its wiggles lie on a plateau well
+    above it, so a bracketing search finds the full grid's argmin from fewer
+    candidates.  A coarse pass scores every ``_COARSE_STRIDE``-th grid point
+    and the last one; a window of ``_COARSE_STRIDE`` grid steps either side
+    of their smoothed argmin is then scored, and widens by as many steps on
+    a side while the window's smoothed argmin sits on that edge.  Once the
+    window reaches an end of the grid its smoothed scores are the full
+    grid's there, from the same three scores summed in the same order.  Each
+    ``beta0`` is scored at most once per call; every grid point is checked
+    as a ``ScalingConfig`` before any is scored.
 
     The best scale shrinks like q^-M, so at high rate it can fall off the
     grid: while the argmin is the first or last point, the grid grows by one
@@ -225,35 +241,47 @@ def calibrate_beta0(
     grid = sorted(float(b) for b in grid)
     if not grid:
         raise ValueError("empty beta0 grid")
-    if pilot_n < 1:
-        raise ValueError("pilot_n must be at least 1")
+    if isinstance(pilot_n, bool) or not isinstance(pilot_n, numbers.Integral) or pilot_n < 1:
+        raise ValueError(f"pilot_n must be a positive integer, got {pilot_n!r}")
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    for b in grid:  # the search may never score a bad point: refuse it here
+        ScalingConfig(beta0=b, alpha=alpha)
     eff = effective_params(scheme, params)
     rng = np.random.default_rng([seed, 0xB0])
     # The candidates share the pilot's bound and work arrays, freed on return.
     pilot = _Pilot(eff, rng.standard_normal((pilot_n, eff.lat.d)))
+    scores = {}
 
-    def score(b):
-        dist, T = pilot.mse(ScalingConfig(beta0=b, alpha=alpha))
-        return empirical_rate(eff, T) + 0.5 * math.log2(dist)
+    def argmin(idx):
+        """Grid index of the smallest smoothed score over the grid indices idx."""
+        for b in (grid[i] for i in idx):
+            if b not in scores:
+                dist, T = pilot.mse(ScalingConfig(beta0=b, alpha=alpha))
+                scores[b] = empirical_rate(eff, T) + 0.5 * math.log2(dist)
+        s = [scores[grid[i]] for i in idx]
+        smoothed = [sum(s[max(0, k - 1) : k + 2]) / len(s[max(0, k - 1) : k + 2])
+                    for k in range(len(s))]
+        return idx[min(range(len(idx)), key=lambda k: (smoothed[k], k))]
 
-    scores = [score(b) for b in grid]
-    for added in range(GRID_EXTENSION_LIMIT + 1):
-        smoothed = [
-            sum(scores[max(0, i - 1) : i + 2]) / len(scores[max(0, i - 1) : i + 2])
-            for i in range(len(scores))
-        ]
-        best = min(range(len(grid)), key=lambda i: (smoothed[i], i))
+    step = _COARSE_STRIDE
+    best = argmin(sorted({*range(0, len(grid), step), len(grid) - 1}))
+    lo, hi = max(0, best - step), min(len(grid) - 1, best + step)
+    added = 0
+    while True:
+        best = argmin(range(lo, hi + 1))
+        if best == lo > 0:
+            lo = max(0, lo - step)
+            continue
+        if best == hi < len(grid) - 1:
+            hi = min(len(grid) - 1, hi + step)
+            continue
         end, inner = (0, 1) if best == 0 else (-1, -2)
         if (0 < best < len(grid) - 1 or len(grid) < 2 or grid[end] == grid[inner]
                 or added == GRID_EXTENSION_LIMIT):
-            break
-        b = grid[end] * (grid[end] / grid[inner])
-        at = 0 if best == 0 else len(grid)
-        grid.insert(at, b)
-        scores.insert(at, score(b))
-    return grid[best]
+            return grid[best]
+        grid.insert(0 if best == 0 else len(grid), grid[end] * (grid[end] / grid[inner]))
+        added, hi = added + 1, hi + 1
 
 
 def _histogram(T: np.ndarray) -> dict[int, int]:

@@ -136,7 +136,12 @@ class QuantizedMatrix:
         return (self.cfg.n, self.cols)
 
     def column(self, j: int) -> QuantizedMatrix:
-        """Column j (negative counts from the end) as a one-column matrix of views."""
+        """Column j (negative counts from the end) as a one-column matrix of views.
+
+        A j that is not an integer, a bool included, raises ValueError; an
+        integer out of range raises IndexError."""
+        if isinstance(j, bool) or not isinstance(j, numbers.Integral):
+            raise ValueError(f"column index must be an integer, got {j!r}")
         return QuantizedMatrix(
             cfg=self.cfg,
             digits=self.digits[j, None],

@@ -7,7 +7,9 @@ code so the two agree everywhere, including on constructed ties.  The
 encoder's integer layer chain is checked against re-quantizing every layer,
 and the per-row retry ladder against trying every rung in turn.  The paper's
 identities are read through the package's internals: one chunk's table
-inner product, the codebook enumeration and the cell's second moment.
+inner product, the codebook enumeration and the cell's second moment.  The
+base-scale calibration's coarse-to-fine search is checked against scoring
+the whole grid.
 """
 
 import math
@@ -18,9 +20,11 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from hnlq import UnencodableError, h_encode_many, make_lattice
+from hnlq import ScalingConfig, UnencodableError, h_encode_many, make_lattice
+from hnlq.bench import DEFAULT_BETA0_GRID, GRID_EXTENSION_LIMIT, effective_params
 from hnlq.codec import _dither_points, _iter_codebook_coords
 from hnlq.lut import chunk_sums
+from hnlq.scaling import _Pilot, empirical_rate
 
 # Property tests draw the same examples on every run unless a run asks for
 # another profile (``--hypothesis-profile=default`` draws fresh ones).
@@ -139,6 +143,38 @@ def lut_ip(lut, dx, dy, zx=None, zy=None):
     if zx is not None:
         return float(total) / lut.q**2 * u
     return total * int(u) if float(u).is_integer() else total * u
+
+
+def full_grid_beta0(scheme, params, pilot_n=8000, grid=DEFAULT_BETA0_GRID, *,
+                    alpha=1.0 / 3.0, seed=0):
+    """``bench.calibrate_beta0`` by scoring every grid point, then growing the
+    grid past an end while the smoothed argmin sits on it: the search the
+    coarse-to-fine one replaced, whose picks it keeps."""
+    grid = sorted(float(b) for b in grid)
+    eff = effective_params(scheme, params)
+    rng = np.random.default_rng([seed, 0xB0])
+    pilot = _Pilot(eff, rng.standard_normal((pilot_n, eff.lat.d)))
+
+    def score(b):
+        dist, T = pilot.mse(ScalingConfig(beta0=b, alpha=alpha))
+        return empirical_rate(eff, T) + 0.5 * math.log2(dist)
+
+    scores = [score(b) for b in grid]
+    for added in range(GRID_EXTENSION_LIMIT + 1):
+        smoothed = [
+            sum(scores[max(0, i - 1) : i + 2]) / len(scores[max(0, i - 1) : i + 2])
+            for i in range(len(scores))
+        ]
+        best = min(range(len(grid)), key=lambda i: (smoothed[i], i))
+        end, inner = (0, 1) if best == 0 else (-1, -2)
+        if (0 < best < len(grid) - 1 or len(grid) < 2 or grid[end] == grid[inner]
+                or added == GRID_EXTENSION_LIMIT):
+            break
+        b = grid[end] * (grid[end] / grid[inner])
+        at = 0 if best == 0 else len(grid)
+        grid.insert(at, b)
+        scores.insert(at, score(b))
+    return grid[best]
 
 
 def enumerate_codebook(params):

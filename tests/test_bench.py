@@ -13,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from conftest import full_grid_beta0
 from hnlq import HierarchicalParams, ScalingConfig, bench, load_lut, make_lattice, scaling
 from hnlq.bench import (
     CSV_COLUMNS,
@@ -228,8 +229,31 @@ def test_calibrate_grid_of_one():
     assert calibrate_beta0("hierarchical", params, pilot_n=60, grid=[0.37]) == 0.37
     with pytest.raises(ValueError):
         calibrate_beta0("hierarchical", params, pilot_n=60, grid=[])
-    with pytest.raises(ValueError, match="pilot_n"):
-        calibrate_beta0("hierarchical", params, pilot_n=0, grid=[0.37])
+    # 2.5 and True used to fail inside numpy with TypeError
+    for pilot_n in (0, -3, 2.5, True, np.float64(60.0), "60"):
+        with pytest.raises(ValueError, match="^pilot_n must be a positive integer"):
+            calibrate_beta0("hierarchical", params, pilot_n=pilot_n, grid=[0.37])
+    assert calibrate_beta0("hierarchical", params, pilot_n=np.int64(60), grid=[0.37]) == 0.37
+
+
+def test_calibration_refuses_a_bad_grid_point_before_scoring(monkeypatch):
+    # The coarse pass skips grid index 1, so a bad point there would never be
+    # scored: every point is checked as a ScalingConfig first.
+    def scored(pilot, scfg):
+        raise AssertionError("scored a candidate before refusing the grid")
+
+    monkeypatch.setattr(scaling._Pilot, "mse", scored)
+    params = HierarchicalParams(make_lattice("d4"), 4, 2)
+    for bad, message in ((math.nan, "beta0 must be positive"), (0.0, "beta0 must be positive"),
+                         (-0.3, "beta0 must be positive"), (1e308, "leaves the float range")):
+        grid = list(DEFAULT_BETA0_GRID)
+        grid[1] = bad
+        if bad is math.nan:
+            assert sorted(grid)[1] is bad  # sorting leaves the NaN where it was
+        with pytest.raises(ValueError, match=message):
+            calibrate_beta0("hierarchical", params, grid=grid)
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        calibrate_beta0("hierarchical", params, alpha=0.0)
 
 
 def test_calibrate_picks_an_interior_optimum():
@@ -281,19 +305,22 @@ def test_calibration_extends_the_grid_at_high_rate():
 def test_calibration_grid_grows_at_its_own_ratio(monkeypatch):
     # A cell whose argmin sits on an end is scored at one more point past
     # that end per step, at the end's own ratio, and a cell whose argmin is
-    # interior scores only the grid.
+    # interior scores only grid points: the coarse pass (every third point
+    # and the last), then the window three steps either side of its best,
+    # widened by three steps while the window's best sits on its edge.
     seen = []
     mse = scaling._Pilot.mse
     monkeypatch.setattr(scaling._Pilot, "mse",
                         lambda pilot, scfg: seen.append(scfg.beta0) or mse(pilot, scfg))
     params = HierarchicalParams(make_lattice("z2"), 8, 3)
     got = calibrate_beta0("hierarchical", params, pilot_n=2000, grid=[0.2, 0.4, 0.8])
-    assert seen[:3] == [0.2, 0.4, 0.8]
+    assert seen[:3] == [0.2, 0.8, 0.4]
     assert seen[3:] == [0.2 / 2**k for k in range(1, len(seen) - 2)]
     assert got in seen and min(seen) < got < max(seen)
     seen.clear()
     calibrate_beta0("hierarchical", HierarchicalParams(make_lattice("d4"), 4, 2), pilot_n=2000)
-    assert seen == list(DEFAULT_BETA0_GRID)
+    coarse, window, widened = [*range(0, 22, 3), 23], [4, 5, 7, 8], [10, 11]
+    assert seen == [DEFAULT_BETA0_GRID[i] for i in coarse + window + widened]
 
 
 # Picks at pilot_n = 2000 from before the candidates of one call shared a
@@ -333,9 +360,10 @@ def test_calibration_pilot_scores_as_encode_and_decode(scheme, name, q, M, monke
     # encode_scaled_many then decode_scaled_many bit for bit.  No array the
     # pilot, the encoder or the decoder returns shares memory with a work
     # array, and the arrays go when the call returns.
-    refs, mse = [], scaling._Pilot.mse
+    refs, betas, mse = [], [], scaling._Pilot.mse
 
     def checked(pilot, scfg):
+        betas.append(scfg.beta0)
         dist, T = mse(pilot, scfg)
         want_dist, want_T = _vector_mse(pilot.params, scfg, pilot.X)
         assert dist == want_dist and T.dtype == want_T.dtype and np.array_equal(T, want_T)
@@ -349,7 +377,62 @@ def test_calibration_pilot_scores_as_encode_and_decode(scheme, name, q, M, monke
     monkeypatch.setattr(scaling._Pilot, "mse", checked)
     calibrate_beta0(scheme, HierarchicalParams(make_lattice(name), q, M), pilot_n=1500, seed=9)
     gc.collect()
-    assert len(refs) >= 24 and all(ref() is None for ref in refs)
+    # one pilot per candidate scored, each candidate scored once, at least the
+    # coarse pass's 9 and the 2 grid points between its best and a neighbour
+    assert len(refs) == len(set(betas)) >= 11 and all(ref() is None for ref in refs)
+
+
+def _memoized_pilot(monkeypatch):
+    """Patch scaling._Pilot.mse to score each (pilot, config) once per test,
+    and return the list of configs it is called with."""
+    memo, calls, mse = {}, [], scaling._Pilot.mse
+
+    def memoized(pilot, scfg):
+        calls.append(scfg)
+        key = (pilot.params, pilot.X.tobytes(), scfg)
+        if key not in memo:
+            memo[key] = mse(pilot, scfg)
+        return memo[key]
+
+    monkeypatch.setattr(scaling._Pilot, "mse", memoized)
+    return calls
+
+
+# (scheme, lattice, q, M): the hierarchical cells of the dr-ip-d4, amm-d4 and
+# store-a2 benchmark workloads, and a spread of lattices, rates and schemes.
+BENCH_CELLS = [("hierarchical", "d4", 4, 1), ("hierarchical", "d4", 4, 2),
+               ("hierarchical", "d4", 4, 3), ("hierarchical", "a2", 8, 2)]
+SPREAD_CELLS = [("hierarchical", "z2", 8, 3),  # the grid grows below its floor
+                ("hierarchical", "z2", 3, 1), ("voronoi", "z2", 5, 2),
+                ("hierarchical", "a2", 5, 1), ("voronoi-reduced", "a2", 3, 3),
+                ("voronoi", "d4", 3, 2), ("voronoi-reduced", "d4", 5, 3),
+                ("hierarchical", "d4", 8, 1), ("hierarchical", "d8", 3, 2),
+                ("voronoi", "d8", 3, 1), ("voronoi-reduced", "d8", 4, 2)]
+
+
+@pytest.mark.parametrize("cells, pilot_n, seeds", [
+    (BENCH_CELLS, 8000, (0, 1, 29, 1101, 9401)), (SPREAD_CELLS, 2000, (1,)),
+    ([("voronoi-reduced", "d8", 4, 2)], 8000, (1,)),  # a window of 2 steps misses it
+], ids=["bench-cells", "spread", "narrow-window"])
+def test_coarse_to_fine_keeps_the_full_grid_pick(cells, pilot_n, seeds, monkeypatch):
+    # Exact float equality with scoring every grid point (tests/conftest.py).
+    # The two searches share one memoized scorer, so each config scores once.
+    _memoized_pilot(monkeypatch)
+    for scheme, name, q, M in cells:
+        params = HierarchicalParams(make_lattice(name), q, M)
+        for seed in seeds:
+            got = calibrate_beta0(scheme, params, pilot_n, seed=seed)
+            assert got == full_grid_beta0(scheme, params, pilot_n, seed=seed), (name, q, M, seed)
+
+
+def test_calibration_scores_fewer_candidates(monkeypatch):
+    # The dr-ip-d4 sweep's cells: 15 / 15 / 13 candidates, where the full
+    # grid scores 24 / 24 / 26; each beta0 scored once per call.
+    calls = _memoized_pilot(monkeypatch)
+    for M in (1, 2, 3):
+        calls.clear()
+        calibrate_beta0("hierarchical", HierarchicalParams(make_lattice("d4"), 4, M))
+        assert len(calls) == len({c.beta0 for c in calls}) <= 15, M
 
 
 def test_exactness_check_reports_shape():

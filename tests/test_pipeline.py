@@ -779,6 +779,11 @@ def test_matrix_column_quantization_matches_vector():
         for j in (3, -4):
             with pytest.raises(IndexError):
                 QA.column(j)
+        # numpy reads a bool as a mask: column(True) gave (1, 1, 3, ...) digits
+        for j in (True, False, np.bool_(True), 1.0, 1.5, "1", None):
+            with pytest.raises(ValueError, match="column index must be an integer"):
+                QA.column(j)
+        assert np.array_equal(QA.column(np.int64(-1)).digits, QA.column(2).digits)
         # one decode of the matrix is the stack of its columns' decodes, bit for bit
         assert np.array_equal(reconstruct_chunks(cfg, QA), np.concatenate(
             [reconstruct_chunks(cfg, QA.column(j)) for j in range(3)]))

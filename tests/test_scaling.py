@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import full_ladder_encode
+from conftest import full_grid_beta0, full_ladder_encode
 from hnlq import (
     HierarchicalParams,
     Lattice,
@@ -302,15 +302,20 @@ def test_every_rung_of_an_accepted_ladder_is_a_finite_float():
 
 
 def test_calibration_skips_rungs_that_must_overload(monkeypatch):
-    # d4 q=4 M=1 at seed 7: trying every rung encodes 963,215 pilot rows over
-    # the 24 candidates (8,000 x 24 = 192,000 first passes); the gauge jump
-    # encoded 450,675, the per-direction bound before and after the first
-    # pass 270,423.
+    # d4 q=4 M=1 at seed 7, scoring all 24 grid candidates: trying every rung
+    # encodes 963,215 pilot rows (8,000 x 24 = 192,000 first passes); the
+    # gauge jump encoded 450,675, the per-direction bound before and after
+    # the first pass 270,423.  calibrate_beta0 scores 15 of them (161,112).
     rows = []
     encode = scaling.h_encode_many
     monkeypatch.setattr(scaling, "h_encode_many", lambda p, X: rows.append(len(X)) or encode(p, X))
-    bench.calibrate_beta0("hierarchical", HierarchicalParams(make_lattice("d4"), 4, 1), seed=7)
-    assert 192_000 <= sum(rows) <= 0.3 * 963_215
+    params = HierarchicalParams(make_lattice("d4"), 4, 1)
+    full_grid_beta0("hierarchical", params, seed=7)
+    full = sum(rows)
+    assert 192_000 <= full <= 0.3 * 963_215
+    rows.clear()
+    bench.calibrate_beta0("hierarchical", params, seed=7)
+    assert 15 * 8_000 <= sum(rows) < full
 
 
 def test_dither_point_values(z1):
