@@ -31,6 +31,7 @@ from .pipeline import ip_approx  # noqa: F401  (perfbench's tracer wraps this na
 from .scaling import (
     ScalingConfig,
     _Pilot,
+    _retry_histogram,
     decode_scaled_many,
     empirical_rate,
     encode_scaled_many,
@@ -84,6 +85,11 @@ CSV_COLUMNS = [
 ]
 
 
+def _is_int(v) -> bool:
+    """An integer other than a bool: True is an Integral, and fails later inside numpy."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Knobs shared by the benchmark commands.
@@ -112,14 +118,13 @@ class ExperimentConfig:
         if isinstance(self.beta0, str) and self.beta0 != "auto":
             raise ValueError("beta0 must be a number or 'auto'")
         for name, v in (("n", self.n), ("samples", self.samples)):
-            if not isinstance(v, numbers.Integral) or v < 1:
+            if not _is_int(v) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
         # run_dr_ip hands seed to PipelineConfig as rotation_seed and dither_seed
         # as dither_seed, both int64 fields: refuse them here, before calibrating.
-        if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 2**63:
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**63:
             raise ValueError(f"seed must be an integer in [0, 2^63), got {self.seed!r}")
-        if not isinstance(self.dither_seed, numbers.Integral) or not (
-                -(2**63) <= self.dither_seed < 2**63):
+        if not _is_int(self.dither_seed) or not -(2**63) <= self.dither_seed < 2**63:
             raise ValueError(
                 f"dither_seed must be an integer in [-2^63, 2^63), got {self.dither_seed!r}")
         if self.dither not in DITHER_MODES:
@@ -241,9 +246,9 @@ def calibrate_beta0(
     grid = sorted(float(b) for b in grid)
     if not grid:
         raise ValueError("empty beta0 grid")
-    if isinstance(pilot_n, bool) or not isinstance(pilot_n, numbers.Integral) or pilot_n < 1:
+    if not _is_int(pilot_n) or pilot_n < 1:
         raise ValueError(f"pilot_n must be a positive integer, got {pilot_n!r}")
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     for b in grid:  # the search may never score a bad point: refuse it here
         ScalingConfig(beta0=b, alpha=alpha)
@@ -285,7 +290,7 @@ def calibrate_beta0(
 
 
 def _histogram(T: np.ndarray) -> dict[int, int]:
-    vals, counts = np.unique(np.asarray(T, dtype=np.int64), return_counts=True)
+    vals, counts = _retry_histogram(T)
     return {int(v): int(c) for v, c in zip(vals, counts)}
 
 

@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 ENUMERATION_GUARD = 2**24
+# Exact integer types, narrowest first: ``_coord_dtype`` and
+# ``lut.chunk_sum_dtype`` pick the first that holds a proven bound.
+_INT_TYPES = tuple(map(np.dtype, (np.int16, np.int32, np.int64)))
 # Largest inner-product table, q^(2d) entries, that lut.build_lut builds:
 # the square of the largest cached layer codebook.
 LUT_GUARD = LAYER_CODEBOOK_MAX**2
@@ -80,6 +83,20 @@ class HierarchicalParams:
         cb = vc_decode_many(self.lat, self.q, digit_grid(self.q, self.lat.d))
         cb.setflags(write=False)
         return cb
+
+    @cached_property
+    def _codebooks(self) -> dict:
+        """Read-only ``_layer_codebook`` in each of ``_INT_TYPES``."""
+        books = {t: self._layer_codebook.astype(t, copy=False) for t in _INT_TYPES}
+        for cb in books.values():
+            cb.setflags(write=False)
+        return books
+
+    @cached_property
+    def _coord_bound(self) -> tuple[float, int]:
+        """``h_encode_many``'s R and S."""
+        S = max(int(np.abs(self._layer_codebook).max()), self.q - 1)
+        return float(np.abs(self.lat.G_inv).sum(axis=1).max()), S
 
     @cached_property
     def _dither_table(self) -> np.ndarray | None:
@@ -153,6 +170,22 @@ def outer_nesting_ratio(q: int, M: int) -> int:
     return sum(q**m for m in range(1, M + 1))
 
 
+def _coord_dtype(params: HierarchicalParams, top: float) -> np.dtype:
+    """``h_encode_many``'s integer type for rows with max |x| = top."""
+    lat = params.lat
+    if params._layer_codebook is None or not np.isfinite(top):
+        return _INT_TYPES[-1]
+    (R, S), near = params._coord_bound, top + 2.0  # 1 to the point, 1 for eps and rounding
+    bound = max(max(R * near, S) + S, (lat.d if lat.family == "D" else 1) * near)
+    return next((t for t in _INT_TYPES if bound < 2 ** (8 * t.itemsize - 1)), _INT_TYPES[-1])
+
+
+def _items(a: np.ndarray) -> np.ndarray:
+    """View of a (..., k), its trailing axis contiguous, as items (...) of k
+    entries' bytes each: numpy moves such items whole."""
+    return a.view(np.dtype((np.void, a.shape[-1] * a.itemsize)))[..., 0]
+
+
 def h_encode_many(params: HierarchicalParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Encode rows of X (..., d); returns digits (..., M, d) and overload (...).
 
@@ -162,27 +195,34 @@ def h_encode_many(params: HierarchicalParams, X: np.ndarray) -> tuple[np.ndarray
     Only layer 0 runs the nearest-point quantizer.  Layer m + 1 quantizes
     lambda_m / q, which depends only on the coset of lambda_m mod qL: it is
     (c - rep(c mod q)) / q in generator coordinates, with rep the layer
-    codebook row (``_layer_rows``).  So every later layer and the
-    overload test are exact int64 steps.  Past |x| of about 1e9 the digits
-    of rows that already overload may differ from re-quantizing each layer
-    in floating point, whose tie-breaker falls below float resolution there;
-    the overload flag does not.  Unchecked: |x| >= 2^62 is outside
-    its contract (INT64_MIN coordinates, RuntimeWarning); the checked entry
-    point is ``scaling.encode_scaled_many``.
+    codebook row (``_layer_rows``).  So every later layer and the overload
+    test are exact integer steps, in the narrowest of int16, int32 and int64
+    (``_coord_dtype``; int64 past LAYER_CODEBOOK_MAX) that holds
+    max(max(R (t + 2), S) + S, [D_n] d (t + 2)) for t = max |X|: the nearest
+    point lies within infinity-distance 1 of x + eps, so R, the largest row
+    sum of |G^-1|, times t + 2 bounds its coordinates and D_n's parity sums d
+    entries of at most t + 2; a layer's c - rows and q (c // q) stay within S,
+    the larger of q - 1 and |layer codebook entries|, of max(|c|, S).  Past
+    |x| of about 1e9 the digits of rows that already overload may differ from
+    re-quantizing each layer in floating point, whose tie-breaker falls below
+    float resolution there; the overload flag does not.  Unchecked: |x| >=
+    2^62 is outside its contract (INT64_MIN coordinates, RuntimeWarning); the
+    checked entry point is ``scaling.encode_scaled_many``.
     """
-    q = params.q
-    c = params.lat.nearest_coords(X)
+    q, X = params.q, np.asarray(X, dtype=np.float64)
+    top = max(-X.min(initial=0.0), X.max(initial=0.0))  # NaN when X has one
+    c = params.lat.nearest_coords(X, dtype=_coord_dtype(params, top))
     digits = np.empty(c.shape[:-1] + (params.M, params.lat.d), dtype=digit_dtype(q))
-    b, rows = np.empty_like(c), np.empty_like(c)
+    b, rows, layer = np.empty_like(c), np.empty_like(c), np.empty(c.shape, digits.dtype)
     for m in range(params.M):
         # c mod q as c - q (c // q), in place: numpy's integer // by a scalar is
-        # several times faster than its %.  Contiguous b also indexes faster
-        # than the strided digits[..., m, :], and lies in [0, q) by
-        # construction, so it is indexed unchecked.
+        # several times faster than its %.  b lies in [0, q) by construction,
+        # so it is indexed unchecked; its digits go into layer m as whole rows.
         np.floor_divide(c, q, out=b)
         b *= q
         np.subtract(c, b, out=b)
-        digits[..., m, :] = b
+        np.copyto(layer, b, casting="unsafe")
+        _items(digits)[..., m] = _items(layer)
         c -= _layer_rows(params, b, rows)
         c //= q
     # Any non-zero coordinate, one column at a time: a reduction over the
@@ -202,13 +242,14 @@ def _layer_coords(params: HierarchicalParams, digits: np.ndarray) -> np.ndarray:
 def _layer_rows(params: HierarchicalParams, b: np.ndarray, out: np.ndarray | None = None):
     """Layer codebook rows (..., d) of digits b (..., d) known to lie in [0, q).
 
-    One gather from the cached codebook by base-q index, into ``out`` when
-    given; without a cached codebook the quantizer runs per row (new array).
+    One gather from the cached codebook by base-q index, both in the type of
+    ``out`` when given (int64 otherwise; q^d <= LAYER_CODEBOOK_MAX fits int16);
+    without a cached codebook the quantizer runs per row (new int64 array).
     """
-    cb = params._layer_codebook
-    if cb is None:
+    if params._layer_codebook is None:
         return vc_decode_many(params.lat, params.q, b)
-    return np.take(cb, _index(b, params.q), axis=0, out=out)
+    cb = params._codebooks[np.dtype(np.int64) if out is None else out.dtype]
+    return np.take(cb, _index(b, params.q, cb.dtype), axis=0, out=out)
 
 
 def _dither_points(params: HierarchicalParams, ids: np.ndarray) -> np.ndarray:

@@ -76,11 +76,14 @@ class Lattice:
         """Map generator coordinates (..., d) to vectors (..., d)."""
         return np.asarray(coords, dtype=np.float64) @ self.G.T
 
-    def nearest_coords(self, x: np.ndarray) -> np.ndarray:
+    def nearest_coords(self, x: np.ndarray, dtype=np.int64) -> np.ndarray:
         """Generator coordinates of the nearest lattice point, batched.
 
-        Accepts shape (..., d) and returns int64 of the same shape: argmin
-        over c of ||x + eps - G @ c||.
+        Accepts shape (..., d) and returns integer type ``dtype`` of the same
+        shape: argmin over c of ||x + eps - G @ c||, from the same floats and
+        ties for every type.  A narrower type than int64 must hold every
+        coordinate and D_n's parity sum of d rounded entries, as the bound of
+        ``codec.h_encode_many`` proves.
 
         Unchecked: |x| >= 2^62 is outside its contract and may give
         INT64_MIN coordinates with a RuntimeWarning.  The checked entry point
@@ -92,11 +95,11 @@ class Lattice:
                 f"dimension mismatch: expected trailing axis {self.d}, got {x.shape[-1]}"
             )
         if self.family == "D":
-            return self._nearest_coords_d(x)
+            return self._nearest_coords_d(x, dtype)
         y = x + self.eps
         if self.family == "Z":
-            return np.rint(y).astype(np.int64)
-        return self._nearest_coords_a2(y)
+            return np.rint(y).astype(dtype)
+        return self._nearest_coords_a2(y, dtype)
 
     def gauge(self, x: np.ndarray) -> np.ndarray:
         """Least s >= 0 with x in s times the Voronoi cell, batched over (..., d).
@@ -134,31 +137,35 @@ class Lattice:
         W = self._gauge_weights
         return np.concatenate([W, -W])
 
-    def _nearest_coords_d(self, x: np.ndarray) -> np.ndarray:
+    def _nearest_coords_d(self, x: np.ndarray, dtype) -> np.ndarray:
         # Round every coordinate; if the sum is odd, re-round the coordinate
         # with the largest rounding error to its second-nearest integer.
         # Ties on the error pick the lowest index (argmax convention).  Works
-        # column-major, on (d, N), so the parity sum and the argmax over the d
-        # coordinates are d - 1 elementwise steps on whole rows.  The fix goes
+        # column-major, on (d, n), so the parity sum and the argmax over the d
+        # coordinates are d - 1 elementwise steps on whole rows, and entry
+        # (k, j) of the fix is entry k n + j of the flat array.  The fix goes
         # into the rounded floats, which stay exact integers.
         d = self.d
         x2 = x.reshape(-1, d)
-        delta = np.add(x2.T, self.eps[:, None], out=np.empty((d, x2.shape[0])))
+        n = x2.shape[0]
+        delta = np.add(x2.T, self.eps[:, None], out=np.empty((d, n)))
         f = np.rint(delta)
         delta -= f
-        odd = np.flatnonzero(f.astype(np.int64).sum(axis=0) & 1)
-        err = np.abs(delta[:, odd])
+        parity = f.astype(dtype).sum(axis=0, dtype=dtype)  # wraps, keeping the parity
+        odd = np.flatnonzero(np.bitwise_and(parity, 1, out=parity).astype(bool))
+        err = np.abs(np.take(delta, odd, axis=1))
         best, k = err[0].copy(), np.zeros(odd.size, dtype=np.intp)
         for i in range(1, d):
             k[err[i] > best] = i
             np.maximum(best, err[i], out=best)
-        f[k, odd] += np.where(delta[k, odd] >= 0, 1.0, -1.0)
+        flat = k * n + odd
+        f.reshape(-1)[flat] += np.where(delta.reshape(-1)[flat] >= 0, 1.0, -1.0)
         # Generator coordinates: G_inv has half-integer entries, product is
         # an exact integer for any D_n point of sane magnitude.
         c = f.T @ self.G_inv.T
-        return np.rint(c, out=c).astype(np.int64).reshape(x.shape)
+        return np.rint(c, out=c).astype(dtype).reshape(x.shape)
 
-    def _nearest_coords_a2(self, y: np.ndarray) -> np.ndarray:
+    def _nearest_coords_a2(self, y: np.ndarray, dtype) -> np.ndarray:
         # A2 is Z x sqrt3 Z together with its coset shifted by (1/2, sqrt3/2):
         # round in each and keep the nearer point (the unshifted one on a tie).
         # Points (i, sqrt3 j) and (i + 1/2, sqrt3 (j + 1/2)) have generator
@@ -190,7 +197,7 @@ class Lattice:
         del near0, near1, t  # freed before the output is allocated
         np.copyto(i, i1, where=shifted)
         np.copyto(j, j1, where=shifted)
-        c = np.empty(y.shape, dtype=np.int64)
+        c = np.empty(y.shape, dtype=dtype)
         c2 = c.reshape(-1, 2)
         np.subtract(i, j, out=c2[:, 0], casting="unsafe")
         j *= 2

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .codec import LUT_GUARD, HierarchicalParams, _dither_rows, layer_codebook_coords
+from .codec import LUT_GUARD, _INT_TYPES, HierarchicalParams, _dither_rows, layer_codebook_coords
 from .lattices import FAMILY_IDS
 from .voronoi import digits_to_index, index_to_digits
 
@@ -122,8 +122,6 @@ def layer_indices(q: int, digits: np.ndarray, dither_ids: np.ndarray | None) -> 
 # 2^18, 2x at 2^19, and the partial-row gather about 1.1x slower at 2^16 or 2^18.
 _COMBINE_BLOCK = 2**17
 
-_CHUNK_TYPES = tuple(map(np.dtype, (np.int16, np.int32, np.int64)))
-
 
 def chunk_sum_dtype(lut: InnerProductLUT, L: int) -> np.dtype | None:
     """Narrowest integer type exact for every L-layer chunk sum, or None.
@@ -133,7 +131,7 @@ def chunk_sum_dtype(lut: InnerProductLUT, L: int) -> np.dtype | None:
     type's 2^(bits-1).  None for a bound past 2^63.
     """
     bound = lut.max_abs * ((lut.q**L - 1) // (lut.q - 1)) ** 2
-    return next((t for t in _CHUNK_TYPES if bound < 2 ** (8 * t.itemsize - 1)), None)
+    return next((t for t in _INT_TYPES if bound < 2 ** (8 * t.itemsize - 1)), None)
 
 
 def _horner(q: int, terms) -> np.ndarray:

@@ -20,6 +20,7 @@ from .codec import (
     HierarchicalParams,
     _dither_points,
     _dither_rows,
+    _items,
     _sum_layers,
     decode_coords_many,
     h_encode_many,
@@ -261,8 +262,9 @@ def _encode_block(params, scales, need, X, T, Z, rung=None, sub=None):
         if Z is not None:
             sub -= Z[active]
         dg, ov = h_encode_many(params, sub)
-        done = ~ov
-        digits[active[done]] = dg[done]
+        done = ~ov  # each finished row's M d digits move as one item
+        rows = _items(dg.reshape(len(dg), -1))
+        _items(digits.reshape(len(digits), -1))[active[done]] = rows[done]
         active = active[ov]
         T[active] += 1
     return digits, failed
@@ -363,8 +365,19 @@ def empirical_rate(params: HierarchicalParams, T_samples) -> float:
     Uses the plug-in entropy of the observed retry counts; no entropy
     coder is involved.
     """
-    T = np.asarray(T_samples, dtype=np.int64).ravel()
+    T = np.asarray(T_samples)
     if T.size == 0:
         raise ValueError("need at least one T sample")
-    _, counts = np.unique(T, return_counts=True)
-    return params.bits_per_dim + entropy_bits(counts) / params.lat.d
+    return params.bits_per_dim + entropy_bits(_retry_histogram(T)[1]) / params.lat.d
+
+
+def _retry_histogram(T) -> tuple[np.ndarray, np.ndarray]:
+    """(values, counts) of the retry counts T, values ascending, counts > 0:
+    by ``np.bincount`` for an unsigned T of at most 2 bytes (every
+    ``retry_dtype`` up to max_retries = 65,534), else ``np.unique`` as int64."""
+    T = np.asarray(T).ravel()
+    if T.dtype.kind == "u" and T.dtype.itemsize <= 2:
+        counts = np.bincount(T)
+        vals = np.flatnonzero(counts)
+        return vals, counts[vals]
+    return np.unique(T.astype(np.int64), return_counts=True)

@@ -84,14 +84,16 @@ def digits_to_index(b: np.ndarray, q: int) -> int | np.ndarray:
     return int(idx) if idx.ndim == 0 else idx
 
 
-def _index(b: np.ndarray, q: int) -> np.ndarray:
-    """``digits_to_index`` of digits known to lie in [0, q), as an array."""
+def _index(b: np.ndarray, q: int, itype=None) -> np.ndarray:
+    """``digits_to_index`` of digits known to lie in [0, q), as an array, in
+    ``itype`` when given (it must hold q^d - 1)."""
     d = b.shape[-1]
     # Horner's rule in place in the index type, one column at a time: the add
     # casts each digit column in small buffers, so no column is widened as a
     # whole.  The digits lie in [0, q), so the cast from any integer type is
     # exact, and every partial value stays below q^d.
-    itype = np.int64 if q**d <= 2**63 else np.uint64
+    if itype is None:
+        itype = np.int64 if q**d <= 2**63 else np.uint64
     idx = b[..., 0].astype(itype)
     for i in range(1, d):
         idx *= q

@@ -4,12 +4,12 @@ The closed-form decoders in the package are checked against an explicit
 candidate search over a box guaranteed to contain the minimizer.  The
 search applies the same deterministic tie-break offset as the production
 code so the two agree everywhere, including on constructed ties.  The
-encoder's integer layer chain is checked against re-quantizing every layer,
-and the per-row retry ladder against trying every rung in turn.  The paper's
-identities are read through the package's internals: one chunk's table
-inner product, the codebook enumeration and the cell's second moment.  The
-base-scale calibration's coarse-to-fine search is checked against scoring
-the whole grid.
+encoder's integer layer chain is checked against re-quantizing every layer
+and against the same chain in int64, and the per-row retry ladder against
+trying every rung in turn.  The paper's identities are read through the
+package's internals: one chunk's table inner product, the codebook
+enumeration and the cell's second moment.  The base-scale calibration's
+coarse-to-fine search is checked against scoring the whole grid.
 """
 
 import math
@@ -22,9 +22,10 @@ from hypothesis import settings
 
 from hnlq import ScalingConfig, UnencodableError, h_encode_many, make_lattice
 from hnlq.bench import DEFAULT_BETA0_GRID, GRID_EXTENSION_LIMIT, effective_params
-from hnlq.codec import _dither_points, _iter_codebook_coords
+from hnlq.codec import _dither_points, _iter_codebook_coords, _layer_coords
 from hnlq.lut import chunk_sums
 from hnlq.scaling import _Pilot, empirical_rate
+from hnlq.voronoi import digit_dtype
 
 # Property tests draw the same examples on every run unless a run asks for
 # another profile (``--hypothesis-profile=default`` draws fresh ones).
@@ -72,6 +73,23 @@ def float_chain_encode(params, X):
         digits.append(c % q)
         g = lat.point_of(c) / q
     return np.stack(digits, axis=-2), lat.nearest_coords(g).any(axis=-1)
+
+
+def int64_encode(params, X):
+    """Reference encoder: the integer layer chain in int64 throughout.
+
+    One int64 nearest point, then per layer the digits c mod q and
+    c = (c - rep) / q, rep the int64 layer codebook row of the digits;
+    overload is a non-zero c.  Digits come in ``digit_dtype(q)``.
+    """
+    q = params.q
+    c = params.lat.nearest_coords(np.asarray(X, dtype=np.float64))
+    digits = []
+    for _ in range(params.M):
+        b = c % q
+        digits.append(b.astype(digit_dtype(q)))
+        c = (c - _layer_coords(params, b)) // q
+    return np.stack(digits, axis=-2), c.any(axis=-1)
 
 
 def full_ladder_encode(params, cfg, X, dither_ids=None):

@@ -80,18 +80,21 @@ def test_experiment_config_validation(monkeypatch):
         ExperimentConfig(beta0="fast")
     with pytest.raises(ValueError, match="samples"):
         ExperimentConfig(samples=0)
-    # n=0 used to calibrate first, n=-4 fail in numpy, n=8.0 and samples=2.5 raise TypeError
-    for name, bad in (("n", 0), ("n", -4), ("n", 8.0), ("samples", 2.5), ("samples", -1)):
+    # n=0 used to calibrate first, n=-4 fail in numpy, n=8.0, samples=2.5 and samples=True
+    # raise TypeError (a bool is an Integral)
+    for name, bad in (("n", 0), ("n", -4), ("n", 8.0), ("samples", 2.5), ("samples", -1),
+                      ("n", True), ("samples", True), ("samples", False)):
         with pytest.raises(ValueError, match=f"^{name} must be a positive integer"):
             ExperimentConfig(**{name: bad})
-    for seed in (-1, 1.5):
-        with pytest.raises(ValueError, match="seed"):
+    for seed in (-1, 1.5, True, False):
+        with pytest.raises(ValueError, match="^seed"):
             ExperimentConfig(seed=seed)
     with pytest.raises(ValueError, match="dither"):
         ExperimentConfig(dither="bogus")
     # refused where they enter, before any calibration or sampling runs
-    with pytest.raises(ValueError, match="seed"):
-        calibrate_beta0("hierarchical", HierarchicalParams(make_lattice("d4"), 4, 2), seed=-1)
+    for seed in (-1, True):
+        with pytest.raises(ValueError, match="seed"):
+            calibrate_beta0("hierarchical", HierarchicalParams(make_lattice("d4"), 4, 2), seed=seed)
     with pytest.raises(ValueError, match="seed"):
         main(["dr-ip", "--seed", "-1", "--n", "8", "--m", "1", "--samples", "4"])
     assert ExperimentConfig(beta0="auto").beta0 == "auto"
@@ -99,7 +102,7 @@ def test_experiment_config_validation(monkeypatch):
     # both int64 fields of PipelineConfig: refused by name before any calibration
     with pytest.raises(ValueError, match="^seed"):
         ExperimentConfig(seed=2**63)
-    for seed in (2**63, -(2**63) - 1, 0.5):
+    for seed in (2**63, -(2**63) - 1, 0.5, True, False):
         with pytest.raises(ValueError, match="^dither_seed"):
             ExperimentConfig(dither_seed=seed)
     cfg = ExperimentConfig(seed=2**63 - 1, dither_seed=-(2**63))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import enumerate_codebook, float_chain_encode, oracle_nearest
+from conftest import enumerate_codebook, float_chain_encode, int64_encode, oracle_nearest
 from hnlq import (
     HierarchicalParams,
     Lattice,
@@ -161,9 +161,9 @@ def test_encode_runs_the_quantizer_once_per_call(monkeypatch):
     calls = []
     nearest = Lattice.nearest_coords
 
-    def counted(self, x):
+    def counted(self, x, **kw):
         calls.append(len(np.asarray(x)))
-        return nearest(self, x)
+        return nearest(self, x, **kw)
 
     rng = np.random.default_rng(44)
     for name, q, M in (("z1", 3, 4), ("a2", 8, 2), ("d4", 4, 3), ("d8", 3, 2)):
@@ -208,6 +208,61 @@ def test_huge_inputs_overload_as_the_float_chain(name, monkeypatch):
                     assert got == want, (mag, alpha)
                 else:
                     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def _largest_top(p, dtype):
+    """The largest max |X| at which h_encode_many works in dtype or narrower, by bisection."""
+    lo, hi = 0.0, 2.0**40
+    while np.nextafter(lo, hi) < hi:
+        mid = (lo + hi) / 2
+        if codec._coord_dtype(p, mid).itemsize <= np.dtype(dtype).itemsize:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _encodes_as_int64(p, X, cfg, monkeypatch):
+    """h_encode_many of X, and encode_scaled_many's digits and T, equal the int64 chain's."""
+    got, want = h_encode_many(p, X), int64_encode(p, X)
+    assert got[0].dtype == want[0].dtype
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    ladders = []
+    for encode in (h_encode_many, int64_encode):
+        monkeypatch.setattr(scaling, "h_encode_many", encode)
+        ladders.append(encode_scaled_many(p, cfg, X))
+    monkeypatch.undo()
+    (digits, T), (want_digits, want_T) = ladders
+    assert np.array_equal(digits, want_digits) and np.array_equal(T, want_T)
+    assert T.any()  # the retry loop ran
+
+
+@pytest.mark.parametrize("name, q, M", [("z2", 4, 2), ("a2", 8, 2), ("d4", 4, 3), ("d8", 3, 2)])
+def test_narrow_coordinates_encode_as_int64(name, q, M, monkeypatch):
+    # Just below and just above the int16 and int32 thresholds of the type
+    # bound: rows at the bound in every sign pattern, half-integer ties and
+    # random rows give the int64 chain's digits, overload flags and T.
+    p = HierarchicalParams(make_lattice(name), q, M)
+    d = p.lat.d
+    signs = 2.0 * digit_grid(2, d) - 1
+    rng = np.random.default_rng(48)
+    cfg = ScalingConfig(beta0=1.0, alpha=1.0)  # rungs up to 2^60, past the int32 threshold
+    for narrow, wide in ((np.int16, np.int32), (np.int32, np.int64)):
+        top = _largest_top(p, narrow)
+        for mag, dtype in ((top, narrow), (np.nextafter(top, np.inf), wide)):
+            assert codec._coord_dtype(p, mag) == dtype
+            ties = np.floor(rng.uniform(1 - mag, mag - 1, (50, d))) + 0.5
+            X = np.concatenate([signs * mag, ties, rng.uniform(-mag, mag, (100, d))])
+            assert np.abs(X).max() == mag
+            _encodes_as_int64(p, X, cfg, monkeypatch)
+
+
+def test_uncached_codebooks_encode_in_int64(monkeypatch):
+    # q^d = 65,536 > LAYER_CODEBOOK_MAX: no cached codebook, so int64 at any input
+    p = HierarchicalParams(make_lattice("d4"), 16, 1)
+    assert p._layer_codebook is None and codec._coord_dtype(p, 1.0) == np.int64
+    X = np.random.default_rng(49).standard_normal((300, 4)) * 40
+    _encodes_as_int64(p, X, ScalingConfig(beta0=1.0), monkeypatch)
 
 
 def test_exactness_iff_no_overload(d4):

@@ -129,6 +129,24 @@ def test_nearest_on_constructed_ties(any_lat):
         )
 
 
+@pytest.mark.parametrize("dtype", [np.int16, np.int32])
+def test_nearest_coords_in_a_narrower_type(any_lat, dtype):
+    # the int64 coordinates in dtype, ties included, for every family and shape
+    rng = np.random.default_rng(103)
+    d = any_lat.d
+    X = np.concatenate([rng.standard_normal((300, d)) * s for s in (0.7, 3.0, 2000.0)]
+                       + [np.floor(rng.uniform(-50, 50, (100, d))) + 0.5,
+                          np.array([np.full(d, 0.5), np.full(d, -0.5), np.arange(d) + 0.5])])
+    if any_lat.family == "A":  # the equidistant points between the two cosets
+        h = math.sqrt(3.0) / 2.0
+        X = np.concatenate([X, [[0.25, h / 2], [0.75, h / 2], [0.5, 0.0], [0.0, h]]])
+    want = any_lat.nearest_coords(X)
+    for shape in (X.shape, (1, len(X), d)):
+        got = any_lat.nearest_coords(X.reshape(shape), dtype=dtype)
+        assert got.dtype == dtype and np.array_equal(got.reshape(want.shape), want)
+    assert np.array_equal(any_lat.nearest_coords(X[0], dtype=dtype), want[0])
+
+
 def test_batched_decode_equals_scalar(any_lat):
     rng = np.random.default_rng(7)
     X = rng.standard_normal((40, any_lat.d)) * 2.0

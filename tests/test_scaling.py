@@ -185,7 +185,8 @@ def test_rows_past_int64_overload_unquantized(name, monkeypatch):
     rng = np.random.default_rng(46)
     calls = []
     nearest = Lattice.nearest_coords
-    monkeypatch.setattr(Lattice, "nearest_coords", lambda s, x: calls.append(1) or nearest(s, x))
+    monkeypatch.setattr(Lattice, "nearest_coords",
+                        lambda s, x, **kw: calls.append(1) or nearest(s, x, **kw))
     for mag in (1e19, 1e300):
         X = rng.standard_normal((60, lat.d)) * mag
         for alpha in (1.0 / 3.0, 17.0):
@@ -492,3 +493,16 @@ def test_empirical_rate_lower_bound(d4):
     rng = np.random.default_rng(12)
     T = rng.integers(0, 4, size=200)
     assert empirical_rate(p, T) >= p.bits_per_dim
+
+
+def test_retry_histograms_count_alike_in_every_type():
+    # np.bincount for unsigned types of up to 2 bytes, np.unique otherwise:
+    # the same values, counts and order, so the same rate and CSV histogram
+    T = np.random.default_rng(13).integers(0, 300, size=(50, 40)) ** 2 // 1500
+    vals, counts = np.unique(T, return_counts=True)
+    p = HierarchicalParams(make_lattice("d4"), 3, 2)
+    for t in (np.uint8, np.uint16, np.uint32, np.int64):
+        got = scaling._retry_histogram(T.astype(t))
+        assert np.array_equal(got[0], vals) and np.array_equal(got[1], counts)
+        assert empirical_rate(p, T.astype(t)) == empirical_rate(p, T.tolist())
+        assert bench._histogram(T.astype(t)) == dict(zip(vals.tolist(), counts.tolist()))
