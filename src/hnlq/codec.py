@@ -59,9 +59,10 @@ class HierarchicalParams:
     M: int
 
     def __post_init__(self):
-        if int(self.q) != self.q or self.q < 2:
+        bool_ = (bool, np.bool_)  # int(True) == True
+        if isinstance(self.q, bool_) or int(self.q) != self.q or self.q < 2:
             raise ValueError("base q must be an integer >= 2")
-        if int(self.M) != self.M or self.M < 1:
+        if isinstance(self.M, bool_) or int(self.M) != self.M or self.M < 1:
             raise ValueError("depth M must be an integer >= 1")
         object.__setattr__(self, "q", int(self.q))
         object.__setattr__(self, "M", int(self.M))

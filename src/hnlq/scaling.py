@@ -48,6 +48,9 @@ class ScalingConfig:
     max_retries: int = 60
 
     def __post_init__(self):
+        for name in ("beta0", "alpha", "max_retries"):  # True > 0 and is an Integral
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, not a bool")
         if not self.beta0 > 0:
             raise ValueError("beta0 must be positive")
         if not self.alpha > 0:
@@ -182,7 +185,7 @@ def encode_scaled_many(
     def encode(b):
         Xb = rows[b].reshape(-1, lat.d)
         # T[b] of the contiguous T is a view, so the block's final rungs land in T.
-        digits, failed = _encode_block(params, cfg._rungs, lambda i: _need(W, Xb[i]), Xb,
+        digits, failed = _encode_block(params, cfg._rungs[None], lambda i: _need(W, Xb[i]), Xb,
                                        T[b].reshape(-1), dither(b))
         failures.append(failed)
         return digits
@@ -226,41 +229,59 @@ def _need(W: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def _encode_block(params, scales, need, X, T, Z, rung=None, sub=None):
-    """Encode rows X (rows, d) from their start rungs T (rows,), which become
-    their final rungs in place; Z is their dither points (rows x d values in
-    any shape) or None, and need(i) is ``_need`` of rows X[i].
-    Returns digits (rows, M, d) and the count of rows that still overload at
-    the top rung.  The first pass's row scales and input go into ``rung``
-    (rows,) and ``sub`` (rows, d) when given.
+    """Encode C stacked copies of the rows X (n, d), copy c on ladder c of the
+    rung table ``scales`` (C, R): stacked row c n + i is X[i] divided by
+    scales[c, T[c n + i]].  T (C n,) holds the start rungs, which become the
+    final rungs in place; Z is the rows' dither points (n x d values in any
+    shape) or None, and need(i) is ``_need`` of rows X[i].  Returns digits
+    (C n, M, d) and the count of stacked rows that still overload at the top
+    rung.  The first pass's row scales and input go into ``rung`` (C n,) and
+    ``sub`` (C n, d) when given.
 
-    The first pass encodes every row at its start rung, which the bound
-    first raises when a probe of every _PROBE-th row says that pays.  A row
-    that overloads there jumps to the first later rung that the bound allows.
+    The first pass encodes every row at its start rung, raised first to the
+    first rung the bound allows: always for a stack (C > 1), and for one
+    ladder when a probe of every _PROBE-th row says that pays.  A row that
+    overloads there jumps to the first later rung that the bound allows.
+    Every rung skipped overloads, and rows are independent, so each stacked
+    row's digits and rung are those of encoding its copy alone.
     """
+    C, R = scales.shape
+    n, d = X.shape
     fits = scales * (1.0 + _GAUGE_RTOL)
-    probe = np.searchsorted(fits, need(slice(None, None, _PROBE)))
-    if 4 * np.count_nonzero(probe > T[::_PROBE]) > probe.size:
+    bounded = C > 1
+    if not bounded:
+        probe = np.searchsorted(fits[0], need(slice(None, None, _PROBE)))
+        bounded = 4 * np.count_nonzero(probe > T[::_PROBE]) > probe.size
+    if bounded:
         # A row that fits no rung starts at the top one, overloads and fails there.
-        np.maximum(T, np.minimum(np.searchsorted(fits, need(slice(None))), scales.size - 1),
-                   out=T, casting="unsafe")
-    sub = np.divide(X, np.take(scales, T, out=rung)[:, None], out=sub)
+        bound = need(slice(None))
+        for f, t in zip(fits, T.reshape(C, n)):
+            np.maximum(t, np.minimum(np.searchsorted(f, bound), R - 1), out=t, casting="unsafe")
+    at = T.reshape(C, n)  # each row's index into the flat scales
+    if C > 1:
+        at = at + R * np.arange(C)[:, None]
+    scale = np.take(scales, at, out=None if rung is None else rung.reshape(C, n))
+    sub = np.divide(X, scale[..., None], out=None if sub is None else sub.reshape(C, n, d))
     if Z is not None:
         Z = Z.reshape(X.shape)
         sub -= Z
-    digits, ov = h_encode_many(params, sub)
+    digits, ov = h_encode_many(params, sub.reshape(C * n, d))
     active = np.flatnonzero(ov)
-    if active.size:  # the bound, only for rows that overload at their start
-        T[active] = np.maximum(T[active] + 1, np.searchsorted(fits, need(active)))
+    if active.size and bounded:  # past the bound already, so the next rung
+        T[active] += 1
+    elif active.size:  # the bound, only for rows that overload at their start
+        T[active] = np.maximum(T[active] + 1, np.searchsorted(fits[0], need(active)))
     failed = 0
     while active.size:
-        past = T[active] >= scales.size
+        past = T[active] >= R
         if past.any():
             failed += np.count_nonzero(past)
             active = active[~past]
             continue
-        sub = X[active] / scales[T[active]][:, None]
+        c, i = np.divmod(active, n)
+        sub = X[i] / scales[c, T[active]][:, None]
         if Z is not None:
-            sub -= Z[active]
+            sub -= Z[i]
         dg, ov = h_encode_many(params, sub)
         done = ~ov  # each finished row's M d digits move as one item
         rows = _items(dg.reshape(len(dg), -1))
@@ -275,34 +296,47 @@ class _Pilot:
     at many ladders: the beta0 candidates of one ``bench.calibrate_beta0``.
 
     Holds what every ladder shares: the rows' bound (``_need``) and one
-    (4, n, d) block of work arrays for the first pass's input and for the
-    decode.  They live as long as the object, which its caller drops when
-    done; nothing ``mse`` returns is one of them.
+    (4, stack n, d) block of work arrays for the first pass's input and for
+    the decode of up to ``stack`` configs at once.  They live as long as the
+    object, which its caller drops when done; nothing ``mse`` returns is one
+    of them.
     """
 
-    def __init__(self, params: HierarchicalParams, X: np.ndarray):
+    def __init__(self, params: HierarchicalParams, X: np.ndarray, stack: int = 1):
         self.params, self.X = params, X
         self.top = np.abs(X).max(initial=0.0)
         self._bound = _need(params._fit_weights[False], X)
-        self._rung = np.empty(len(X))
-        self._work = np.empty((4,) + X.shape)
+        self._rung = np.empty(stack * len(X))
+        self._work = np.empty((4, stack * len(X), X.shape[1]))
         self._sub, self._pts = self._work[0], self._work[1]
         self._acc, self._rows = self._work[2].view(np.int64), self._work[3].view(np.int64)
 
-    def mse(self, cfg: ScalingConfig) -> tuple[float, np.ndarray]:
-        """(mean squared error per dimension, T) of X encoded at cfg and
-        decoded: the float and the counts of ``encode_scaled_many`` then
-        ``decode_scaled_many``."""
-        p, X = self.params, self.X
-        T = _start_rungs(p.lat, cfg, X, self.top)
-        digits, failed = _encode_block(p, cfg._rungs, self._bound.__getitem__, X, T, None,
-                                       self._rung, self._sub)
-        _raise_if_failed(cfg, failed)
-        np.copyto(self._sub, _sum_layers(p, digits, range(p.M), self._acc, self._rows))
-        err = np.matmul(self._sub, p.lat.G.T, out=self._pts)  # lat.point_of of the sum
-        np.multiply(np.asarray(cfg.scale(T))[..., None], err, out=err)
-        np.subtract(X, err, out=err)
-        return float(np.einsum("ij,ij->i", err, err).mean() / p.lat.d), T
+    def mse(self, cfgs: list[ScalingConfig]) -> list[tuple[float, np.ndarray]]:
+        """(mean squared error per dimension, T) of X encoded at each config
+        and decoded: the float and the counts of ``encode_scaled_many`` then
+        ``decode_scaled_many``, bit for bit.  The configs, at most ``stack``
+        of them and sharing max_retries, run as one stacked encode
+        (``_encode_block``) and one decode; a config whose rows still
+        overload raises UnencodableError, the first such in the list."""
+        p, X, n = self.params, self.X, len(self.X)
+        rows = len(cfgs) * n
+        T = np.concatenate([_start_rungs(p.lat, cfg, X, self.top) for cfg in cfgs])
+        digits, failed = _encode_block(p, np.stack([cfg._rungs for cfg in cfgs]),
+                                       self._bound.__getitem__, X, T, None,
+                                       self._rung[:rows], self._sub[:rows])
+        Ts = T.reshape(len(cfgs), n)
+        if failed:  # a failed row ends one past its top rung
+            for cfg, t in zip(cfgs, Ts):
+                _raise_if_failed(cfg, np.count_nonzero(t > cfg.max_retries))
+        sub = self._sub[:rows]
+        np.copyto(sub, _sum_layers(p, digits, range(p.M), self._acc[:rows], self._rows[:rows]))
+        err = np.matmul(sub, p.lat.G.T, out=self._pts[:rows])  # lat.point_of of the sums
+        out = []
+        for cfg, t, e in zip(cfgs, Ts, err.reshape(len(cfgs), n, -1)):
+            np.multiply(np.asarray(cfg.scale(t))[..., None], e, out=e)
+            np.subtract(X, e, out=e)
+            out.append((float(np.einsum("ij,ij->i", e, e).mean() / p.lat.d), t))
+        return out
 
 
 def decode_scaled_many(

@@ -174,7 +174,7 @@ def full_grid_beta0(scheme, params, pilot_n=8000, grid=DEFAULT_BETA0_GRID, *,
     pilot = _Pilot(eff, rng.standard_normal((pilot_n, eff.lat.d)))
 
     def score(b):
-        dist, T = pilot.mse(ScalingConfig(beta0=b, alpha=alpha))
+        ((dist, T),) = pilot.mse([ScalingConfig(beta0=b, alpha=alpha)])
         return empirical_rate(eff, T) + 0.5 * math.log2(dist)
 
     scores = [score(b) for b in grid]

@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import weakref
@@ -35,6 +36,7 @@ from hnlq.bench import (
     verify_lemmas,
 )
 from hnlq.cli import main
+from hnlq.errors import UnencodableError
 from hnlq.scaling import entropy_bits
 
 
@@ -91,6 +93,12 @@ def test_experiment_config_validation(monkeypatch):
             ExperimentConfig(seed=seed)
     with pytest.raises(ValueError, match="dither"):
         ExperimentConfig(dither="bogus")
+    # ms=(True,) ran as M = 1, alpha=True wrote True into the CSV's alpha
+    # column and beta0=True ran as beta0 1.0
+    for name, bad in (("ms", (True,)), ("ms", (2, np.True_)), ("qs", (True,)),
+                      ("alpha", True), ("alpha", np.True_), ("beta0", True), ("beta0", False)):
+        with pytest.raises(ValueError, match=f"^{name} takes numbers, not bools"):
+            ExperimentConfig(**{name: bad})
     # refused where they enter, before any calibration or sampling runs
     for seed in (-1, True):
         with pytest.raises(ValueError, match="seed"):
@@ -242,7 +250,7 @@ def test_calibrate_grid_of_one():
 def test_calibration_refuses_a_bad_grid_point_before_scoring(monkeypatch):
     # The coarse pass skips grid index 1, so a bad point there would never be
     # scored: every point is checked as a ScalingConfig first.
-    def scored(pilot, scfg):
+    def scored(pilot, cfgs):
         raise AssertionError("scored a candidate before refusing the grid")
 
     monkeypatch.setattr(scaling._Pilot, "mse", scored)
@@ -257,6 +265,9 @@ def test_calibration_refuses_a_bad_grid_point_before_scoring(monkeypatch):
             calibrate_beta0("hierarchical", params, grid=grid)
     with pytest.raises(ValueError, match="alpha must be positive"):
         calibrate_beta0("hierarchical", params, alpha=0.0)
+    for flag in (True, np.True_):  # used to return a pick
+        with pytest.raises(ValueError, match="^alpha must be a number, not a bool"):
+            calibrate_beta0("hierarchical", params, alpha=flag)
 
 
 def test_calibrate_picks_an_interior_optimum():
@@ -309,21 +320,25 @@ def test_calibration_grid_grows_at_its_own_ratio(monkeypatch):
     # A cell whose argmin sits on an end is scored at one more point past
     # that end per step, at the end's own ratio, and a cell whose argmin is
     # interior scores only grid points: the coarse pass (every third point
-    # and the last), then the window three steps either side of its best,
-    # widened by three steps while the window's best sits on its edge.
+    # and the last) in one stacked encode of the pilot's first 500 rows, then
+    # on the whole pilot, one per encode, the window three steps either side
+    # of its best, widened by three steps while the window's best sits on its
+    # edge.
     seen = []
     mse = scaling._Pilot.mse
-    monkeypatch.setattr(scaling._Pilot, "mse",
-                        lambda pilot, scfg: seen.append(scfg.beta0) or mse(pilot, scfg))
+    monkeypatch.setattr(scaling._Pilot, "mse", lambda pilot, cfgs: seen.append(
+        (len(pilot.X), [c.beta0 for c in cfgs])) or mse(pilot, cfgs))
     params = HierarchicalParams(make_lattice("z2"), 8, 3)
     got = calibrate_beta0("hierarchical", params, pilot_n=2000, grid=[0.2, 0.4, 0.8])
-    assert seen[:3] == [0.2, 0.8, 0.4]
-    assert seen[3:] == [0.2 / 2**k for k in range(1, len(seen) - 2)]
-    assert got in seen and min(seen) < got < max(seen)
+    assert seen[:4] == [(500, [0.2, 0.8]), (2000, [0.2]), (2000, [0.4]), (2000, [0.8])]
+    assert seen[4:] == [(2000, [0.2 / 2**k]) for k in range(1, len(seen) - 3)]
+    full = [b for _, (b,) in seen[1:]]
+    assert got in full and min(full) < got < max(full)
     seen.clear()
     calibrate_beta0("hierarchical", HierarchicalParams(make_lattice("d4"), 4, 2), pilot_n=2000)
-    coarse, window, widened = [*range(0, 22, 3), 23], [4, 5, 7, 8], [10, 11]
-    assert seen == [DEFAULT_BETA0_GRID[i] for i in coarse + window + widened]
+    coarse, window, widened = [*range(0, 22, 3), 23], [*range(3, 10)], [10, 11, 12]
+    assert seen == [(500, [DEFAULT_BETA0_GRID[i] for i in coarse])] + [
+        (2000, [DEFAULT_BETA0_GRID[i]]) for i in window + widened]
 
 
 # Picks at pilot_n = 2000 from before the candidates of one call shared a
@@ -354,48 +369,78 @@ def test_concurrent_calibrations_keep_their_picks():
     assert got == [CELL_BETA0[cell] for cell in cells]
 
 
+# Candidates each cell of the test below scores on its whole 1,500-row pilot.
+WHOLE_PILOT_CANDIDATES = {("hierarchical", "d4", 4, 1): 10, ("hierarchical", "d4", 4, 3): 6,
+                          ("hierarchical", "a2", 8, 2): 4, ("hierarchical", "z2", 8, 3): 18,
+                          ("voronoi", "d4", 4, 2): 10}
+
+
 @pytest.mark.parametrize("scheme, name, q, M", [
     ("hierarchical", "d4", 4, 1), ("hierarchical", "d4", 4, 3), ("hierarchical", "a2", 8, 2),
     ("hierarchical", "z2", 8, 3), ("voronoi", "d4", 4, 2),  # q^M = 16 > the cached codebook
 ])
 def test_calibration_pilot_scores_as_encode_and_decode(scheme, name, q, M, monkeypatch):
-    # Each candidate's (MSE, T) from the pilot's work arrays equals that of
-    # encode_scaled_many then decode_scaled_many bit for bit.  No array the
+    # Each candidate's (MSE, T) from the pilot's work arrays, stacked or
+    # alone, equals that of encode_scaled_many then decode_scaled_many bit for
+    # bit, as do a candidate whose rows climb tens of rungs and, raising the
+    # same error, one whose rows still overload at the top rung.  No array the
     # pilot, the encoder or the decoder returns shares memory with a work
     # array, and the arrays go when the call returns.
-    refs, betas, mse = [], [], scaling._Pilot.mse
+    refs, calls, mse = [], [], scaling._Pilot.mse
 
-    def checked(pilot, scfg):
-        betas.append(scfg.beta0)
-        dist, T = mse(pilot, scfg)
-        want_dist, want_T = _vector_mse(pilot.params, scfg, pilot.X)
-        assert dist == want_dist and T.dtype == want_T.dtype and np.array_equal(T, want_T)
-        digits, T_ref = scaling.encode_scaled_many(pilot.params, scfg, pilot.X)
-        Xhat = scaling.decode_scaled_many(pilot.params, scfg, digits, T_ref)
-        work = [pilot._work, pilot._rung, pilot._bound]
-        assert not any(np.shares_memory(out, w) for out in (T, digits, T_ref, Xhat) for w in work)
+    def same(got, cfg, pilot):
+        dist, T = got
+        want_dist, want_T = _vector_mse(pilot.params, cfg, pilot.X)
+        return dist == want_dist and T.dtype == want_T.dtype and np.array_equal(T, want_T)
+
+    def checked(pilot, cfgs):
+        calls.append((len(pilot.X), [c.beta0 for c in cfgs]))
+        got = mse(pilot, cfgs)
+        for cfg, one in zip(cfgs, got):
+            assert same(one, cfg, pilot) and same(mse(pilot, [cfg])[0], cfg, pilot)
+            digits, T_ref = scaling.encode_scaled_many(pilot.params, cfg, pilot.X)
+            Xhat = scaling.decode_scaled_many(pilot.params, cfg, digits, T_ref)
+            work = [pilot._work, pilot._rung, pilot._bound]
+            outs = (one[1], digits, T_ref, Xhat)
+            assert not any(np.shares_memory(out, w) for out in outs for w in work)
         refs.append(weakref.ref(pilot))
-        return dist, T
+        return got
 
     monkeypatch.setattr(scaling._Pilot, "mse", checked)
     calibrate_beta0(scheme, HierarchicalParams(make_lattice(name), q, M), pilot_n=1500, seed=9)
     gc.collect()
-    # one pilot per candidate scored, each candidate scored once, at least the
-    # coarse pass's 9 and the 2 grid points between its best and a neighbour
-    assert len(refs) == len(set(betas)) >= 11 and all(ref() is None for ref in refs)
+    # the 9 coarse candidates in one stacked encode of the first 500 rows, then
+    # on the whole pilot each candidate once, one per encode; both pilots go
+    (coarse_rows, coarse), *window = calls
+    betas = [b for _, (b,) in window]
+    assert (coarse_rows, len(coarse)) == (500, 9) and {n for n, _ in window} == {1500}
+    full = WHOLE_PILOT_CANDIDATES[scheme, name, q, M]
+    assert len(betas) == len(set(betas)) == full and all(ref() is None for ref in refs)
+    eff = effective_params(scheme, HierarchicalParams(make_lattice(name), q, M))
+    X = np.random.default_rng(9).standard_normal((300, eff.lat.d))
+    pilot = scaling._Pilot(eff, X, 2)
+    (_, T), _ = checked(pilot, [ScalingConfig(1e-3, alpha=0.2), ScalingConfig(0.5)])
+    assert T.max() >= 15
+    ok, lost = ScalingConfig(0.5, max_retries=10), ScalingConfig(1e-6, max_retries=10)
+    with pytest.raises(UnencodableError) as alone:
+        _vector_mse(eff, lost, X)
+    for cfgs in ([lost], [ok, lost]):
+        with pytest.raises(UnencodableError, match=f"^{re.escape(str(alone.value))}$"):
+            mse(pilot, cfgs)
 
 
 def _memoized_pilot(monkeypatch):
     """Patch scaling._Pilot.mse to score each (pilot, config) once per test,
-    and return the list of configs it is called with."""
+    and return the list of (pilot rows, configs) it is called with."""
     memo, calls, mse = {}, [], scaling._Pilot.mse
 
-    def memoized(pilot, scfg):
-        calls.append(scfg)
-        key = (pilot.params, pilot.X.tobytes(), scfg)
-        if key not in memo:
-            memo[key] = mse(pilot, scfg)
-        return memo[key]
+    def memoized(pilot, cfgs):
+        calls.append((len(pilot.X), cfgs))
+        keys = [(pilot.params, pilot.X.tobytes(), c) for c in cfgs]
+        new = {k: c for k, c in zip(keys, cfgs) if k not in memo}
+        if new:
+            memo.update(zip(new, mse(pilot, list(new.values()))))
+        return [memo[k] for k in keys]
 
     monkeypatch.setattr(scaling._Pilot, "mse", memoized)
     return calls
@@ -428,14 +473,43 @@ def test_coarse_to_fine_keeps_the_full_grid_pick(cells, pilot_n, seeds, monkeypa
             assert got == full_grid_beta0(scheme, params, pilot_n, seed=seed), (name, q, M, seed)
 
 
+# Picks at pilot_n = 1 and 300, seed 0, of the search that scored its coarse
+# pass on the whole pilot: (lattice, q, M, pilot_n) -> beta0.  On so few rows
+# the score has more than one valley, and the coarse-to-fine search misses the
+# full grid's pick in 7 of the 15 bench and spread cells at pilot_n = 1, and
+# in d8 q=4 M=2 voronoi-reduced at 300.
+WHOLE_SLICE_BETA0 = {
+    ("d4", 4, 1, 1): 0.05869820039221152, ("d4", 4, 2, 1): 0.0425907435542388,
+    ("d4", 4, 3, 1): 0.026323938979588134, ("a2", 8, 2, 1): 0.06890957458568446,
+    ("d4", 4, 1, 300): 0.764013974483503, ("d4", 4, 2, 300): 0.21176932114138408,
+    ("d4", 4, 3, 300): 0.05, ("a2", 8, 2, 300): 0.05869820039221152,
+}
+
+
+def test_pilots_within_the_slice_keep_their_picks(monkeypatch):
+    # At pilot_n <= 500 the coarse pass's slice is the whole pilot, so its
+    # stacked scores are the whole pilot's and the picks are those of scoring
+    # the coarse pass there one candidate per encode.
+    calls = _memoized_pilot(monkeypatch)
+    for (name, q, M, pilot_n), want in WHOLE_SLICE_BETA0.items():
+        calls.clear()
+        got = calibrate_beta0("hierarchical", HierarchicalParams(make_lattice(name), q, M),
+                              pilot_n, seed=0)
+        assert got == want and {rows for rows, _ in calls} == {pilot_n}, (name, q, M, pilot_n)
+
+
 def test_calibration_scores_fewer_candidates(monkeypatch):
-    # The dr-ip-d4 sweep's cells: 15 / 15 / 13 candidates, where the full
-    # grid scores 24 / 24 / 26; each beta0 scored once per call.
+    # The dr-ip-d4 sweep's cells: 10 / 10 / 6 candidates on the whole pilot,
+    # where the full grid scores 24 / 24 / 26, after the 9 coarse ones in one
+    # stacked encode of its first 500 rows; each beta0 scored once per pilot.
     calls = _memoized_pilot(monkeypatch)
     for M in (1, 2, 3):
         calls.clear()
         calibrate_beta0("hierarchical", HierarchicalParams(make_lattice("d4"), 4, M))
-        assert len(calls) == len({c.beta0 for c in calls}) <= 15, M
+        (rows, coarse), *window = calls
+        assert (rows, len(coarse)) == (500, 9) and all(n == 8000 for n, _ in window)
+        betas = [c.beta0 for _, (c,) in window]
+        assert len(betas) == len(set(betas)) <= 10, M
 
 
 def test_exactness_check_reports_shape():

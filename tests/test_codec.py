@@ -40,6 +40,11 @@ def test_params_validation(z2):
         HierarchicalParams(z2, 3, 0)
     with pytest.raises(ValueError):
         HierarchicalParams(z2, 3.5, 2)
+    # a bool equals 0 or 1 as an int: True used to construct as M = 1
+    for q, M, name in ((4, True, "depth M"), (4, np.True_, "depth M"), (True, 2, "base q"),
+                       (np.True_, 2, "base q")):
+        with pytest.raises(ValueError, match=f"^{name}"):
+            HierarchicalParams(z2, q, M)
 
 
 def decode(p, digits, t=None):

@@ -49,6 +49,11 @@ def test_config_validation():
                 {"beta0": 1.0, "alpha": np.float64(20.0)}):
         with pytest.raises(ValueError):
             ScalingConfig(**bad)
+    # True > 0 and is an Integral, so each of these used to construct
+    for name in ("beta0", "alpha", "max_retries"):
+        for flag in (True, np.True_):
+            with pytest.raises(ValueError, match=f"^{name} must be a number, not a bool"):
+                ScalingConfig(**{"beta0": 0.5, name: flag})
 
 
 def test_three_retries_double_the_scale():
@@ -306,7 +311,9 @@ def test_calibration_skips_rungs_that_must_overload(monkeypatch):
     # d4 q=4 M=1 at seed 7, scoring all 24 grid candidates: trying every rung
     # encodes 963,215 pilot rows (8,000 x 24 = 192,000 first passes); the
     # gauge jump encoded 450,675, the per-direction bound before and after
-    # the first pass 270,423.  calibrate_beta0 scores 15 of them (161,112).
+    # the first pass 270,423.  calibrate_beta0 scores the 9 coarse ones on
+    # the first 500 rows in one stacked encode and 10 on the whole pilot
+    # (108,646; 15 on the whole pilot, 161,112, before the stacked pass).
     rows = []
     encode = scaling.h_encode_many
     monkeypatch.setattr(scaling, "h_encode_many", lambda p, X: rows.append(len(X)) or encode(p, X))
@@ -316,7 +323,7 @@ def test_calibration_skips_rungs_that_must_overload(monkeypatch):
     assert 192_000 <= full <= 0.3 * 963_215
     rows.clear()
     bench.calibrate_beta0("hierarchical", params, seed=7)
-    assert 15 * 8_000 <= sum(rows) < full
+    assert 9 * 500 + 10 * 8_000 <= sum(rows) < full
 
 
 def test_dither_point_values(z1):
