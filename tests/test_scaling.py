@@ -313,7 +313,7 @@ def test_calibration_skips_rungs_that_must_overload(monkeypatch):
     # gauge jump encoded 450,675, the per-direction bound before and after
     # the first pass 270,423.  calibrate_beta0 scores the 9 coarse ones on
     # the first 500 rows in one stacked encode and 10 on the whole pilot
-    # (108,646; 15 on the whole pilot, 161,112, before the stacked pass).
+    # (108,646).
     rows = []
     encode = scaling.h_encode_many
     monkeypatch.setattr(scaling, "h_encode_many", lambda p, X: rows.append(len(X)) or encode(p, X))
