@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from .codec import (
     reduced_nesting_ratio,
     verify_sandwich,
 )
-from .lattices import make_lattice
+from .lattices import _integer, _positive, make_lattice
 from .lut import build_lut
 from .pipeline import DITHER_MODES, PipelineConfig, paired_ip_approx, quantize_matrix
 from .pipeline import ip_approx  # noqa: F401  (perfbench's tracer wraps this name)
@@ -69,6 +68,7 @@ GRID_EXTENSION_LIMIT = 96
 _COARSE_STRIDE = 3
 # The coarse pass scores its points on the pilot's first _COARSE_ROWS rows,
 # all in one stacked encode; only the window is scored on the whole pilot.
+# A pilot of at most _COARSE_ROWS rows skips it and scores the whole grid.
 # The d4 q=4 M=1-3 calibrations took 49.2 ms in all against 69.3 ms with the
 # coarse pass on all 8,000 rows; 250 rows (48.6 ms) and 1,000 were no better.
 _COARSE_ROWS = 500
@@ -88,11 +88,6 @@ CSV_COLUMNS = [
     "samples",
     "seed",
 ]
-
-
-def _is_int(v) -> bool:
-    """An integer other than a bool: True is an Integral, and fails later inside numpy."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -120,23 +115,20 @@ class ExperimentConfig:
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}")
-        if isinstance(self.beta0, str) and self.beta0 != "auto":
-            raise ValueError("beta0 must be a number or 'auto'")
-        # A bool is a number to Python and numpy: True would run as 1.
-        for name, v in (("alpha", self.alpha), ("beta0", self.beta0),
-                        *(("qs", q) for q in self.qs), *(("ms", m) for m in self.ms)):
-            if isinstance(v, (bool, np.bool_)):
-                raise ValueError(f"{name} takes numbers, not bools: got {v!r}")
-        for name, v in (("n", self.n), ("samples", self.samples)):
-            if not _is_int(v) or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
+        if self.beta0 != "auto":
+            _positive("beta0", self.beta0)
+        # The rules of the constructors these fields feed, before any cell runs.
+        for q in self.qs:
+            _integer("qs", q, 2)
+        for m in self.ms:
+            _integer("ms", m, 1)
+        _positive("alpha", self.alpha)
+        _integer("n", self.n, 1)
+        _integer("samples", self.samples, 1)
         # run_dr_ip hands seed to PipelineConfig as rotation_seed and dither_seed
         # as dither_seed, both int64 fields: refuse them here, before calibrating.
-        if not _is_int(self.seed) or not 0 <= self.seed < 2**63:
-            raise ValueError(f"seed must be an integer in [0, 2^63), got {self.seed!r}")
-        if not _is_int(self.dither_seed) or not -(2**63) <= self.dither_seed < 2**63:
-            raise ValueError(
-                f"dither_seed must be an integer in [-2^63, 2^63), got {self.dither_seed!r}")
+        _integer("seed", self.seed, 0, 2**63)
+        _integer("dither_seed", self.dither_seed, -(2**63), 2**63)
         if self.dither not in DITHER_MODES:
             raise ValueError(f"dither must be one of {DITHER_MODES}, got {self.dither!r}")
 
@@ -245,9 +237,13 @@ def calibrate_beta0(
     on the whole pilot, one candidate per encode, and widens by as many
     steps on a side while its smoothed argmin sits on that edge.  Once the
     window reaches an end of the grid its smoothed scores are the full
-    grid's there, from the same three scores summed in the same order.  Each
-    ``beta0`` is scored at most once per call on each pilot; every grid point
-    is checked as a ``ScalingConfig`` before any is scored.
+    grid's there, from the same three scores summed in the same order.  A
+    pilot of at most ``_COARSE_ROWS`` rows has no smaller slice to place a
+    window, and on so few rows the smoothed score can have more than one
+    valley: it scores the whole grid, so the pick is the full grid's at every
+    pilot size.  Each ``beta0`` is scored at most once per call on each
+    pilot; every grid point is checked as a ``ScalingConfig`` before any is
+    scored.
 
     The best scale shrinks like q^-M, so at high rate it can fall off the
     grid: while the argmin is the first or last point, the grid grows by one
@@ -258,10 +254,8 @@ def calibrate_beta0(
     grid = sorted(float(b) for b in grid)
     if not grid:
         raise ValueError("empty beta0 grid")
-    if not _is_int(pilot_n) or pilot_n < 1:
-        raise ValueError(f"pilot_n must be a positive integer, got {pilot_n!r}")
-    if not _is_int(seed) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    _integer("pilot_n", pilot_n, 1)
+    _integer("seed", seed, 0)
     for b in grid:  # the search may never score a bad point: refuse it here
         ScalingConfig(beta0=b, alpha=alpha)
     eff = effective_params(scheme, params)
@@ -280,11 +274,14 @@ def calibrate_beta0(
         return idx[min(range(len(idx)), key=lambda k: (smoothed[k], k))]
 
     step = _COARSE_STRIDE
-    coarse = sorted({*range(0, len(grid), step), len(grid) - 1})
-    # Each pilot's work arrays are sized once, and freed when it is dropped.
-    best = argmin(coarse, gaps(_Pilot(eff, X[:_COARSE_ROWS], len(coarse)), coarse))
+    if pilot_n <= _COARSE_ROWS:
+        lo, hi = 0, len(grid) - 1
+    else:
+        coarse = sorted({*range(0, len(grid), step), len(grid) - 1})
+        # Each pilot's work arrays are sized once, and freed when it is dropped.
+        best = argmin(coarse, gaps(_Pilot(eff, X[:_COARSE_ROWS], len(coarse)), coarse))
+        lo, hi = max(0, best - step), min(len(grid) - 1, best + step)
     pilot, scores = _Pilot(eff, X), {}
-    lo, hi = max(0, best - step), min(len(grid) - 1, best + step)
     added = 0
     while True:
         for i in range(lo, hi + 1):
@@ -414,6 +411,8 @@ def check_exactness(
     overload flag matches that event, and that reconstruction always equals
     nearest point minus coarse term.
     """
+    _integer("n_samples", n_samples, 1)
+    _integer("seed", seed, 0)
     lat, q, M = params.lat, params.q, params.M
     rng = np.random.default_rng([seed, q, M])
     per = n_samples // 3 + 1
@@ -461,6 +460,7 @@ def verify_lemmas(
     For every configuration runs the exactness check and, when the codebook
     fits the guard and int64 keys, the two-sided inclusion check.
     """
+    _integer("samples", samples, 1)
     results = []
     all_ok = True
     for name in lattices:

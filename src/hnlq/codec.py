@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattices import Lattice, _columns, in_scaled_voronoi_many
+from .lattices import Lattice, _columns, _integer, in_scaled_voronoi_many
 from .voronoi import (
     LAYER_CODEBOOK_MAX,
     _check_digits,
@@ -59,13 +59,8 @@ class HierarchicalParams:
     M: int
 
     def __post_init__(self):
-        bool_ = (bool, np.bool_)  # int(True) == True
-        if isinstance(self.q, bool_) or int(self.q) != self.q or self.q < 2:
-            raise ValueError("base q must be an integer >= 2")
-        if isinstance(self.M, bool_) or int(self.M) != self.M or self.M < 1:
-            raise ValueError("depth M must be an integer >= 1")
-        object.__setattr__(self, "q", int(self.q))
-        object.__setattr__(self, "M", int(self.M))
+        object.__setattr__(self, "q", _integer("q", self.q, 2))
+        object.__setattr__(self, "M", _integer("M", self.M, 1))
 
     @property
     def bits_per_dim(self) -> float:
@@ -332,8 +327,7 @@ def q_circ_many(params: HierarchicalParams, X: np.ndarray, m: int) -> np.ndarray
     coordinates, RuntimeWarning); the checked entry point is
     ``scaling.encode_scaled_many``.
     """
-    if int(m) != m or m < 0:
-        raise ValueError("m must be a non-negative integer")
+    m = _integer("m", m, 0)
     lat, q = params.lat, params.q
     t = lat.nearest_coords(np.asarray(X, dtype=np.float64))
     for _ in range(m):

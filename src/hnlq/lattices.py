@@ -9,6 +9,7 @@ inputs sitting exactly on a Voronoi facet resolve deterministically.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -238,18 +239,14 @@ def make_lattice(name: str, d: int | None = None) -> Lattice:
     if family not in ("z", "d", "a"):
         raise ValueError(f"unknown lattice family {name!r}")
     if suffix:
-        if d is not None and d != int(suffix):
+        if d is not None and _integer("d", d) != int(suffix):
             raise ValueError(f"conflicting dimensions in {name!r} and d={d}")
         d = int(suffix)
     if d is None:
         raise ValueError("lattice dimension required")
     family = family.upper()
-    if family == "Z" and d < 1:
-        raise ValueError("Z_d needs d >= 1")
-    if family == "D" and d < 2:
-        raise ValueError("D_n needs n >= 2")
-    if family == "A" and d != 2:
-        raise ValueError("the hexagonal lattice is two-dimensional")
+    # Z_d needs d >= 1, D_n n >= 2, and the hexagonal lattice is two-dimensional.
+    d = _integer("d", d, 1 if family == "Z" else 2, 3 if family == "A" else None)
     G = _canonical_generator(family, d)
     G_inv = np.linalg.inv(G)
     if not np.allclose(G @ G_inv, np.eye(d), atol=1e-12):
@@ -258,6 +255,28 @@ def make_lattice(name: str, d: int | None = None) -> Lattice:
     for a in (G, G_inv, eps):
         a.flags.writeable = False
     return Lattice(family=family, d=d, G=G, G_inv=G_inv, eps=eps)
+
+
+def _integer(name: str, v, lo: int | None = None, hi: int | None = None) -> int:
+    """int(v) for an integer v in [lo, hi), a bound of None left open.
+
+    Anything else raises ValueError naming the argument: a bool too, which
+    Python counts as an Integral and numpy reads as 0 or 1.
+    """
+    if isinstance(v, numbers.Integral) and not isinstance(v, (bool, np.bool_)):
+        i = int(v)
+        if (lo is None or i >= lo) and (hi is None or i < hi):
+            return i
+    bounds = " and".join(f" {op} {b}" for op, b in ((">=", lo), ("<", hi)) if b is not None)
+    raise ValueError(f"{name} must be an integer{bounds}, got {v!r}")
+
+
+def _positive(name: str, v):
+    """v, unchanged, for a real number v > 0 other than a bool; ValueError
+    naming the argument for anything else, NaN included."""
+    if isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_)) and v > 0:
+        return v
+    raise ValueError(f"{name} must be a positive number, got {v!r}")
 
 
 def _as_float(x) -> np.ndarray:
@@ -292,7 +311,5 @@ def in_scaled_voronoi_many(lat: Lattice, X: np.ndarray, s: float) -> np.ndarray:
     coordinates, RuntimeWarning); the checked entry point is
     ``scaling.encode_scaled_many``.
     """
-    if not s > 0:
-        raise ValueError("scale factor must be positive")
     X = np.asarray(X, dtype=np.float64)
-    return ~lat.nearest_coords(X / s).any(axis=-1)
+    return ~lat.nearest_coords(X / _positive("s", s)).any(axis=-1)

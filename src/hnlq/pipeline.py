@@ -11,14 +11,13 @@ multiply by the lattice factor u and both chunk scales, sum over chunks.
 
 from __future__ import annotations
 
-import numbers
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codec import HierarchicalParams
-from .lattices import FAMILY_IDS, _as_float, _as_vector, make_lattice
+from .lattices import FAMILY_IDS, _as_float, _as_vector, _integer, make_lattice
 from .lut import InnerProductLUT, _strip_crc, _with_crc, check_lut, chunk_sums
 from .scaling import ScalingConfig, _blocks, _blockwise, decode_scaled_many, encode_scaled_many
 from .voronoi import _check_digits, digit_dtype, digits_to_index, index_to_digits
@@ -75,12 +74,10 @@ class PipelineConfig:
     dither_seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.n, numbers.Integral) or self.n < 1 or self.n % self.params.lat.d:
+        if _integer("n", self.n, 1) % self.params.lat.d:
             raise ValueError("n must be a positive multiple of the lattice dimension")
         for name in ("rotation_seed", "dither_seed"):
-            seed = getattr(self, name)
-            if not isinstance(seed, numbers.Integral) or not -(2**63) <= seed < 2**63:
-                raise ValueError(f"{name} must be an integer in [-2^63, 2^63)")
+            _integer(name, getattr(self, name), -(2**63), 2**63)
         if self.rotate not in (False, True):
             raise ValueError(f"rotate must be True or False, got {self.rotate!r}")
         object.__setattr__(self, "rotate", bool(self.rotate))
@@ -140,8 +137,7 @@ class QuantizedMatrix:
 
         A j that is not an integer, a bool included, raises ValueError; an
         integer out of range raises IndexError."""
-        if isinstance(j, bool) or not isinstance(j, numbers.Integral):
-            raise ValueError(f"column index must be an integer, got {j!r}")
+        _integer("column index", j)
         return QuantizedMatrix(
             cfg=self.cfg,
             digits=self.digits[j, None],
@@ -269,11 +265,10 @@ def quantize_vector(cfg: PipelineConfig, x: np.ndarray, col: int = 0) -> Quantiz
 
     The one-column result equals ``quantize_matrix(cfg, A).column(col)``
     when column ``col`` of A is x: ``col`` selects the "random" mode's dither
-    ids.  A ``col`` that is not an integer, or a complex x, raises ValueError.
+    ids, and any integer works: it is taken mod 2^64.  A ``col`` that is not
+    an integer, a bool included, or a complex x, raises ValueError.
     """
-    if not isinstance(col, numbers.Integral):
-        raise ValueError(f"col must be an integer, got {col!r}")
-    return _encode_columns(cfg, _as_vector(x, cfg.n)[:, None], first_col=col)
+    return _encode_columns(cfg, _as_vector(x, cfg.n)[:, None], first_col=_integer("col", col))
 
 
 def reconstruct_chunks(cfg: PipelineConfig, Q: QuantizedMatrix) -> np.ndarray:
@@ -502,9 +497,7 @@ def load_quantized_matrix(path) -> QuantizedMatrix:
         raise ValueError(f"rotate flag {rotate} is neither 0 nor 1")
     # Check the record size before make_lattice allocates d x d matrices;
     # q >= 2 and q^d <= 2^64 bound d by 64.
-    if q < 2:
-        raise ValueError(f"base q = {q} must be at least 2")
-    nrec = _digit_record_bytes(q, d)
+    nrec = _digit_record_bytes(_integer("q", q, 2), d)
     off = _QM_HEADER.size
     fixed_ids = None
     if mode == "fixed":

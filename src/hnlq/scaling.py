@@ -10,7 +10,6 @@ single-layer codebook is subtracted before encoding and added back after.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,7 +25,7 @@ from .codec import (
     h_encode_many,
 )
 from .errors import UnencodableError
-from .lattices import _as_float, _columns
+from .lattices import _as_float, _columns, _integer, _positive
 from .voronoi import digit_dtype
 from .voronoi import vc_decode_many  # noqa: F401  (perfbench's tracer wraps this name)
 
@@ -48,15 +47,9 @@ class ScalingConfig:
     max_retries: int = 60
 
     def __post_init__(self):
-        for name in ("beta0", "alpha", "max_retries"):  # True > 0 and is an Integral
-            if isinstance(getattr(self, name), (bool, np.bool_)):
-                raise ValueError(f"{name} must be a number, not a bool")
-        if not self.beta0 > 0:
-            raise ValueError("beta0 must be positive")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        if not isinstance(self.max_retries, numbers.Integral) or self.max_retries < 0:
-            raise ValueError("max_retries must be an integer >= 0")
+        _positive("beta0", self.beta0)
+        _positive("alpha", self.alpha)
+        _integer("max_retries", self.max_retries, 0)
         try:  # rungs grow with t, so the top one bounds beta0 and the rest
             with np.errstate(over="ignore", invalid="ignore"):  # numpy scalars give inf or nan
                 top = self.scale(self.max_retries)

@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattices import Lattice
+from .lattices import Lattice, _integer
 
 # Largest q^d whose digit vectors ``index_to_digits`` gathers from a cached
 # table, and whose layer codebook ``codec`` caches per params and decodes by
@@ -135,9 +135,7 @@ def vc_decode_many(lat: Lattice, r: int, B: np.ndarray) -> np.ndarray:
     one-layer hierarchical code of base r is this code.  Raises ValueError
     unless r is an integer >= 2.
     """
-    if int(r) != r or r < 2:
-        raise ValueError("nesting ratio must be an integer >= 2")
-    r = int(r)
+    r = _integer("nesting ratio r", r, 2)
     B = _check_digits(B, r, lat.d)
     u = lat.nearest_coords(lat.point_of(B) / r)
     # in int64 for every digit type: uint64 digits minus int64 would give float64

@@ -8,8 +8,9 @@ encoder's integer layer chain is checked against re-quantizing every layer
 and against the same chain in int64, and the per-row retry ladder against
 trying every rung in turn.  The paper's identities are read through the
 package's internals: one chunk's table inner product, the codebook
-enumeration and the cell's second moment.  The base-scale calibration's
-coarse-to-fine search is checked against scoring the whole grid.
+enumeration and the cell's second moment.  Table products are checked
+against decoding and one GEMM, and the base-scale calibration's
+coarse-to-fine search against scoring the whole grid.
 """
 
 import math
@@ -20,7 +21,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from hnlq import ScalingConfig, UnencodableError, h_encode_many, make_lattice
+from hnlq import (ScalingConfig, UnencodableError, h_encode_many, make_lattice,
+                  reconstruct_chunks)
 from hnlq.bench import DEFAULT_BETA0_GRID, GRID_EXTENSION_LIMIT, effective_params
 from hnlq.codec import _dither_points, _iter_codebook_coords, _layer_coords
 from hnlq.lut import chunk_sums
@@ -161,6 +163,15 @@ def lut_ip(lut, dx, dy, zx=None, zy=None):
     if zx is not None:
         return float(total) / lut.q**2 * u
     return total * int(u) if float(u).is_integer() else total * u
+
+
+def dense_products(cfg, QA, QB):
+    """The decode+GEMM oracle: all column pairs of the reconstructions."""
+    X, Y = (reconstruct_chunks(cfg, Q).reshape(Q.cols, cfg.n) for Q in (QA, QB))
+    G = X @ Y.T
+    if cfg.rotate:
+        G *= QA.norms[:, None] * QB.norms / cfg.n
+    return G
 
 
 def full_grid_beta0(scheme, params, pilot_n=8000, grid=DEFAULT_BETA0_GRID, *,

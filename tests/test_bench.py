@@ -86,7 +86,7 @@ def test_experiment_config_validation(monkeypatch):
     # raise TypeError (a bool is an Integral)
     for name, bad in (("n", 0), ("n", -4), ("n", 8.0), ("samples", 2.5), ("samples", -1),
                       ("n", True), ("samples", True), ("samples", False)):
-        with pytest.raises(ValueError, match=f"^{name} must be a positive integer"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got "):
             ExperimentConfig(**{name: bad})
     for seed in (-1, 1.5, True, False):
         with pytest.raises(ValueError, match="^seed"):
@@ -95,9 +95,11 @@ def test_experiment_config_validation(monkeypatch):
         ExperimentConfig(dither="bogus")
     # ms=(True,) ran as M = 1, alpha=True wrote True into the CSV's alpha
     # column and beta0=True ran as beta0 1.0
+    rules = {"ms": "an integer >= 1", "qs": "an integer >= 2", "alpha": "a positive number",
+             "beta0": "a positive number"}
     for name, bad in (("ms", (True,)), ("ms", (2, np.True_)), ("qs", (True,)),
                       ("alpha", True), ("alpha", np.True_), ("beta0", True), ("beta0", False)):
-        with pytest.raises(ValueError, match=f"^{name} takes numbers, not bools"):
+        with pytest.raises(ValueError, match=f"^{name} must be {rules[name]}, got "):
             ExperimentConfig(**{name: bad})
     # refused where they enter, before any calibration or sampling runs
     for seed in (-1, True):
@@ -242,7 +244,7 @@ def test_calibrate_grid_of_one():
         calibrate_beta0("hierarchical", params, pilot_n=60, grid=[])
     # 2.5 and True used to fail inside numpy with TypeError
     for pilot_n in (0, -3, 2.5, True, np.float64(60.0), "60"):
-        with pytest.raises(ValueError, match="^pilot_n must be a positive integer"):
+        with pytest.raises(ValueError, match="^pilot_n must be an integer >= 1, got "):
             calibrate_beta0("hierarchical", params, pilot_n=pilot_n, grid=[0.37])
     assert calibrate_beta0("hierarchical", params, pilot_n=np.int64(60), grid=[0.37]) == 0.37
 
@@ -255,18 +257,19 @@ def test_calibration_refuses_a_bad_grid_point_before_scoring(monkeypatch):
 
     monkeypatch.setattr(scaling._Pilot, "mse", scored)
     params = HierarchicalParams(make_lattice("d4"), 4, 2)
-    for bad, message in ((math.nan, "beta0 must be positive"), (0.0, "beta0 must be positive"),
-                         (-0.3, "beta0 must be positive"), (1e308, "leaves the float range")):
+    positive = "^beta0 must be a positive number"
+    for bad, message in ((math.nan, positive), (0.0, positive), (-0.3, positive),
+                         (1e308, "leaves the float range")):
         grid = list(DEFAULT_BETA0_GRID)
         grid[1] = bad
         if bad is math.nan:
             assert sorted(grid)[1] is bad  # sorting leaves the NaN where it was
         with pytest.raises(ValueError, match=message):
             calibrate_beta0("hierarchical", params, grid=grid)
-    with pytest.raises(ValueError, match="alpha must be positive"):
+    with pytest.raises(ValueError, match="^alpha must be a positive number"):
         calibrate_beta0("hierarchical", params, alpha=0.0)
     for flag in (True, np.True_):  # used to return a pick
-        with pytest.raises(ValueError, match="^alpha must be a number, not a bool"):
+        with pytest.raises(ValueError, match="^alpha must be a positive number, got "):
             calibrate_beta0("hierarchical", params, alpha=flag)
 
 
@@ -461,7 +464,9 @@ SPREAD_CELLS = [("hierarchical", "z2", 8, 3),  # the grid grows below its floor
 @pytest.mark.parametrize("cells, pilot_n, seeds", [
     (BENCH_CELLS, 8000, (0, 1, 29, 1101, 9401)), (SPREAD_CELLS, 2000, (1,)),
     ([("voronoi-reduced", "d8", 4, 2)], 8000, (1,)),  # a window of 2 steps misses it
-], ids=["bench-cells", "spread", "narrow-window"])
+    # pilots within the slice: on so few rows the score has more than one valley
+    (BENCH_CELLS + SPREAD_CELLS, 1, (0, 1, 2)), (BENCH_CELLS + SPREAD_CELLS, 300, (0, 1, 2)),
+], ids=["bench-cells", "spread", "narrow-window", "pilot-1", "pilot-300"])
 def test_coarse_to_fine_keeps_the_full_grid_pick(cells, pilot_n, seeds, monkeypatch):
     # Exact float equality with scoring every grid point (tests/conftest.py).
     # The two searches share one memoized scorer, so each config scores once.
@@ -473,29 +478,18 @@ def test_coarse_to_fine_keeps_the_full_grid_pick(cells, pilot_n, seeds, monkeypa
             assert got == full_grid_beta0(scheme, params, pilot_n, seed=seed), (name, q, M, seed)
 
 
-# Picks at pilot_n = 1 and 300, seed 0, of the search that scored its coarse
-# pass on the whole pilot: (lattice, q, M, pilot_n) -> beta0.  On so few rows
-# the score has more than one valley, and the coarse-to-fine search misses the
-# full grid's pick in 7 of the 15 bench and spread cells at pilot_n = 1, and
-# in d8 q=4 M=2 voronoi-reduced at 300.
-WHOLE_SLICE_BETA0 = {
-    ("d4", 4, 1, 1): 0.05869820039221152, ("d4", 4, 2, 1): 0.0425907435542388,
-    ("d4", 4, 3, 1): 0.026323938979588134, ("a2", 8, 2, 1): 0.06890957458568446,
-    ("d4", 4, 1, 300): 0.764013974483503, ("d4", 4, 2, 300): 0.21176932114138408,
-    ("d4", 4, 3, 300): 0.05, ("a2", 8, 2, 300): 0.05869820039221152,
-}
-
-
 def test_pilots_within_the_slice_keep_their_picks(monkeypatch):
-    # At pilot_n <= 500 the coarse pass's slice is the whole pilot, so its
-    # stacked scores are the whole pilot's and the picks are those of scoring
-    # the coarse pass there one candidate per encode.
+    # At pilot_n <= 500 there is no coarse pass: the whole grid is scored on
+    # the whole pilot, so the picks are the full grid's, where a window placed
+    # on the slice missed in 7 of the 15 bench and spread cells at pilot_n = 1.
     calls = _memoized_pilot(monkeypatch)
-    for (name, q, M, pilot_n), want in WHOLE_SLICE_BETA0.items():
-        calls.clear()
-        got = calibrate_beta0("hierarchical", HierarchicalParams(make_lattice(name), q, M),
-                              pilot_n, seed=0)
-        assert got == want and {rows for rows, _ in calls} == {pilot_n}, (name, q, M, pilot_n)
+    for name, q, M in (("d4", 4, 1), ("d4", 4, 2), ("d4", 4, 3), ("a2", 8, 2)):
+        params = HierarchicalParams(make_lattice(name), q, M)
+        for pilot_n in (1, 300):
+            calls.clear()
+            got = calibrate_beta0("hierarchical", params, pilot_n, seed=0)
+            assert {rows for rows, _ in calls} == {pilot_n}, (name, q, M, pilot_n)
+            assert got == full_grid_beta0("hierarchical", params, pilot_n, seed=0), (name, q, M)
 
 
 def test_calibration_scores_fewer_candidates(monkeypatch):

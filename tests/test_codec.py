@@ -41,9 +41,10 @@ def test_params_validation(z2):
     with pytest.raises(ValueError):
         HierarchicalParams(z2, 3.5, 2)
     # a bool equals 0 or 1 as an int: True used to construct as M = 1
-    for q, M, name in ((4, True, "depth M"), (4, np.True_, "depth M"), (True, 2, "base q"),
-                       (np.True_, 2, "base q")):
-        with pytest.raises(ValueError, match=f"^{name}"):
+    q_rule, m_rule = "q must be an integer >= 2", "M must be an integer >= 1"
+    for q, M, rule in ((4, True, m_rule), (4, np.True_, m_rule), (True, 2, q_rule),
+                       (np.True_, 2, q_rule)):
+        with pytest.raises(ValueError, match=f"^{rule}, got "):
             HierarchicalParams(z2, q, M)
 
 

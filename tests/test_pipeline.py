@@ -8,7 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import lut_ip
+from conftest import dense_products, lut_ip
 from hnlq import (
     HierarchicalParams,
     PipelineConfig,
@@ -60,15 +60,6 @@ def cols_spanning_blocks(cfg, cols_b, outer=True):
     rows = lut_mod._COMBINE_BLOCK // per_row
     assert rows >= 2
     return 2 * rows + 1
-
-
-def dense_products(cfg, QA, QB):
-    """The decode+GEMM oracle: all column pairs of the reconstructions."""
-    X, Y = (reconstruct_chunks(cfg, Q).reshape(Q.cols, cfg.n) for Q in (QA, QB))
-    G = X @ Y.T
-    if cfg.rotate:
-        G *= QA.norms[:, None] * QB.norms / cfg.n
-    return G
 
 
 def direct_ip(cfg, qx, qy):

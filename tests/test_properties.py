@@ -1,5 +1,6 @@
 """Property tests: NLQM files round-trip, reject truncation and any bit flip
-(version 3) or load or raise ValueError after one (version 2); decode
+(version 3) or load or raise ValueError after one (version 2); table products
+equal decode+GEMM under every config the constructors accept; decode
 telescopes; the integer layer chain encodes as re-quantizing every layer does;
 the encoder's start-rung bound never passes a row's first fitting rung."""
 
@@ -10,20 +11,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import float_chain_encode
+from conftest import dense_products, float_chain_encode
 
 from hnlq import (
     HierarchicalParams,
     PipelineConfig,
+    QuantizedMatrix,
     ScalingConfig,
+    build_lut,
     h_encode_many,
     load_quantized_matrix,
     make_lattice,
+    matmul_approx,
+    paired_ip_approx,
     quantize_matrix,
     save_quantized_matrix,
 )
 from hnlq.codec import LAYER_CODEBOOK_MAX, _dither_points, decode_coords_many, q_circ_many
-from hnlq.lut import _with_crc
+from hnlq.lut import _COMBINE_BLOCK, _with_crc, chunk_sum_dtype
 from hnlq.pipeline import DITHER_MODES
 from hnlq.scaling import _GAUGE_RTOL, _need
 
@@ -31,8 +36,8 @@ LATTICES = ("z1", "z2", "a2", "d4")
 
 
 @st.composite
-def quantized_matrices(draw):
-    """A small quantized matrix under a random config, in any dither mode."""
+def pipeline_configs(draw, depths=st.integers(1, 3)):
+    """A small pipeline config in any dither mode, of depth M drawn from depths."""
     lat = make_lattice(draw(st.sampled_from(LATTICES)))
     mode = draw(st.sampled_from(DITHER_MODES))
     # q = 2 puts dither points on the cell boundary, where a dithered zero never encodes.
@@ -43,8 +48,8 @@ def quantized_matrices(draw):
                                                   max_size=lat.d)))
     if mode == "random":
         kw["dither_seed"] = draw(st.integers(-(2**63), 2**63 - 1))
-    cfg = PipelineConfig(
-        params=HierarchicalParams(lat, q, draw(st.integers(1, 3))),
+    return PipelineConfig(
+        params=HierarchicalParams(lat, q, draw(depths)),
         scaling=ScalingConfig(beta0=draw(st.floats(0.05, 4.0))),
         n=lat.d * draw(st.integers(1, 3)),
         rotate=draw(st.booleans()),
@@ -52,14 +57,73 @@ def quantized_matrices(draw):
         dither_mode=mode,
         **kw,
     )
+
+
+def gaussian_matrix(draw, cfg, cols):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    A = rng.standard_normal((cfg.n, draw(st.integers(0, 3)))) * draw(st.floats(0.1, 10.0))
-    return quantize_matrix(cfg, A)
+    return rng.standard_normal((cfg.n, cols)) * draw(st.floats(0.1, 10.0))
+
+
+@st.composite
+def quantized_matrices(draw):
+    """A small quantized matrix under a random config, in any dither mode."""
+    cfg = draw(pipeline_configs())
+    return quantize_matrix(cfg, gaussian_matrix(draw, cfg, draw(st.integers(0, 3))))
+
+
+def spanning_cols(cfg):
+    """Least column count c whose matrix, against one of c + 1 columns, takes
+    more than one row block of ``lut.chunk_sums``: the block sizes of its
+    all-pairs paths, in an integer type and in Python ints."""
+    p, K = cfg.params, cfg.chunks
+    L = p.M + (cfg.dither_mode != "none")
+    exact = chunk_sum_dtype(build_lut(p), L) is not None
+    c = 1
+    while c <= _COMBINE_BLOCK // (K * (max(c + 1, p.q**p.lat.d) if exact else L * L * (c + 1))):
+        c += 1
+    return c
+
+
+@st.composite
+def quantized_pairs(draw):
+    """(cfg, A, B): two quantized matrices under one config, of 0 to 3 columns
+    each or of counts that span more than one row block of the product, at
+    depths M up to where chunk sums leave int64 for Python ints."""
+    cfg = draw(pipeline_configs(st.integers(1, 3) | st.integers(4, 32)))
+    span = draw(st.booleans()) and spanning_cols(cfg)
+    counts = (span, span + 1) if span else (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+    return (cfg, *(quantize_matrix(cfg, gaussian_matrix(draw, cfg, c)) for c in counts))
 
 
 @pytest.fixture(scope="module")
 def nlqm_path(tmp_path_factory):
     return tmp_path_factory.mktemp("nlqm") / "m.nlqm"
+
+
+def first_cols(Q, k):
+    """The first k columns of Q as a matrix."""
+    return QuantizedMatrix(Q.cfg, Q.digits[:k], Q.T[:k], None if Q.norms is None else Q.norms[:k],
+                           None if Q.dither_ids is None else Q.dither_ids[:k])
+
+
+@given(pair=quantized_pairs())
+def test_products_equal_the_oracle_for_every_accepted_config(pair, nlqm_path):
+    cfg, QA, QB = pair
+    lut = build_lut(cfg.params)
+    G = matmul_approx(cfg, lut, QA, QB)
+    L = cfg.params.M + (cfg.dither_mode != "none")
+    assert lut.query_count == QA.cols * QB.cols * cfg.chunks * L * L
+    # the tolerance of tests/test_pipeline.py::test_matmul_matches_oracle_and_columns
+    want = dense_products(cfg, QA, QB)
+    assert (np.abs(G - want) <= 1e-6 * np.maximum(1.0, np.abs(want))).all()
+    k = min(QA.cols, QB.cols)
+    paired = paired_ip_approx(cfg, lut, first_cols(QA, k), first_cols(QB, k))
+    assert paired.tobytes() == np.diagonal(G).tobytes()
+    paths = [nlqm_path.with_name(f"{side}.nlqm") for side in "ab"]
+    for Q, path in zip((QA, QB), paths):
+        save_quantized_matrix(Q, path)
+    loaded = matmul_approx(cfg, lut, *map(load_quantized_matrix, paths))
+    assert loaded.tobytes() == G.tobytes()
 
 
 @given(qm=quantized_matrices())

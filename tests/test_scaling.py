@@ -50,9 +50,11 @@ def test_config_validation():
         with pytest.raises(ValueError):
             ScalingConfig(**bad)
     # True > 0 and is an Integral, so each of these used to construct
+    rules = {"beta0": "a positive number", "alpha": "a positive number",
+             "max_retries": "an integer >= 0"}
     for name in ("beta0", "alpha", "max_retries"):
         for flag in (True, np.True_):
-            with pytest.raises(ValueError, match=f"^{name} must be a number, not a bool"):
+            with pytest.raises(ValueError, match=f"^{name} must be {rules[name]}, got "):
                 ScalingConfig(**{"beta0": 0.5, name: flag})
 
 

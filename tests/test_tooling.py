@@ -1,6 +1,7 @@
 """The files around the library: README examples and the benchmark tracer's hooks."""
 
 import importlib
+import json
 import re
 from pathlib import Path
 
@@ -54,3 +55,34 @@ def test_every_public_name_resolves():
         for name in names:
             for mod in (hnlq, importlib.import_module(f"hnlq.{home}")):
                 assert not hasattr(mod, name), f"{mod.__name__}.{name} was removed"
+
+
+def test_bench_pairs_exits_1_naming_every_failed_run(monkeypatch, tmp_path, capsys):
+    # run_once stubbed: one clean pair, then a pair whose runs exit non-zero,
+    # report a failed operation or report incorrect outputs
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    bench_pairs = importlib.import_module("bench_pairs")
+    outcomes = {(1, "base"): (0, 0, True), (1, "change"): (0, 0, True),
+                (2, "base"): (1, 0, True), (2, "change"): (0, 2, False)}
+
+    def run_once(root, workload, seed, seconds):
+        status, failed, correct = outcomes[seed, sides[root]]
+        result = {"correct": correct, "failed": failed, "attempted": 5,
+                  "metrics": {"setup_s": {"value": 0.1}}}
+        return result, {"cpus": 2}, status
+
+    base, change = tmp_path / "base", tmp_path / "change"
+    for root in (base, change):
+        (root / "src" / "hnlq").mkdir(parents=True)
+    (change / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    sides = {base.resolve(): "base", change.resolve(): "change"}
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = [str(base), str(change), "--name", "t", "--workloads", "w", "--out-dir", str(tmp_path)]
+    assert bench_pairs.main(argv + ["--seeds", "1"]) == 0
+    assert bench_pairs.main(argv + ["--seeds", "1", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "w seed 2 base: exit 1, failed 0, correct True" in err
+    assert "w seed 2 change: exit 0, failed 2, correct False" in err
+    assert "seed 1" not in err
+    pairs = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["w"]["pairs"]
+    assert [(p["base"]["exit"], p["change"]["exit"]) for p in pairs] == [(0, 0), (1, 0)]

@@ -14,8 +14,11 @@ the machine block.
 The output file holds, per workload and end-to-end metric, each side's
 median and quartiles over the pairs and the number of pairs the change won
 (strictly better, in the direction BENCHMARK.json gives); every pair's raw
-values; the seeds and run length; the machine block; both commits; and each
-side's line counts of ``src/hnlq/*.py``, as ``wc -l`` counts them.
+values and exit statuses; the seeds and run length; the machine block; both
+commits; and each side's line counts of ``src/hnlq/*.py``, as ``wc -l``
+counts them.  The file is written in any case, and the tool then exits 1,
+naming every (workload, seed, side) whose run exited non-zero, reported
+failed operations or reported its outputs incorrect.
 """
 
 from __future__ import annotations
@@ -45,8 +48,9 @@ def src_lines(root: Path) -> dict:
     return {"total": sum(files.values()), "files": files}
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """(result object, machine block) of one untraced run in the checkout at root."""
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict, int]:
+    """(result object, machine block, exit status) of one untraced run in the
+    checkout at root."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -57,7 +61,7 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict
                          f"{proc.returncode}\n{proc.stderr}")
     machine = next((json.loads(line[len("# machine "):]) for line in lines
                     if line.startswith("# machine ")), {})
-    return json.loads(lines[-1]), machine
+    return json.loads(lines[-1]), machine, proc.returncode
 
 
 def summary(values: list[float]) -> dict:
@@ -88,17 +92,20 @@ def main(argv=None) -> int:
                   for s, r in roots.items()},
         "machine": {}, "workloads": {},
     }
-    k = 0
+    k, failed = 0, []
     for w in args.workloads:
         pairs = []
         for seed in args.seeds:
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                result, report["machine"] = run_once(roots[side], w, seed, args.seconds)
-                pair[side] = {"correct": result["correct"], "failed": result["failed"],
-                              "attempted": result["attempted"],
+                result, report["machine"], status = run_once(roots[side], w, seed, args.seconds)
+                pair[side] = {"exit": status, "correct": result["correct"],
+                              "failed": result["failed"], "attempted": result["attempted"],
                               "metrics": {m: v["value"] for m, v in result["metrics"].items()}}
+                if status or result["failed"] or not result["correct"]:
+                    failed.append(f"{w} seed {seed} {side}: exit {status}, "
+                                  f"failed {result['failed']}, correct {result['correct']}")
             pairs.append(pair)
             print(f"{w} seed {seed} ({order[0]} first): " + ", ".join(
                 f"{m} {pair['base']['metrics'][m]:.4g} -> {pair['change']['metrics'][m]:.4g}"
@@ -118,6 +125,9 @@ def main(argv=None) -> int:
     out = args.out_dir / f"BENCH_{args.name}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}")
+    if failed:
+        print("runs that failed:\n" + "\n".join(failed), file=sys.stderr)
+        return 1
     return 0
 
 
