@@ -66,9 +66,10 @@ GRID_EXTENSION_LIMIT = 96
 # coarse points.  A window of two steps missed the full grid's pick in one of
 # 378 cells (d8 q=4 M=2 voronoi-reduced, seed 1); three missed none.
 _COARSE_STRIDE = 3
+# Gaussian rows of calibrate_beta0's pilot.
+_PILOT_ROWS = 8000
 # The coarse pass scores its points on the pilot's first _COARSE_ROWS rows,
 # all in one stacked encode; only the window is scored on the whole pilot.
-# A pilot of at most _COARSE_ROWS rows skips it and scores the whole grid.
 # The d4 q=4 M=1-3 calibrations took 49.2 ms in all against 69.3 ms with the
 # coarse pass on all 8,000 rows; 250 rows (48.6 ms) and 1,000 were no better.
 _COARSE_ROWS = 500
@@ -125,6 +126,11 @@ class ExperimentConfig:
         _positive("alpha", self.alpha)
         _integer("n", self.n, 1)
         _integer("samples", self.samples, 1)
+        # The cells that run q = 2 (effective_params), which calibrate_beta0 refuses.
+        for s in self.schemes:
+            if 2 in self.qs and (s != "voronoi" or 1 in self.ms):
+                raise ValueError(f"qs holds q = 2, which scheme {s!r} runs as q = 2, whose "
+                                 "undithered codes reconstruct almost every input as 0")
         # run_dr_ip hands seed to PipelineConfig as rotation_seed and dither_seed
         # as dither_seed, both int64 fields: refuse them here, before calibrating.
         _integer("seed", self.seed, 0, 2**63)
@@ -211,13 +217,12 @@ def _vector_mse(params, scfg, X, dither_ids=None):
 def calibrate_beta0(
     scheme: str,
     params: HierarchicalParams,
-    pilot_n: int = 8000,
-    grid=DEFAULT_BETA0_GRID,
     *,
     alpha: float = 1.0 / 3.0,
     seed: int = 0,
 ) -> float:
-    """Search the base scale, coarse to fine, on a deterministic Gaussian pilot.
+    """Search ``DEFAULT_BETA0_GRID``, coarse to fine, for the base scale of a
+    deterministic pilot of ``_PILOT_ROWS`` Gaussian rows.
 
     Each candidate is scored by its pilot rate gap: the empirical rate
     (retry entropy included) plus half the log of the pilot MSE.  Raw MSE
@@ -237,30 +242,26 @@ def calibrate_beta0(
     on the whole pilot, one candidate per encode, and widens by as many
     steps on a side while its smoothed argmin sits on that edge.  Once the
     window reaches an end of the grid its smoothed scores are the full
-    grid's there, from the same three scores summed in the same order.  A
-    pilot of at most ``_COARSE_ROWS`` rows has no smaller slice to place a
-    window, and on so few rows the smoothed score can have more than one
-    valley: it scores the whole grid, so the pick is the full grid's at every
-    pilot size.  Each ``beta0`` is scored at most once per call on each
-    pilot; every grid point is checked as a ``ScalingConfig`` before any is
-    scored.
+    grid's there, from the same three scores summed in the same order.  Each
+    ``beta0`` is scored at most once per call on each pilot; a bad alpha is
+    refused before any is scored.
 
     The best scale shrinks like q^-M, so at high rate it can fall off the
     grid: while the argmin is the first or last point, the grid grows by one
     point past that end at the end's own ratio, up to
     ``GRID_EXTENSION_LIMIT`` points.  A cell whose argmin is interior keeps
-    its pick.
+    its pick.  A scheme that runs q = 2 (``effective_params``) is refused:
+    its undithered codes reconstruct almost every input as 0.
     """
-    grid = sorted(float(b) for b in grid)
-    if not grid:
-        raise ValueError("empty beta0 grid")
-    _integer("pilot_n", pilot_n, 1)
     _integer("seed", seed, 0)
-    for b in grid:  # the search may never score a bad point: refuse it here
-        ScalingConfig(beta0=b, alpha=alpha)
+    grid = list(DEFAULT_BETA0_GRID)
+    ScalingConfig(beta0=grid[-1], alpha=alpha)  # the top rung of the largest point is finite
     eff = effective_params(scheme, params)
+    if eff.q == 2:
+        raise ValueError(f"scheme {scheme!r} at q = {params.q}, M = {params.M} runs q = 2, "
+                         "whose undithered codes reconstruct almost every input as 0")
     rng = np.random.default_rng([seed, 0xB0])
-    X = rng.standard_normal((pilot_n, eff.lat.d))
+    X = rng.standard_normal((_PILOT_ROWS, eff.lat.d))
 
     def gaps(pilot, idx):
         """Pilot rate gaps of the grid points idx, scored in one stacked encode."""
@@ -274,13 +275,10 @@ def calibrate_beta0(
         return idx[min(range(len(idx)), key=lambda k: (smoothed[k], k))]
 
     step = _COARSE_STRIDE
-    if pilot_n <= _COARSE_ROWS:
-        lo, hi = 0, len(grid) - 1
-    else:
-        coarse = sorted({*range(0, len(grid), step), len(grid) - 1})
-        # Each pilot's work arrays are sized once, and freed when it is dropped.
-        best = argmin(coarse, gaps(_Pilot(eff, X[:_COARSE_ROWS], len(coarse)), coarse))
-        lo, hi = max(0, best - step), min(len(grid) - 1, best + step)
+    coarse = sorted({*range(0, len(grid), step), len(grid) - 1})
+    # Each pilot's work arrays are sized once, and freed when it is dropped.
+    best = argmin(coarse, gaps(_Pilot(eff, X[:_COARSE_ROWS], len(coarse)), coarse))
+    lo, hi = max(0, best - step), min(len(grid) - 1, best + step)
     pilot, scores = _Pilot(eff, X), {}
     added = 0
     while True:
@@ -294,10 +292,9 @@ def calibrate_beta0(
         if best == hi < len(grid) - 1:
             hi = min(len(grid) - 1, hi + step)
             continue
-        end, inner = (0, 1) if best == 0 else (-1, -2)
-        if (0 < best < len(grid) - 1 or len(grid) < 2 or grid[end] == grid[inner]
-                or added == GRID_EXTENSION_LIMIT):
+        if 0 < best < len(grid) - 1 or added == GRID_EXTENSION_LIMIT:
             return grid[best]
+        end, inner = (0, 1) if best == 0 else (-1, -2)
         grid.insert(0 if best == 0 else len(grid), grid[end] * (grid[end] / grid[inner]))
         added, hi = added + 1, hi + 1
 

@@ -104,14 +104,17 @@ class HierarchicalParams:
         return pts
 
     @cached_property
-    def _supports(self) -> np.ndarray | None:
+    def _supports(self) -> np.ndarray:
         """Read-only support of the layer codebook along each signed relevant
         vector v, the rows of ``lat._signed_weights``: the max over its rows r
-        of 2 <r, v> / |v|^2.  None when there is no cached codebook."""
+        of 2 <r, v> / |v|^2.  Without a cached codebook, its bound q (1 + eta)
+        in every direction, eta the gauge of the tie breaker: a layer codebook
+        row lies in q (V - e)."""
+        lat = self.lat
         if self._layer_codebook is None:
-            return None
-        points = _columns(self.lat.point_of(self._layer_codebook))
-        S = (self.lat._signed_weights @ points).max(axis=1)
+            S = np.full(len(lat._signed_weights), self.q * (1.0 + float(lat.gauge(lat.eps))))
+        else:
+            S = (lat._signed_weights @ _columns(lat.point_of(self._layer_codebook))).max(axis=1)
         S.setflags(write=False)
         return S
 
@@ -130,18 +133,13 @@ class HierarchicalParams:
         support along v (``_supports``) and A = 1 + q + ... + q^(M-1),
           w_v . x / s = w_v . (l + (y + e - l) - e + z)
                       <= b_v = A S_v + 1 + eta + [dithered] S_v / q.
-        Without a cached codebook S_v is bounded by q (1 + eta), as a layer
-        codebook row lies in q (V - e): b_v = (qA + 1 + [dithered]) (1 + eta).
         """
         lat, q, M, S = self.lat, self.q, self.M, self._supports
         eta = float(lat.gauge(lat.eps))
         pair = []
         for dithered in (False, True):
-            if S is None:
-                bounds = (outer_nesting_ratio(q, M) + 1 + dithered) * (1.0 + eta)
-            else:
-                bounds = (q**M - 1) // (q - 1) * S + (1.0 + eta) + (S / q if dithered else 0.0)
-            W = lat._signed_weights / np.reshape(bounds, (-1, 1))
+            bounds = (q**M - 1) // (q - 1) * S + (1.0 + eta) + (S / q if dithered else 0.0)
+            W = lat._signed_weights / bounds[:, None]
             W.setflags(write=False)
             pair.append(W)
         return tuple(pair)

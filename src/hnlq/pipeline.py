@@ -45,7 +45,7 @@ class PipelineConfig:
     """Codec parameters plus vector-length and preprocessing choices.
 
     Attributes:
-        params: hierarchical codec parameters (d divides n).
+        params: hierarchical codec parameters, q >= 3 (d divides n).
         scaling: overload scaling configuration.
         n: full vector length, a multiple of the lattice dimension.
         rotate: True to apply a shared random rotation and scale each vector
@@ -93,13 +93,11 @@ class PipelineConfig:
             object.__setattr__(self, "dither_ids", ids)
         elif self.dither_ids is not None:
             raise ValueError("dither_ids only applies to the fixed mode")
-        # Every non-zero coset of L/2L holds both lambda and -lambda, so every
-        # non-zero dither point at q = 2 lies on the cell boundary and a chunk
-        # near zero overloads at every scale.
-        if self.params.q == 2 and (self.dither_mode == "random" or (
-                self.dither_mode == "fixed" and self.dither_ids.any())):
-            raise ValueError("q = 2 admits no non-zero dither: use dither_mode 'none' "
-                             "or a fixed all-zero id")
+        # The q = 2 layer codebook is one-sided (Z_1: {0, -1}), so a chunk with a
+        # coordinate that rounds to +1 overloads until it rounds to 0; every
+        # non-zero dither point lies on the cell boundary.
+        if self.params.q == 2:
+            raise ValueError("q = 2 is refused: its codes reconstruct almost every chunk as 0")
 
     @property
     def chunks(self) -> int:

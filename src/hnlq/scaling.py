@@ -120,12 +120,6 @@ def _blockwise(fn, blocks: list[slice], shape: tuple, dtype) -> np.ndarray:
 # Relative allowance for float rounding in the start bound, in x / scale and
 # in the decoders, none of which comes near one part in 1e9 of the threshold.
 _GAUGE_RTOL = 1e-9
-# Before its first pass a block probes every _PROBE-th row for rows that the
-# bound moves past their start rung, and bounds every row when more than a
-# quarter of the probe moves.  The bound on a row costs 0.2-0.27 of an encode
-# pass of it for d4 q=4 M=2-3 and a2 q=8, up to 0.44-0.68 for d4 M=1, z2 M=1
-# and d8 (8,000 rows, best of 30), and a row it moves is one encode saved.
-_PROBE = 16
 
 
 def encode_scaled_many(
@@ -147,12 +141,12 @@ def encode_scaled_many(
     before any encoding.
 
     Each row runs its own ladder, and one pass encodes every unfinished row
-    at its current rung.  A row starts at the first rung within int64 reach,
-    or later where the layer codebook's support along each relevant vector
-    rules that rung out (``HierarchicalParams._fit_weights``; tried only
-    where a probe says it pays); if its start overloads, it jumps to the first rung that bound
-    allows.  Every rung skipped either way overloads, so digits and T are
-    those of trying each rung in turn.  Rows are independent, so they run in
+    at its current rung.  A row starts at the first rung within int64 reach;
+    if it overloads there, it jumps to the first later rung that the layer
+    codebook's support along each relevant vector allows
+    (``HierarchicalParams._fit_weights``), so only those rows are bounded.
+    Every rung skipped overloads, so digits and T are those of trying each
+    rung in turn.  Rows are independent, so they run in
     blocks of entries of X's leading axis, about ``_CODEC_BLOCK`` elements
     (at least one entry) a block, each block's rows taken from X on their
     own: a strided X, as the transposed columns ``quantize_matrix`` passes,
@@ -226,30 +220,19 @@ def _encode_block(params, scales, need, X, T, Z, rung=None, sub=None):
     rung table ``scales`` (C, R): stacked row c n + i is X[i] divided by
     scales[c, T[c n + i]].  T (C n,) holds the start rungs, which become the
     final rungs in place; Z is the rows' dither points (n x d values in any
-    shape) or None, and need(i) is ``_need`` of rows X[i].  Returns digits
-    (C n, M, d) and the count of stacked rows that still overload at the top
-    rung.  The first pass's row scales and input go into ``rung`` (C n,) and
-    ``sub`` (C n, d) when given.
+    shape) or None.  Returns digits (C n, M, d) and the count of stacked rows
+    that still overload at the top rung.  The first pass's row scales and
+    input go into ``rung`` (C n,) and ``sub`` (C n, d) when given.
 
-    The first pass encodes every row at its start rung, raised first to the
-    first rung the bound allows: always for a stack (C > 1), and for one
-    ladder when a probe of every _PROBE-th row says that pays.  A row that
-    overloads there jumps to the first later rung that the bound allows.
-    Every rung skipped overloads, and rows are independent, so each stacked
-    row's digits and rung are those of encoding its copy alone.
+    The first pass encodes every row at its start rung.  A row that
+    overloads there steps one rung when need is None, the caller having
+    raised every start to the first rung the bound allows; otherwise (one
+    ladder) it jumps to the first later rung that need(i), ``_need`` of rows
+    X[i], allows.  Every rung skipped overloads, and rows are independent, so
+    each stacked row's digits and rung are those of encoding its copy alone.
     """
     C, R = scales.shape
     n, d = X.shape
-    fits = scales * (1.0 + _GAUGE_RTOL)
-    bounded = C > 1
-    if not bounded:
-        probe = np.searchsorted(fits[0], need(slice(None, None, _PROBE)))
-        bounded = 4 * np.count_nonzero(probe > T[::_PROBE]) > probe.size
-    if bounded:
-        # A row that fits no rung starts at the top one, overloads and fails there.
-        bound = need(slice(None))
-        for f, t in zip(fits, T.reshape(C, n)):
-            np.maximum(t, np.minimum(np.searchsorted(f, bound), R - 1), out=t, casting="unsafe")
     at = T.reshape(C, n)  # each row's index into the flat scales
     if C > 1:
         at = at + R * np.arange(C)[:, None]
@@ -260,10 +243,11 @@ def _encode_block(params, scales, need, X, T, Z, rung=None, sub=None):
         sub -= Z
     digits, ov = h_encode_many(params, sub.reshape(C * n, d))
     active = np.flatnonzero(ov)
-    if active.size and bounded:  # past the bound already, so the next rung
+    if active.size and need is None:  # past the bound already, so the next rung
         T[active] += 1
     elif active.size:  # the bound, only for rows that overload at their start
-        T[active] = np.maximum(T[active] + 1, np.searchsorted(fits[0], need(active)))
+        fits = scales[0] * (1.0 + _GAUGE_RTOL)
+        T[active] = np.maximum(T[active] + 1, np.searchsorted(fits, need(active)))
     failed = 0
     while active.size:
         past = T[active] >= R
@@ -314,10 +298,14 @@ class _Pilot:
         p, X, n = self.params, self.X, len(self.X)
         rows = len(cfgs) * n
         T = np.concatenate([_start_rungs(p.lat, cfg, X, self.top) for cfg in cfgs])
-        digits, failed = _encode_block(p, np.stack([cfg._rungs for cfg in cfgs]),
-                                       self._bound.__getitem__, X, T, None,
-                                       self._rung[:rows], self._sub[:rows])
         Ts = T.reshape(len(cfgs), n)
+        # Every row starts at the first rung its bound allows; a row that fits
+        # no rung starts at the top one, overloads and fails there.
+        for cfg, t in zip(cfgs, Ts):
+            first = np.searchsorted(cfg._rungs * (1.0 + _GAUGE_RTOL), self._bound)
+            np.maximum(t, np.minimum(first, cfg.max_retries), out=t, casting="unsafe")
+        digits, failed = _encode_block(p, np.stack([cfg._rungs for cfg in cfgs]), None, X, T,
+                                       None, self._rung[:rows], self._sub[:rows])
         if failed:  # a failed row ends one past its top rung
             for cfg, t in zip(cfgs, Ts):
                 _raise_if_failed(cfg, np.count_nonzero(t > cfg.max_retries))

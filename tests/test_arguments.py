@@ -16,7 +16,7 @@ from hnlq import (
     quantize_matrix,
     quantize_vector,
 )
-from hnlq.bench import ExperimentConfig, calibrate_beta0, check_exactness, verify_lemmas
+from hnlq.bench import ExperimentConfig, check_exactness, verify_lemmas
 from hnlq.codec import q_circ_many
 from hnlq.lattices import in_scaled_voronoi_many
 
@@ -53,7 +53,6 @@ PROBES = {
     "s-str": ("s", lambda: in_scaled_voronoi_many(D4, np.ones((2, 4)), "1")),
     "n_samples-zero": ("n_samples", lambda: check_exactness(PARAMS, 0)),
     "samples-float": ("samples", lambda: verify_lemmas(samples=2.5)),
-    "pilot_n-float": ("pilot_n", lambda: calibrate_beta0("hierarchical", PARAMS, pilot_n=2.5)),
     "qs-float": ("qs", lambda: ExperimentConfig(qs=(4.5,))),
     "ms-zero": ("ms", lambda: ExperimentConfig(ms=(0,))),
     "alpha-str": ("alpha", lambda: ExperimentConfig(alpha="x")),

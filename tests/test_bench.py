@@ -237,51 +237,56 @@ def test_default_grid_shape():
     assert all(b < c for b, c in zip(DEFAULT_BETA0_GRID, DEFAULT_BETA0_GRID[1:]))
 
 
-def test_calibrate_grid_of_one():
-    params = HierarchicalParams(make_lattice("d4"), 4, 2)
-    assert calibrate_beta0("hierarchical", params, pilot_n=60, grid=[0.37]) == 0.37
-    with pytest.raises(ValueError):
-        calibrate_beta0("hierarchical", params, pilot_n=60, grid=[])
-    # 2.5 and True used to fail inside numpy with TypeError
-    for pilot_n in (0, -3, 2.5, True, np.float64(60.0), "60"):
-        with pytest.raises(ValueError, match="^pilot_n must be an integer >= 1, got "):
-            calibrate_beta0("hierarchical", params, pilot_n=pilot_n, grid=[0.37])
-    assert calibrate_beta0("hierarchical", params, pilot_n=np.int64(60), grid=[0.37]) == 0.37
-
-
 def test_calibration_refuses_a_bad_grid_point_before_scoring(monkeypatch):
-    # The coarse pass skips grid index 1, so a bad point there would never be
-    # scored: every point is checked as a ScalingConfig first.
+    # The grid is fixed, so only alpha can make a grid point's ladder bad:
+    # refused before any candidate is scored.
     def scored(pilot, cfgs):
-        raise AssertionError("scored a candidate before refusing the grid")
+        raise AssertionError("scored a candidate before refusing alpha")
 
     monkeypatch.setattr(scaling._Pilot, "mse", scored)
     params = HierarchicalParams(make_lattice("d4"), 4, 2)
-    positive = "^beta0 must be a positive number"
-    for bad, message in ((math.nan, positive), (0.0, positive), (-0.3, positive),
-                         (1e308, "leaves the float range")):
-        grid = list(DEFAULT_BETA0_GRID)
-        grid[1] = bad
-        if bad is math.nan:
-            assert sorted(grid)[1] is bad  # sorting leaves the NaN where it was
-        with pytest.raises(ValueError, match=message):
-            calibrate_beta0("hierarchical", params, grid=grid)
     with pytest.raises(ValueError, match="^alpha must be a positive number"):
         calibrate_beta0("hierarchical", params, alpha=0.0)
     for flag in (True, np.True_):  # used to return a pick
         with pytest.raises(ValueError, match="^alpha must be a positive number, got "):
             calibrate_beta0("hierarchical", params, alpha=flag)
+    # 2.0 * 2^(20 * 60), the top rung of the grid's largest point, leaves the float range
+    with pytest.raises(ValueError, match="leaves the float range"):
+        calibrate_beta0("hierarchical", params, alpha=20.0)
 
 
-def test_calibrate_picks_an_interior_optimum():
+def test_q2_is_refused_before_any_cell_runs(monkeypatch):
+    # Undithered q = 2 codes reconstruct almost every input as 0: dr-vector
+    # --q 2 --m 3 read distortion 1.026 on z2 and 1.023 on d4 at 3 bits.
+    # Every scheme that runs q = 2 is refused by name, before calibrating.
+    def calibrated(*args, **kw):
+        raise AssertionError("calibrated a q = 2 cell")
+
+    for schemes, ms in ((("hierarchical",), (3,)), (("voronoi-reduced",), (2, 3)),
+                        (("voronoi",), (1, 2)), (SCHEMES, (3,))):
+        with pytest.raises(ValueError, match="^qs holds q = 2"):
+            ExperimentConfig(schemes=schemes, qs=(4, 2), ms=ms)
+    assert ExperimentConfig(schemes=("voronoi",), qs=(2,), ms=(2, 3)).qs == (2,)  # q = 4, 8
+    lat = make_lattice("d4")
+    for scheme, q, M in (("hierarchical", 2, 3), ("voronoi-reduced", 2, 2), ("voronoi", 2, 1)):
+        with pytest.raises(ValueError, match=f"^scheme '{scheme}' at q = {q}, M = {M} runs q = 2"):
+            calibrate_beta0(scheme, HierarchicalParams(lat, q, M))
+    monkeypatch.setattr(bench, "calibrate_beta0", calibrated)
+    for name in ("z2", "d4", "a2"):
+        with pytest.raises(ValueError, match="q = 2"):
+            main(["dr-vector", "--lattice", name, "--q", "2", "--m", "3"])
+
+
+def test_calibrate_picks_an_interior_optimum(monkeypatch):
     """The selected scale must beat both grid extremes on the pilot score.
 
     The score charges rate as well as error, so a tiny scale (whose raw
     error is small but whose retry entropy is huge) cannot win, and neither
     can a huge scale with coarse granular error.
     """
+    monkeypatch.setattr(bench, "_PILOT_ROWS", 2000)
     params = HierarchicalParams(make_lattice("d4"), 4, 2)
-    got = calibrate_beta0("hierarchical", params, pilot_n=2000)
+    got = calibrate_beta0("hierarchical", params)
     assert got in DEFAULT_BETA0_GRID
     assert got not in (DEFAULT_BETA0_GRID[0], DEFAULT_BETA0_GRID[-1])
 
@@ -327,25 +332,29 @@ def test_calibration_grid_grows_at_its_own_ratio(monkeypatch):
     # on the whole pilot, one per encode, the window three steps either side
     # of its best, widened by three steps while the window's best sits on its
     # edge.
-    seen = []
+    seen, grid = [], DEFAULT_BETA0_GRID
     mse = scaling._Pilot.mse
     monkeypatch.setattr(scaling._Pilot, "mse", lambda pilot, cfgs: seen.append(
         (len(pilot.X), [c.beta0 for c in cfgs])) or mse(pilot, cfgs))
-    params = HierarchicalParams(make_lattice("z2"), 8, 3)
-    got = calibrate_beta0("hierarchical", params, pilot_n=2000, grid=[0.2, 0.4, 0.8])
-    assert seen[:4] == [(500, [0.2, 0.8]), (2000, [0.2]), (2000, [0.4]), (2000, [0.8])]
-    assert seen[4:] == [(2000, [0.2 / 2**k]) for k in range(1, len(seen) - 3)]
+    monkeypatch.setattr(bench, "_PILOT_ROWS", 2000)
+    coarse = [grid[i] for i in [*range(0, 22, 3), 23]]
+    # z2 q=8 M=3: the coarse best is the floor, so the window is its first four points
+    got = calibrate_beta0("hierarchical", HierarchicalParams(make_lattice("z2"), 8, 3))
+    assert seen[:5] == [(500, coarse)] + [(2000, [grid[i]]) for i in range(4)]
+    ends = [grid[1], grid[0]]
+    for _ in seen[5:]:
+        ends.append(ends[-1] * (ends[-1] / ends[-2]))
+    assert len(seen) > 5 and seen[5:] == [(2000, [b]) for b in ends[2:]]
     full = [b for _, (b,) in seen[1:]]
     assert got in full and min(full) < got < max(full)
     seen.clear()
-    calibrate_beta0("hierarchical", HierarchicalParams(make_lattice("d4"), 4, 2), pilot_n=2000)
-    coarse, window, widened = [*range(0, 22, 3), 23], [*range(3, 10)], [10, 11, 12]
-    assert seen == [(500, [DEFAULT_BETA0_GRID[i] for i in coarse])] + [
-        (2000, [DEFAULT_BETA0_GRID[i]]) for i in window + widened]
+    calibrate_beta0("hierarchical", HierarchicalParams(make_lattice("d4"), 4, 2))
+    window, widened = [*range(3, 10)], [10, 11, 12]
+    assert seen == [(500, coarse)] + [(2000, [grid[i]]) for i in window + widened]
 
 
-# Picks at pilot_n = 2000 from before the candidates of one call shared a
-# pilot's bound and work arrays: (lattice, q, M, seed) -> beta0.
+# Picks on a 2,000-row pilot from before the candidates of one call shared
+# a pilot's bound and work arrays: (lattice, q, M, seed) -> beta0.
 CELL_BETA0 = {("d4", 4, 1, 3): 0.764013974483503, ("d4", 4, 2, 0): 0.1803882569877585,
               ("d4", 4, 3, 1): 0.05, ("a2", 8, 2, 2): 0.05869820039221152,
               ("z2", 8, 3, 4): 0.007296466915076014, ("d8", 3, 2, 5): 0.34263158170901736}
@@ -354,12 +363,13 @@ CELL_BETA0 = {("d4", 4, 1, 3): 0.764013974483503, ("d4", 4, 2, 0): 0.18038825698
 def _calibrate_cell(cell):
     name, q, M, seed = cell
     return calibrate_beta0("hierarchical", HierarchicalParams(make_lattice(name), q, M),
-                           pilot_n=2000, seed=seed)
+                           seed=seed)
 
 
-def test_concurrent_calibrations_keep_their_picks():
+def test_concurrent_calibrations_keep_their_picks(monkeypatch):
     # Every call owns its pilot's work arrays: three threads calibrating the
     # cells at once, switching often, pick what one thread picks.
+    monkeypatch.setattr(bench, "_PILOT_ROWS", 2000)
     cells = list(CELL_BETA0) * 2
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -410,7 +420,8 @@ def test_calibration_pilot_scores_as_encode_and_decode(scheme, name, q, M, monke
         return got
 
     monkeypatch.setattr(scaling._Pilot, "mse", checked)
-    calibrate_beta0(scheme, HierarchicalParams(make_lattice(name), q, M), pilot_n=1500, seed=9)
+    monkeypatch.setattr(bench, "_PILOT_ROWS", 1500)
+    calibrate_beta0(scheme, HierarchicalParams(make_lattice(name), q, M), seed=9)
     gc.collect()
     # the 9 coarse candidates in one stacked encode of the first 500 rows, then
     # on the whole pilot each candidate once, one per encode; both pilots go
@@ -464,32 +475,17 @@ SPREAD_CELLS = [("hierarchical", "z2", 8, 3),  # the grid grows below its floor
 @pytest.mark.parametrize("cells, pilot_n, seeds", [
     (BENCH_CELLS, 8000, (0, 1, 29, 1101, 9401)), (SPREAD_CELLS, 2000, (1,)),
     ([("voronoi-reduced", "d8", 4, 2)], 8000, (1,)),  # a window of 2 steps misses it
-    # pilots within the slice: on so few rows the score has more than one valley
-    (BENCH_CELLS + SPREAD_CELLS, 1, (0, 1, 2)), (BENCH_CELLS + SPREAD_CELLS, 300, (0, 1, 2)),
-], ids=["bench-cells", "spread", "narrow-window", "pilot-1", "pilot-300"])
+], ids=["bench-cells", "spread", "narrow-window"])
 def test_coarse_to_fine_keeps_the_full_grid_pick(cells, pilot_n, seeds, monkeypatch):
     # Exact float equality with scoring every grid point (tests/conftest.py).
     # The two searches share one memoized scorer, so each config scores once.
     _memoized_pilot(monkeypatch)
+    monkeypatch.setattr(bench, "_PILOT_ROWS", pilot_n)
     for scheme, name, q, M in cells:
         params = HierarchicalParams(make_lattice(name), q, M)
         for seed in seeds:
-            got = calibrate_beta0(scheme, params, pilot_n, seed=seed)
+            got = calibrate_beta0(scheme, params, seed=seed)
             assert got == full_grid_beta0(scheme, params, pilot_n, seed=seed), (name, q, M, seed)
-
-
-def test_pilots_within_the_slice_keep_their_picks(monkeypatch):
-    # At pilot_n <= 500 there is no coarse pass: the whole grid is scored on
-    # the whole pilot, so the picks are the full grid's, where a window placed
-    # on the slice missed in 7 of the 15 bench and spread cells at pilot_n = 1.
-    calls = _memoized_pilot(monkeypatch)
-    for name, q, M in (("d4", 4, 1), ("d4", 4, 2), ("d4", 4, 3), ("a2", 8, 2)):
-        params = HierarchicalParams(make_lattice(name), q, M)
-        for pilot_n in (1, 300):
-            calls.clear()
-            got = calibrate_beta0("hierarchical", params, pilot_n, seed=0)
-            assert {rows for rows, _ in calls} == {pilot_n}, (name, q, M, pilot_n)
-            assert got == full_grid_beta0("hierarchical", params, pilot_n, seed=0), (name, q, M)
 
 
 def test_calibration_scores_fewer_candidates(monkeypatch):

@@ -360,7 +360,11 @@ def test_layer_codebook_support_along_each_relevant_vector(name, q, low):
     assert np.allclose(pairs[0], low, rtol=0, atol=1e-12) and np.allclose(pairs[1], 1.0)
     with pytest.raises(ValueError):
         S[0] = 0.0
-    assert HierarchicalParams(make_lattice("d8"), 4, 1)._supports is None  # 4^8 > 2^14
+    # 4^8 > 2^14, no cached codebook: the gauge bound q (1 + g(eps)) in every direction
+    d8 = make_lattice("d8")
+    S = HierarchicalParams(d8, 4, 1)._supports
+    assert S.shape == (len(d8._signed_weights),) and not S.flags.writeable
+    assert np.array_equal(S, np.full(S.shape, 4 * (1.0 + d8.gauge(d8.eps))))
 
 
 def test_layer_codebook_order(z2):

@@ -605,19 +605,20 @@ def test_paired_products_match_columns():
 def test_q2_refuses_non_zero_dither(name):
     # Every non-zero coset of L/2L holds both lambda and -lambda, so every
     # non-zero dither point at q = 2 lies on the cell boundary: a chunk near
-    # zero would overload at every scale.  Undithered and zero-id q = 2 encode.
+    # zero would overload at every scale.  Undithered and zero-id q = 2 codes
+    # are one-sided (Z_1: {0, -1}) and reconstruct almost every chunk as 0,
+    # so q = 2 is refused in every dither mode; q = 3 is accepted.
     lat = make_lattice(name)
     one_hot = np.zeros(lat.d, dtype=np.int64)
     one_hot[-1] = 1
     for kw in ({"dither_mode": "random"}, {"dither_mode": "random", "dither_seed": 3},
                {"dither_mode": "fixed", "dither_ids": np.ones(lat.d, dtype=np.int64)},
-               {"dither_mode": "fixed", "dither_ids": one_hot}):
-        with pytest.raises(ValueError):
+               {"dither_mode": "fixed", "dither_ids": one_hot}, {},
+               {"dither_mode": "fixed", "dither_ids": np.zeros(lat.d, dtype=np.int64)}):
+        with pytest.raises(ValueError, match="^q = 2 is refused"):
             pipe(n=8, q=2, lat=lat, beta0=0.5, **kw)
-    rng = np.random.default_rng(19)
-    A = rng.standard_normal((8, 8))
-    for kw in ({}, {"dither_mode": "fixed", "dither_ids": np.zeros(lat.d, dtype=np.int64)}):
-        Q = quantize_matrix(pipe(n=8, q=2, lat=lat, beta0=0.5, **kw), A)
+        Q = quantize_matrix(pipe(n=8, q=3, lat=lat, beta0=0.5, **kw),
+                            np.random.default_rng(19).standard_normal((8, 8)))
         assert Q.digits.shape == (8, 8 // lat.d, 2, lat.d)
 
 

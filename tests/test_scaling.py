@@ -149,10 +149,9 @@ def retry_every_row(params, cfg, X, dither_ids=None):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", ["z2", "a2", "d4", "d8"])
 def test_encoding_is_the_every_row_ladder(name):
-    # Start rungs from int64 reach and from the per-direction bound, the
-    # probe that decides on the bound before the first pass, and the jump
-    # after it: none may change digits, T or the error text of quantizing
-    # every overloading row at every rung.  Rows sit below the ladder (fit at
+    # Start rungs from int64 reach and the per-direction bound's jump after
+    # the first pass may change neither digits, T nor the error text of
+    # quantizing every overloading row at every rung.  Rows sit below the ladder (fit at
     # rung 0), inside it, past its top rung and past int64 reach, undithered
     # and with one id for every row or one id per row.  d8 q = 4, 8 has no
     # cached layer codebook, so there the bound is the outer-inclusion one.
@@ -240,6 +239,33 @@ def test_passes_with_no_row_in_range_are_skipped(monkeypatch):
     assert len(rows) < 10  # one pass per scale at which some row is in range
 
 
+def test_only_rows_that_overload_their_start_are_bounded(monkeypatch):
+    # encode_scaled_many bounds (scaling._need) exactly the rows that
+    # overload at their start rung, dithered or not, once each; a pilot
+    # bounds its rows once, when it is made, and mse bounds none.
+    p = HierarchicalParams(make_lattice("d4"), 4, 2)
+    cfg = ScalingConfig(beta0=0.3)
+    X = np.random.default_rng(48).standard_normal((2000, 4))
+    bounded, need = [], scaling._need
+    monkeypatch.setattr(scaling, "_need", lambda W, X: bounded.append(X.copy()) or need(W, X))
+    for ids in (None, np.array([1, 0, 2, 3])):
+        Z = 0.0 if ids is None else _dither_points(p, ids)
+        _, ov = h_encode_many(p, X / cfg.scale(0) - Z)
+        assert 0 < ov.sum() < len(X)
+        bounded.clear()
+        encode_scaled_many(p, cfg, X, ids)
+        assert len(bounded) == 1 and np.array_equal(bounded[0], X[ov])
+    pilot = scaling._Pilot(p, X, 2)
+    assert len(bounded) == 2 and np.array_equal(bounded[1], X)
+
+    def refused(W, X):
+        raise AssertionError("_Pilot.mse bounded rows")
+
+    monkeypatch.setattr(scaling, "_need", refused)
+    for cfgs in ([cfg], [cfg, ScalingConfig(beta0=0.05)]):
+        assert all(T.any() for _, T in pilot.mse(cfgs))
+
+
 def _outcome(encode):
     try:
         return encode()
@@ -315,7 +341,7 @@ def test_calibration_skips_rungs_that_must_overload(monkeypatch):
     # gauge jump encoded 450,675, the per-direction bound before and after
     # the first pass 270,423.  calibrate_beta0 scores the 9 coarse ones on
     # the first 500 rows in one stacked encode and 10 on the whole pilot
-    # (108,646).
+    # (106,845).
     rows = []
     encode = scaling.h_encode_many
     monkeypatch.setattr(scaling, "h_encode_many", lambda p, X: rows.append(len(X)) or encode(p, X))
