@@ -207,9 +207,9 @@ def effective_params(scheme: str, params: HierarchicalParams) -> HierarchicalPar
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _vector_mse(params, scfg, X, dither_ids=None):
-    digits, T = encode_scaled_many(params, scfg, X, dither_ids=dither_ids)
-    Xhat = decode_scaled_many(params, scfg, digits, T, dither_ids=dither_ids)
+def _vector_mse(params, scfg, X):
+    digits, T = encode_scaled_many(params, scfg, X)
+    Xhat = decode_scaled_many(params, scfg, digits, T)
     err = X - Xhat
     return float(np.einsum("ij,ij->i", err, err).mean() / params.lat.d), T
 

@@ -42,8 +42,8 @@ __all__ = [
 ]
 
 ENUMERATION_GUARD = 2**24
-# Exact integer types, narrowest first: ``_coord_dtype`` and
-# ``lut.chunk_sum_dtype`` pick the first that holds a proven bound.
+# Exact integer types, narrowest first: ``_narrowest_int`` picks the first
+# that holds a proven bound, for ``_coord_dtype`` and ``lut.chunk_sum_dtype``.
 _INT_TYPES = tuple(map(np.dtype, (np.int16, np.int32, np.int64)))
 # Largest inner-product table, q^(2d) entries, that lut.build_lut builds:
 # the square of the largest cached layer codebook.
@@ -164,6 +164,11 @@ def outer_nesting_ratio(q: int, M: int) -> int:
     return sum(q**m for m in range(1, M + 1))
 
 
+def _narrowest_int(bound, default=None) -> np.dtype | None:
+    """The first of ``_INT_TYPES`` whose 2^(bits-1) exceeds bound, else default."""
+    return next((t for t in _INT_TYPES if bound < 2 ** (8 * t.itemsize - 1)), default)
+
+
 def _coord_dtype(params: HierarchicalParams, top: float) -> np.dtype:
     """``h_encode_many``'s integer type for rows with max |x| = top."""
     lat = params.lat
@@ -171,7 +176,7 @@ def _coord_dtype(params: HierarchicalParams, top: float) -> np.dtype:
         return _INT_TYPES[-1]
     (R, S), near = params._coord_bound, top + 2.0  # 1 to the point, 1 for eps and rounding
     bound = max(max(R * near, S) + S, (lat.d if lat.family == "D" else 1) * near)
-    return next((t for t in _INT_TYPES if bound < 2 ** (8 * t.itemsize - 1)), _INT_TYPES[-1])
+    return _narrowest_int(bound, _INT_TYPES[-1])
 
 
 def _items(a: np.ndarray) -> np.ndarray:

@@ -44,7 +44,8 @@ class Lattice:
 
     Attributes:
         family: "Z", "D" or "A" (A is the hexagonal lattice, d = 2).
-        d: ambient dimension.
+        d: ambient dimension, >= 1 for Z_d and >= 2 for D_n.
+    Set from them, read-only:
         G: generator matrix, columns are basis vectors.
         G_inv: inverse generator.
         eps: ``default_tie_breaker(d)``, the perturbation added inside every
@@ -53,9 +54,18 @@ class Lattice:
 
     family: str
     d: int
-    G: np.ndarray
-    G_inv: np.ndarray
-    eps: np.ndarray
+
+    def __post_init__(self):
+        f = self.family
+        if not isinstance(f, str) or f not in FAMILY_IDS:
+            raise ValueError(f"family must be one of {', '.join(FAMILY_IDS)}, got {f!r}")
+        # Z_d needs d >= 1, D_n n >= 2, and the hexagonal lattice is two-dimensional.
+        d = _integer("d", self.d, 1 if f == "Z" else 2, 3 if f == "A" else None)
+        G = _canonical_generator(f, d)
+        object.__setattr__(self, "d", d)
+        for name, a in (("G", G), ("G_inv", np.linalg.inv(G)), ("eps", default_tie_breaker(d))):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def name(self) -> str:
@@ -236,25 +246,13 @@ def make_lattice(name: str, d: int | None = None) -> Lattice:
     tag = name.strip().lower()
     family = tag.rstrip("0123456789")
     suffix = tag[len(family):]
-    if family not in ("z", "d", "a"):
-        raise ValueError(f"unknown lattice family {name!r}")
     if suffix:
         if d is not None and _integer("d", d) != int(suffix):
             raise ValueError(f"conflicting dimensions in {name!r} and d={d}")
         d = int(suffix)
     if d is None:
         raise ValueError("lattice dimension required")
-    family = family.upper()
-    # Z_d needs d >= 1, D_n n >= 2, and the hexagonal lattice is two-dimensional.
-    d = _integer("d", d, 1 if family == "Z" else 2, 3 if family == "A" else None)
-    G = _canonical_generator(family, d)
-    G_inv = np.linalg.inv(G)
-    if not np.allclose(G @ G_inv, np.eye(d), atol=1e-12):
-        raise ValueError("generator inversion failed")
-    eps = default_tie_breaker(d)
-    for a in (G, G_inv, eps):
-        a.flags.writeable = False
-    return Lattice(family=family, d=d, G=G, G_inv=G_inv, eps=eps)
+    return Lattice(family.upper(), d)
 
 
 def _integer(name: str, v, lo: int | None = None, hi: int | None = None) -> int:

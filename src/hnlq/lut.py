@@ -24,7 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .codec import LUT_GUARD, _INT_TYPES, HierarchicalParams, _dither_rows, layer_codebook_coords
+from .codec import (LUT_GUARD, HierarchicalParams, _dither_rows, _narrowest_int,
+                    layer_codebook_coords)
 from .lattices import FAMILY_IDS
 from .voronoi import digits_to_index, index_to_digits
 
@@ -131,7 +132,7 @@ def chunk_sum_dtype(lut: InnerProductLUT, L: int) -> np.dtype | None:
     type's 2^(bits-1).  None for a bound past 2^63.
     """
     bound = lut.max_abs * ((lut.q**L - 1) // (lut.q - 1)) ** 2
-    return next((t for t in _INT_TYPES if bound < 2 ** (8 * t.itemsize - 1)), None)
+    return _narrowest_int(bound)
 
 
 def _horner(q: int, terms) -> np.ndarray:

@@ -109,11 +109,11 @@ class QuantizedMatrix:
     """A column-quantized matrix plus the configuration that produced it.
 
     Digits and dither ids have type ``voronoi.digit_dtype(q)`` (uint8 for
-    q <= 256) and T has ``cfg.scaling.retry_dtype`` (uint8 for max_retries
-    <= 254), so a chunk holds M d + 1 bytes, plus d of random dither ids; a
-    fixed id is a read-only broadcast view of the config's one id.  All are
-    unsigned: cast them before subtracting.  Products and files accept the
-    same values in any integer type.  A quantized vector is a one-column matrix.
+    q <= 256) and T is uint8, so a chunk holds M d + 1 bytes, plus d of
+    random dither ids; a fixed id is a read-only broadcast view of the
+    config's one id.  All are unsigned: cast them before subtracting.
+    Products and files accept the same values in any integer type.  A
+    quantized vector is a one-column matrix.
     """
 
     cfg: PipelineConfig
@@ -281,7 +281,7 @@ def reconstruct_chunks(cfg: PipelineConfig, Q: QuantizedMatrix) -> np.ndarray:
 
 
 def _code_key(cfg: PipelineConfig) -> tuple:
-    """The settings quantized codes depend on; ``max_retries`` only bounds encoding."""
+    """The settings quantized codes depend on."""
     lat, sc = cfg.params.lat, cfg.scaling
     ids = None if cfg.dither_ids is None else cfg.dither_ids.tolist()
     return (lat.family, lat.d, cfg.params.q, cfg.params.M,
@@ -459,10 +459,6 @@ def _unpack_records(payload: np.ndarray, q: int, d: int) -> np.ndarray:
 def load_quantized_matrix(path) -> QuantizedMatrix:
     """Read a quantized matrix; reconstructs the pipeline config from the header.
 
-    ``max_retries`` is not serialized (it only matters when encoding); the
-    reconstructed config takes the default 60, so a ladder whose top rung
-    leaves the float range is refused.
-
     Versions 2 and 3 load; any other, version 1 among them, raises
     ValueError.  A version 3 file is checked against its CRC-32 before any
     field but the magic and version.  Version 2 is the same layout without
@@ -520,8 +516,7 @@ def load_quantized_matrix(path) -> QuantizedMatrix:
     off += count
     digits = _blockwise(lambda c: _unpack_records(payload[c], q, d), _blocks(cols, n),
                         (cols, K, M, d), digit_dtype(q))
-    T = np.frombuffer(raw, dtype=np.uint8, count=cols * K, offset=off)
-    T = T.astype(cfg.scaling.retry_dtype).reshape(cols, K)
+    T = np.frombuffer(raw, dtype=np.uint8, count=cols * K, offset=off).reshape(cols, K).copy()
     off += cols * K
     norms = None
     if rotate:

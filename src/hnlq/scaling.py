@@ -25,11 +25,12 @@ from .codec import (
     h_encode_many,
 )
 from .errors import UnencodableError
-from .lattices import _as_float, _columns, _integer, _positive
+from .lattices import _as_float, _columns, _positive
 from .voronoi import digit_dtype
 from .voronoi import vc_decode_many  # noqa: F401  (perfbench's tracer wraps this name)
 
 __all__ = [
+    "MAX_RETRIES",
     "ScalingConfig",
     "encode_scaled_many",
     "decode_scaled_many",
@@ -38,50 +39,48 @@ __all__ = [
 ]
 
 
+# Rungs past rung 0 of every ladder.  T is uint8, the smallest unsigned type
+# that holds MAX_RETRIES + 1, the count a row reaches when it fails the top
+# rung, so T + 1 never wraps.
+MAX_RETRIES = 60
+
+
 @dataclass(frozen=True)
 class ScalingConfig:
-    """Base step beta0 > 0, growth exponent alpha > 0, retry budget; every rung finite."""
+    """Base step beta0 > 0 and growth exponent alpha > 0, every rung
+    beta0 * 2^(alpha t), t = 0..MAX_RETRIES, a finite float."""
 
     beta0: float
     alpha: float = 1.0 / 3.0
-    max_retries: int = 60
 
     def __post_init__(self):
         _positive("beta0", self.beta0)
         _positive("alpha", self.alpha)
-        _integer("max_retries", self.max_retries, 0)
         try:  # rungs grow with t, so the top one bounds beta0 and the rest
             with np.errstate(over="ignore", invalid="ignore"):  # numpy scalars give inf or nan
-                top = self.scale(self.max_retries)
+                top = self.scale(MAX_RETRIES)
         except OverflowError:
             top = math.inf
         if not math.isfinite(top):
-            raise ValueError("a rung beta0 * 2^(alpha t) leaves the float range: lower max_retries")
+            raise ValueError(f"rung {MAX_RETRIES} leaves the float range: lower alpha or beta0")
 
     def scale(self, T: int | np.ndarray) -> float | np.ndarray:
         return self.beta0 * 2.0 ** (self.alpha * T)
 
     @property
     def _rungs(self) -> np.ndarray:
-        """Read-only scales of rungs 0..max_retries (``_ladder``)."""
-        return _ladder(self.beta0, self.alpha, self.max_retries)
-
-    @property
-    def retry_dtype(self) -> np.dtype:
-        """Type of the retry counts T: the smallest unsigned one that holds
-        max_retries + 1, the count a row reaches when it fails the top rung,
-        so T + 1 never wraps.  uint8 up to max_retries = 254."""
-        return np.min_scalar_type(int(self.max_retries) + 1)
+        """Read-only scales of rungs 0..MAX_RETRIES (``_ladder``)."""
+        return _ladder(self.beta0, self.alpha)
 
 
 @lru_cache(maxsize=256, typed=True)
-def _ladder(beta0, alpha, max_retries: int) -> np.ndarray:
+def _ladder(beta0, alpha) -> np.ndarray:
     """Read-only rung scales of every config with these fields (of these
     types), built once: calibration scores a new config per candidate, and
     every cell of a sweep scores the same grid.  Rung t is ``scale`` of the
     Python int t, the float a scalar call gives."""
-    cfg = ScalingConfig(beta0, alpha, max_retries)
-    rungs = np.array([cfg.scale(t) for t in range(max_retries + 1)])
+    cfg = ScalingConfig(beta0, alpha)
+    rungs = np.array([cfg.scale(t) for t in range(MAX_RETRIES + 1)])
     rungs.setflags(write=False)
     return rungs
 
@@ -131,14 +130,13 @@ def encode_scaled_many(
     """Encode rows of X (..., d) with per-row retry counts.
 
     Returns (digits (..., M, d), T (...)), the digits of type
-    ``voronoi.digit_dtype(q)`` and T of ``cfg.retry_dtype``: M d + 1 bytes
-    per row for q <= 256 and max_retries <= 254.  Both are unsigned, so cast
-    them before subtracting.  Raises ValueError on non-finite or complex
-    input or a trailing axis other than d, and UnencodableError when some
-    row still overloads at T = max_retries.  A row whose lattice coordinates
-    at a rung could leave int64 overloads at that rung without being
-    quantized; if one still could at T = max_retries, the error is raised
-    before any encoding.
+    ``voronoi.digit_dtype(q)`` and T uint8: M d + 1 bytes per row for
+    q <= 256.  Both are unsigned, so cast them before subtracting.  Raises
+    ValueError on non-finite or complex input or a trailing axis other than
+    d, and UnencodableError when some row still overloads at T =
+    MAX_RETRIES.  A row whose lattice coordinates at a rung could leave
+    int64 overloads at that rung without being quantized; if one still
+    could at T = MAX_RETRIES, the error is raised before any encoding.
 
     Each row runs its own ladder, and one pass encodes every unfinished row
     at its current rung.  A row starts at the first rung within int64 reach;
@@ -179,13 +177,13 @@ def encode_scaled_many(
 
     digits = _blockwise(encode, _blocks(len(rows), math.prod(rows.shape[1:])),
                         T.shape + (params.M, lat.d), digit_dtype(params.q))
-    _raise_if_failed(cfg, sum(failures))
+    _raise_if_failed(sum(failures))
     return digits.reshape(X.shape[:-1] + (params.M, lat.d)), T.reshape(X.shape[:-1])
 
 
-def _raise_if_failed(cfg: ScalingConfig, failed: int) -> None:
+def _raise_if_failed(failed: int) -> None:
     if failed:
-        raise UnencodableError(f"{failed} vector(s) still overload after {cfg.max_retries} retries")
+        raise UnencodableError(f"{failed} vector(s) still overload after {MAX_RETRIES} retries")
 
 
 def _start_rungs(lat, cfg: ScalingConfig, rows: np.ndarray, top: float) -> np.ndarray:
@@ -195,11 +193,11 @@ def _start_rungs(lat, cfg: ScalingConfig, rows: np.ndarray, top: float) -> np.nd
     scales = cfg._rungs
     # |coordinates| <= max|x| * max row sum of |G^-1|; 2^62 leaves room for the dither.
     reach = 2.0**62 / float(np.abs(lat.G_inv).sum(axis=1).max())
-    T = np.zeros(rows.shape[:-1], dtype=cfg.retry_dtype)
+    T = np.zeros(rows.shape[:-1], dtype=np.uint8)
     if top >= reach * cfg.beta0:  # some row could leave int64: start past those rungs
         with np.errstate(over="ignore"):  # a reach past the float range fits every row
             T[:] = np.searchsorted(reach * scales, np.abs(rows).max(axis=-1), side="right")
-        _raise_if_failed(cfg, np.count_nonzero(T >= scales.size))
+        _raise_if_failed(np.count_nonzero(T >= scales.size))
     return T
 
 
@@ -292,9 +290,9 @@ class _Pilot:
         """(mean squared error per dimension, T) of X encoded at each config
         and decoded: the float and the counts of ``encode_scaled_many`` then
         ``decode_scaled_many``, bit for bit.  The configs, at most ``stack``
-        of them and sharing max_retries, run as one stacked encode
-        (``_encode_block``) and one decode; a config whose rows still
-        overload raises UnencodableError, the first such in the list."""
+        of them, run as one stacked encode (``_encode_block``) and one
+        decode; a config whose rows still overload raises UnencodableError,
+        the first such in the list."""
         p, X, n = self.params, self.X, len(self.X)
         rows = len(cfgs) * n
         T = np.concatenate([_start_rungs(p.lat, cfg, X, self.top) for cfg in cfgs])
@@ -303,12 +301,12 @@ class _Pilot:
         # no rung starts at the top one, overloads and fails there.
         for cfg, t in zip(cfgs, Ts):
             first = np.searchsorted(cfg._rungs * (1.0 + _GAUGE_RTOL), self._bound)
-            np.maximum(t, np.minimum(first, cfg.max_retries), out=t, casting="unsafe")
+            np.maximum(t, np.minimum(first, MAX_RETRIES), out=t, casting="unsafe")
         digits, failed = _encode_block(p, np.stack([cfg._rungs for cfg in cfgs]), None, X, T,
                                        None, self._rung[:rows], self._sub[:rows])
         if failed:  # a failed row ends one past its top rung
-            for cfg, t in zip(cfgs, Ts):
-                _raise_if_failed(cfg, np.count_nonzero(t > cfg.max_retries))
+            for t in Ts:
+                _raise_if_failed(np.count_nonzero(t > MAX_RETRIES))
         sub = self._sub[:rows]
         np.copyto(sub, _sum_layers(p, digits, range(p.M), self._acc[:rows], self._rows[:rows]))
         err = np.matmul(sub, p.lat.G.T, out=self._pts[:rows])  # lat.point_of of the sums
@@ -388,8 +386,8 @@ def empirical_rate(params: HierarchicalParams, T_samples) -> float:
 
 def _retry_histogram(T) -> tuple[np.ndarray, np.ndarray]:
     """(values, counts) of the retry counts T, values ascending, counts > 0:
-    by ``np.bincount`` for an unsigned T of at most 2 bytes (every
-    ``retry_dtype`` up to max_retries = 65,534), else ``np.unique`` as int64."""
+    by ``np.bincount`` for an unsigned T of at most 2 bytes (the encoder's
+    uint8 among them), else ``np.unique`` as int64."""
     T = np.asarray(T).ravel()
     if T.dtype.kind == "u" and T.dtype.itemsize <= 2:
         counts = np.bincount(T)

@@ -26,7 +26,7 @@ from hnlq import (ScalingConfig, UnencodableError, h_encode_many, make_lattice,
 from hnlq.bench import DEFAULT_BETA0_GRID, GRID_EXTENSION_LIMIT, effective_params
 from hnlq.codec import _dither_points, _iter_codebook_coords, _layer_coords
 from hnlq.lut import chunk_sums
-from hnlq.scaling import _Pilot, empirical_rate
+from hnlq.scaling import MAX_RETRIES, _Pilot, empirical_rate
 from hnlq.voronoi import digit_dtype
 
 # Property tests draw the same examples on every run unless a run asks for
@@ -113,14 +113,14 @@ def full_ladder_encode(params, cfg, X, dither_ids=None):
     reach = 2.0**62 / float(np.abs(params.lat.G_inv).sum(axis=1).max())
     mag = np.abs(flatX).max(axis=-1)
     with np.errstate(over="ignore"):
-        lost = np.count_nonzero(mag >= reach * cfg.scale(np.float64(cfg.max_retries)))
+        lost = np.count_nonzero(mag >= reach * cfg.scale(np.float64(MAX_RETRIES)))
     if lost:
-        raise UnencodableError(f"{lost} vector(s) still overload after {cfg.max_retries} retries")
+        raise UnencodableError(f"{lost} vector(s) still overload after {MAX_RETRIES} retries")
     n = flatX.shape[0]
     digits = np.zeros((n, params.M, params.lat.d), dtype=np.int64)
     T = np.zeros(n, dtype=np.int64)
     active = np.arange(n)
-    for t in range(cfg.max_retries + 1):
+    for t in range(MAX_RETRIES + 1):
         beta = cfg.scale(t)
         run = active[mag[active] < reach * beta]
         if run.size:
@@ -135,7 +135,7 @@ def full_ladder_encode(params, cfg, X, dither_ids=None):
             break
     if active.size:
         raise UnencodableError(
-            f"{active.size} vector(s) still overload after {cfg.max_retries} retries"
+            f"{active.size} vector(s) still overload after {MAX_RETRIES} retries"
         )
     return digits.reshape(X.shape[:-1] + (params.M, params.lat.d)), T.reshape(X.shape[:-1])
 

@@ -294,7 +294,7 @@ def test_calibrate_picks_an_interior_optimum(monkeypatch):
     X = rng.standard_normal((2000, 4))
 
     def score(b0):
-        scfg = ScalingConfig(beta0=b0, alpha=1.0 / 3.0, max_retries=60)
+        scfg = ScalingConfig(beta0=b0, alpha=1.0 / 3.0)
         dist, T = _vector_mse(params, scfg, X)
         return empirical_rate(params, T) + 0.5 * math.log2(dist)
 
@@ -435,7 +435,7 @@ def test_calibration_pilot_scores_as_encode_and_decode(scheme, name, q, M, monke
     pilot = scaling._Pilot(eff, X, 2)
     (_, T), _ = checked(pilot, [ScalingConfig(1e-3, alpha=0.2), ScalingConfig(0.5)])
     assert T.max() >= 15
-    ok, lost = ScalingConfig(0.5, max_retries=10), ScalingConfig(1e-6, max_retries=10)
+    ok, lost = ScalingConfig(0.5), ScalingConfig(1e-6, alpha=0.01)  # top rung 1e-6 * 2^0.6
     with pytest.raises(UnencodableError) as alone:
         _vector_mse(eff, lost, X)
     for cfgs in ([lost], [ok, lost]):

@@ -179,7 +179,7 @@ def test_blocked_random_ids_equal_one_call(name, monkeypatch):
 def test_unencodable_count_covers_every_block(monkeypatch):
     lat = make_lattice("d4")
     params = HierarchicalParams(lat, 4, 2)
-    cfg = ScalingConfig(beta0=1.0, max_retries=2)
+    cfg = ScalingConfig(beta0=1.0, alpha=0.01)  # top rung 2^0.6
     blocked(monkeypatch)
     b = SMALL // lat.d
     X = np.random.default_rng(34).standard_normal((3 * b + 2, 4))

@@ -1,8 +1,7 @@
 """Quantized codes are held in their narrowest integer types.
 
 Digits and dither ids take ``voronoi.digit_dtype(q)`` and retry counts
-``ScalingConfig.retry_dtype``; every consumer gives the same bytes for the
-same values in int64.
+uint8; every consumer gives the same bytes for the same values in int64.
 """
 
 import numpy as np
@@ -26,7 +25,7 @@ from hnlq import (
     quantize_matrix,
     save_quantized_matrix,
 )
-from hnlq.scaling import decode_scaled_many, encode_scaled_many
+from hnlq.scaling import MAX_RETRIES, decode_scaled_many, encode_scaled_many
 from hnlq.voronoi import digit_dtype, digits_to_index
 
 
@@ -61,19 +60,18 @@ def test_digits_take_the_helper_type_at_the_one_byte_boundary(q, want, tmp_path)
 
 
 def test_retry_counts_hold_one_past_the_top_rung():
-    assert ScalingConfig(1.0).retry_dtype == np.uint8
-    assert ScalingConfig(1.0, max_retries=254).retry_dtype == np.uint8
-    assert ScalingConfig(1.0, max_retries=255).retry_dtype == np.uint16
+    # T is uint8, the smallest unsigned type that holds MAX_RETRIES + 1
+    assert np.min_scalar_type(MAX_RETRIES + 1) == np.uint8
+    assert not hasattr(ScalingConfig(1.0), "retry_dtype")
     params = HierarchicalParams(make_lattice("z1"), 4, 1)
     X = np.array([[0.1], [100.0]])
-    digits, T = encode_scaled_many(params, ScalingConfig(1e-3, 1 / 20, 400), X)
-    assert T.dtype == np.uint16 and T[1] > 255
-    back = decode_scaled_many(params, ScalingConfig(1e-3, 1 / 20, 400), digits, T)
+    digits, T = encode_scaled_many(params, ScalingConfig(1e-3, 0.27), X)
+    assert T.dtype == np.uint8 and T[1] == MAX_RETRIES  # 100 fits the top rung only
+    back = decode_scaled_many(params, ScalingConfig(1e-3, 0.27), digits, T)
     assert np.allclose(back, X, rtol=0.5)
-    # a row that fails the top rung reaches max_retries + 1 without wrapping to 0
-    for top in (254, 255):
-        with pytest.raises(UnencodableError, match=f"after {top} retries"):
-            encode_scaled_many(params, ScalingConfig(1.0, 1e-3, top), np.array([[1e6]]))
+    # a row that fails the top rung reaches MAX_RETRIES + 1 without wrapping to 0
+    with pytest.raises(UnencodableError, match=f"^1 vector.* after {MAX_RETRIES} retries$"):
+        encode_scaled_many(params, ScalingConfig(1.0, 1e-3), np.array([[0.1], [1e6]]))
 
 
 @pytest.mark.parametrize("mode", ["none", "fixed", "random"])

@@ -9,6 +9,7 @@ import pytest
 from conftest import oracle_nearest, second_moment
 from hnlq import (
     HierarchicalParams,
+    Lattice,
     PipelineConfig,
     ScalingConfig,
     default_tie_breaker,
@@ -40,6 +41,30 @@ def test_make_lattice_rejects_unsupported():
         make_lattice("d1")
     with pytest.raises(ValueError):
         make_lattice("z0")
+
+
+@pytest.mark.parametrize("args, name", [
+    (("Q", 3), "family"), (("A", 3), "d"), (("D", 1), "d"), (("Z", True), "d"), (("z", 2), "family"),
+], ids=["Q3", "A3", "D1", "Z-True", "z2"])
+def test_lattice_refuses_a_family_or_d_it_has_no_canonical_form_for(args, name):
+    # With its generator, inverse and tie breaker as arguments, Lattice("Q", 3, ...)
+    # used to construct and fail later in the A_2 decoder with a reshape error.
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        Lattice(*args)
+
+
+def test_lattice_sets_its_own_generator():
+    # Lattice("Z", 2, 2 I, I / 2, eps) used to construct 2 Z^2 and decode
+    # [0.9, -0.2] to [2, 0], its nearest point being [0, 0].
+    I = np.eye(2)
+    with pytest.raises(TypeError):
+        Lattice("Z", 2, 2 * I, I / 2, default_tie_breaker(2))
+    lat = Lattice("Z", np.int64(2))
+    assert type(lat.d) is int and lat.nearest_coords([0.9, -0.2]).tolist() == [1, 0]
+    for attr in ("G", "G_inv", "eps"):
+        assert not getattr(lat, attr).flags.writeable
+        with pytest.raises(AttributeError):  # dataclasses.FrozenInstanceError
+            setattr(lat, attr, 2 * I)
 
 
 def test_family_ids_are_frozen():

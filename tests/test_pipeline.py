@@ -370,7 +370,7 @@ def test_unencodable_propagates():
     cfg = pipe(n=8, beta0=1e-4)
     bad = PipelineConfig(
         params=cfg.params,
-        scaling=ScalingConfig(beta0=1e-4, alpha=0.01, max_retries=3),
+        scaling=ScalingConfig(beta0=1e-4, alpha=0.01),  # top rung 1e-4 * 2^0.6
         n=8,
     )
     with pytest.raises(UnencodableError):
@@ -1021,7 +1021,7 @@ def test_load_validates_file(tmp_path, monkeypatch):
     with pytest.raises(ValueError):
         load_quantized_matrix(bad)
 
-    qm.T = qm.T.astype(np.uint16)  # as max_retries > 254 gives
+    qm.T = qm.T.astype(np.uint16)  # a matrix's T may be set in any integer type
     qm.T[0, 0] = 300  # would not fit the one-byte T records
     with pytest.raises(ValueError):
         save_quantized_matrix(qm, path)

@@ -30,7 +30,7 @@ from hnlq import (
 from hnlq.codec import LAYER_CODEBOOK_MAX, _dither_points, decode_coords_many, q_circ_many
 from hnlq.lut import _COMBINE_BLOCK, _with_crc, chunk_sum_dtype
 from hnlq.pipeline import DITHER_MODES
-from hnlq.scaling import _GAUGE_RTOL, _need
+from hnlq.scaling import _GAUGE_RTOL, MAX_RETRIES, _need
 
 LATTICES = ("z1", "z2", "a2", "d4")
 
@@ -242,13 +242,13 @@ def test_the_start_bound_never_passes_the_first_fitting_rung(name, data):
     p = HierarchicalParams(lat, q, M)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     ids = rng.integers(0, q, lat.d) if data.draw(st.booleans()) else None
-    cfg = ScalingConfig(beta0=data.draw(st.floats(0.01, 2.0)), max_retries=30)
+    cfg = ScalingConfig(beta0=data.draw(st.floats(0.01, 2.0)))
     cw = lat.point_of(decode_coords_many(p, rng.integers(0, q, (16, M, lat.d))))
     X = np.concatenate([rng.standard_normal((16, lat.d)) * data.draw(st.floats(0.1, 3.0)) * q**M,
                         cw * cfg.scale(data.draw(st.integers(0, 30)))])
     z = 0.0 if ids is None else _dither_points(p, ids)
-    first = np.full(len(X), cfg.max_retries + 1)
-    for t in range(cfg.max_retries, -1, -1):
+    first = np.full(len(X), MAX_RETRIES + 1)
+    for t in range(MAX_RETRIES, -1, -1):
         first[~h_encode_many(p, X / cfg.scale(t) - z)[1]] = t
     need = _need(p._fit_weights[ids is not None], X)
     assert (np.searchsorted(cfg._rungs * (1 + _GAUGE_RTOL), need) <= first).all()

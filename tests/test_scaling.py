@@ -27,34 +27,29 @@ from hnlq.codec import (
     decode_coords_many,
 )
 from hnlq.lattices import in_scaled_voronoi_many
-from hnlq.scaling import decode_scaled_many, encode_scaled_many, entropy_bits
+from hnlq.scaling import MAX_RETRIES, decode_scaled_many, encode_scaled_many, entropy_bits
 from hnlq.voronoi import digit_grid
 
 
 def test_config_validation():
     cfg = ScalingConfig(beta0=0.5)
     assert cfg.alpha == 1.0 / 3.0
-    assert cfg.max_retries == 60
+    assert MAX_RETRIES == 60 and cfg._rungs.size == MAX_RETRIES + 1
     with pytest.raises(ValueError):
         ScalingConfig(beta0=0.0)
     with pytest.raises(ValueError):
         ScalingConfig(beta0=-1.0)
     with pytest.raises(ValueError):
         ScalingConfig(beta0=1.0, alpha=0.0)
-    with pytest.raises(ValueError):
-        ScalingConfig(beta0=1.0, max_retries=-1)
-    # A rung that is not a finite float, or a budget that is not an integer.
+    # A rung that is not a finite float.
     for bad in ({"beta0": math.inf}, {"beta0": 1.0, "alpha": math.inf},
-                {"beta0": 1.0, "max_retries": 2.5}, {"beta0": 1e300, "alpha": 1.0},
-                {"beta0": 1.0, "alpha": np.float64(20.0)}):
+                {"beta0": 1e300, "alpha": 1.0}, {"beta0": 1.0, "alpha": np.float64(20.0)}):
         with pytest.raises(ValueError):
             ScalingConfig(**bad)
-    # True > 0 and is an Integral, so each of these used to construct
-    rules = {"beta0": "a positive number", "alpha": "a positive number",
-             "max_retries": "an integer >= 0"}
-    for name in ("beta0", "alpha", "max_retries"):
+    # True > 0, so each of these used to construct
+    for name in ("beta0", "alpha"):
         for flag in (True, np.True_):
-            with pytest.raises(ValueError, match=f"^{name} must be {rules[name]}, got "):
+            with pytest.raises(ValueError, match=f"^{name} must be a positive number, got "):
                 ScalingConfig(**{"beta0": 0.5, name: flag})
 
 
@@ -68,18 +63,18 @@ def test_three_retries_double_the_scale():
 
 def test_configs_with_equal_fields_share_one_ladder():
     # Rung t is the float scale(t) gives for the Python int t.  Configs whose
-    # (beta0, alpha, max_retries) are equal and of the same types share one
-    # read-only ladder: calibration builds a new config per candidate.
+    # (beta0, alpha) are equal and of the same types share one read-only
+    # ladder: calibration builds a new config per candidate.
     a, b = ScalingConfig(beta0=0.37), ScalingConfig(beta0=0.37)
     assert a._rungs is b._rungs and a._rungs.shape == (61,)
     assert all(a._rungs[t] == a.scale(t) for t in range(61))
     with pytest.raises(ValueError):
         a._rungs[0] = 1.0
     for other in (ScalingConfig(beta0=0.37, alpha=np.float32(1.0 / 3.0)),
-                  ScalingConfig(beta0=0.37, max_retries=7), ScalingConfig(beta0=np.float64(0.37))):
+                  ScalingConfig(beta0=0.37, alpha=0.25), ScalingConfig(beta0=np.float64(0.37))):
         assert other._rungs is not a._rungs
         assert [float(r) for r in other._rungs] == [float(other.scale(t))
-                                                    for t in range(other.max_retries + 1)]
+                                                    for t in range(MAX_RETRIES + 1)]
 
 
 def test_scalar_retry_trace(z1):
@@ -121,8 +116,8 @@ def test_retry_count_is_minimal(d4):
 
 def test_unencodable_when_budget_exhausted(z1):
     p = HierarchicalParams(z1, 2, 1)
-    cfg = ScalingConfig(beta0=1e-3, alpha=0.01, max_retries=5)
-    with pytest.raises(UnencodableError):
+    cfg = ScalingConfig(beta0=1e-3, alpha=0.01)  # top rung 1e-3 * 2^0.6
+    with pytest.raises(UnencodableError, match=f"^1 vector.* after {MAX_RETRIES} retries$"):
         encode_scaled_many(p, cfg, np.array([1e6]))
 
 
@@ -135,7 +130,7 @@ def retry_every_row(params, cfg, X, dither_ids=None):
     digits = np.zeros((len(X), params.M, params.lat.d), dtype=np.int64)
     T = np.zeros(len(X), dtype=np.int64)
     active = np.arange(len(X))
-    for t in range(cfg.max_retries + 1):
+    for t in range(MAX_RETRIES + 1):
         # int64 casts of |x| / scale >= 2^63; x / scale past the float range
         with np.errstate(invalid="ignore", over="ignore"):
             digits[active], ov = h_encode_many(params, X[active] / cfg.scale(t) - Z[active])
@@ -143,7 +138,7 @@ def retry_every_row(params, cfg, X, dither_ids=None):
         active = active[ov]
         if not active.size:
             return digits, T
-    return f"{active.size} vector(s) still overload after {cfg.max_retries} retries"
+    return f"{active.size} vector(s) still overload after {MAX_RETRIES} retries"
 
 
 @pytest.mark.filterwarnings("error")
@@ -319,14 +314,14 @@ def test_start_rungs_keep_the_full_ladder_outcome(name, s):
 
 @pytest.mark.filterwarnings("error")
 def test_every_rung_of_an_accepted_ladder_is_a_finite_float():
-    # alpha = 20: 2^(alpha t) leaves the float range from t = 52 on, so the
-    # default 60 retries are refused and 51 (top rung 2^1020) are accepted.
+    # alpha = 20: 2^(alpha t) leaves the float range from t = 52 on, so its
+    # 60 rungs are refused, and alpha = 17 (top rung 2^1020) is accepted.
     # There rows encode as on the full ladder, and a row past the top rung
     # raises UnencodableError.
-    with pytest.raises(ValueError, match="max_retries"):
+    with pytest.raises(ValueError, match=f"^rung {MAX_RETRIES} .*: lower alpha or beta0$"):
         ScalingConfig(beta0=1.0, alpha=20.0)
     p = HierarchicalParams(make_lattice("d4"), 3, 2)
-    cfg = ScalingConfig(beta0=1.0, alpha=20.0, max_retries=51)
+    cfg = ScalingConfig(beta0=1.0, alpha=17.0)
     X = np.random.default_rng(3).standard_normal((20, 4))
     assert _same_outcome(encode_scaled_many(p, cfg, X), full_ladder_encode(p, cfg, X))
     Y = np.concatenate([X, [[1.7e308, -1.7e308, 1.7e308, 0.0]]])

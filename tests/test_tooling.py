@@ -1,9 +1,13 @@
-"""The files around the library: README examples and the benchmark tracer's hooks."""
+"""The files around the library: README examples, the benchmark tracer's hooks, public names
+and the config fields CI reports."""
 
+import dataclasses
 import importlib
 import json
 import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,6 +44,18 @@ REMOVED = {
     "pipeline": ("QuantizedVector",),
     "voronoi": ("VoronoiCodeParams",),
 }
+
+
+# The settable values of each config class: CI prints their count.
+CONFIG_FIELDS = {"ScalingConfig": ("beta0", "alpha"), "Lattice": ("family", "d")}
+
+
+def test_config_classes_take_only_their_fields():
+    hnlq = importlib.import_module("hnlq")
+    for name, fields in CONFIG_FIELDS.items():
+        assert tuple(f.name for f in dataclasses.fields(getattr(hnlq, name))) == fields, name
+    with pytest.raises(TypeError):
+        hnlq.ScalingConfig(1.0, max_retries=5)
 
 
 def test_every_public_name_resolves():

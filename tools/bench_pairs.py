@@ -9,7 +9,10 @@ workload and seed, each side runs ``perfbench/run.py --trace 0`` once in its
 own checkout: one pair.  The side that runs first alternates from pair to
 pair, so drift over the session falls on both sides alike.  Each run's last
 line of output is the benchmark's result object, and its ``# machine`` line
-the machine block.
+the machine block.  Each run also records its minor page faults
+(``ru_minflt`` of ``getrusage(RUSAGE_CHILDREN)``, counted around the run):
+the heap layout, which the checkout's directory name can change, moves
+them and with them the timings.
 
 The output file holds, per workload and end-to-end metric, each side's
 median and quartiles over the pairs and the number of pairs the change won
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -99,9 +103,12 @@ def main(argv=None) -> int:
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             pair = {"seed": seed, "first": order[0]}
             for side in order:
+                faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
                 result, report["machine"], status = run_once(roots[side], w, seed, args.seconds)
+                faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
                 pair[side] = {"exit": status, "correct": result["correct"],
                               "failed": result["failed"], "attempted": result["attempted"],
+                              "ru_minflt": faults,
                               "metrics": {m: v["value"] for m, v in result["metrics"].items()}}
                 if status or result["failed"] or not result["correct"]:
                     failed.append(f"{w} seed {seed} {side}: exit {status}, "
@@ -109,7 +116,9 @@ def main(argv=None) -> int:
             pairs.append(pair)
             print(f"{w} seed {seed} ({order[0]} first): " + ", ".join(
                 f"{m} {pair['base']['metrics'][m]:.4g} -> {pair['change']['metrics'][m]:.4g}"
-                for m in pair["change"]["metrics"]), flush=True)
+                for m in pair["change"]["metrics"])
+                + f", ru_minflt {pair['base']['ru_minflt']} -> {pair['change']['ru_minflt']}",
+                flush=True)
             k += 1
         metrics = {}
         for m in pairs[0]["change"]["metrics"]:
