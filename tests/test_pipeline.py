@@ -1050,6 +1050,13 @@ def test_load_validates_file(tmp_path, monkeypatch):
     save_quantized_matrix(top, path)
     assert np.array_equal(load_quantized_matrix(path).digits, top.digits)
 
+    # alpha = 20 takes rung 60 past the float range: ScalingConfig refuses it
+    fields = list(pipeline._QM_HEADER.unpack_from(raw))
+    fields[8] = 20.0
+    bad.write_bytes(_with_crc(pipeline._QM_HEADER.pack(*fields) + raw[pipeline._QM_HEADER.size:-4]))
+    with pytest.raises(ValueError, match="^rung 60 leaves the float range: lower alpha or beta0$"):
+        load_quantized_matrix(bad)
+
     # A corrupt d or q is rejected from the header alone, before the d x d
     # lattice matrices are built.
     def no_lattice(*args):
